@@ -32,6 +32,7 @@ from .families import (
 )
 from .substitution import (
     RegimeCase,
+    _log_grid,
     classify_regime,
     mrs_closed,
     mrs_derivative_closed,
@@ -265,10 +266,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         if hi == interval.k_high and interval.k_high < args.k_to:
             hi *= 1.0 - 1e-9
     print(TRAJECTORY_HEADER)
-    ratio = hi / lo
-    n = args.points
-    for i in range(n):
-        k = lo * ratio ** (i / (n - 1))
+    for k in _log_grid(lo, hi, args.points):
         row = (k, eval_intensive(spec, k), mrs_closed(spec, k),
                mrs_derivative_closed(spec, k), sigma_closed(spec, k),
                sigma_derivative_closed(spec, k))
@@ -327,13 +325,12 @@ def _print_report(report: VerificationReport) -> int:
     return 0 if report.passed else 1
 
 
-def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+def _k_grid(lo: float, hi: float, n: int) -> list[float]:
     if not 0.0 < lo < hi:
         raise _UsageError("need 0 < --k-from < --k-to")
     if n < 2:
         raise _UsageError("--points must be at least 2")
-    ratio = hi / lo
-    return [lo * ratio ** (i / (n - 1)) for i in range(n)]
+    return _log_grid(lo, hi, n)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -347,7 +344,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lo = args.k_from if args.k_from is not None else 0.5
         hi = args.k_to if args.k_to is not None else 20.0
         n = args.points if args.points is not None else 64
-        report = verify_family(spec, _log_grid(lo, hi, n), tolerance=tol)
+        report = verify_family(spec, _k_grid(lo, hi, n), tolerance=tol)
         return _print_report(report)
 
     if args.suite == "equivalence":
@@ -358,7 +355,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lo = args.k_from if args.k_from is not None else 0.1
         hi = args.k_to if args.k_to is not None else 10.0
         n = args.points if args.points is not None else 50
-        report = verify_equivalence_lh_lf(p, _log_grid(lo, hi, n), tolerance=tol)
+        report = verify_equivalence_lh_lf(p, _k_grid(lo, hi, n), tolerance=tol)
         return _print_report(report)
 
     if args.suite == "ode":
@@ -392,7 +389,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lo = args.k_from if args.k_from is not None else default_hi / 30.0
         hi = args.k_to if args.k_to is not None else default_hi
         n = args.points if args.points is not None else 32
-        report = verify_sato_hoffman(s, _log_grid(lo, hi, n), tolerance=tol)
+        report = verify_sato_hoffman(s, _k_grid(lo, hi, n), tolerance=tol)
         return _print_report(report)
 
     if args.suite == "reduction":
@@ -412,7 +409,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lo = args.k_from if args.k_from is not None else 0.1
         hi = args.k_to if args.k_to is not None else 10.0
         n = args.points if args.points is not None else 50
-        report = verify_reduction(spec, target, _log_grid(lo, hi, n), tolerance=tol)
+        report = verify_reduction(spec, target, _k_grid(lo, hi, n), tolerance=tol)
         return _print_report(report)
 
     raise _UsageError(f"unknown suite {args.suite!r}")

@@ -130,15 +130,20 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
     if not _NUMBER_RE.match(text):
         raise ParseError(
             f"row {row_no}, column '{column}': {cell!r} is not a decimal-point number")
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"row {row_no}, column '{column}': {cell!r} is out of the finite "
+            "floating-point range")
+    return value
 
 
 def load_dataset(source: str) -> Dataset:
     """Parse delimited-text content into a :class:`Dataset`.
 
     Raises :class:`ParseError` with row/column location for structural
-    problems and :class:`ValidationError` for non-positive values or
-    duplicate period labels.  Row numbers count data rows from 1.
+    problems and :class:`ValidationError` for non-positive or non-finite
+    values or duplicate period labels.  Row numbers count data rows from 1.
     """
     reader = csv.reader(io.StringIO(source))
     try:

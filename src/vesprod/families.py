@@ -28,6 +28,13 @@ member of the solution family.  Under the rental-rate reading
 :func:`ves_from_loglinear`; under the wage reading it parameterizes the
 Liu-Hildebrand / Lu-Fletcher function.
 
+Each family type carries its closed forms as private methods (``_y``,
+``_F``, ``_dy``, ``_d2y``, ``_R``, ``_dR``, ``_sigma``, ``_dsigma`` and the
+bracketed base ``_bracket``), each stated once; Lu-Fletcher shares the
+Liu-Hildebrand method set.  The public functions here and in
+:mod:`vesprod.substitution` delegate to them through one entry point that
+checks the arguments.
+
 All types are frozen dataclasses and all operations are pure functions;
 they are safe to share across threads.
 """
@@ -36,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import singledispatch
 from typing import Union
 
 from .errors import DomainError, ParamError, SingularError
@@ -135,8 +141,53 @@ def _check_lh_branch(p: LogLinearParams) -> None:
         raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
 
 
+def _require_ratio(k: float) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
+
+
+def _require_factors(K: float, L: float) -> None:
+    if not (math.isfinite(K) and K > 0.0):
+        raise DomainError(f"capital input must be positive and finite, got {K!r}")
+    if not (math.isfinite(L) and L > 0.0):
+        raise DomainError(f"labor input must be positive and finite, got {L!r}")
+
+
+def _finite_or_singular(value: float, what: str, k: float) -> float:
+    if not math.isfinite(value):
+        raise SingularError(f"{what} is not finite at k = {k:.12g}")
+    return value
+
+
+class _Family:
+    """Base of the six family specs.
+
+    Each family states its closed forms once, as methods of a capital-labor
+    ratio ``k`` (or of factor inputs ``K, L``) that :func:`_evaluate` has
+    already checked to be positive and finite:
+
+        _bracket  bracketed base; its positivity is the evaluability condition
+        _y, _F    intensive and extensive form
+        _dy, _d2y first and second derivative of y
+        _R, _dR   marginal rate of substitution R = y/y' - k and R'
+        _sigma, _dsigma
+                  elasticity of substitution and its derivative
+
+    A pole of sigma (R' = 0, or a vanishing rational denominator) raises
+    SingularError rather than returning an infinity.
+    """
+
+    def _positive_bracket(self, k: float) -> float:
+        base = self._bracket(k)
+        if not base > 0.0:
+            raise DomainError(
+                f"{type(self).__name__}: bracketed base is non-positive at k = {k:.12g} "
+                f"(base = {base:.6g}); the closed form is not defined there")
+        return base
+
+
 @dataclass(frozen=True)
-class VESParams:
+class VESParams(_Family):
     """Structural parameters of the variable-elasticity family whose
     marginal rate of substitution is ``R(k) = lam*k + mu*k**theta``.
 
@@ -161,9 +212,60 @@ class VESParams:
             raise ParamError("theta = 1 degenerates R(k) to a linear function; "
                              "use a Cobb-Douglas spec instead")
 
+    def _bracket(self, k: float) -> float:
+        return (1.0 + self.lam) * k ** (1.0 - self.theta) + self.mu
+
+    def _y(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        expo = 1.0 / ((1.0 + self.lam) * (1.0 - self.theta))
+        return self.psi * base ** expo
+
+    def _F(self, K: float, L: float) -> float:
+        lam, th = self.lam, self.theta
+        base = (1.0 + lam) * K ** (1.0 - th) * L ** (lam * (1.0 - th)) \
+            + self.mu * L ** ((1.0 + lam) * (1.0 - th))
+        if not base > 0.0:
+            raise DomainError(
+                f"VESParams: bracketed base is non-positive at K/L = {K / L:.12g}")
+        return self.psi * base ** (1.0 / ((1.0 + lam) * (1.0 - th)))
+
+    def _dy(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        expo = 1.0 / ((1.0 + self.lam) * (1.0 - self.theta))
+        return self.psi * k ** (-self.theta) * base ** (expo - 1.0)
+
+    def _d2y(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        lam, th = self.lam, self.theta
+        expo = 1.0 / ((1.0 + lam) * (1.0 - th))
+        return (-self.psi * k ** (-th - 1.0) * base ** (expo - 2.0)
+                * (lam * k ** (1.0 - th) + th * self.mu))
+
+    def _R(self, k: float) -> float:
+        return self.lam * k + self.mu * k ** self.theta
+
+    def _dR(self, k: float) -> float:
+        return self.lam + self.theta * self.mu * k ** (self.theta - 1.0)
+
+    def _sigma(self, k: float) -> float:
+        lam, mu, th = self.lam, self.mu, self.theta
+        x = k ** (th - 1.0)
+        den = lam + th * mu * x
+        if den == 0.0:
+            raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
+        return _finite_or_singular((lam + mu * x) / den, "sigma", k)
+
+    def _dsigma(self, k: float) -> float:
+        lam, mu, th = self.lam, self.mu, self.theta
+        den = lam + th * mu * k ** (th - 1.0)
+        if den == 0.0:
+            raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
+        value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / (den * den)
+        return _finite_or_singular(value, "derivative of sigma", k)
+
 
 @dataclass(frozen=True)
-class CobbDouglasParams:
+class CobbDouglasParams(_Family):
     """y = A k^beta with capital share beta in (0, 1)."""
 
     A: float
@@ -175,9 +277,36 @@ class CobbDouglasParams:
         if not 0.0 < self.beta < 1.0:
             raise ParamError(f"beta must lie in (0, 1), got {self.beta!r}")
 
+    def _bracket(self, k: float) -> float:
+        return math.inf  # no bracketed base; never binds
+
+    def _y(self, k: float) -> float:
+        return self.A * k ** self.beta
+
+    def _F(self, K: float, L: float) -> float:
+        return self.A * K ** self.beta * L ** (1.0 - self.beta)
+
+    def _dy(self, k: float) -> float:
+        return self.A * self.beta * k ** (self.beta - 1.0)
+
+    def _d2y(self, k: float) -> float:
+        return self.A * self.beta * (self.beta - 1.0) * k ** (self.beta - 2.0)
+
+    def _R(self, k: float) -> float:
+        return (1.0 - self.beta) / self.beta * k
+
+    def _dR(self, k: float) -> float:
+        return (1.0 - self.beta) / self.beta
+
+    def _sigma(self, k: float) -> float:
+        return 1.0
+
+    def _dsigma(self, k: float) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
-class CESParams:
+class CESParams(_Family):
     """Constant elasticity of substitution ``sigma`` (sigma = 1 excluded:
     that limit is Cobb-Douglas and has its own spec)."""
 
@@ -194,9 +323,147 @@ class CESParams:
         if self.sigma == 1.0:
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
 
+    def _bracket(self, k: float) -> float:
+        s = self.sigma
+        return self.delta * k ** ((s - 1.0) / s) + (1.0 - self.delta)
+
+    def _y(self, k: float) -> float:
+        s = self.sigma
+        base = self._positive_bracket(k)
+        return self.gamma * base ** (s / (s - 1.0))
+
+    def _F(self, K: float, L: float) -> float:
+        s = self.sigma
+        e = (s - 1.0) / s
+        base = self.delta * K ** e + (1.0 - self.delta) * L ** e
+        return self.gamma * base ** (s / (s - 1.0))
+
+    def _dy(self, k: float) -> float:
+        s = self.sigma
+        base = self._positive_bracket(k)
+        return self.gamma * self.delta * k ** (-1.0 / s) * base ** (1.0 / (s - 1.0))
+
+    def _d2y(self, k: float) -> float:
+        s = self.sigma
+        base = self._positive_bracket(k)
+        return (-self.gamma * self.delta * (1.0 - self.delta) / s
+                * k ** (-1.0 / s - 1.0) * base ** ((2.0 - s) / (s - 1.0)))
+
+    def _R(self, k: float) -> float:
+        return (1.0 - self.delta) / self.delta * k ** (1.0 / self.sigma)
+
+    def _dR(self, k: float) -> float:
+        return (1.0 - self.delta) / (self.delta * self.sigma) * k ** (1.0 / self.sigma - 1.0)
+
+    def _sigma(self, k: float) -> float:
+        return self.sigma
+
+    def _dsigma(self, k: float) -> float:
+        return 0.0
+
+
+class _WageForm(_Family):
+    """Closed forms of the wage-relation function,
+    y = A [m k^((b-1)/b) + n k^(-c/b)]^(b/(b-1)) with n = (b-1)/(b+c-1) and
+    A = a^(1/(1-b)), and its R, R', sigma' as rational functions of
+    k^((b+c-1)/b) in the Liu-Hildebrand constant xi.
+
+    Subclasses supply the bracket coefficient m (:meth:`_bracket_coef`) and
+    xi (:meth:`_xi`) from their own integration constant.
+    """
+
+    def __post_init__(self) -> None:
+        _require_positive("a", self.a)
+        _require_positive("b", self.b)
+        if self.b == 1.0:
+            raise ParamError("b = 1 is a singular branch of the wage closed form")
+        _require_finite("c", self.c)
+        if self.c < 0.0:
+            raise ParamError(f"c must be non-negative, got {self.c!r}")
+        if self.b + self.c == 1.0:
+            raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
+
+    def _coeffs(self) -> tuple[float, float, float]:
+        """(m, n, A) of the closed form."""
+        b, c = self.b, self.c
+        return self._bracket_coef(), (b - 1.0) / (b + c - 1.0), self.a ** (1.0 / (1.0 - b))
+
+    def _bracket(self, k: float) -> float:
+        m, n, _ = self._coeffs()
+        b, c = self.b, self.c
+        return m * k ** ((b - 1.0) / b) + n * k ** (-c / b)
+
+    def _y(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        _, _, A = self._coeffs()
+        return A * base ** (self.b / (self.b - 1.0))
+
+    def _F(self, K: float, L: float) -> float:
+        m, n, A = self._coeffs()
+        b, c = self.b, self.c
+        base = m * K ** ((b - 1.0) / b) + n * K ** (-c / b) * L ** ((b + c - 1.0) / b)
+        if not base > 0.0:
+            raise DomainError(
+                f"{type(self).__name__}: bracketed base is non-positive at K/L = {K / L:.12g}")
+        return A * base ** (b / (b - 1.0))
+
+    def _dy(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        m, n, A = self._coeffs()
+        b, c = self.b, self.c
+        Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
+        return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
+
+    def _d2y(self, k: float) -> float:
+        base = self._positive_bracket(k)
+        m, n, A = self._coeffs()
+        b, c = self.b, self.c
+        Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
+        Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
+               + n * c * (b + c) / b ** 2 * k ** (-(2.0 * b + c) / b))
+        return A * b / (b - 1.0) * (base ** ((2.0 - b) / (b - 1.0)) * Sp ** 2 / (b - 1.0)
+                                    + base ** (1.0 / (b - 1.0)) * Spp)
+
+    def _R(self, k: float) -> float:
+        b, c, xi = self.b, self.c, self._xi()
+        den = xi * (1.0 - b) * (b + c - 1.0) * k ** ((b + c - 1.0) / b) + b * c
+        if den == 0.0:
+            raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
+        return _finite_or_singular(-b * (b + c - 1.0) * k / den,
+                                   "marginal rate of substitution", k)
+
+    def _dR(self, k: float) -> float:
+        b, c, xi = self.b, self.c, self._xi()
+        x = k ** ((b + c - 1.0) / b)
+        den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
+        if den == 0.0:
+            raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
+        num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
+        return _finite_or_singular(-(b + c - 1.0) * num / den ** 2,
+                                   "derivative of the marginal rate of substitution", k)
+
+    def _sigma(self, k: float) -> float:
+        b, c, xi = self.b, self.c, self._xi()
+        x = k ** ((b + c - 1.0) / b)
+        den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
+        if den == 0.0:
+            raise SingularError(f"sigma has a pole at k = {k:.12g}")
+        num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
+        return _finite_or_singular(b * num / den, "sigma", k)
+
+    def _dsigma(self, k: float) -> float:
+        b, c, xi = self.b, self.c, self._xi()
+        s = b + c - 1.0
+        den = xi * (1.0 - b) * s * (1.0 - c) * k ** ((b - 1.0) / b) \
+            + b * b * c * k ** (-c / b)
+        if den == 0.0:
+            raise SingularError(f"sigma has a pole at k = {k:.12g}")
+        num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
+        return _finite_or_singular(num / den ** 2, "derivative of sigma", k)
+
 
 @dataclass(frozen=True)
-class LiuHildebrandParams:
+class LiuHildebrandParams(_WageForm):
     """Closed-form solution of the wage log-linear relation
     ``ln y = ln a + b ln(y - k y') + c ln k``.
 
@@ -210,23 +477,25 @@ class LiuHildebrandParams:
     xi: float
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("b", self.b)
-        if self.b == 1.0:
-            raise ParamError("b = 1 is a singular branch of the wage closed form")
-        _require_finite("c", self.c)
-        if self.c < 0.0:
-            raise ParamError(f"c must be non-negative, got {self.c!r}")
-        if self.b + self.c == 1.0:
-            raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
+        super().__post_init__()
         _require_finite("xi", self.xi)
+
+    def _bracket_coef(self) -> float:
+        return self.xi * (self.b - 1.0) / self.b
+
+    def _xi(self) -> float:
+        return self.xi
 
 
 @dataclass(frozen=True)
-class LuFletcherParams:
+class LuFletcherParams(_WageForm):
     """Alternative parameterization of the wage-relation function with
     integration constant ``zeta``; with ``zeta = xi (b-1) a^(-1/b) / b``
-    it coincides pointwise with :class:`LiuHildebrandParams`."""
+    it coincides pointwise with :class:`LiuHildebrandParams`.
+
+    The bracket coefficient and sigma are stated directly in zeta, so that
+    comparing the two parameterizations is an independent check.
+    """
 
     a: float
     b: float
@@ -234,20 +503,28 @@ class LuFletcherParams:
     zeta: float
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("b", self.b)
-        if self.b == 1.0:
-            raise ParamError("b = 1 is a singular branch of the wage closed form")
-        _require_finite("c", self.c)
-        if self.c < 0.0:
-            raise ParamError(f"c must be non-negative, got {self.c!r}")
-        if self.b + self.c == 1.0:
-            raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
+        super().__post_init__()
         _require_finite("zeta", self.zeta)
+
+    def _bracket_coef(self) -> float:
+        return self.zeta * self.a ** (1.0 / self.b)
+
+    def _xi(self) -> float:
+        return self.zeta * self.b * self.a ** (1.0 / self.b) / (self.b - 1.0)
+
+    def _sigma(self, k: float) -> float:
+        a, b, c, zeta = self.a, self.b, self.c, self.zeta
+        u = k ** ((b - 1.0) / b)
+        v = b * c * a ** (-1.0 / b) * k ** (-c / b)
+        den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
+        if den == 0.0:
+            raise SingularError(f"sigma has a pole at k = {k:.12g}")
+        num = zeta * b * (1.0 - b - c) * u + v
+        return _finite_or_singular(num / den, "sigma", k)
 
 
 @dataclass(frozen=True)
-class SatoHoffmanParams:
+class SatoHoffmanParams(_Family):
     """F = gamma K^(alpha(1-delta*rho)) [L + (rho-1) K]^(alpha*delta*rho).
 
     Requires delta in (0, 1) and delta*rho in [0, 1].  For rho < 1 the
@@ -278,6 +555,70 @@ class SatoHoffmanParams:
             return math.inf
         return (1.0 - self.delta * self.rho) / (1.0 - self.rho)
 
+    def _check_domain(self, k: float, degree_one: bool = False) -> None:
+        """Reject k outside the admissible range; with ``degree_one`` (the
+        substitution formulas R, R', sigma, sigma') first require alpha = 1."""
+        if degree_one and self.alpha != 1.0:
+            raise ParamError("substitution formulas assume degree one; "
+                             f"alpha = {self.alpha!r} is not supported here")
+        bound = self.k_upper_bound()
+        if k >= bound:
+            raise DomainError(
+                f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
+                f"k < {bound:.12g} for rho = {self.rho:.12g}")
+
+    def _bracket(self, k: float) -> float:
+        # (1 - delta*rho) + (rho - 1) k: positive exactly on the admissible
+        # k range for rho < 1, and everywhere for rho >= 1.
+        return (1.0 - self.delta * self.rho) + (self.rho - 1.0) * k
+
+    def _y(self, k: float) -> float:
+        self._check_domain(k)
+        dr = self.delta * self.rho
+        G = 1.0 + (self.rho - 1.0) * k
+        return self.gamma * k ** (self.alpha * (1.0 - dr)) * G ** (self.alpha * dr)
+
+    def _F(self, K: float, L: float) -> float:
+        self._check_domain(K / L)
+        dr = self.delta * self.rho
+        inner = L + (self.rho - 1.0) * K
+        return self.gamma * K ** (self.alpha * (1.0 - dr)) * inner ** (self.alpha * dr)
+
+    def _dy(self, k: float) -> float:
+        y = self._y(k)
+        dr = self.delta * self.rho
+        G = 1.0 + (self.rho - 1.0) * k
+        g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
+        return y * g
+
+    def _d2y(self, k: float) -> float:
+        y = self._y(k)
+        dr = self.delta * self.rho
+        G = 1.0 + (self.rho - 1.0) * k
+        g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
+        gp = self.alpha * (-(1.0 - dr) / k ** 2 - dr * (self.rho - 1.0) ** 2 / G ** 2)
+        return y * (g * g + gp)
+
+    def _R(self, k: float) -> float:
+        self._check_domain(k, degree_one=True)
+        dr = self.delta * self.rho
+        return dr * k / ((1.0 - dr) + (self.rho - 1.0) * k)
+
+    def _dR(self, k: float) -> float:
+        self._check_domain(k, degree_one=True)
+        dr = self.delta * self.rho
+        D = (1.0 - dr) + (self.rho - 1.0) * k
+        return dr * (1.0 - dr) / (D * D)
+
+    def _sigma(self, k: float) -> float:
+        self._check_domain(k, degree_one=True)
+        dr = self.delta * self.rho
+        return 1.0 + (self.rho - 1.0) / (1.0 - dr) * k
+
+    def _dsigma(self, k: float) -> float:
+        self._check_domain(k, degree_one=True)
+        return (self.rho - 1.0) / (1.0 - self.delta * self.rho)
+
 
 FamilySpec = Union[
     CobbDouglasParams,
@@ -289,343 +630,56 @@ FamilySpec = Union[
 ]
 
 
-def _require_ratio(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
+def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
+    """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
+    is given: the one path from a public kernel to a closed form.
+
+    Rejects a non-family spec with TypeError, checks k (or K and L) once,
+    and turns floating-point overflow inside the closed form into
+    DomainError.
+    """
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    try:
+        if L is None:
+            _require_ratio(k)
+            return getattr(spec, method)(k)
+        _require_factors(k, L)
+        return getattr(spec, method)(k, L)
+    except OverflowError as exc:
+        where = f"k = {k:.12g}" if L is None else f"K = {k:.12g}, L = {L:.12g}"
+        raise DomainError(f"{type(spec).__name__}: the closed form overflows "
+                          f"at {where}") from exc
 
 
-def _lh_coeffs(spec: LiuHildebrandParams | LuFletcherParams) -> tuple[float, float, float]:
-    """Coefficients (m, n, A) of the wage-relation closed form
-    y = A [m k^((b-1)/b) + n k^(-c/b)]^(b/(b-1))."""
-    b, c = spec.b, spec.c
-    if isinstance(spec, LiuHildebrandParams):
-        m = spec.xi * (b - 1.0) / b
-    else:
-        m = spec.zeta * spec.a ** (1.0 / b)
-    n = (b - 1.0) / (b + c - 1.0)
-    A = spec.a ** (1.0 / (1.0 - b))
-    return m, n, A
-
-
-# --------------------------------------------------------------------------
-# Bracketed base of each closed form.  Positivity of this quantity is the
-# evaluability condition; validity analysis intersects it with R > 0,
-# R' > 0 and sigma > 0.
-# --------------------------------------------------------------------------
-
-@singledispatch
 def bracket_base(spec: FamilySpec, k: float) -> float:
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    """Bracketed base of the closed form at k.  Its positivity is the
+    evaluability condition; validity analysis intersects it with R > 0,
+    R' > 0 and sigma > 0.  Cobb-Douglas has none and returns inf."""
+    return _evaluate(spec, "_bracket", k)
 
 
-@bracket_base.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_ratio(k)
-    return math.inf  # no bracketed base; never binds
-
-
-@bracket_base.register
-def _(spec: CESParams, k: float) -> float:
-    _require_ratio(k)
-    s = spec.sigma
-    return spec.delta * k ** ((s - 1.0) / s) + (1.0 - spec.delta)
-
-
-@bracket_base.register
-def _(spec: VESParams, k: float) -> float:
-    _require_ratio(k)
-    return (1.0 + spec.lam) * k ** (1.0 - spec.theta) + spec.mu
-
-
-@bracket_base.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    _require_ratio(k)
-    m, n, _ = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    return m * k ** ((b - 1.0) / b) + n * k ** (-c / b)
-
-
-@bracket_base.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    _require_ratio(k)
-    m, n, _ = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    return m * k ** ((b - 1.0) / b) + n * k ** (-c / b)
-
-
-@bracket_base.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    # (1 - delta*rho) + (rho - 1) k: positive exactly on the admissible
-    # k range for rho < 1, and everywhere for rho >= 1.
-    _require_ratio(k)
-    return (1.0 - spec.delta * spec.rho) + (spec.rho - 1.0) * k
-
-
-def _positive_bracket(spec: FamilySpec, k: float) -> float:
-    base = bracket_base(spec, k)
-    if not base > 0.0:
-        raise DomainError(
-            f"{type(spec).__name__}: bracketed base is non-positive at k = {k:.12g} "
-            f"(base = {base:.6g}); the closed form is not defined there")
-    return base
-
-
-def _check_sh_domain(spec: SatoHoffmanParams, k: float) -> None:
-    bound = spec.k_upper_bound()
-    if k >= bound:
-        raise DomainError(
-            f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
-            f"k < {bound:.12g} for rho = {spec.rho:.12g}")
-
-
-# --------------------------------------------------------------------------
-# Intensive form y(k)
-# --------------------------------------------------------------------------
-
-@singledispatch
 def eval_intensive(spec: FamilySpec, k: float) -> float:
     """Output per worker y(k) at capital-labor ratio k."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    return _evaluate(spec, "_y", k)
 
 
-@eval_intensive.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_ratio(k)
-    return spec.A * k ** spec.beta
-
-
-@eval_intensive.register
-def _(spec: CESParams, k: float) -> float:
-    s = spec.sigma
-    base = _positive_bracket(spec, k)
-    return spec.gamma * base ** (s / (s - 1.0))
-
-
-@eval_intensive.register
-def _(spec: VESParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    expo = 1.0 / ((1.0 + spec.lam) * (1.0 - spec.theta))
-    return spec.psi * base ** expo
-
-
-@eval_intensive.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    _, _, A = _lh_coeffs(spec)
-    return A * base ** (spec.b / (spec.b - 1.0))
-
-
-@eval_intensive.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    _, _, A = _lh_coeffs(spec)
-    return A * base ** (spec.b / (spec.b - 1.0))
-
-
-@eval_intensive.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    _require_ratio(k)
-    _check_sh_domain(spec, k)
-    dr = spec.delta * spec.rho
-    G = 1.0 + (spec.rho - 1.0) * k
-    return spec.gamma * k ** (spec.alpha * (1.0 - dr)) * G ** (spec.alpha * dr)
-
-
-# --------------------------------------------------------------------------
-# Extensive form F(K, L), written out per family rather than delegated to
-# L * y(K/L) so that homogeneity of degree one is a checkable property.
-# --------------------------------------------------------------------------
-
-def _require_factors(K: float, L: float) -> None:
-    if not (math.isfinite(K) and K > 0.0):
-        raise DomainError(f"capital input must be positive and finite, got {K!r}")
-    if not (math.isfinite(L) and L > 0.0):
-        raise DomainError(f"labor input must be positive and finite, got {L!r}")
-
-
-@singledispatch
 def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
-    """Total output F(K, L)."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    """Total output F(K, L), written out per family rather than delegated
+    to L * y(K/L) so that homogeneity of degree one is a checkable
+    property."""
+    return _evaluate(spec, "_F", K, L)
 
 
-@eval_extensive.register
-def _(spec: CobbDouglasParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    return spec.A * K ** spec.beta * L ** (1.0 - spec.beta)
-
-
-@eval_extensive.register
-def _(spec: CESParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    s = spec.sigma
-    e = (s - 1.0) / s
-    base = spec.delta * K ** e + (1.0 - spec.delta) * L ** e
-    return spec.gamma * base ** (s / (s - 1.0))
-
-
-@eval_extensive.register
-def _(spec: VESParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    lam, th = spec.lam, spec.theta
-    base = (1.0 + lam) * K ** (1.0 - th) * L ** (lam * (1.0 - th)) \
-        + spec.mu * L ** ((1.0 + lam) * (1.0 - th))
-    if not base > 0.0:
-        raise DomainError(
-            f"VESParams: bracketed base is non-positive at K/L = {K / L:.12g}")
-    return spec.psi * base ** (1.0 / ((1.0 + lam) * (1.0 - th)))
-
-
-@eval_extensive.register
-def _(spec: LiuHildebrandParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    m, n, A = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    base = m * K ** ((b - 1.0) / b) + n * K ** (-c / b) * L ** ((b + c - 1.0) / b)
-    if not base > 0.0:
-        raise DomainError(
-            f"LiuHildebrandParams: bracketed base is non-positive at K/L = {K / L:.12g}")
-    return A * base ** (b / (b - 1.0))
-
-
-@eval_extensive.register
-def _(spec: LuFletcherParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    m, n, A = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    base = m * K ** ((b - 1.0) / b) + n * K ** (-c / b) * L ** ((b + c - 1.0) / b)
-    if not base > 0.0:
-        raise DomainError(
-            f"LuFletcherParams: bracketed base is non-positive at K/L = {K / L:.12g}")
-    return A * base ** (b / (b - 1.0))
-
-
-@eval_extensive.register
-def _(spec: SatoHoffmanParams, K: float, L: float) -> float:
-    _require_factors(K, L)
-    _check_sh_domain(spec, K / L)
-    dr = spec.delta * spec.rho
-    inner = L + (spec.rho - 1.0) * K
-    return spec.gamma * K ** (spec.alpha * (1.0 - dr)) * inner ** (spec.alpha * dr)
-
-
-# --------------------------------------------------------------------------
-# Closed-form derivatives of the intensive form.  y'(k) is the marginal
-# product of capital (the rental rate) for degree-one families.
-# --------------------------------------------------------------------------
-
-@singledispatch
 def intensive_derivative(spec: FamilySpec, k: float) -> float:
-    """dy/dk from the closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    """dy/dk from the closed form: the marginal product of capital (the
+    rental rate) for degree-one families."""
+    return _evaluate(spec, "_dy", k)
 
 
-@intensive_derivative.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_ratio(k)
-    return spec.A * spec.beta * k ** (spec.beta - 1.0)
-
-
-@intensive_derivative.register
-def _(spec: CESParams, k: float) -> float:
-    s = spec.sigma
-    base = _positive_bracket(spec, k)
-    return spec.gamma * spec.delta * k ** (-1.0 / s) * base ** (1.0 / (s - 1.0))
-
-
-@intensive_derivative.register
-def _(spec: VESParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    expo = 1.0 / ((1.0 + spec.lam) * (1.0 - spec.theta))
-    return spec.psi * k ** (-spec.theta) * base ** (expo - 1.0)
-
-
-def _lh_like_derivative(spec: LiuHildebrandParams | LuFletcherParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    m, n, A = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
-    return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
-
-
-@intensive_derivative.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    return _lh_like_derivative(spec, k)
-
-
-@intensive_derivative.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    return _lh_like_derivative(spec, k)
-
-
-@intensive_derivative.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    y = eval_intensive(spec, k)
-    dr = spec.delta * spec.rho
-    G = 1.0 + (spec.rho - 1.0) * k
-    g = spec.alpha * ((1.0 - dr) / k + dr * (spec.rho - 1.0) / G)
-    return y * g
-
-
-@singledispatch
 def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
     """d^2 y / dk^2 from the closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-
-
-@intensive_second_derivative.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_ratio(k)
-    return spec.A * spec.beta * (spec.beta - 1.0) * k ** (spec.beta - 2.0)
-
-
-@intensive_second_derivative.register
-def _(spec: CESParams, k: float) -> float:
-    s = spec.sigma
-    base = _positive_bracket(spec, k)
-    return (-spec.gamma * spec.delta * (1.0 - spec.delta) / s
-            * k ** (-1.0 / s - 1.0) * base ** ((2.0 - s) / (s - 1.0)))
-
-
-@intensive_second_derivative.register
-def _(spec: VESParams, k: float) -> float:
-    base = _positive_bracket(spec, k)
-    lam, th = spec.lam, spec.theta
-    expo = 1.0 / ((1.0 + lam) * (1.0 - th))
-    return (-spec.psi * k ** (-th - 1.0) * base ** (expo - 2.0)
-            * (lam * k ** (1.0 - th) + th * spec.mu))
-
-
-def _lh_like_second_derivative(spec: LiuHildebrandParams | LuFletcherParams,
-                               k: float) -> float:
-    base = _positive_bracket(spec, k)
-    m, n, A = _lh_coeffs(spec)
-    b, c = spec.b, spec.c
-    Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
-    Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
-           + n * c * (b + c) / b ** 2 * k ** (-(2.0 * b + c) / b))
-    return A * b / (b - 1.0) * (base ** ((2.0 - b) / (b - 1.0)) * Sp ** 2 / (b - 1.0)
-                                + base ** (1.0 / (b - 1.0)) * Spp)
-
-
-@intensive_second_derivative.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    return _lh_like_second_derivative(spec, k)
-
-
-@intensive_second_derivative.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    return _lh_like_second_derivative(spec, k)
-
-
-@intensive_second_derivative.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    y = eval_intensive(spec, k)
-    dr = spec.delta * spec.rho
-    G = 1.0 + (spec.rho - 1.0) * k
-    g = spec.alpha * ((1.0 - dr) / k + dr * (spec.rho - 1.0) / G)
-    gp = spec.alpha * (-(1.0 - dr) / k ** 2 - dr * (spec.rho - 1.0) ** 2 / G ** 2)
-    return y * (g * g + gp)
+    return _evaluate(spec, "_d2y", k)
 
 
 # --------------------------------------------------------------------------
@@ -645,12 +699,13 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
         raise SingularError("xi = 0 gives mu = 0: the variable-elasticity closed form "
                             "degenerates to a constant-returns power function")
     b, c = p.b, p.c
-    return VESParams(
-        lam=(c - 1.0) / (b - c),
-        mu=xi * (b - 1.0) * p.a ** (1.0 / b) / b,
-        theta=c / b,
-        psi=p.a ** (1.0 / (1.0 - b)),
-    )
+    try:
+        mu = xi * (b - 1.0) * p.a ** (1.0 / b) / b
+        psi = p.a ** (1.0 / (1.0 - b))
+    except OverflowError as exc:
+        raise SingularError(f"a = {p.a!r}, b = {b!r}: a^(1/b) or a^(1/(1-b)) overflows, "
+                            "so mu or psi has no finite value") from exc
+    return VESParams(lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
 
 
 def loglinear_from_ves(v: VESParams) -> LogLinearParams:

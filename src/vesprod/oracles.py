@@ -130,6 +130,15 @@ def _second(f: Callable[[float], float], k: float) -> float:
     return (f(k + h) - 2.0 * f(k) + f(k - h)) / (h * h)
 
 
+def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
+    """sigma = y'(k y' - y) / (k y y'') from (finite-difference) derivatives."""
+    den = k * yv * ypp
+    if den == 0.0:
+        raise SingularError(f"k y y'' vanishes at k = {k:.12g} (finite-difference "
+                            f"y'' = {ypp:.6g}); the sigma identity is singular there")
+    return yp * (k * yp - yv) / den
+
+
 def _check_grid(k_grid: Sequence[float]) -> list[float]:
     grid = [float(k) for k in k_grid]
     if len(grid) < 1:
@@ -227,7 +236,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
                   scale_floor=abs(R_cl) / k)
 
         sig_cl = sigma_closed(spec, k)
-        worst.add("sigma", k, sig_cl, yp * (k * yp - yv) / (k * yv * ypp))
+        worst.add("sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp))
 
         sigp_cl = sigma_derivative_closed(spec, k)
         worst.add("sigma_prime", k, sigp_cl,
@@ -284,6 +293,5 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         yv = y(k)
         yp = _central(y, k)
         ypp = _second(y, k)
-        sigma_fd = yp * (k * yp - yv) / (k * yv * ypp)
-        worst.add("sigma", k, 1.0 + slope * k, sigma_fd)
+        worst.add("sigma", k, 1.0 + slope * k, _sigma_identity(k, yv, yp, ypp))
     return worst.report("sato-hoffman", len(grid), tolerance)

@@ -9,10 +9,13 @@ For a degree-one production function with intensive form y(k),
 Everything in this module evaluates closed forms; the finite-difference
 cross-checks of those same definitions live in :mod:`vesprod.oracles`.
 
-Closed forms are taken per family: power-law forms for Cobb-Douglas and
-CES, rational forms in k^((b+c-1)/b) for the wage-relation family, affine
-sigma for Sato-Hoffman, and for the variable-elasticity family with
-R = lam*k + mu*k^theta the exact identities
+The closed forms are methods of the family types in
+:mod:`vesprod.families` (``_R``, ``_dR``, ``_sigma``, ``_dsigma``); the
+public functions here delegate to them.  They are power-law forms for
+Cobb-Douglas and CES, rational forms in k^((b+c-1)/b) for the
+wage-relation family, affine sigma for Sato-Hoffman, and for the
+variable-elasticity family with R = lam*k + mu*k^theta the exact
+identities
 
     sigma  = R / (k R')
     sigma' = -lam*mu*(theta-1)^2 * k^(theta-2) / (lam + theta*mu*k^(theta-1))^2.
@@ -31,20 +34,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import singledispatch
 
 from .errors import DomainError, ParamError, ShareError, SingularError
 from .families import (
     CESParams,
     CobbDouglasParams,
     FamilySpec,
-    LiuHildebrandParams,
     LogLinearParams,
-    LuFletcherParams,
     SatoHoffmanParams,
     VESParams,
+    _WageForm,
     _check_ves_branch,
-    bracket_base,
+    _evaluate,
+    _finite_or_singular,
+    _require_ratio,
     loglinear_from_ves,
     ves_from_loglinear,
 )
@@ -133,272 +136,40 @@ class ValidityInterval:
         return a, b
 
 
-def _finite_or_singular(value: float, what: str, k: float) -> float:
-    if not math.isfinite(value):
-        raise SingularError(f"{what} is not finite at k = {k:.12g}")
-    return value
-
-
-def _lh_regression(spec: LiuHildebrandParams | LuFletcherParams
-                   ) -> tuple[float, float, float]:
-    """(b, c, xi) of the wage-relation function; Lu-Fletcher parameters are
-    converted through zeta = xi (b-1) a^(-1/b) / b."""
-    if isinstance(spec, LiuHildebrandParams):
-        return spec.b, spec.c, spec.xi
-    xi = spec.zeta * spec.b * spec.a ** (1.0 / spec.b) / (spec.b - 1.0)
-    return spec.b, spec.c, xi
-
-
-def _require_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
-
-
-def _require_sh_degree_one(spec: SatoHoffmanParams) -> None:
-    if spec.alpha != 1.0:
-        raise ParamError("substitution formulas assume degree one; "
-                         f"alpha = {spec.alpha!r} is not supported here")
-
-
-def _check_sh_point(spec: SatoHoffmanParams, k: float) -> None:
-    _require_k(k)
-    _require_sh_degree_one(spec)
-    if k >= spec.k_upper_bound():
-        raise DomainError(
-            f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
-            f"k < {spec.k_upper_bound():.12g}")
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points from lo to hi (0 < lo < hi, n >= 2).  A window
+    wider than a double's range (hi/lo = inf) is spaced in log space."""
+    ratio = hi / lo
+    if math.isinf(ratio):
+        ln_lo = math.log(lo)
+        step = (math.log(hi) - ln_lo) / (n - 1)
+        return [math.exp(ln_lo + i * step) for i in range(n)]
+    return [lo * ratio ** (i / (n - 1)) for i in range(n)]
 
 
 # --------------------------------------------------------------------------
-# Marginal rate of substitution R(k) and its derivative
+# Marginal rate of substitution R(k), elasticity of substitution sigma(k),
+# and their derivatives; the closed forms are methods of the family types.
 # --------------------------------------------------------------------------
 
-@singledispatch
 def mrs_closed(spec: FamilySpec, k: float) -> float:
     """R(k) = y/y' - k from the family's closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    return _evaluate(spec, "_R", k)
 
 
-@mrs_closed.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_k(k)
-    return (1.0 - spec.beta) / spec.beta * k
-
-
-@mrs_closed.register
-def _(spec: CESParams, k: float) -> float:
-    _require_k(k)
-    return (1.0 - spec.delta) / spec.delta * k ** (1.0 / spec.sigma)
-
-
-@mrs_closed.register
-def _(spec: VESParams, k: float) -> float:
-    _require_k(k)
-    return spec.lam * k + spec.mu * k ** spec.theta
-
-
-def _lh_mrs(spec: LiuHildebrandParams | LuFletcherParams, k: float) -> float:
-    _require_k(k)
-    b, c, xi = _lh_regression(spec)
-    den = xi * (1.0 - b) * (b + c - 1.0) * k ** ((b + c - 1.0) / b) + b * c
-    if den == 0.0:
-        raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
-    return _finite_or_singular(-b * (b + c - 1.0) * k / den,
-                               "marginal rate of substitution", k)
-
-
-@mrs_closed.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    return _lh_mrs(spec, k)
-
-
-@mrs_closed.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    return _lh_mrs(spec, k)
-
-
-@mrs_closed.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    _check_sh_point(spec, k)
-    dr = spec.delta * spec.rho
-    return dr * k / ((1.0 - dr) + (spec.rho - 1.0) * k)
-
-
-@singledispatch
 def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
     """dR/dk from the family's closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    return _evaluate(spec, "_dR", k)
 
 
-@mrs_derivative_closed.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_k(k)
-    return (1.0 - spec.beta) / spec.beta
-
-
-@mrs_derivative_closed.register
-def _(spec: CESParams, k: float) -> float:
-    _require_k(k)
-    return (1.0 - spec.delta) / (spec.delta * spec.sigma) * k ** (1.0 / spec.sigma - 1.0)
-
-
-@mrs_derivative_closed.register
-def _(spec: VESParams, k: float) -> float:
-    _require_k(k)
-    return spec.lam + spec.theta * spec.mu * k ** (spec.theta - 1.0)
-
-
-def _lh_mrs_derivative(spec: LiuHildebrandParams | LuFletcherParams, k: float) -> float:
-    _require_k(k)
-    b, c, xi = _lh_regression(spec)
-    x = k ** ((b + c - 1.0) / b)
-    den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-    if den == 0.0:
-        raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
-    num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
-    return _finite_or_singular(-(b + c - 1.0) * num / den ** 2,
-                               "derivative of the marginal rate of substitution", k)
-
-
-@mrs_derivative_closed.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    return _lh_mrs_derivative(spec, k)
-
-
-@mrs_derivative_closed.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    return _lh_mrs_derivative(spec, k)
-
-
-@mrs_derivative_closed.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    _check_sh_point(spec, k)
-    dr = spec.delta * spec.rho
-    D = (1.0 - dr) + (spec.rho - 1.0) * k
-    return dr * (1.0 - dr) / (D * D)
-
-
-# --------------------------------------------------------------------------
-# Elasticity of substitution sigma(k) and its derivative
-# --------------------------------------------------------------------------
-
-@singledispatch
 def sigma_closed(spec: FamilySpec, k: float) -> float:
     """sigma(k) from the family's closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    return _evaluate(spec, "_sigma", k)
 
 
-@sigma_closed.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_k(k)
-    return 1.0
-
-
-@sigma_closed.register
-def _(spec: CESParams, k: float) -> float:
-    _require_k(k)
-    return spec.sigma
-
-
-@sigma_closed.register
-def _(spec: VESParams, k: float) -> float:
-    _require_k(k)
-    lam, mu, th = spec.lam, spec.mu, spec.theta
-    x = k ** (th - 1.0)
-    den = lam + th * mu * x
-    if den == 0.0:
-        raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
-    return _finite_or_singular((lam + mu * x) / den, "sigma", k)
-
-
-@sigma_closed.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    _require_k(k)
-    b, c, xi = _lh_regression(spec)
-    x = k ** ((b + c - 1.0) / b)
-    den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
-    if den == 0.0:
-        raise SingularError(f"sigma has a pole at k = {k:.12g}")
-    num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-    return _finite_or_singular(b * num / den, "sigma", k)
-
-
-@sigma_closed.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    # stated directly in the zeta parameterization
-    _require_k(k)
-    a, b, c, zeta = spec.a, spec.b, spec.c, spec.zeta
-    u = k ** ((b - 1.0) / b)
-    v = b * c * a ** (-1.0 / b) * k ** (-c / b)
-    den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
-    if den == 0.0:
-        raise SingularError(f"sigma has a pole at k = {k:.12g}")
-    num = zeta * b * (1.0 - b - c) * u + v
-    return _finite_or_singular(num / den, "sigma", k)
-
-
-@sigma_closed.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    _check_sh_point(spec, k)
-    dr = spec.delta * spec.rho
-    return 1.0 + (spec.rho - 1.0) / (1.0 - dr) * k
-
-
-@singledispatch
 def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
     """d sigma / dk from the family's closed form."""
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-
-
-@sigma_derivative_closed.register
-def _(spec: CobbDouglasParams, k: float) -> float:
-    _require_k(k)
-    return 0.0
-
-
-@sigma_derivative_closed.register
-def _(spec: CESParams, k: float) -> float:
-    _require_k(k)
-    return 0.0
-
-
-@sigma_derivative_closed.register
-def _(spec: VESParams, k: float) -> float:
-    _require_k(k)
-    lam, mu, th = spec.lam, spec.mu, spec.theta
-    den = lam + th * mu * k ** (th - 1.0)
-    if den == 0.0:
-        raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
-    value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / (den * den)
-    return _finite_or_singular(value, "derivative of sigma", k)
-
-
-def _lh_sigma_derivative(spec: LiuHildebrandParams | LuFletcherParams, k: float) -> float:
-    _require_k(k)
-    b, c, xi = _lh_regression(spec)
-    s = b + c - 1.0
-    den = xi * (1.0 - b) * s * (1.0 - c) * k ** ((b - 1.0) / b) \
-        + b * b * c * k ** (-c / b)
-    if den == 0.0:
-        raise SingularError(f"sigma has a pole at k = {k:.12g}")
-    num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
-    return _finite_or_singular(num / den ** 2, "derivative of sigma", k)
-
-
-@sigma_derivative_closed.register
-def _(spec: LiuHildebrandParams, k: float) -> float:
-    return _lh_sigma_derivative(spec, k)
-
-
-@sigma_derivative_closed.register
-def _(spec: LuFletcherParams, k: float) -> float:
-    return _lh_sigma_derivative(spec, k)
-
-
-@sigma_derivative_closed.register
-def _(spec: SatoHoffmanParams, k: float) -> float:
-    _check_sh_point(spec, k)
-    return (spec.rho - 1.0) / (1.0 - spec.delta * spec.rho)
+    return _evaluate(spec, "_dsigma", k)
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +185,7 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     positive; the latter failing means the implied capital share
     beta = k y' / y is at least c, which the relation rules out.
     """
-    _require_k(k)
+    _require_ratio(k)
     wage = y - k * y_prime
     if wage <= 0.0:
         raise ShareError(f"wage share y - k*y' = {wage:.6g} <= 0: inputs are not "
@@ -435,9 +206,9 @@ def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     constant b; as k grows it tends to 1/c when c > b and to 1/b when
     c <= b, so sigma tends to b/c or to 1.
     """
-    _require_k(k)
+    _require_ratio(k)
     v = ves_from_loglinear(p)  # validates the branch and xi
-    R = v.lam * k + v.mu * k ** v.theta
+    R = mrs_closed(v, k)
     den = p.c * R + (p.c - 1.0) * k
     if den == 0.0:
         raise SingularError(f"c*R + (c-1)*k vanishes at k = {k:.12g}")
@@ -500,16 +271,14 @@ _CONSTRAINT_LABELS = ("bracket>0", "R>0", "R_prime>0", "sigma>0")
 def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     """Which of the four validity conditions fail at k (empty when valid)."""
     try:
-        if not bracket_base(spec, k) > 0.0:
+        if not _evaluate(spec, "_bracket", k) > 0.0:
             return ("bracket>0",)
     except (DomainError, SingularError):
         return ("bracket>0",)
     bad = []
-    for label, fn in (("R>0", mrs_closed),
-                      ("R_prime>0", mrs_derivative_closed),
-                      ("sigma>0", sigma_closed)):
+    for label, method in (("R>0", "_R"), ("R_prime>0", "_dR"), ("sigma>0", "_sigma")):
         try:
-            if not fn(spec, k) > 0.0:
+            if not _evaluate(spec, method, k) > 0.0:
                 bad.append(label)
         except (DomainError, SingularError):
             bad.append(label)
@@ -554,8 +323,7 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     if samples < 2:
         raise ParamError("need at least 2 probe samples")
 
-    ratio = k_probe_high / k_probe_low
-    grid = [k_probe_low * ratio ** (i / (samples - 1)) for i in range(samples)]
+    grid = _log_grid(k_probe_low, k_probe_high, samples)
     ok = [_point_valid(spec, k) for k in grid]
 
     best_len, best = 0, None
@@ -645,9 +413,7 @@ def _crosscheck_monotonicity(spec: FamilySpec, report: RegimeReport,
     hi = interval.k_high * (1.0 - 1e-9)
     if not lo < hi:
         return
-    ratio = hi / lo
-    for i in range(points):
-        k = lo * ratio ** (i / (points - 1))
+    for k in _log_grid(lo, hi, points):
         try:
             sp = sigma_derivative_closed(spec, k)
         except SingularError:
@@ -663,7 +429,6 @@ def _crosscheck_monotonicity(spec: FamilySpec, report: RegimeReport,
                              "is nonzero for a constant regime")
 
 
-@singledispatch
 def classify_regime(spec: FamilySpec) -> RegimeReport:
     """Classify sigma(k)'s monotonicity and its finite limit as k -> inf.
 
@@ -672,46 +437,22 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
     monotonicity is cross-checked by sampling the closed-form sigma' at
     32 log-spaced points of the validity range.
     """
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-
-
-@classify_regime.register
-def _(spec: CobbDouglasParams) -> RegimeReport:
-    return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
-
-
-@classify_regime.register
-def _(spec: CESParams) -> RegimeReport:
-    return RegimeReport(RegimeCase.CONSTANT_SIGMA, spec.sigma, Monotonicity.CONSTANT)
-
-
-@classify_regime.register
-def _(spec: SatoHoffmanParams) -> RegimeReport:
-    if spec.rho == 1.0:
+    if isinstance(spec, CobbDouglasParams):
         return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
-    raise ParamError(
-        "an affine elasticity has no finite large-k limit: the domain is bounded "
-        "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
-
-
-@classify_regime.register
-def _(spec: VESParams) -> RegimeReport:
-    p = loglinear_from_ves(spec)
-    report = _regime_of_rental_regression(p.b, p.c, p.xi)
-    _crosscheck_monotonicity(spec, report)
-    return report
-
-
-@classify_regime.register
-def _(spec: LiuHildebrandParams) -> RegimeReport:
-    report = _regime_of_wage_regression(spec.b, spec.c, spec.xi)
-    _crosscheck_monotonicity(spec, report)
-    return report
-
-
-@classify_regime.register
-def _(spec: LuFletcherParams) -> RegimeReport:
-    b, c, xi = _lh_regression(spec)
-    report = _regime_of_wage_regression(b, c, xi)
+    if isinstance(spec, CESParams):
+        return RegimeReport(RegimeCase.CONSTANT_SIGMA, spec.sigma, Monotonicity.CONSTANT)
+    if isinstance(spec, SatoHoffmanParams):
+        if spec.rho == 1.0:
+            return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
+        raise ParamError(
+            "an affine elasticity has no finite large-k limit: the domain is bounded "
+            "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
+    if isinstance(spec, VESParams):
+        p = loglinear_from_ves(spec)
+        report = _regime_of_rental_regression(p.b, p.c, p.xi)
+    elif isinstance(spec, _WageForm):
+        report = _regime_of_wage_regression(spec.b, spec.c, spec._xi())
+    else:
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     _crosscheck_monotonicity(spec, report)
     return report

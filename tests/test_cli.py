@@ -58,6 +58,13 @@ def test_eval_mixed_parameter_spaces_exits_2(capsys):
     assert "mix" in err
 
 
+def test_eval_parameter_overflow_exits_2(capsys):
+    code, _, err = run(capsys, "eval", "--family", "ves", "--a", "2", "--b", "1e-4",
+                       "--c", "0.5", "--xi=-1", "--k", "1")
+    assert code == 2
+    assert "overflows" in err
+
+
 def test_eval_needs_exactly_one_input_form(capsys):
     base = ["eval", "--family", "cd", "--A", "2", "--beta", "0.4"]
     assert run(capsys, *base)[0] == 2
@@ -131,6 +138,15 @@ def test_fit_diagnose_degenerate_sum(tmp_path, capsys, rng):
 def test_fit_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "fit", "/nonexistent/file.csv", "--relation", "rental")
     assert code == 2
+
+
+def test_fit_non_finite_cell_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "inf.csv", "period,y,k,r\na,1,2,0.3\nb,1e400,2.1,0.31\n"
+                  "c,1.2,2.2,0.32\nd,1.3,2.3,0.33\n")
+    code, out, err = run(capsys, "fit", path, "--relation", "rental")
+    assert code == 2
+    assert out == ""
+    assert "row 2, column 'y'" in err
 
 
 def test_fit_bad_relation_exits_2(tmp_path, capsys):
@@ -344,6 +360,157 @@ def test_verify_ode_reports_steps(capsys):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Golden output
+# ---------------------------------------------------------------------------
+
+# Frozen stdout of eval, trajectory, regime and verify for every family (and
+# VES given in regression space): refactors of the closed forms keep it
+# byte-identical.
+GOLDEN_FAMILIES = {
+    'ves': '--family ves --lambda 0 --mu 1 --theta 2 --psi 1',
+    'ves-regression': '--family ves --ln-a 0.773454 --b 0.934369 --c 1.191951 --xi -3.79',
+    'ces': '--family ces --gamma 1 --delta 0.4 --sigma 0.7',
+    'cd': '--family cd --A 2 --beta 0.4',
+    'lh': '--family lh --a 1 --b 0.5 --c 0.2 --xi -1',
+    'lf': '--family lf --a 1 --b 0.5 --c 0.2 --zeta 1',
+    'sh': '--family sh --gamma 1 --delta 0.5 --rho 0.5',
+}
+
+GOLDEN = [
+    ('ves', 'eval {} --k 1.3',
+     '0.565217391304\n'),
+    ('ves', 'eval {} --K 3.4 --L 2',
+     '1.25925925926\n'),
+    ('ves', 'trajectory {} --k-from 0.5 --k-to 20 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.500000000000,0.333333333333,0.250000000000,1.00000000000,0.500000000000,-0.00000000000\n'
+     '0.924655597149,0.480426523332,0.854987973338,1.84931119430,0.500000000000,-0.00000000000\n'
+     '1.70997594668,0.630993034744,2.92401773821,3.41995189335,0.500000000000,-0.00000000000\n'
+     '3.16227766017,0.759746926648,10.0000000000,6.32455532034,0.500000000000,-0.00000000000\n'
+     '5.84803547643,0.853972719119,34.1995189335,11.6960709529,0.500000000000,-0.00000000000\n'
+     '10.8148374712,0.915360663874,116.960709529,21.6296749424,0.500000000000,-0.00000000000\n'
+     '20.0000000000,0.952380952381,400.000000000,40.0000000000,0.500000000000,-0.00000000000\n'),
+    ('ves', 'verify --suite family {}',
+     'family: 64 points, max_rel_error = 1.521524e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 13.2746576624, quantity = sigma\n'),
+    ('ves-regression', 'eval {} --k 1.3',
+     '1415199.55296\n'),
+    ('ves-regression', 'eval {} --K 3.4 --L 2',
+     '3771840.61055\n'),
+    ('ves-regression', 'trajectory {} --k-from 0.5 --k-to 10 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '2.07760001316,2314447.55049,4.23045820597e-10,0.205433827795,9.91182681152e-10,0.481324601179\n'
+     '2.69961365469,2986507.32856,0.150616709754,0.276606212821,0.201701723632,0.219620867504\n'
+     '3.50785225184,3801712.66734,0.406072258237,0.353107137351,0.327835161757,0.111480769831\n'
+     '4.55806978135,4776568.76910,0.821453893986,0.435335538882,0.413978799202,0.0606708659435\n'
+     '5.92271242915,5926483.85115,1.47774242136,0.523720222597,0.476407676172,0.0346772970297\n'
+     '7.69591607877,7265177.83869,2.49329359473,0.618722097494,0.523621500761,0.0205526657554\n'
+     '10.0000000000,8804131.55091,4.04023617050,0.720836579945,0.560492666841,0.0125256786618\n'),
+    ('ves-regression', 'regime {}',
+     'case iii, limit 0.783898834768, increasing\n'),
+    ('ves-regression', 'verify --suite family {} --k-from 2.4 --k-to 80',
+     'family: 64 points, max_rel_error = 7.452207e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 2.40000000000, quantity = sigma\n'),
+    ('ces', 'eval {} --k 1.3',
+     '1.10675661007\n'),
+    ('ces', 'eval {} --K 3.4 --L 2',
+     '2.43796526502\n'),
+    ('ces', 'trajectory {} --k-from 0.5 --k-to 20 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.500000000000,0.739061878887,0.557247858426,1.59213673836,0.700000000000,0.00000000000\n'
+     '0.924655597149,0.968845769110,1.34119295401,2.07211197359,0.700000000000,0.00000000000\n'
+     '1.70997594668,1.22145702457,3.22800440177,2.69678346566,0.700000000000,0.00000000000\n'
+     '3.16227766017,1.48459572530,7.76921201885,3.50977222919,0.700000000000,0.00000000000\n'
+     '5.84803547643,1.74539204871,18.6990622939,4.56784953543,0.700000000000,0.00000000000\n'
+     '10.8148374712,1.99258296080,45.0051987027,5.94490126875,0.700000000000,0.00000000000\n'
+     '20.0000000000,2.21792054902,108.319223629,7.73708740209,0.700000000000,0.00000000000\n'),
+    ('ces', 'regime {}',
+     'constant sigma, limit 0.700000000000, constant\n'),
+    ('ces', 'verify --suite family {}',
+     'family: 64 points, max_rel_error = 1.694174e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 12.5196966547, quantity = sigma\n'),
+    ('cd', 'eval {} --k 1.3',
+     '2.22130061367\n'),
+    ('cd', 'eval {} --K 3.4 --L 2',
+     '4.94583427441\n'),
+    ('cd', 'trajectory {} --k-from 0.5 --k-to 20 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.500000000000,1.51571656651,0.750000000000,1.50000000000,1.00000000000,0.00000000000\n'
+     '0.924655597149,1.93830446784,1.38698339572,1.50000000000,1.00000000000,0.00000000000\n'
+     '1.70997594668,2.47871158306,2.56496392002,1.50000000000,1.00000000000,0.00000000000\n'
+     '3.16227766017,3.16978638492,4.74341649025,1.50000000000,1.00000000000,0.00000000000\n'
+     '5.84803547643,4.05353563307,8.77205321464,1.50000000000,1.00000000000,0.00000000000\n'
+     '10.8148374712,5.18367774142,16.2222562068,1.50000000000,1.00000000000,0.00000000000\n'
+     '20.0000000000,6.62890803468,30.0000000000,1.50000000000,1.00000000000,0.00000000000\n'),
+    ('cd', 'regime {}',
+     'unit sigma, limit 1.00000000000, constant\n'),
+    ('cd', 'verify --suite family {}',
+     'family: 64 points, max_rel_error = 8.029248e-08, tolerance = 1e-06: PASS\n'
+     'worst: k = 8.81082680270, quantity = sigma\n'),
+    ('lh', 'eval {} --k 1.3',
+     '0.440557141881\n'),
+    ('lh', 'eval {} --K 3.4 --L 2',
+     '1.03296660727\n'),
+    ('lh', 'trajectory {} --k-from 0.5 --k-to 20 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.500000000000,0.238141740867,0.229107332021,0.649159191129,0.705858701999,0.0761084273944\n'
+     '0.924655597149,0.356989885357,0.539224106802,0.797028154621,0.731670649501,0.0495282631694\n'
+     '1.70997594668,0.518245287717,1.22891980049,0.943284198419,0.761887732560,0.0304983456152\n'
+     '3.16227766017,0.731088562862,2.70776820574,1.07675403871,0.795234064430,0.0176369775029\n'
+     '5.84803547643,1.00671988159,5.77162443127,1.18947882682,0.829719598887,0.00953748945052\n'
+     '10.8148374712,1.35960146969,11.9326591678,1.27841469050,0.863068937676,0.00482286046430\n'
+     '20.0000000000,1.80881535118,24.0272170454,1.34487020468,0.893291299104,0.00229032127913\n'),
+    ('lh', 'regime {}',
+     'LH CD limit, limit 1.00000000000, increasing\n'),
+    ('lh', 'verify --suite family {}',
+     'family: 64 points, max_rel_error = 1.076836e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 0.500000000000, quantity = sigma\n'),
+    ('lf', 'eval {} --k 1.3',
+     '0.440557141881\n'),
+    ('lf', 'eval {} --K 3.4 --L 2',
+     '1.03296660727\n'),
+    ('lf', 'trajectory {} --k-from 0.5 --k-to 20 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.500000000000,0.238141740867,0.229107332021,0.649159191129,0.705858701999,0.0761084273944\n'
+     '0.924655597149,0.356989885357,0.539224106802,0.797028154621,0.731670649501,0.0495282631694\n'
+     '1.70997594668,0.518245287717,1.22891980049,0.943284198419,0.761887732560,0.0304983456152\n'
+     '3.16227766017,0.731088562862,2.70776820574,1.07675403871,0.795234064430,0.0176369775029\n'
+     '5.84803547643,1.00671988159,5.77162443127,1.18947882682,0.829719598887,0.00953748945052\n'
+     '10.8148374712,1.35960146969,11.9326591678,1.27841469050,0.863068937676,0.00482286046430\n'
+     '20.0000000000,1.80881535118,24.0272170454,1.34487020468,0.893291299104,0.00229032127913\n'),
+    ('lf', 'regime {}',
+     'LH CD limit, limit 1.00000000000, increasing\n'),
+    ('lf', 'verify --suite family {}',
+     'family: 64 points, max_rel_error = 1.076836e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 0.500000000000, quantity = sigma\n'),
+    ('sh', 'eval {} --k 1.3',
+     '0.936428289625\n'),
+    ('sh', 'eval {} --K 1.2 --L 2',
+     '1.24714785315\n'),
+    ('sh', 'trajectory {} --k-from 0.1 --k-to 2 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.100000000000,0.175562154278,0.0357142857143,0.382653061224,0.933333333333,-0.666666666667\n'
+     '0.157041780222,0.244417771948,0.0584686023395,0.415849573065,0.895305479852,-0.666666666667\n'
+     '0.246621207352,0.338636879172,0.0983825515471,0.477415570661,0.835585861766,-0.666666666667\n'
+     '0.387298334429,0.465227342906,0.174035119391,0.605764456230,0.741801110381,-0.666666666667\n'
+     '0.608220199156,0.629043621115,0.341014787832,0.943074497803,0.594519867230,-0.666666666667\n'
+     '0.955159828421,0.821413815743,0.876550480532,2.52652163394,0.363226781053,-0.666666666667\n'
+     '1.49999999851,0.958414656369,504561582.029,3.39443187419e+17,9.90959314606e-10,-0.666666666667\n'),
+    ('sh', 'verify --suite family {} --k-from 0.1 --k-to 1.4',
+     'family: 64 points, max_rel_error = 1.271707e-07, tolerance = 1e-06: PASS\n'
+     'worst: k = 0.158532239069, quantity = sigma\n'),
+]
+
+
+@pytest.mark.parametrize("family,command,expected", GOLDEN,
+                         ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(GOLDEN)])
+def test_golden_stdout(capsys, family, command, expected):
+    code, out, _ = run(capsys, *command.format(GOLDEN_FAMILIES[family]).split())
+    assert code == 0
+    assert out == expected
 
 
 # ---------------------------------------------------------------------------

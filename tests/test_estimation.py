@@ -86,6 +86,12 @@ def test_load_bad_number_names_row_and_column():
         load_dataset(src)
 
 
+def test_load_rejects_non_finite_value():
+    src = _csv(["p1,1.0,2.0,0.3", "p2,1.1,1e400,0.3"])
+    with pytest.raises(ValidationError, match="row 2, column 'k'"):
+        load_dataset(src)
+
+
 def test_load_rejects_thousands_separators():
     with pytest.raises(ParseError):
         load_dataset(_csv(["p1,1_000,2.0,0.3"]))

@@ -22,6 +22,7 @@ from vesprod import (
     SatoHoffmanParams,
     SingularError,
     VESParams,
+    bracket_base,
     eval_extensive,
     eval_intensive,
     intensive_derivative,
@@ -32,6 +33,13 @@ from vesprod import (
     reduce_special_case,
     symmetric_form,
     ves_from_loglinear,
+)
+from vesprod.substitution import (
+    classify_regime,
+    mrs_closed,
+    mrs_derivative_closed,
+    sigma_closed,
+    sigma_derivative_closed,
 )
 
 REFERENCE = LogLinearParams(a=math.exp(0.773454), b=0.934369, c=1.191951, xi=-3.79)
@@ -97,6 +105,25 @@ def test_ves_bracket_domain_error():
 def test_nonpositive_k_rejected(bad_k):
     with pytest.raises(DomainError):
         eval_intensive(CobbDouglasParams(A=1.0, beta=0.5), bad_k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: bracket_base(s, 1.0),
+    lambda s: eval_intensive(s, 1.0),
+    lambda s: eval_extensive(s, 1.0, 1.0),
+    lambda s: intensive_derivative(s, 1.0),
+    lambda s: intensive_second_derivative(s, 1.0),
+    lambda s: mrs_closed(s, 1.0),
+    lambda s: mrs_derivative_closed(s, 1.0),
+    lambda s: sigma_closed(s, 1.0),
+    lambda s: sigma_derivative_closed(s, 1.0),
+    classify_regime,
+], ids=["bracket_base", "eval_intensive", "eval_extensive", "intensive_derivative",
+        "intensive_second_derivative", "mrs_closed", "mrs_derivative_closed",
+        "sigma_closed", "sigma_derivative_closed", "classify_regime"])
+def test_kernels_reject_non_family_spec(call):
+    with pytest.raises(TypeError, match="unsupported family spec"):
+        call(REFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +275,12 @@ def test_ves_from_loglinear_branch_errors():
         ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=0.8))
     with pytest.raises(SingularError):  # xi = 0 degenerates
         ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=0.8, xi=0.0))
+
+
+def test_ves_from_loglinear_overflow_is_singular():
+    # a^(1/b) = 2^10000 has no double value
+    with pytest.raises(SingularError, match="overflows"):
+        ves_from_loglinear(LogLinearParams(a=2.0, b=1e-4, c=0.5, xi=-1.0))
 
 
 def test_loglinear_from_ves_roundtrip_reference(reference_fit):

@@ -15,6 +15,7 @@ from vesprod import (
     eval_intensive,
     ode_integrate_theorem,
     reduce_special_case,
+    validity_range,
     verify_equivalence_lh_lf,
     verify_family,
     verify_reduction,
@@ -119,6 +120,14 @@ def test_verify_family_point_outside_validity(reference_fit_ves):
     # k = 1.0 lies below the R > 0 boundary near 2.0776
     with pytest.raises(DomainError, match="1"):
         verify_family(reference_fit_ves, [1.0, 3.0, 5.0])
+
+
+def test_verify_family_zero_second_difference_is_singular():
+    v = VESParams(lam=-0.6427, mu=8.2556, theta=6.0674, psi=1.7343)
+    interval = validity_range(v, 1e-3, 1e3)
+    grid = list(np.geomspace(interval.k_low * 1.001, interval.k_high * 0.999, 64))
+    with pytest.raises(SingularError, match="k = "):
+        verify_family(v, grid)
 
 
 def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):

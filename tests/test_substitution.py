@@ -351,6 +351,28 @@ def test_validity_range_case_ii_upper_bound():
     assert "R_prime>0" in interval.constraints_active
 
 
+def test_mrs_overflow_is_domain_error(reference_fit_ves):
+    with pytest.raises(DomainError, match="overflows"):
+        mrs_closed(reference_fit_ves, 1e300)
+
+
+def test_validity_range_treats_overflow_as_violated(reference_fit_ves):
+    interval = validity_range(reference_fit_ves, 0.1, 1e300)
+    assert interval.k_low == pytest.approx(2.0776000111, rel=1e-10)
+    assert interval.k_high < 1e300
+    assert "R>0" in interval.constraints_active
+
+
+def test_validity_range_window_wider_than_double_range(reference_fit_ves):
+    # 1e200 / 1e-200 overflows: the probe grid must be built in log space
+    narrow = validity_range(reference_fit_ves, 0.1, 1e200)
+    wide = validity_range(reference_fit_ves, 1e-200, 1e200)
+    assert wide.k_low == pytest.approx(2.0776000111, rel=1e-10)
+    assert abs(wide.k_low - narrow.k_low) < 1e-10
+    assert wide.k_high == 1e200
+    assert wide.constraints_active == ("R>0", "sigma>0")
+
+
 def test_validity_range_bad_probe():
     with pytest.raises(ParamError):
         validity_range(CobbDouglasParams(A=1.0, beta=0.5), 2.0, 1.0)
