@@ -74,6 +74,7 @@ from .oracles import (
     ode_integrate_theorem,
     verify_equivalence_lh_lf,
     verify_family,
+    verify_ode,
     verify_reduction,
     verify_sato_hoffman,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -49,9 +50,9 @@ from .estimation import (
 )
 from .oracles import (
     VerificationReport,
-    ode_integrate_theorem,
     verify_equivalence_lh_lf,
     verify_family,
+    verify_ode,
     verify_reduction,
     verify_sato_hoffman,
 )
@@ -306,13 +307,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUITE_TOL = {
-    "family": 1e-6,
-    "equivalence": 1e-10,
-    "ode": 1e-9,
-    "sato-hoffman": 1e-6,
-    "reduction": 1e-10,
-}
+#: the VES spec the family and ode suites check when given no parameters
+_DEFAULT_VES = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
 
 
 def _print_report(report: VerificationReport) -> int:
@@ -325,7 +321,13 @@ def _print_report(report: VerificationReport) -> int:
     return 0 if report.passed else 1
 
 
-def _k_grid(lo: float, hi: float, n: int) -> list[float]:
+def _or(value, default):
+    return default if value is None else value
+
+
+def _k_grid(args: argparse.Namespace, lo: float, hi: float, n: int) -> list[float]:
+    """Log grid from --k-from/--k-to/--points, each defaulting to the suite's."""
+    lo, hi, n = _or(args.k_from, lo), _or(args.k_to, hi), _or(args.points, n)
     if not 0.0 < lo < hi:
         raise _UsageError("need 0 < --k-from < --k-to")
     if n < 2:
@@ -333,70 +335,37 @@ def _k_grid(lo: float, hi: float, n: int) -> list[float]:
     return _log_grid(lo, hi, n)
 
 
+def _loglinear_or(args: argparse.Namespace, default: LogLinearParams) -> LogLinearParams:
+    if _given(args, ("a", "ln_a", "b", "c", "xi")):
+        return _loglinear_from_args(args)
+    return default
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = args.tolerance if args.tolerance is not None else _SUITE_TOL[args.suite]
-
-    if args.suite == "family":
-        if args.family is None:
-            spec: FamilySpec = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
-        else:
-            spec = _spec_from_args(args)
-        lo = args.k_from if args.k_from is not None else 0.5
-        hi = args.k_to if args.k_to is not None else 20.0
-        n = args.points if args.points is not None else 64
-        report = verify_family(spec, _k_grid(lo, hi, n), tolerance=tol)
-        return _print_report(report)
-
-    if args.suite == "equivalence":
-        if _given(args, ("a", "ln_a", "b", "c", "xi")):
-            p = _loglinear_from_args(args)
-        else:
-            p = LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0)
-        lo = args.k_from if args.k_from is not None else 0.1
-        hi = args.k_to if args.k_to is not None else 10.0
-        n = args.points if args.points is not None else 50
-        report = verify_equivalence_lh_lf(p, _k_grid(lo, hi, n), tolerance=tol)
-        return _print_report(report)
-
-    if args.suite == "ode":
-        if _given(args, _STRUCTURAL) or _given(args, _REGRESSION + ("xi",)):
+    # an unset --tolerance leaves each verifier its own default
+    tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
+    suite = args.suite
+    if suite == "family":
+        spec = _DEFAULT_VES if args.family is None else _spec_from_args(args)
+        report = verify_family(spec, _k_grid(args, 0.5, 20.0, 64), **tol)
+    elif suite == "equivalence":
+        p = _loglinear_or(args, LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0))
+        report = verify_equivalence_lh_lf(p, _k_grid(args, 0.1, 10.0, 50), **tol)
+    elif suite == "ode":
+        v = _DEFAULT_VES
+        if _given(args, _STRUCTURAL + _REGRESSION + ("xi",)):
             args.family = "ves"
             v = _spec_from_args(args)
-            if not isinstance(v, VESParams):
-                raise _UsageError("the ode suite needs ves parameters")
-        else:
-            v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
-        k_start = args.k_from if args.k_from is not None else 1.0
-        k_end = args.k_to if args.k_to is not None else 2.0
-        steps = args.steps if args.steps is not None else 10000
-        y_start = eval_intensive(v, k_start)
-        y_end = ode_integrate_theorem(v, k_start, y_start, k_end, steps)
-        y_ref = eval_intensive(v, k_end)
-        rel = abs(y_end - y_ref) / abs(y_ref)
-        report = VerificationReport(
-            check_name="ode", max_abs_error=abs(y_end - y_ref), max_rel_error=rel,
-            points_checked=steps, tolerance=tol, passed=rel <= tol,
-            worst_k=k_end, worst_quantity="y")
-        return _print_report(report)
-
-    if args.suite == "sato-hoffman":
-        gamma = args.gamma if args.gamma is not None else 1.0
-        delta = args.delta if args.delta is not None else 0.5
-        rho = args.rho if args.rho is not None else 0.5
-        s = SatoHoffmanParams(gamma=gamma, delta=delta, rho=rho)
+        report = verify_ode(v, _or(args.k_from, 1.0), _or(args.k_to, 2.0),
+                            _or(args.steps, 10000), **tol)
+    elif suite == "sato-hoffman":
+        s = SatoHoffmanParams(gamma=_or(args.gamma, 1.0), delta=_or(args.delta, 0.5),
+                              rho=_or(args.rho, 0.5))
         bound = s.k_upper_bound()
-        default_hi = 10.0 if math.isinf(bound) else 0.93 * bound
-        lo = args.k_from if args.k_from is not None else default_hi / 30.0
-        hi = args.k_to if args.k_to is not None else default_hi
-        n = args.points if args.points is not None else 32
-        report = verify_sato_hoffman(s, _k_grid(lo, hi, n), tolerance=tol)
-        return _print_report(report)
-
-    if args.suite == "reduction":
-        if _given(args, ("a", "ln_a", "b", "c", "xi")):
-            p = _loglinear_from_args(args)
-        else:
-            p = LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0)
+        hi = 10.0 if math.isinf(bound) else 0.93 * bound
+        report = verify_sato_hoffman(s, _k_grid(args, hi / 30.0, hi, 32), **tol)
+    elif suite == "reduction":
+        p = _loglinear_or(args, LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0))
         target = reduce_special_case(p)
         if isinstance(target, LogLinearParams):
             raise _UsageError("parameters do not reduce to a special case; "
@@ -405,14 +374,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError("b = 0 is unreachable through the general closed "
                               "form; only the c = 1 (ces) reduction can be "
                               "verified pointwise")
-        spec = ves_from_loglinear(p)
-        lo = args.k_from if args.k_from is not None else 0.1
-        hi = args.k_to if args.k_to is not None else 10.0
-        n = args.points if args.points is not None else 50
-        report = verify_reduction(spec, target, _k_grid(lo, hi, n), tolerance=tol)
-        return _print_report(report)
-
-    raise _UsageError(f"unknown suite {args.suite!r}")
+        report = verify_reduction(ves_from_loglinear(p), target,
+                                  _k_grid(args, 0.1, 10.0, 50), **tol)
+    else:
+        raise _UsageError(f"unknown suite {suite!r}")
+    return _print_report(report)
 
 
 # --------------------------------------------------------------------------
@@ -481,8 +447,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: negative numbers that argparse already reads as values, not as options
+_ARGPARSE_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_other_negative(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-") and not _ARGPARSE_NEGATIVE.match(token)
+
+
+def _glue_negative_values(argv: Sequence[str]) -> list[str]:
+    """Spell ``--flag -9.68e-05`` as ``--flag=-9.68e-05``: given as its own
+    token, argparse takes such a value for an unknown option."""
+    out: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + list(argv[i:])
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and _is_other_negative(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message

@@ -42,7 +42,7 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .families import LogLinearParams
+from .families import LogLinearParams, _scale_power
 
 __all__ = [
     "Relation",
@@ -302,5 +302,12 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
         raise SingularError(
             "c = 1 is the constant-elasticity case: R(k) = mu k^theta never "
             "vanishes at positive k (R(k0) = 0 would force mu = 0)")
-    return (1.0 - c) / (c - b) * b / ((1.0 - b) * p.a ** (1.0 / b)) \
-        * k0 ** (1.0 - c / b)
+    a1b = _scale_power(p, 1.0 / b, "a^(1/b)")
+    try:
+        xi = (1.0 - c) / (c - b) * b / ((1.0 - b) * a1b) * k0 ** (1.0 - c / b)
+    except (OverflowError, ZeroDivisionError):
+        xi = math.nan
+    if not math.isfinite(xi):
+        raise SingularError(f"xi has no finite value at k0 = {k0!r}: with b = {b!r}, "
+                            "a^(1/b) or k0^(1 - c/b) leaves the double range")
+    return xi

@@ -141,6 +141,16 @@ def _check_lh_branch(p: LogLinearParams) -> None:
         raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
 
 
+def _scale_power(p: LogLinearParams, e: float, text: str) -> float:
+    """``p.a ** e``, where ``text`` names the power.  For tiny b the exponents
+    +-1/b and 1/(1-b) can take it past the double range: SingularError."""
+    try:
+        return p.a ** e
+    except OverflowError as exc:
+        raise SingularError(f"a = {p.a!r}, b = {p.b!r}: {text} overflows, "
+                            "so it has no finite value") from exc
+
+
 def _require_ratio(k: float) -> None:
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
@@ -699,12 +709,8 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
         raise SingularError("xi = 0 gives mu = 0: the variable-elasticity closed form "
                             "degenerates to a constant-returns power function")
     b, c = p.b, p.c
-    try:
-        mu = xi * (b - 1.0) * p.a ** (1.0 / b) / b
-        psi = p.a ** (1.0 / (1.0 - b))
-    except OverflowError as exc:
-        raise SingularError(f"a = {p.a!r}, b = {b!r}: a^(1/b) or a^(1/(1-b)) overflows, "
-                            "so mu or psi has no finite value") from exc
+    mu = xi * (b - 1.0) * _scale_power(p, 1.0 / b, "a^(1/b)") / b
+    psi = _scale_power(p, 1.0 / (1.0 - b), "a^(1/(1-b))")
     return VESParams(lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
 
 
@@ -737,7 +743,7 @@ def lf_from_lh(p: LogLinearParams) -> LuFletcherParams:
     zeta = xi (b-1) a^(-1/b) / b, under which the two closed forms coincide."""
     _check_lh_branch(p)
     xi = p.require_xi()
-    zeta = xi * (p.b - 1.0) * p.a ** (-1.0 / p.b) / p.b
+    zeta = xi * (p.b - 1.0) * _scale_power(p, -1.0 / p.b, "a^(-1/b)") / p.b
     return LuFletcherParams(a=p.a, b=p.b, c=p.c, zeta=zeta)
 
 
@@ -753,7 +759,7 @@ def symmetric_form(p: LogLinearParams) -> tuple[float, float]:
     _check_ves_branch(p)
     xi = p.require_xi()
     b, c = p.b, p.c
-    q = (1.0 - b) * p.a ** (-1.0 / b) / (c - b)
+    q = (1.0 - b) * _scale_power(p, -1.0 / b, "a^(-1/b)") / (c - b)
     m = xi * (b - 1.0) / b
     base = q + m
     if not base > 0.0:
@@ -775,8 +781,8 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
 
     Total function: when a threshold is met but the target family's own
     invariants cannot be satisfied (e.g. b ~ 0 with c >= 1, or a CES
-    identification with non-positive base or xi unset), the input is
-    returned unchanged rather than raising.
+    identification with non-positive base, an overflowing a^(-1/b) or xi
+    unset), the input is returned unchanged rather than raising.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParamError(f"tol must be a non-negative float, got {tol!r}")
@@ -788,7 +794,10 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
         b = p.b
         if b == 1.0 or b <= 0.0 or p.xi is None:
             return p
-        q = p.a ** (-1.0 / b)
+        try:
+            q = _scale_power(p, -1.0 / b, "a^(-1/b)")
+        except SingularError:
+            return p
         m = p.xi * (b - 1.0) / b
         base = q + m
         if not base > 0.0:

@@ -16,8 +16,9 @@ h = k * eps^(1/3) for first derivatives and h = k * eps^(1/4) for second
 derivatives.  The integrator works in ln y, where the equation is exact
 quadrature; this removes positivity drift.
 
-Every verifier returns a :class:`VerificationReport`; reports are
-deterministic for identical inputs.
+Every verifier, the ODE check (:func:`verify_ode`) included, returns a
+:class:`VerificationReport` and states its default tolerance in its
+signature; reports are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "ode_integrate_theorem",
     "verify_family",
     "verify_equivalence_lh_lf",
+    "verify_ode",
     "verify_reduction",
     "verify_sato_hoffman",
 ]
@@ -59,9 +61,11 @@ _H1 = _EPS ** (1.0 / 3.0)
 _H2 = _EPS ** 0.25
 
 #: default tolerances: derivative cross-checks carry finite-difference
-#: noise; algebraic identities should hold to near machine precision
+#: noise; algebraic identities should hold to near machine precision; the
+#: fourth-order integration is exact to rounding at the default step count
 DERIVATIVE_TOL = 1e-6
 IDENTITY_TOL = 1e-10
+ODE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,11 @@ def _second(f: Callable[[float], float], k: float) -> float:
     return (f(k + h) - 2.0 * f(k) + f(k - h)) / (h * h)
 
 
+def _fd_derivatives(y: Callable[[float], float], k: float) -> tuple[float, float, float]:
+    """y, y' and y'' at k, the derivatives by finite differences."""
+    return y(k), _central(y, k), _second(y, k)
+
+
 def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
     """sigma = y'(k y' - y) / (k y y'') from (finite-difference) derivatives."""
     den = k * yv * ypp
@@ -176,16 +185,13 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
         return y_start
 
     lam, mu, th = v.lam, v.mu, v.theta
-    sign0 = 0.0
+    sign0 = math.copysign(1.0, (1.0 + lam) * k_start + mu * k_start ** th)
 
     def slope(k: float) -> float:
-        nonlocal sign0
         den = (1.0 + lam) * k + mu * k ** th
         if den == 0.0:
             raise SingularError(f"(1+lam) k + mu k^theta vanishes at k = {k:.12g}")
-        if sign0 == 0.0:
-            sign0 = math.copysign(1.0, den)
-        elif math.copysign(1.0, den) != sign0:
+        if math.copysign(1.0, den) != sign0:
             raise SingularError(f"(1+lam) k + mu k^theta changes sign at k = {k:.12g}")
         return 1.0 / den
 
@@ -198,6 +204,22 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
         s4 = slope(k + h)
         ln_y += h / 6.0 * (s1 + 4.0 * s_mid + s4)
     return math.exp(ln_y)
+
+
+def verify_ode(v: VESParams, k_start: float, k_end: float, steps: int,
+               tolerance: float = ODE_TOL) -> VerificationReport:
+    """Integrate from the closed-form y(k_start) to ``k_end`` in ``steps``
+    steps and compare with the closed-form y(k_end); the report counts the
+    steps as its points."""
+    y_start = eval_intensive(v, k_start)
+    y_end = ode_integrate_theorem(v, k_start, y_start, k_end, steps)
+    y_ref = eval_intensive(v, k_end)
+    err = abs(y_end - y_ref)
+    rel = err / abs(y_ref)
+    return VerificationReport(
+        check_name="ode", max_abs_error=err, max_rel_error=rel,
+        points_checked=steps, tolerance=tolerance, passed=rel <= tolerance,
+        worst_k=k_end, worst_quantity="y")
 
 
 # --------------------------------------------------------------------------
@@ -224,9 +246,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     y = lambda k: eval_intensive(spec, k)
     worst = _Worst()
     for k in grid:
-        yv = y(k)
-        yp = _central(y, k)
-        ypp = _second(y, k)
+        yv, yp, ypp = _fd_derivatives(y, k)
 
         R_cl = mrs_closed(spec, k)
         worst.add("R", k, R_cl, yv / yp - k)
@@ -245,31 +265,35 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     return worst.report("family", len(grid), tolerance)
 
 
+def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
+               kernels: Sequence[tuple[str, Callable[[FamilySpec, float], float]]],
+               k_grid: Sequence[float], tolerance: float) -> VerificationReport:
+    """Worst relative difference between each kernel evaluated on ``spec``
+    and on ``target``, over every grid point."""
+    grid = _check_grid(k_grid)
+    worst = _Worst()
+    for k in grid:
+        for quantity, kernel in kernels:
+            worst.add(quantity, k, kernel(spec, k), kernel(target, k))
+    return worst.report(name, len(grid), tolerance)
+
+
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
                              tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Evaluate the wage-relation closed form in both parameterizations
     (xi and zeta = xi (b-1) a^(-1/b) / b) and report the worst relative
     difference; the two are algebraically identical."""
-    lh = lh_from_loglinear(p)
-    lf = lf_from_lh(p)
-    grid = _check_grid(k_grid)
-    worst = _Worst()
-    for k in grid:
-        worst.add("y", k, eval_intensive(lh, k), eval_intensive(lf, k))
-    return worst.report("lh-lf-equivalence", len(grid), tolerance)
+    return _pointwise("lh-lf-equivalence", lh_from_loglinear(p), lf_from_lh(p),
+                      (("y", eval_intensive),), k_grid, tolerance)
 
 
 def verify_reduction(spec: FamilySpec, target: FamilySpec, k_grid: Sequence[float],
                      tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Pointwise comparison of y, R, and sigma between a spec and the
     special case it is claimed to reduce to."""
-    grid = _check_grid(k_grid)
-    worst = _Worst()
-    for k in grid:
-        worst.add("y", k, eval_intensive(spec, k), eval_intensive(target, k))
-        worst.add("R", k, mrs_closed(spec, k), mrs_closed(target, k))
-        worst.add("sigma", k, sigma_closed(spec, k), sigma_closed(target, k))
-    return worst.report("reduction", len(grid), tolerance)
+    return _pointwise("reduction", spec, target,
+                      (("y", eval_intensive), ("R", mrs_closed), ("sigma", sigma_closed)),
+                      k_grid, tolerance)
 
 
 def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
@@ -290,8 +314,5 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
     y = lambda k: eval_intensive(s, k)
     worst = _Worst()
     for k in grid:
-        yv = y(k)
-        yp = _central(y, k)
-        ypp = _second(y, k)
-        worst.add("sigma", k, 1.0 + slope * k, _sigma_identity(k, yv, yp, ypp))
+        worst.add("sigma", k, 1.0 + slope * k, _sigma_identity(k, *_fd_derivatives(y, k)))
     return worst.report("sato-hoffman", len(grid), tolerance)

@@ -48,6 +48,7 @@ from .families import (
     _evaluate,
     _finite_or_singular,
     _require_ratio,
+    _scale_power,
     loglinear_from_ves,
     ves_from_loglinear,
 )
@@ -246,8 +247,8 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
     """Closed-form display coefficients of R, R', sigma, sigma' for the
     rental-rate family in regression space (xi not needed)."""
     _check_ves_branch(p)
-    a, b, c = p.a, p.b, p.c
-    a1b = a ** (1.0 / b)
+    b, c = p.b, p.c
+    a1b = _scale_power(p, 1.0 / b, "a^(1/b)")
     return RegressionClosedForm(
         exponent=c / b,
         mrs_k_coef=(1.0 - c) / (c - b),

@@ -65,6 +65,20 @@ def test_eval_parameter_overflow_exits_2(capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("value", ["-9.68e-05", "-1E3", "-2.5e+00"])
+def test_negative_exponent_value_as_separate_token(capsys, value):
+    base = ["eval", "--family", "ves", "--a", "2", "--b", "0.5", "--c", "1.5"]
+    joined = run(capsys, *base, f"--xi={value}", "--k", "3")
+    assert joined[0] == 0
+    assert run(capsys, *base, "--xi", value, "--k", "3") == joined
+
+
+def test_negative_value_after_double_dash_stays_positional(capsys):
+    code, _, err = run(capsys, "fit", "--relation", "rental", "--", "-1e-3")
+    assert code == 2
+    assert "'-1e-3'" in err  # read as the input path, which does not exist
+
+
 def test_eval_needs_exactly_one_input_form(capsys):
     base = ["eval", "--family", "cd", "--A", "2", "--beta", "0.4"]
     assert run(capsys, *base)[0] == 2
@@ -298,6 +312,17 @@ def test_calibrate_xi_constant_sigma_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "calibrate-xi --a 2 --b 1e-4 --c 0.5 --k0 2",
+    "verify --suite equivalence --a 0.5 --b 1e-4 --c 0.5 --xi=-1",
+    "verify --suite reduction --a 0.5 --b 1e-4 --c 1 --xi=-1",
+])
+def test_scale_power_overflow_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(("error: ", "usage error: "))
+
+
 def test_reduce_cobb_douglas(capsys):
     code, out, _ = run(capsys, "reduce", "--a", "2", "--b", "0", "--c", "0.4")
     assert code == 0
@@ -314,6 +339,13 @@ def test_reduce_ces(capsys):
 
 def test_reduce_general_case_unchanged(capsys):
     code, out, _ = run(capsys, "reduce", *REFERENCE_FLAGS, "--xi", "-3.79")
+    assert code == 0
+    assert out.startswith("ves (no special case within tol)")
+
+
+def test_reduce_overflowing_scale_power_is_no_special_case(capsys):
+    code, out, _ = run(capsys, "reduce", "--a", "0.5", "--b", "1e-4", "--c", "1",
+                       "--xi=-1")
     assert code == 0
     assert out.startswith("ves (no special case within tol)")
 
@@ -511,6 +543,112 @@ def test_golden_stdout(capsys, family, command, expected):
     code, out, _ = run(capsys, *command.format(GOLDEN_FAMILIES[family]).split())
     assert code == 0
     assert out == expected
+
+
+# Frozen exit code, stdout and stderr of every verify suite at its defaults,
+# with custom flags and --tolerance, and of the verify usage and input
+# errors.
+GOLDEN_VERIFY = [
+    ('--suite equivalence', 0,
+     'lh-lf-equivalence: 50 points, max_rel_error = 0.000000e+00, tolerance = 1e-10: PASS\nworst: k = 10.0000000000, quantity = y\n',
+     ''),
+    ('--suite equivalence --a 1.5 --b 0.4 --c 0.3 --xi -2 --k-from 0.3 --k-to 5 --points 9', 0,
+     'lh-lf-equivalence: 9 points, max_rel_error = 2.296739e-16, tolerance = 1e-10: PASS\nworst: k = 0.300000000000, quantity = y\n',
+     ''),
+    ('--suite equivalence --a 2 --b 0.7 --c 0.6 --xi -0.5 --k-from 0.2 --k-to 5 --points 9', 2,
+     '',
+     'error: LiuHildebrandParams: bracketed base is non-positive at k = 0.2 (base = -3.54587); the closed form is not defined there\n'),
+    ('--suite equivalence --a 1.5 --b 0.4 --c 0.3 --xi -2 --k-from 0.3 --k-to 5 --points 9 --tolerance 1e-16', 1,
+     'lh-lf-equivalence: 9 points, max_rel_error = 2.296739e-16, tolerance = 1e-16: FAIL\nworst: k = 0.300000000000, quantity = y\n',
+     ''),
+    ('--suite ode', 0,
+     'ode: 10000 points, max_rel_error = 1.665335e-16, tolerance = 1e-09: PASS\nworst: k = 2.00000000000, quantity = y\n',
+     ''),
+    ('--suite ode --steps 5000', 0,
+     'ode: 5000 points, max_rel_error = 1.665335e-16, tolerance = 1e-09: PASS\nworst: k = 2.00000000000, quantity = y\n',
+     ''),
+    ('--suite ode --lambda 0.5 --mu 2 --theta 1.5 --psi 1 --k-from 0.5 --k-to 3 --steps 200', 0,
+     'ode: 200 points, max_rel_error = 4.006972e-10, tolerance = 1e-09: PASS\nworst: k = 3.00000000000, quantity = y\n',
+     ''),
+    ('--suite ode --ln-a 0.773454 --b 0.934369 --c 1.191951 --xi -3.79 --k-from 3 --k-to 10', 0,
+     'ode: 10000 points, max_rel_error = 4.188985e-14, tolerance = 1e-09: PASS\nworst: k = 10.0000000000, quantity = y\n',
+     ''),
+    ('--suite ode --family ces --gamma 1 --delta 0.4 --sigma 0.7', 0,
+     'ode: 10000 points, max_rel_error = 1.665335e-16, tolerance = 1e-09: PASS\nworst: k = 2.00000000000, quantity = y\n',
+     ''),
+    ('--suite ode --steps 20 --tolerance 1e-12', 1,
+     'ode: 20 points, max_rel_error = 1.153524e-08, tolerance = 1e-12: FAIL\nworst: k = 2.00000000000, quantity = y\n',
+     ''),
+    ('--suite sato-hoffman', 0,
+     'sato-hoffman: 32 points, max_rel_error = 1.691381e-07, tolerance = 1e-06: PASS\nworst: k = 0.100229707283, quantity = sigma\n',
+     ''),
+    ('--suite sato-hoffman --gamma 2 --delta 0.3 --rho 1.5 --points 12', 0,
+     'sato-hoffman: 12 points, max_rel_error = 8.393866e-07, tolerance = 1e-06: PASS\nworst: k = 5.38806094136, quantity = sigma\n',
+     ''),
+    ('--suite sato-hoffman --k-from 0.05 --k-to 1 --tolerance 1e-9', 1,
+     'sato-hoffman: 32 points, max_rel_error = 7.479921e-08, tolerance = 1e-09: FAIL\nworst: k = 0.0550729973824, quantity = sigma\n',
+     ''),
+    ('--suite reduction', 0,
+     'reduction: 50 points, max_rel_error = 4.017044e-16, tolerance = 1e-10: PASS\nworst: k = 0.308884359648, quantity = y\n',
+     ''),
+    ('--suite reduction --a 2 --b 0.7 --c 1 --xi -0.5 --k-from 0.5 --k-to 4 --points 7', 0,
+     'reduction: 7 points, max_rel_error = 6.970482e-16, tolerance = 1e-10: PASS\nworst: k = 2.82842712475, quantity = y\n',
+     ''),
+    ('--suite reduction --tolerance 1e-18', 1,
+     'reduction: 50 points, max_rel_error = 4.017044e-16, tolerance = 1e-18: FAIL\nworst: k = 0.308884359648, quantity = y\n',
+     ''),
+    ('--suite family --tolerance 1e-7', 1,
+     'family: 64 points, max_rel_error = 1.521524e-07, tolerance = 1e-07: FAIL\nworst: k = 13.2746576624, quantity = sigma\n',
+     ''),
+    ('--suite family --k-from 1 --k-to 2 --points 5', 0,
+     'family: 5 points, max_rel_error = 4.284542e-08, tolerance = 1e-06: PASS\nworst: k = 2.00000000000, quantity = sigma\n',
+     ''),
+    ('--suite family --k-from 5 --k-to 1', 2,
+     '',
+     'usage error: need 0 < --k-from < --k-to\n'),
+    ('--suite equivalence --points 1', 2,
+     '',
+     'usage error: --points must be at least 2\n'),
+    ('--suite reduction --a 1 --b 0.6 --c 0.5 --xi -1', 2,
+     '',
+     'usage error: parameters do not reduce to a special case; nothing to verify\n'),
+    ('--suite reduction --a 1 --b 0 --c 0.5 --xi -1', 2,
+     '',
+     'usage error: b = 0 is unreachable through the general closed form; only the c = 1 (ces) reduction can be verified pointwise\n'),
+    ('--suite ode --steps 1', 2,
+     '',
+     'error: steps must be an integer >= 2, got 1\n'),
+    ('--suite ode --k-from 0', 2,
+     '',
+     'error: capital-labor ratio must be positive and finite, got 0.0\n'),
+    ('--suite ode --lambda -2 --mu 1 --theta 2 --psi 1 --k-from 2 --k-to 0.5', 2,
+     '',
+     'error: (1+lam) k + mu k^theta changes sign at k = 0.99995\n'),
+    ('--suite ode --lambda -2 --mu 1 --theta 2 --psi 1 --k-from 0.5 --k-to 2', 2,
+     '',
+     'error: VESParams: bracketed base is non-positive at k = 0.5 (base = -1); the closed form is not defined there\n'),
+    ('--suite ode --a 1 --b 0.5 --c 0.2', 2,
+     '',
+     'usage error: missing --xi\n'),
+    ('--suite sato-hoffman --k-to 2.5', 2,
+     '',
+     'error: k = 1.7000962891 is outside the admissible range k < 1.5\n'),
+    ('--suite sato-hoffman --delta 1.5', 2,
+     '',
+     'error: delta must lie in (0, 1), got 1.5\n'),
+    ('--suite equivalence --a 1 --b 0.5 --c 0.5 --xi -1', 2,
+     '',
+     'error: b + c = 1 is excluded: the integration step divides by b + c - 1\n'),
+    ('--suite family --family ves --lambda 0', 2,
+     '',
+     "usage error: family 'ves' needs --mu, --theta, --psi\n"),
+]
+
+
+@pytest.mark.parametrize("flags,code,out,err", GOLDEN_VERIFY,
+                         ids=[f"verify-{i}" for i in range(len(GOLDEN_VERIFY))])
+def test_golden_verify(capsys, flags, code, out, err):
+    assert run(capsys, "verify", *flags.split()) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------

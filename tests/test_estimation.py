@@ -291,6 +291,16 @@ def test_calibrate_xi_reference_value(reference_fit):
     assert interval.k_low == pytest.approx(2.0799, rel=1e-8)
 
 
+@pytest.mark.parametrize("a,k0", [
+    (2.0, 2.0),   # a^(1/b) = 2^10000 overflows
+    (0.5, 2.0),   # a^(1/b) = 0.5^10000 underflows to 0, a division by zero
+    (1.0, 0.5),   # k0^(1 - c/b) = 0.5^(-4999) overflows
+])
+def test_calibrate_xi_out_of_range_is_singular(a, k0):
+    with pytest.raises(SingularError):
+        calibrate_xi(LogLinearParams(a=a, b=1e-4, c=0.5), k0)
+
+
 def test_calibrate_xi_ignores_existing_xi(reference_fit):
     assert calibrate_xi(reference_fit, 2.0799) == calibrate_xi(
         LogLinearParams(a=reference_fit.a, b=reference_fit.b, c=reference_fit.c), 2.0799)

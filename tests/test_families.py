@@ -378,6 +378,13 @@ def test_symmetric_form_c1_matches_ces_identification():
     assert delta == pytest.approx(reduced.delta, rel=1e-14)
 
 
+@pytest.mark.parametrize("convert", [lf_from_lh, symmetric_form])
+def test_scale_power_overflow_is_singular(convert):
+    # a^(-1/b) = 0.5^(-10000) has no double value
+    with pytest.raises(SingularError, match="overflows"):
+        convert(LogLinearParams(a=0.5, b=1e-4, c=0.5, xi=-1.0))
+
+
 def test_symmetric_form_nonpositive_base():
     # q + m = 0.5 - 1 < 0 for a=1, b=0.5, c=1.5, xi=1
     with pytest.raises(DomainError):
@@ -405,6 +412,12 @@ def test_reduce_c_one_gives_ces():
     # the reduction evaluates identically to the general closed form
     for k in np.geomspace(0.1, 10.0, 40):
         assert relerr(eval_intensive(reduced, k), rental_closed_form(p, k)) < 1e-12
+
+
+def test_reduce_c_one_with_overflowing_scale_returns_input():
+    # c = 1 meets the CES threshold, but a^(-1/b) = 0.5^(-10000) overflows
+    p = LogLinearParams(a=0.5, b=1e-4, c=1.0, xi=-1.0)
+    assert reduce_special_case(p) is p
 
 
 def test_reduce_no_threshold_returns_input(reference_fit):

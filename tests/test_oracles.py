@@ -18,6 +18,7 @@ from vesprod import (
     validity_range,
     verify_equivalence_lh_lf,
     verify_family,
+    verify_ode,
     verify_reduction,
     verify_sato_hoffman,
     ves_from_loglinear,
@@ -84,6 +85,16 @@ def test_ode_singular_denominator():
     v = VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0)
     with pytest.raises(SingularError):
         ode_integrate_theorem(v, 0.5, 1.0, 2.0, 100)
+
+
+def test_verify_ode_default_window_report():
+    # the figures `vesprod verify --suite ode` prints
+    v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+    report = verify_ode(v, 1.0, 2.0, 10000)
+    assert (report.check_name, report.points_checked, f"{report.max_rel_error:.6e}",
+            report.tolerance, report.passed, report.worst_k, report.worst_quantity) == (
+        "ode", 10000, "1.665335e-16", 1e-9, True, 2.0, "y")
+    assert not verify_ode(v, 1.0, 2.0, 20, tolerance=1e-12).passed
 
 
 def test_ode_input_validation():
@@ -174,6 +185,12 @@ def test_equivalence_zero_xi_exact():
 def test_equivalence_excluded_branch():
     with pytest.raises(ParamError):
         verify_equivalence_lh_lf(LogLinearParams(a=1.0, b=0.5, c=0.5, xi=-1.0), [1.0])
+
+
+def test_equivalence_zeta_overflow_is_singular():
+    # zeta needs a^(-1/b) = 0.5^(-10000), which has no double value
+    with pytest.raises(SingularError, match="overflows"):
+        verify_equivalence_lh_lf(LogLinearParams(a=0.5, b=1e-4, c=0.5, xi=-1.0), [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ def test_regression_closed_form_needs_valid_branch():
         regression_closed_form(LogLinearParams(a=1.0, b=0.7, c=0.7))
 
 
+def test_regression_closed_form_overflow_is_singular():
+    # a^(1/b) = 2^10000 has no double value
+    with pytest.raises(SingularError, match="overflows"):
+        regression_closed_form(LogLinearParams(a=2.0, b=1e-4, c=0.5))
+
+
 # ---------------------------------------------------------------------------
 # Closed forms vs hand values and the finite-difference oracles
 # ---------------------------------------------------------------------------
