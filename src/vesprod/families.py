@@ -270,7 +270,7 @@ class VESParams(_Family):
         den = lam + th * mu * k ** (th - 1.0)
         if den == 0.0:
             raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
-        value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / (den * den)
+        value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
         return _finite_or_singular(value, "derivative of sigma", k)
 
 
@@ -449,7 +449,7 @@ class _WageForm(_Family):
         if den == 0.0:
             raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
-        return _finite_or_singular(-(b + c - 1.0) * num / den ** 2,
+        return _finite_or_singular(-(b + c - 1.0) * num / den / den,
                                    "derivative of the marginal rate of substitution", k)
 
     def _sigma(self, k: float) -> float:
@@ -469,7 +469,7 @@ class _WageForm(_Family):
         if den == 0.0:
             raise SingularError(f"sigma has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
-        return _finite_or_singular(num / den ** 2, "derivative of sigma", k)
+        return _finite_or_singular(num / den / den, "derivative of sigma", k)
 
 
 @dataclass(frozen=True)
@@ -718,7 +718,8 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     """Invert :func:`ves_from_loglinear`.  Requires lam*(theta-1) + theta != 0,
     and the image must satisfy the regression-space sign restrictions
     (a > 0, b > 0, c > 0); structural parameters outside that image raise
-    :class:`ParamError`."""
+    :class:`ParamError`.  A power of psi or a past the double range, and b
+    rounding to 1, raise :class:`SingularError`."""
     den = v.lam * (v.theta - 1.0) + v.theta
     if den == 0.0:
         raise SingularError("lam*(theta-1) + theta = 0: no log-linear representation")
@@ -727,9 +728,16 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     if b <= 0.0:
         raise ParamError(f"structural parameters map to b = {b:.12g} <= 0; "
                          "no admissible log-linear representation")
-    a = v.psi ** (1.0 - b)
-    xi = v.mu * b * a ** (-1.0 / b) / (b - 1.0)
-    return LogLinearParams(a=a, b=b, c=c, xi=xi)
+    if b == 1.0:  # den = 1 + (1+lam)(theta-1) is 1 only by rounding
+        raise SingularError("lam*(theta-1) + theta rounds to 1, so b = 1: a singular "
+                            "branch of the closed form")
+    try:
+        a = v.psi ** (1.0 - b)
+    except OverflowError as exc:
+        raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) overflows, "
+                            "so it has no finite value") from exc
+    p = LogLinearParams(a=a, b=b, c=c)
+    return p.with_xi(v.mu * b * _scale_power(p, -1.0 / b, "a^(-1/b)") / (b - 1.0))
 
 
 def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:

@@ -26,7 +26,9 @@ SingularError rather than returning an infinity.
 Pointwise operations enforce evaluability (positive bracketed base,
 family domain restrictions); the economic validity conditions R > 0,
 R' > 0, sigma > 0 are intersected by :func:`validity_range`, which is
-what trajectory emission and regime classification build on.
+what trajectory emission builds on.  Regime classification needs no
+scan: the sign of sigma' follows from the parameters (see
+:func:`classify_regime`).
 """
 
 from __future__ import annotations
@@ -266,44 +268,43 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
 # Validity range
 # --------------------------------------------------------------------------
 
-_CONSTRAINT_LABELS = ("bracket>0", "R>0", "R_prime>0", "sigma>0")
+#: The validity conditions as (label, closed-form method) in report order.
+#: Where the bracket fails the other forms are not evaluable: it is reported alone.
+_CONSTRAINTS = (("bracket>0", "_bracket"), ("R>0", "_R"), ("R_prime>0", "_dR"),
+                ("sigma>0", "_sigma"))
+
+#: Relative width to which validity_range bisects an endpoint.
+_BISECT_REL_TOL = 1e-10
 
 
 def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     """Which of the four validity conditions fail at k (empty when valid)."""
-    try:
-        if not _evaluate(spec, "_bracket", k) > 0.0:
-            return ("bracket>0",)
-    except (DomainError, SingularError):
-        return ("bracket>0",)
     bad = []
-    for label, method in (("R>0", "_R"), ("R_prime>0", "_dR"), ("sigma>0", "_sigma")):
+    for label, method in _CONSTRAINTS:
         try:
-            if not _evaluate(spec, method, k) > 0.0:
-                bad.append(label)
+            holds = _evaluate(spec, method, k) > 0.0
         except (DomainError, SingularError):
+            holds = False
+        if not holds:
             bad.append(label)
+            if method == "_bracket":
+                break
     return tuple(bad)
 
 
-def _point_valid(spec: FamilySpec, k: float) -> bool:
-    return not violated_constraints(spec, k)
-
-
-def _bisect_boundary(spec: FamilySpec, k_bad: float, k_good: float,
-                     rel_tol: float = 1e-10) -> tuple[float, float]:
+def _bisect_boundary(spec: FamilySpec, k_bad: float, k_good: float) -> tuple[float, float]:
     """Refine the validity boundary between an invalid and a valid point.
 
     Returns (boundary_estimate, last_invalid_point)."""
     lo, hi = k_bad, k_good
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if abs(hi - lo) <= rel_tol * abs(mid):
+        if abs(hi - lo) <= _BISECT_REL_TOL * abs(mid):
             break
-        if _point_valid(spec, mid):
-            hi = mid
-        else:
+        if violated_constraints(spec, mid):
             lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi), lo
 
 
@@ -313,9 +314,10 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     R' > 0, sigma > 0, and the bracketed base is positive.
 
     The probe window is scanned on a log-spaced grid; the longest
-    contiguous valid run is kept and its endpoints are refined by
-    bisection to relative 1e-10.  An empty interval is returned (never an
-    exception) when no probe point is valid.
+    contiguous valid run is kept (the first of several equally long ones)
+    and its endpoints are refined by bisection to relative 1e-10.  An
+    empty interval is returned (never an exception) when no probe point
+    is valid.
     """
     if not (math.isfinite(k_probe_low) and math.isfinite(k_probe_high)
             and 0.0 < k_probe_low < k_probe_high):
@@ -325,40 +327,26 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
         raise ParamError("need at least 2 probe samples")
 
     grid = _log_grid(k_probe_low, k_probe_high, samples)
-    ok = [_point_valid(spec, k) for k in grid]
-
-    best_len, best = 0, None
-    i = 0
-    while i < samples:
-        if ok[i]:
-            j = i
-            while j + 1 < samples and ok[j + 1]:
-                j += 1
-            if j - i + 1 > best_len:
-                best_len, best = j - i + 1, (i, j)
-            i = j + 1
+    runs: list[list[int]] = []  # [first, last] index of each valid run
+    for i, k in enumerate(grid):
+        if violated_constraints(spec, k):
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
         else:
-            i += 1
-    if best is None:
+            runs.append([i, i])
+    if not runs:
         return ValidityInterval.empty()
 
-    i, j = best
-    active: list[str] = []
-    if i == 0:
-        k_low = k_probe_low
-    else:
-        k_low, bad_point = _bisect_boundary(spec, grid[i - 1], grid[i])
-        active.extend(violated_constraints(spec, bad_point))
-    if j == samples - 1:
-        k_high = k_probe_high
-    else:
-        k_high, bad_point = _bisect_boundary(spec, grid[j + 1], grid[j])
-        for label in violated_constraints(spec, bad_point):
-            if label not in active:
-                active.append(label)
-    # keep a stable label order
-    ordered = tuple(lbl for lbl in _CONSTRAINT_LABELS if lbl in active)
-    return ValidityInterval(k_low=k_low, k_high=k_high, constraints_active=ordered)
+    first, last = max(runs, key=lambda run: run[1] - run[0])
+    ends, active = [k_probe_low, k_probe_high], set()
+    # an end of the run inside the window is refined against its invalid neighbour
+    for side, bad, good in ((0, first - 1, first), (1, last + 1, last)):
+        if 0 <= bad < samples:
+            ends[side], bad_point = _bisect_boundary(spec, grid[bad], grid[good])
+            active.update(violated_constraints(spec, bad_point))
+    return ValidityInterval(k_low=ends[0], k_high=ends[1], constraints_active=tuple(
+        label for label, _ in _CONSTRAINTS if label in active))
 
 
 # --------------------------------------------------------------------------
@@ -402,41 +390,16 @@ def _regime_of_wage_regression(b: float, c: float, xi: float) -> RegimeReport:
     return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
 
 
-def _crosscheck_monotonicity(spec: FamilySpec, report: RegimeReport,
-                             probe: tuple[float, float] = (1e-3, 1e3),
-                             points: int = 32) -> None:
-    """Sample the closed-form sigma' on the validity range and require its
-    sign to agree with the theoretical monotonicity."""
-    interval = validity_range(spec, probe[0], probe[1], samples=256)
-    if interval.is_empty:
-        return
-    lo = interval.k_low * (1.0 + 1e-9)
-    hi = interval.k_high * (1.0 - 1e-9)
-    if not lo < hi:
-        return
-    for k in _log_grid(lo, hi, points):
-        try:
-            sp = sigma_derivative_closed(spec, k)
-        except SingularError:
-            continue
-        if report.monotonicity is Monotonicity.INCREASING and not sp > 0.0:
-            raise ParamError(f"regime cross-check failed: sigma'({k:.6g}) = {sp:.6g} "
-                             "is not positive for an increasing regime")
-        if report.monotonicity is Monotonicity.DECREASING and not sp < 0.0:
-            raise ParamError(f"regime cross-check failed: sigma'({k:.6g}) = {sp:.6g} "
-                             "is not negative for a decreasing regime")
-        if report.monotonicity is Monotonicity.CONSTANT and sp != 0.0:
-            raise ParamError(f"regime cross-check failed: sigma'({k:.6g}) = {sp:.6g} "
-                             "is nonzero for a constant regime")
-
-
 def classify_regime(spec: FamilySpec) -> RegimeReport:
-    """Classify sigma(k)'s monotonicity and its finite limit as k -> inf.
+    """Classify sigma(k)'s monotonicity and its finite limit as k -> inf
+    from the parameters alone.
 
     Case boundaries (b = c, c = 1, b + c = 1 within BOUNDARY_TOL) raise
-    ParamError with a pointer to ``reduce_special_case``.  The reported
-    monotonicity is cross-checked by sampling the closed-form sigma' at
-    32 log-spaced points of the validity range.
+    ParamError with a pointer to ``reduce_special_case``.  The monotonicity
+    is the sign law of the closed-form sigma'.  For VES, sigma' has the sign
+    of -lam*mu at every k: xi < 0 and 0 < b < 1 make mu > 0, and
+    lam = (c-1)/(b-c) is positive in case i only.  For the wage form,
+    sigma' has the sign of xi (1-b)(b+c-1), and is 0 at c = 0.
     """
     if isinstance(spec, CobbDouglasParams):
         return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
@@ -450,10 +413,7 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
             "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
     if isinstance(spec, VESParams):
         p = loglinear_from_ves(spec)
-        report = _regime_of_rental_regression(p.b, p.c, p.xi)
-    elif isinstance(spec, _WageForm):
-        report = _regime_of_wage_regression(spec.b, spec.c, spec._xi())
-    else:
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-    _crosscheck_monotonicity(spec, report)
-    return report
+        return _regime_of_rental_regression(p.b, p.c, p.xi)
+    if isinstance(spec, _WageForm):
+        return _regime_of_wage_regression(spec.b, spec.c, spec._xi())
+    raise TypeError(f"unsupported family spec: {type(spec).__name__}")

@@ -1,9 +1,22 @@
+import contextlib
 import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from vesprod import calibrate_xi, LogLinearParams, verify_family, ves_from_loglinear
+from vesprod import (
+    LogLinearParams,
+    VESParams,
+    VesprodError,
+    calibrate_xi,
+    classify_regime,
+    loglinear_from_ves,
+    ode_integrate_theorem,
+    verify_family,
+    ves_from_loglinear,
+)
 from vesprod.cli import TRAJECTORY_HEADER, main
 
 REFERENCE_FLAGS = ["--ln-a", "0.773454", "--b", "0.934369", "--c", "1.191951"]
@@ -283,6 +296,28 @@ def test_regime_ces(capsys):
                        "--delta", "0.4", "--sigma", "0.7")
     assert code == 0
     assert out.startswith("constant sigma, limit 0.700000000000, constant")
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("regime --family lh --a 1 --b 0.01 --c 0.5 --xi=-1",
+     "LH CD limit, limit 1.00000000000, increasing\n"),
+    ("regime --family ves --lambda=-0.5 --mu 1 --theta 200 --psi 1",
+     "case iii, limit 0.00500000000000, increasing\n"),
+], ids=["lh", "ves"])
+def test_regime_needs_no_closed_form_evaluation(capsys, argv, out):
+    # sigma' of these specs nears the ends of the double range in [1e-3, 1e3]
+    assert run(capsys, *argv.split()) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    "regime --family ves --lambda 0 --mu 1 --theta 1e4 --psi 0.5",
+    "regime --family ves --lambda 0.9998 --mu 1 --theta 0.5 --psi 0.5",
+    "verify --suite ode --lambda 0 --mu 1 --theta 1e4 --psi 0.5 --k-from 2 --k-to 3",
+])
+def test_overflow_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "overflows" in err
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +689,32 @@ def test_golden_verify(capsys, flags, code, out, err):
 # ---------------------------------------------------------------------------
 # Determinism and exit-code contract
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lam=st.floats(-5.0, 5.0), mu=st.floats(-5.0, 5.0), theta=st.floats(-50.0, 1e4),
+       psi=st.floats(0.0, 2.0, exclude_min=True), k_from=st.floats(0.01, 10.0),
+       ratio=st.floats(0.1, 100.0))
+@example(lam=0.0, mu=1.0, theta=1e4, psi=0.5, k_from=2.0, ratio=1.5)
+@example(lam=0.9998, mu=1.0, theta=0.5, psi=0.5, k_from=1.0, ratio=2.0)
+@example(lam=-0.5, mu=1.0, theta=1.0 + 2.0 ** -52, psi=1.0, k_from=1.0, ratio=2.0)
+@example(lam=-2.0, mu=1.0, theta=2.0, psi=1.0, k_from=1.0 + 1e-6, ratio=2.0)
+@example(lam=0.0, mu=1.0, theta=2.0, psi=5e-324, k_from=2.0, ratio=0.5)
+def test_ves_errors_and_exit_codes_property(capsys, lam, mu, theta, psi, k_from, ratio):
+    # the library raises only VesprodError; regime exits 0 or 2, verify 0, 1 or 2
+    k_to = k_from * ratio
+    with contextlib.suppress(VesprodError):
+        v = VESParams(lam=lam, mu=mu, theta=theta, psi=psi)
+        for call in (lambda: loglinear_from_ves(v), lambda: classify_regime(v),
+                     lambda: ode_integrate_theorem(v, k_from, 1.0, k_to, 64)):
+            with contextlib.suppress(VesprodError):
+                call()
+    flags = [f"--lambda={lam!r}", f"--mu={mu!r}", f"--theta={theta!r}", f"--psi={psi!r}"]
+    assert run(capsys, "regime", "--family", "ves", *flags)[0] in (0, 2)
+    code = run(capsys, "verify", "--suite", "ode", *flags, f"--k-from={k_from!r}",
+               f"--k-to={k_to!r}", "--steps", "64")[0]
+    assert code in (0, 1, 2)
+
 
 def test_byte_identical_output_on_repeat(capsys):
     argv = ["trajectory", "--family", "ves", *REFERENCE_FLAGS, "--xi", "-3.79",

@@ -283,6 +283,21 @@ def test_ves_from_loglinear_overflow_is_singular():
         ves_from_loglinear(LogLinearParams(a=2.0, b=1e-4, c=0.5, xi=-1.0))
 
 
+@pytest.mark.parametrize("v", [
+    VESParams(lam=0.0, mu=1.0, theta=1e4, psi=0.5),     # b = 1e-4: a^(-1/b)
+    VESParams(lam=0.9998, mu=1.0, theta=0.5, psi=0.5),  # b = 1e4: psi^(1-b)
+])
+def test_loglinear_from_ves_overflow_is_singular(v):
+    with pytest.raises(SingularError, match="overflows"):
+        loglinear_from_ves(v)
+
+
+def test_loglinear_from_ves_b_rounding_to_one_is_singular():
+    # lam*(theta-1) + theta = 1 + (1+lam)(theta-1) rounds to 1
+    with pytest.raises(SingularError, match="b = 1"):
+        loglinear_from_ves(VESParams(lam=-0.5, mu=1.0, theta=1.0 + 2.0 ** -52, psi=1.0))
+
+
 def test_loglinear_from_ves_roundtrip_reference(reference_fit):
     back = loglinear_from_ves(ves_from_loglinear(reference_fit))
     assert relerr(back.b, 0.934369) < 1e-10

@@ -87,6 +87,22 @@ def test_ode_singular_denominator():
         ode_integrate_theorem(v, 0.5, 1.0, 2.0, 100)
 
 
+@pytest.mark.parametrize("v, k_start, k_end", [
+    (VESParams(lam=0.0, mu=1.0, theta=1e4, psi=0.5), 2.0, 3.0),           # k^theta
+    (VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0), 1.0 + 1e-6, 2.0),  # y, next to the root k = 1
+])
+def test_ode_overflow_is_singular(v, k_start, k_end):
+    with pytest.raises(SingularError, match="overflows"):
+        ode_integrate_theorem(v, k_start, 1.0, k_end, 64)
+
+
+def test_verify_ode_underflowing_y_is_singular():
+    # y(1) = psi/2 rounds to 0 for the least subnormal psi
+    v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=5e-324)
+    with pytest.raises(SingularError, match="underflows"):
+        verify_ode(v, 2.0, 1.0, 64)
+
+
 def test_verify_ode_default_window_report():
     # the figures `vesprod verify --suite ode` prints
     v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)

@@ -297,6 +297,18 @@ def test_regime_xi_independent_for_lh():
     assert reports[0].sigma_limit == reports[1].sigma_limit
 
 
+def test_regime_of_extreme_parameters():
+    # sigma' of these specs nears the ends of the double range (the wage form
+    # near k = 1e-3, the VES from k ~ 1 on, where its denominator squared is
+    # past it); the regime follows from the parameters alone
+    r = classify_regime(LiuHildebrandParams(a=1.0, b=0.01, c=0.5, xi=-1.0))
+    assert (r.case_label, r.sigma_limit, r.monotonicity) \
+        == (RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
+    r = classify_regime(VESParams(lam=-0.5, mu=1.0, theta=200.0, psi=1.0))
+    assert (r.case_label, r.monotonicity) == (RegimeCase.VES_CASE_III, Monotonicity.INCREASING)
+    assert r.sigma_limit == pytest.approx(0.005, rel=1e-12)
+
+
 def test_regime_boundary_and_sign_errors():
     with pytest.raises(ParamError, match="reduce"):
         classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0)))
@@ -388,6 +400,9 @@ def test_validity_range_bad_probe():
 # Sign laws and limits
 # ---------------------------------------------------------------------------
 
+_MONOTONICITY = {1.0: Monotonicity.INCREASING, -1.0: Monotonicity.DECREASING}
+
+
 def test_sigma_prime_sign_law_rental(rng):
     checked = 0
     for _ in range(200):
@@ -406,6 +421,8 @@ def test_sigma_prime_sign_law_rental(rng):
                 continue
             assert math.copysign(1.0, sp) == expected
             checked += 1
+        if xi < 0.0:
+            assert classify_regime(v).monotonicity is _MONOTONICITY[expected]
     assert checked > 1000
 
 
@@ -426,7 +443,16 @@ def test_sigma_prime_sign_law_wage(rng):
                 continue
             assert math.copysign(1.0, sp) == expected
             checked += 1
+        if xi < 0.0:
+            assert classify_regime(lh).monotonicity is _MONOTONICITY[expected]
     assert checked > 1000
+
+
+def test_sigma_prime_does_not_round_to_zero():
+    # den = lam + theta*mu*k^(theta-1) squared is past the double range at k = 10;
+    # the 50-digit value is 4.950125e-201
+    v = VESParams(lam=-0.5, mu=1.0, theta=200.0, psi=1.0)
+    assert sigma_derivative_closed(v, 10.0) == pytest.approx(4.950125e-201, rel=1e-14, abs=0.0)
 
 
 def test_sigma_limits_at_large_k():
