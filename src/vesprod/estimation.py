@@ -31,8 +31,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     DomainError,
     MissingColumnError,
@@ -203,6 +201,8 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     :class:`ValidationError` for fewer than 4 observations, and
     :class:`RankError` when the regressors are collinear.
     """
+    import numpy as np  # imported here so that `import vesprod` does not load it
+
     rel = Relation(relation)
     if rel is Relation.RENTAL:
         if not d.has_r:

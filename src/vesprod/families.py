@@ -30,8 +30,9 @@ Liu-Hildebrand / Lu-Fletcher function.
 
 Each family type carries its closed forms as private methods (``_y``,
 ``_F``, ``_dy``, ``_d2y``, ``_R``, ``_dR``, ``_sigma``, ``_dsigma`` and the
-bracketed base ``_bracket``), each stated once; Lu-Fletcher shares the
-Liu-Hildebrand method set.  The public functions here and in
+bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
+the points where the validity conditions on them can change; Lu-Fletcher
+shares the Liu-Hildebrand method set.  The public functions here and in
 :mod:`vesprod.substitution` delegate to them through one entry point that
 checks the arguments.
 
@@ -42,6 +43,7 @@ they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -169,6 +171,32 @@ def _finite_or_singular(value: float, what: str, k: float) -> float:
     return value
 
 
+#: ln of the largest double, past which a power raises OverflowError and a
+#: product becomes inf, and of 2^-1075, below which a product rounds to 0.
+_LN_MAX = math.log(sys.float_info.max)
+_LN_ZERO = -1075.0 * math.log(2.0)
+
+
+def _root(e: float, a: float, b: float) -> list[float]:
+    """ln k where a + b k^e changes sign (none when a and b share a sign)."""
+    if e == 0.0 or a == 0.0 or b == 0.0 or (a > 0.0) == (b > 0.0):
+        return []
+    return [(math.log(abs(a)) - math.log(abs(b))) / e]
+
+
+def _magnitude(e: float, *coefs: float) -> list[float]:
+    """ln k where k^e overflows, and where c k^e overflows or rounds to 0,
+    for each coefficient c."""
+    if e == 0.0:
+        return []
+    levels = [_LN_MAX]
+    for c in coefs:
+        if c != 0.0:
+            ln_c = math.log(abs(c))
+            levels += [_LN_MAX - ln_c, _LN_ZERO - min(ln_c, 0.0)]
+    return [level / e for level in levels]
+
+
 class _Family:
     """Base of the six family specs.
 
@@ -182,6 +210,11 @@ class _Family:
         _R, _dR   marginal rate of substitution R = y/y' - k and R'
         _sigma, _dsigma
                   elasticity of substitution and its derivative
+        _sign_changes
+                  ln k of every point where the sign of _bracket, _R, _dR or
+                  _sigma can change or they stop being evaluable: the roots
+                  of their factors, and where their power terms overflow or
+                  round to 0
 
     A pole of sigma (R' = 0, or a vanishing rational denominator) raises
     SingularError rather than returning an infinity.
@@ -273,6 +306,15 @@ class VESParams(_Family):
         value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
         return _finite_or_singular(value, "derivative of sigma", k)
 
+    def _sign_changes(self) -> list[float]:
+        # with x = k^(theta-1): bracket k^(1-theta) ((1+lam) + mu x), R = k (lam + mu x),
+        # R' = lam + theta mu x and sigma = (lam + mu x) / (lam + theta mu x)
+        lam, mu, th = self.lam, self.mu, self.theta
+        e = th - 1.0
+        return [*_root(e, 1.0 + lam, mu), *_root(e, lam, mu), *_root(e, lam, th * mu),
+                *_magnitude(1.0 - th, 1.0 + lam), *_magnitude(1.0, lam),
+                *_magnitude(th, mu), *_magnitude(e, mu, th * mu)]
+
 
 @dataclass(frozen=True)
 class CobbDouglasParams(_Family):
@@ -313,6 +355,9 @@ class CobbDouglasParams(_Family):
 
     def _dsigma(self, k: float) -> float:
         return 0.0
+
+    def _sign_changes(self) -> list[float]:
+        return _magnitude(1.0, (1.0 - self.beta) / self.beta)
 
 
 @dataclass(frozen=True)
@@ -370,6 +415,11 @@ class CESParams(_Family):
 
     def _dsigma(self, k: float) -> float:
         return 0.0
+
+    def _sign_changes(self) -> list[float]:
+        s, d = self.sigma, self.delta
+        return [*_magnitude((s - 1.0) / s, d), *_magnitude(1.0 / s, (1.0 - d) / d),
+                *_magnitude(1.0 / s - 1.0, (1.0 - d) / (d * s))]
 
 
 class _WageForm(_Family):
@@ -470,6 +520,32 @@ class _WageForm(_Family):
             raise SingularError(f"sigma has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
         return _finite_or_singular(num / den / den, "derivative of sigma", k)
+
+    def _sign_changes(self) -> list[float]:
+        # with x = k^((b+c-1)/b) and s = b+c-1: bracket k^(-c/b) (m x + n),
+        # R = -b s k / D1, R' = -s D2 / D1^2 and sigma = b D1 / D2, where
+        # D1 = c1 x + bc and D2 = c2 x + b^2 c
+        b, c = self.b, self.c
+        try:
+            m, xi = self._bracket_coef(), self._xi()
+        except OverflowError:  # then every condition fails at every k
+            return []
+        s = b + c - 1.0
+        e, n = s / b, (b - 1.0) / s
+        c1, c2 = xi * (1.0 - b) * s, xi * (1.0 - b) * (1.0 - c) * s
+        cuts = [*_root(e, n, m), *_root(e, b * c, c1), *_root(e, b * b * c, c2),
+                *_magnitude((b - 1.0) / b, m), *_magnitude(-c / b, n),
+                *_magnitude(e, c1, c2, b * c1), *_magnitude(1.0, b * s)]
+        # a quotient overflows or rounds to 0 where the ratio of its leading
+        # terms does: every numerator term over every denominator term
+        numerators = ((-b * s, 1.0), (-s * c2, e), (-s * b * b * c, 0.0), (b * c1, e),
+                      (b * b * c, 0.0))
+        denominators = ((b * c, 0.0), (c1, e), (b * b * c, 0.0), (c2, e))
+        for num, e_num in numerators:
+            for den, e_den in denominators:
+                if den != 0.0:
+                    cuts += _magnitude(e_num - e_den, num / den)
+        return cuts
 
 
 @dataclass(frozen=True)
@@ -629,6 +705,15 @@ class SatoHoffmanParams(_Family):
         self._check_domain(k, degree_one=True)
         return (self.rho - 1.0) / (1.0 - self.delta * self.rho)
 
+    def _sign_changes(self) -> list[float]:
+        # the domain bound (1 - delta rho)/(1 - rho), where the bracket and sigma
+        # vanish; R = dr k / D and R' = dr (1 - dr) / D^2 with D the bracket
+        dr, r = self.delta * self.rho, self.rho - 1.0
+        cuts = [*_root(1.0, 1.0 - dr, r), *_magnitude(1.0, dr)]
+        if r != 0.0:
+            cuts += _magnitude(2.0, r * r, dr * (1.0 - dr) / (r * r))
+        return cuts
+
 
 FamilySpec = Union[
     CobbDouglasParams,
@@ -718,8 +803,9 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     """Invert :func:`ves_from_loglinear`.  Requires lam*(theta-1) + theta != 0,
     and the image must satisfy the regression-space sign restrictions
     (a > 0, b > 0, c > 0); structural parameters outside that image raise
-    :class:`ParamError`.  A power of psi or a past the double range, and b
-    rounding to 1, raise :class:`SingularError`."""
+    :class:`ParamError`.  A power of psi or a past the double range (or
+    psi^(1-b) rounding to 0), and b rounding to 1, raise
+    :class:`SingularError`."""
     den = v.lam * (v.theta - 1.0) + v.theta
     if den == 0.0:
         raise SingularError("lam*(theta-1) + theta = 0: no log-linear representation")
@@ -736,6 +822,9 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     except OverflowError as exc:
         raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) overflows, "
                             "so it has no finite value") from exc
+    if a == 0.0:
+        raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) underflows to 0, "
+                            "so it has no positive value")
     p = LogLinearParams(a=a, b=b, c=c)
     return p.with_xi(v.mu * b * _scale_power(p, -1.0 / b, "a^(-1/b)") / (b - 1.0))
 

@@ -26,8 +26,11 @@ SingularError rather than returning an infinity.
 Pointwise operations enforce evaluability (positive bracketed base,
 family domain restrictions); the economic validity conditions R > 0,
 R' > 0, sigma > 0 are intersected by :func:`validity_range`, which is
-what trajectory emission builds on.  Regime classification needs no
-scan: the sign of sigma' follows from the parameters (see
+what trajectory emission builds on.  It checks them only next to the
+points where they can change, which each family states in closed form
+(``_sign_changes``: roots of the factors of its closed forms, and where
+their power terms overflow or round to 0).  Regime classification needs
+no scan: the sign of sigma' follows from the parameters (see
 :func:`classify_regime`).
 """
 
@@ -139,15 +142,19 @@ class ValidityInterval:
         return a, b
 
 
-def _log_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n log-spaced points from lo to hi (0 < lo < hi, n >= 2).  A window
-    wider than a double's range (hi/lo = inf) is spaced in log space."""
+def _grid_point(lo: float, hi: float, n: int, i: int) -> float:
+    """Point i of n log-spaced points from lo to hi (0 < lo < hi, n >= 2).  A
+    window wider than a double's range (hi/lo = inf) is spaced in log space."""
     ratio = hi / lo
     if math.isinf(ratio):
         ln_lo = math.log(lo)
-        step = (math.log(hi) - ln_lo) / (n - 1)
-        return [math.exp(ln_lo + i * step) for i in range(n)]
-    return [lo * ratio ** (i / (n - 1)) for i in range(n)]
+        return math.exp(ln_lo + i * ((math.log(hi) - ln_lo) / (n - 1)))
+    return lo * ratio ** (i / (n - 1))
+
+
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+    """The n points of :func:`_grid_point` from lo to hi."""
+    return [_grid_point(lo, hi, n, i) for i in range(n)]
 
 
 # --------------------------------------------------------------------------
@@ -313,11 +320,17 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     """Maximal subinterval of [k_probe_low, k_probe_high] on which R > 0,
     R' > 0, sigma > 0, and the bracketed base is positive.
 
-    The probe window is scanned on a log-spaced grid; the longest
-    contiguous valid run is kept (the first of several equally long ones)
-    and its endpoints are refined by bisection to relative 1e-10.  An
-    empty interval is returned (never an exception) when no probe point
-    is valid.
+    ``samples`` log-spaced points span the probe window.  The conditions
+    change only at the family's closed-form cut points (roots of the
+    factors of the closed forms, and where their power terms overflow or
+    round to 0), so they are checked at the two grid points around each
+    cut and at the ends of the window; should two checked points still
+    disagree, the grid point where they change is found by bisecting the
+    grid index.  Of the valid runs of grid points the longest is kept (the
+    first of several equally long ones), and each end of it inside the
+    window is refined by bisection, between its grid point and the invalid
+    one next to it, to relative 1e-10.  An empty interval is returned
+    (never an exception) when no grid point is valid.
     """
     if not (math.isfinite(k_probe_low) and math.isfinite(k_probe_high)
             and 0.0 < k_probe_low < k_probe_high):
@@ -326,15 +339,42 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     if samples < 2:
         raise ParamError("need at least 2 probe samples")
 
-    grid = _log_grid(k_probe_low, k_probe_high, samples)
+    def point(i: int) -> float:
+        return _grid_point(k_probe_low, k_probe_high, samples, i)
+
+    valid: dict[int, bool] = {}
+
+    def check(i: int) -> bool:
+        if i not in valid:
+            valid[i] = not violated_constraints(spec, point(i))
+        return valid[i]
+
+    near = {0, samples - 1}
+    ln_low = math.log(k_probe_low)
+    ln_span = math.log(k_probe_high) - ln_low  # 0 when the logs of the ends round together
+    for ln_k in spec._sign_changes() if ln_span > 0.0 else ():
+        t = (ln_k - ln_low) / ln_span * (samples - 1)
+        if 0.0 <= t < samples - 1:
+            near.update((int(t), int(t) + 1))
+    # where two neighbouring checked points still disagree, bisect the index
+    probed = sorted(near)
+    for i, j in zip(probed, probed[1:]):
+        while check(i) != check(j) and j - i > 1:
+            mid = (i + j) // 2
+            if check(mid) == check(i):
+                i = mid
+            else:
+                j = mid
+
+    # every unchecked grid point is as valid as the checked points around it
     runs: list[list[int]] = []  # [first, last] index of each valid run
-    for i, k in enumerate(grid):
-        if violated_constraints(spec, k):
-            continue
-        if runs and runs[-1][1] == i - 1:
+    in_run = False
+    for i in sorted(valid):
+        if valid[i] and in_run:
             runs[-1][1] = i
-        else:
+        elif valid[i]:
             runs.append([i, i])
+        in_run = valid[i]
     if not runs:
         return ValidityInterval.empty()
 
@@ -343,7 +383,7 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     # an end of the run inside the window is refined against its invalid neighbour
     for side, bad, good in ((0, first - 1, first), (1, last + 1, last)):
         if 0 <= bad < samples:
-            ends[side], bad_point = _bisect_boundary(spec, grid[bad], grid[good])
+            ends[side], bad_point = _bisect_boundary(spec, point(bad), point(good))
             active.update(violated_constraints(spec, bad_point))
     return ValidityInterval(k_low=ends[0], k_high=ends[1], constraints_active=tuple(
         label for label, _ in _CONSTRAINTS if label in active))

@@ -320,6 +320,14 @@ def test_overflow_exits_2(capsys, argv):
     assert err.startswith("error: ") and "overflows" in err
 
 
+def test_underflow_exits_2(capsys):
+    # b = 1e4: psi^(1-b) = 2^-9999 rounds to 0
+    code, out, err = run(capsys, *"regime --family ves --lambda 0.9998 --mu 1 --theta 0.5 "
+                                   "--psi 2".split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "psi^(1-b) underflows" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate-xi and reduce
 # ---------------------------------------------------------------------------
@@ -444,6 +452,7 @@ GOLDEN_FAMILIES = {
     'lh': '--family lh --a 1 --b 0.5 --c 0.2 --xi -1',
     'lf': '--family lf --a 1 --b 0.5 --c 0.2 --zeta 1',
     'sh': '--family sh --gamma 1 --delta 0.5 --rho 0.5',
+    'lh-pole': '--family lh --a 1 --b 0.5 --c 0.2 --xi 1',
 }
 
 GOLDEN = [
@@ -569,6 +578,45 @@ GOLDEN = [
     ('sh', 'verify --suite family {} --k-from 0.1 --k-to 1.4',
      'family: 64 points, max_rel_error = 1.271707e-07, tolerance = 1e-06: PASS\n'
      'worst: k = 0.158532239069, quantity = sigma\n'),
+    # trajectories whose window ends where R rounds to 0 (k^2 underflows), where
+    # R overflows, at the Sato-Hoffman domain bound and at the wage form's pole
+    # of sigma (R' = 0)
+    ('ves', 'trajectory {} --k-from 1e-300 --k-to 1e3 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '1.57172778624e-162,1.57172778624e-162,4.94065645841e-324,3.14345557249e-162,0.500000000000,-0.00000000000\n'
+     '4.60943585669e-135,4.60943585669e-135,2.12468989170e-269,9.21887171339e-135,0.500000000000,-0.00000000000\n'
+     '1.35181798674e-107,1.35181798674e-107,1.82741186926e-214,2.70363597347e-107,0.500000000000,-0.00000000000\n'
+     '3.96450222127e-80,3.96450222127e-80,1.57172778624e-159,7.92900444253e-80,0.500000000000,-0.00000000000\n'
+     '1.16267707758e-52,1.16267707758e-52,1.35181798674e-104,2.32535415517e-52,0.500000000000,-0.00000000000\n'
+     '3.40980509352e-25,3.40980509352e-25,1.16267707758e-49,6.81961018705e-25,0.500000000000,-0.00000000000\n'
+     '1000.00000000,0.999000999001,1000000.00000,2000.00000000,0.500000000000,-0.00000000000\n'),
+    ('ves-regression', 'trajectory {} --k-from 0.1 --k-to 1e300 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '2.07760001318,2314447.55051,4.26994439806e-10,0.205433827797,1.00043427722e-09,0.481324601164\n'
+     '3.45186396793e+40,152346333.380,3.14851021092e+51,116356705075.,0.783898834766,1.10530969457e-53\n'
+     '5.73515824870e+80,152346333.386,6.40285113505e+102,1.42419015738e+22,0.783898834768,5.43520189081e-105\n'
+     '9.52877646489e+120,152346333.386,1.30209209788e+154,1.74318927566e+33,0.783898834768,2.67268257388e-156\n'
+     '1.58317481367e+161,152346333.386,2.64795135103e+205,2.13363983385e+44,0.783898834768,1.31425332200e-207\n'
+     '2.63039278956e+201,152346333.386,5.38490815578e+256,2.61154597735e+55,0.783898834768,6.46265221040e-259\n'
+     '4.37031095214e+241,152346333.386,1.09508189548e+308,3.19649656122e+66,0.783898834768,3.17791653204e-310\n'),
+    ('sh', 'trajectory {} --k-from 1e-3 --k-to 1e3 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '0.00100000000000,0.00562271019341,0.000333555703803,0.333778222618,0.999333333333,-0.666666666667\n'
+     '0.00338336259094,0.0140225688108,0.00113033709046,0.334842153003,0.997744424939,-0.666666666667\n'
+     '0.0114471424217,0.0349461712340,0.00384505742052,0.338479789183,0.992368571719,-0.666666666667\n'
+     '0.0387298334428,0.0868782528681,0.0132521125556,0.351236974724,0.974180111038,-0.666666666667\n'
+     '0.131037069624,0.214135317775,0.0478599773288,0.400200739678,0.912641953584,-0.666666666667\n'
+     '0.443345919390,0.510325848511,0.209787634159,0.671731314139,0.704436053740,-0.666666666667\n'
+     '1.49999999851,0.958414656369,503008972.490,3.37357369211e+17,9.94018090061e-10,-0.666666666667\n'),
+    ('lh-pole', 'trajectory {} --k-from 0.1 --k-to 100 --points 7',
+     'k,y,R,R_prime,sigma,sigma_prime\n'
+     '4.30214856107,1.43404951919,17.2085942268,6.50853147830e-09,614577959.601,-1.40471691459e+17\n'
+     '7.26782569020,1.62268973354,20.0509440295,1.36965005699,2.01428399543,-0.310217351211\n'
+     '12.2778861569,1.88759300176,27.6169272325,1.57513528964,1.42801869081,-0.0447903822333\n'
+     '20.7416213471,2.23530940136,41.1111787345,1.59987129074,1.23888838748,-0.0113125819448\n'
+     '35.0398147212,2.67899663402,63.9073468432,1.58758839364,1.14881757660,-0.00355952851704\n'
+     '59.1944378478,3.23734077877,102.016591171,1.56940032900,1.09813609780,-0.00125502954821\n'
+     '100.000000000,3.93470180709,165.680609622,1.55288717776,1.06691981230,-0.000473171054234\n'),
 ]
 
 

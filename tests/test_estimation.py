@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,17 @@ from vesprod import (
     validity_range,
     ves_from_loglinear,
 )
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported by fit_loglinear alone, so the other commands skip its start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, vesprod, vesprod.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def _csv(rows, header="period,y,k,r"):

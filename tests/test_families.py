@@ -292,6 +292,12 @@ def test_loglinear_from_ves_overflow_is_singular(v):
         loglinear_from_ves(v)
 
 
+def test_loglinear_from_ves_underflow_is_singular():
+    # b = 1e4: psi^(1-b) = 2^-9999 rounds to 0, which is no value of a
+    with pytest.raises(SingularError, match=r"psi\^\(1-b\) underflows"):
+        loglinear_from_ves(VESParams(lam=0.9998, mu=1.0, theta=0.5, psi=2.0))
+
+
 def test_loglinear_from_ves_b_rounding_to_one_is_singular():
     # lam*(theta-1) + theta = 1 + (1+lam)(theta-1) rounds to 1
     with pytest.raises(SingularError, match="b = 1"):

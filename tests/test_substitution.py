@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     fd_derivative,
@@ -10,12 +12,14 @@ from conftest import (
     relerr,
     rental_mrs,
 )
+import vesprod.substitution as substitution
 from vesprod import (
     CESParams,
     CobbDouglasParams,
     DomainError,
     LiuHildebrandParams,
     LogLinearParams,
+    LuFletcherParams,
     Monotonicity,
     ParamError,
     RegimeCase,
@@ -36,7 +40,9 @@ from vesprod import (
     sigma_from_shares,
     validity_range,
     ves_from_loglinear,
+    violated_constraints,
 )
+from vesprod.substitution import _CONSTRAINTS, ValidityInterval, _bisect_boundary
 
 # displayed coefficients the closed forms must reproduce at the reference fit
 PRINTED = {
@@ -389,6 +395,148 @@ def test_validity_range_window_wider_than_double_range(reference_fit_ves):
     assert abs(wide.k_low - narrow.k_low) < 1e-10
     assert wide.k_high == 1e200
     assert wide.constraints_active == ("R>0", "sigma>0")
+
+
+def _scan_validity_range(spec, k_probe_low, k_probe_high, samples=512):
+    """The validity scan as it was before the cut points: every condition at
+    every point of the log grid, the longest valid run (the first of equal
+    ones), and its ends bisected."""
+    ratio = k_probe_high / k_probe_low
+    if math.isinf(ratio):
+        ln_lo = math.log(k_probe_low)
+        step = (math.log(k_probe_high) - ln_lo) / (samples - 1)
+        grid = [math.exp(ln_lo + i * step) for i in range(samples)]
+    else:
+        grid = [k_probe_low * ratio ** (i / (samples - 1)) for i in range(samples)]
+    runs = []
+    for i, k in enumerate(grid):
+        if violated_constraints(spec, k):
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    if not runs:
+        return ValidityInterval.empty()
+    first, last = max(runs, key=lambda run: run[1] - run[0])
+    ends, active = [k_probe_low, k_probe_high], set()
+    for side, bad, good in ((0, first - 1, first), (1, last + 1, last)):
+        if 0 <= bad < samples:
+            ends[side], bad_point = _bisect_boundary(spec, grid[bad], grid[good])
+            active.update(violated_constraints(spec, bad_point))
+    return ValidityInterval(k_low=ends[0], k_high=ends[1], constraints_active=tuple(
+        label for label, _ in _CONSTRAINTS if label in active))
+
+
+def _outcome(f, spec, lo, hi, samples):
+    """The interval as comparable values (NaN endpoints as 'empty'), or the
+    type and message of what the call raised."""
+    try:
+        r = f(spec, lo, hi, samples=samples)
+    except Exception as exc:  # both versions must raise the same
+        return type(exc), str(exc)
+    if r.is_empty:
+        return "empty", math.isnan(r.k_low), math.isnan(r.k_high), r.constraints_active
+    return r.k_low, r.k_high, r.constraints_active
+
+
+def _around(draw, k):
+    """A window reaching up to 8 decades either side of k > 0."""
+    lo = k / 10.0 ** draw(st.floats(0.0, 8.0))
+    hi = k * 10.0 ** draw(st.floats(0.0, 8.0))
+    return (lo, hi) if 0.0 < lo < hi < math.inf else (1e-3, 1e3)
+
+
+def _pole(coef_x, const, e):
+    """k where coef_x * k^e + const = 0, or 1 when there is none in 1e-300..1e300."""
+    if coef_x == 0.0 or const == 0.0 or (coef_x > 0.0) == (const > 0.0):
+        return 1.0
+    ln_k = (math.log(abs(const)) - math.log(abs(coef_x))) / e
+    return math.exp(ln_k) if abs(ln_k) < 690.0 else 1.0
+
+
+@st.composite
+def _validity_cases(draw):
+    """(spec, k_probe_low, k_probe_high, samples) over all six families:
+    windows anywhere in 1e-300..1e300 (also wider than a double's ratio) or
+    around a pole of the wage form or the Sato-Hoffman domain bound."""
+    family = draw(st.sampled_from(["ves", "lh", "lf", "cd", "ces", "sh"]))
+    window = None
+    if family == "ves":
+        lam = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0).filter(lambda x: x != -1.0)))
+        mu = draw(st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 1e-6))
+        theta = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-1e4, 1e4))
+                     .filter(lambda x: x != 1.0))
+        spec = VESParams(lam=lam, mu=mu, theta=theta, psi=draw(st.floats(1e-3, 2.0)))
+    elif family in ("lh", "lf"):
+        a, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.01, 3.0).filter(lambda x: x != 1.0))
+        c = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)).filter(lambda x: b + x != 1.0))
+        const = draw(st.floats(-100.0, 100.0))
+        if family == "lh":
+            spec, xi = LiuHildebrandParams(a=a, b=b, c=c, xi=const), const
+        else:
+            spec = LuFletcherParams(a=a, b=b, c=c, zeta=const)
+            xi = const * b * a ** (1.0 / b) / (b - 1.0)
+        s = b + c - 1.0
+        if draw(st.booleans()) and xi != 0.0:
+            # next to the pole of R (c1 x + bc = 0) or of sigma (c1 (1-c) x + b^2 c = 0)
+            c1 = xi * (1.0 - b) * s
+            pole = draw(st.sampled_from([_pole(c1, b * c, s / b),
+                                         _pole(c1 * (1.0 - c), b * b * c, s / b)]))
+            window = _around(draw, pole)
+    elif family == "cd":
+        spec = CobbDouglasParams(A=draw(st.floats(1e-3, 1e3)),
+                                 beta=draw(st.floats(1e-6, 1.0 - 1e-6)))
+    elif family == "ces":
+        spec = CESParams(gamma=draw(st.floats(1e-3, 1e3)), delta=draw(st.floats(1e-6, 1.0 - 1e-6)),
+                         sigma=draw(st.floats(1e-3, 1e3).filter(lambda x: x != 1.0)))
+    else:
+        delta = draw(st.floats(0.01, 0.99))
+        spec = SatoHoffmanParams(gamma=draw(st.floats(0.1, 10.0)), delta=delta,
+                                 rho=draw(st.floats(0.0, 1.0 / delta)))
+        if spec.rho < 1.0 and draw(st.booleans()):
+            window = _around(draw, spec.k_upper_bound())
+    if window is None:
+        lo_exp = draw(st.floats(-300.0, 299.0))
+        hi_exp = draw(st.floats(lo_exp, 300.0).filter(lambda x: x > lo_exp + 1e-6))
+        window = (10.0 ** lo_exp, 10.0 ** hi_exp)
+    samples = draw(st.one_of(st.sampled_from([2, 3, 192, 512]), st.integers(2, 600)))
+    return spec, *window, samples
+
+
+_REFERENCE_VES = ves_from_loglinear(
+    LogLinearParams(a=math.exp(0.773454), b=0.934369, c=1.191951, xi=-3.79))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_validity_cases())
+@example(case=(_REFERENCE_VES, 0.1, 1e300, 512))                 # R overflows
+@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1e-300, 1e3, 512))  # R = k^2 rounds to 0
+@example(case=(ves_from_loglinear(LogLinearParams(a=1.0, b=0.8, c=0.3, xi=-1.0)),
+               1e-3, 1e3, 512))                                  # R' = 0
+@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1e-300, 1e300, 192))  # log-space grid
+@example(case=(CobbDouglasParams(1.0, 0.5), 1e10, math.nextafter(1e10, math.inf), 512))
+def test_validity_range_equals_the_full_scan(case):
+    spec, lo, hi, samples = case
+    assert _outcome(validity_range, spec, lo, hi, samples) \
+        == _outcome(_scan_validity_range, spec, lo, hi, samples)
+
+
+def test_validity_range_checks_only_next_to_cuts(monkeypatch, reference_fit_ves):
+    # the grid points checked are the window's ends and the two around each cut
+    # inside it (for the reference fit on [0.1, 100]: two of 512 points each)
+    cuts = [c for c in reference_fit_ves._sign_changes() if math.log(0.1) < c < math.log(100.0)]
+    assert len(cuts) == 2
+    grid = set(substitution._log_grid(0.1, 100.0, 512))
+    checked = []
+
+    def counted(spec, k):
+        checked.append(k)
+        return violated_constraints(spec, k)
+
+    monkeypatch.setattr(substitution, "violated_constraints", counted)
+    validity_range(reference_fit_ves, 0.1, 100.0)
+    assert len([k for k in checked if k in grid]) == 2 + 2 * len(cuts)
 
 
 def test_validity_range_bad_probe():
