@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Sequence
 
-from .errors import VesprodError
+from .errors import ParamError, VesprodError
 from .families import (
     CESParams,
     CobbDouglasParams,
@@ -128,7 +128,10 @@ def _scale_a(args: argparse.Namespace) -> float:
     if args.a is not None:
         return args.a
     if args.ln_a is not None:
-        return math.exp(args.ln_a)
+        try:
+            return math.exp(args.ln_a)
+        except OverflowError:
+            raise ParamError(f"a = e^ln_a overflows for ln_a = {args.ln_a!r}") from None
     raise _UsageError("missing --a (or --ln-a)")
 
 

@@ -34,7 +34,7 @@ bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
 the points where the validity conditions on them can change; Lu-Fletcher
 shares the Liu-Hildebrand method set.  The public functions here and in
 :mod:`vesprod.substitution` delegate to them through one entry point that
-checks the arguments.
+checks the arguments and turns floating-point failure into VesprodError.
 
 All types are frozen dataclasses and all operations are pure functions;
 they are safe to share across threads.
@@ -165,12 +165,6 @@ def _require_factors(K: float, L: float) -> None:
         raise DomainError(f"labor input must be positive and finite, got {L!r}")
 
 
-def _finite_or_singular(value: float, what: str, k: float) -> float:
-    if not math.isfinite(value):
-        raise SingularError(f"{what} is not finite at k = {k:.12g}")
-    return value
-
-
 #: ln of the largest double, past which a power raises OverflowError and a
 #: product becomes inf, and of 2^-1075, below which a product rounds to 0.
 _LN_MAX = math.log(sys.float_info.max)
@@ -216,8 +210,8 @@ class _Family:
                   of their factors, and where their power terms overflow or
                   round to 0
 
-    A pole of sigma (R' = 0, or a vanishing rational denominator) raises
-    SingularError rather than returning an infinity.
+    A pole of sigma (R' = 0, or a vanishing rational denominator) divides
+    by zero, which :func:`_evaluate` turns into SingularError.
     """
 
     def _positive_bracket(self, k: float) -> float:
@@ -293,18 +287,12 @@ class VESParams(_Family):
     def _sigma(self, k: float) -> float:
         lam, mu, th = self.lam, self.mu, self.theta
         x = k ** (th - 1.0)
-        den = lam + th * mu * x
-        if den == 0.0:
-            raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
-        return _finite_or_singular((lam + mu * x) / den, "sigma", k)
+        return (lam + mu * x) / (lam + th * mu * x)
 
     def _dsigma(self, k: float) -> float:
         lam, mu, th = self.lam, self.mu, self.theta
         den = lam + th * mu * k ** (th - 1.0)
-        if den == 0.0:
-            raise SingularError(f"sigma has a pole (R' = 0) at k = {k:.12g}")
-        value = -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
-        return _finite_or_singular(value, "derivative of sigma", k)
+        return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
 
     def _sign_changes(self) -> list[float]:
         # with x = k^(theta-1): bracket k^(1-theta) ((1+lam) + mu x), R = k (lam + mu x),
@@ -418,8 +406,10 @@ class CESParams(_Family):
 
     def _sign_changes(self) -> list[float]:
         s, d = self.sigma, self.delta
-        return [*_magnitude((s - 1.0) / s, d), *_magnitude(1.0 / s, (1.0 - d) / d),
-                *_magnitude(1.0 / s - 1.0, (1.0 - d) / (d * s))]
+        cuts = [*_magnitude((s - 1.0) / s, d), *_magnitude(1.0 / s, (1.0 - d) / d)]
+        if d * s != 0.0:  # else R' divides by zero at every k
+            cuts += _magnitude(1.0 / s - 1.0, (1.0 - d) / (d * s))
+        return cuts
 
 
 class _WageForm(_Family):
@@ -487,39 +477,29 @@ class _WageForm(_Family):
     def _R(self, k: float) -> float:
         b, c, xi = self.b, self.c, self._xi()
         den = xi * (1.0 - b) * (b + c - 1.0) * k ** ((b + c - 1.0) / b) + b * c
-        if den == 0.0:
-            raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
-        return _finite_or_singular(-b * (b + c - 1.0) * k / den,
-                                   "marginal rate of substitution", k)
+        return -b * (b + c - 1.0) * k / den
 
     def _dR(self, k: float) -> float:
         b, c, xi = self.b, self.c, self._xi()
         x = k ** ((b + c - 1.0) / b)
         den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-        if den == 0.0:
-            raise SingularError(f"marginal rate of substitution has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
-        return _finite_or_singular(-(b + c - 1.0) * num / den / den,
-                                   "derivative of the marginal rate of substitution", k)
+        return -(b + c - 1.0) * num / den / den
 
     def _sigma(self, k: float) -> float:
         b, c, xi = self.b, self.c, self._xi()
         x = k ** ((b + c - 1.0) / b)
         den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
-        if den == 0.0:
-            raise SingularError(f"sigma has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-        return _finite_or_singular(b * num / den, "sigma", k)
+        return b * num / den
 
     def _dsigma(self, k: float) -> float:
         b, c, xi = self.b, self.c, self._xi()
         s = b + c - 1.0
         den = xi * (1.0 - b) * s * (1.0 - c) * k ** ((b - 1.0) / b) \
             + b * b * c * k ** (-c / b)
-        if den == 0.0:
-            raise SingularError(f"sigma has a pole at k = {k:.12g}")
         num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
-        return _finite_or_singular(num / den / den, "derivative of sigma", k)
+        return num / den / den
 
     def _sign_changes(self) -> list[float]:
         # with x = k^((b+c-1)/b) and s = b+c-1: bracket k^(-c/b) (m x + n),
@@ -603,10 +583,8 @@ class LuFletcherParams(_WageForm):
         u = k ** ((b - 1.0) / b)
         v = b * c * a ** (-1.0 / b) * k ** (-c / b)
         den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
-        if den == 0.0:
-            raise SingularError(f"sigma has a pole at k = {k:.12g}")
         num = zeta * b * (1.0 - b - c) * u + v
-        return _finite_or_singular(num / den, "sigma", k)
+        return num / den
 
 
 @dataclass(frozen=True)
@@ -710,7 +688,7 @@ class SatoHoffmanParams(_Family):
         # vanish; R = dr k / D and R' = dr (1 - dr) / D^2 with D the bracket
         dr, r = self.delta * self.rho, self.rho - 1.0
         cuts = [*_root(1.0, 1.0 - dr, r), *_magnitude(1.0, dr)]
-        if r != 0.0:
+        if r * r != 0.0:  # else D^2 < (1.5e-162 k)^2 stays inside the double range
             cuts += _magnitude(2.0, r * r, dr * (1.0 - dr) / (r * r))
         return cuts
 
@@ -725,26 +703,40 @@ FamilySpec = Union[
 ]
 
 
+#: What each closed-form method computes, as error messages name it.
+_QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_d2y": "y''",
+             "_R": "R", "_dR": "R'", "_sigma": "sigma", "_dsigma": "sigma'"}
+
+
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
     is given: the one path from a public kernel to a closed form.
 
-    Rejects a non-family spec with TypeError, checks k (or K and L) once,
-    and turns floating-point overflow inside the closed form into
-    DomainError.
+    Rejects a non-family spec with TypeError and checks k (or K and L)
+    once.  It is the one place that says what a floating-point failure in
+    a closed form means: an overflowing power raises DomainError; a
+    division by zero (a pole, or a term that rounded to 0) and a result
+    that is not finite raise SingularError.  Only ``_bracket``, of which
+    just the sign matters, may return +-inf (Cobb-Douglas has none: inf).
     """
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     try:
         if L is None:
             _require_ratio(k)
-            return getattr(spec, method)(k)
-        _require_factors(k, L)
-        return getattr(spec, method)(k, L)
-    except OverflowError as exc:
-        where = f"k = {k:.12g}" if L is None else f"K = {k:.12g}, L = {L:.12g}"
-        raise DomainError(f"{type(spec).__name__}: the closed form overflows "
-                          f"at {where}") from exc
+            value = getattr(spec, method)(k)
+        else:
+            _require_factors(k, L)
+            value = getattr(spec, method)(k, L)
+        if math.isfinite(value) or (method == "_bracket" and not math.isnan(value)):
+            return value
+        error, what = SingularError, f"{_QUANTITY[method]} is not finite"
+    except OverflowError:
+        error, what = DomainError, "the closed form overflows"
+    except ZeroDivisionError:
+        error, what = SingularError, f"{_QUANTITY[method]} divides by zero"
+    where = f"k = {k:.12g}" if L is None else f"K = {k:.12g}, L = {L:.12g}"
+    raise error(f"{type(spec).__name__}: {what} at {where}")
 
 
 def bracket_base(spec: FamilySpec, k: float) -> float:

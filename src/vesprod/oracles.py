@@ -135,8 +135,21 @@ def _second(f: Callable[[float], float], k: float) -> float:
 
 
 def _fd_derivatives(y: Callable[[float], float], k: float) -> tuple[float, float, float]:
-    """y, y' and y'' at k, the derivatives by finite differences."""
-    return y(k), _central(y, k), _second(y, k)
+    """y, y' and y'' at k, the derivatives by finite differences.  A step
+    that underflows (its square does below k ~ 1e-158) divides by zero:
+    SingularError."""
+    try:
+        return y(k), _central(y, k), _second(y, k)
+    except ZeroDivisionError as exc:
+        raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
+
+
+def _mrs_identity(k: float, yv: float, yp: float) -> float:
+    """R = y/y' - k from a (finite-difference) y'."""
+    if yp == 0.0:
+        raise SingularError(f"finite-difference y' vanishes at k = {k:.12g}; "
+                            "the identity R = y/y' - k is singular there")
+    return yv / yp - k
 
 
 def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
@@ -175,7 +188,8 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     the closed form at ``k_end`` with relative error O(steps^-4).
     Raises SingularError if the denominator (1+lam) k + mu k^theta
     vanishes, changes sign or overflows along the path, or if the
-    integrated y overflows.
+    integrated y overflows, and DomainError where a node next to a tiny
+    ``k_end`` rounds to k <= 0 and k^theta has no real value there.
     """
     for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
         if not (math.isfinite(value) and value > 0.0):
@@ -209,6 +223,9 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     except OverflowError as exc:
         raise SingularError(f"k^theta or the integrated y overflows between "
                             f"k = {k_start:.12g} and k = {k_end:.12g}") from exc
+    except (TypeError, ZeroDivisionError) as exc:  # 0^theta < 0, or complex (-k)^theta
+        raise DomainError(f"a node of the path from k = {k_start:.12g} to k = {k_end:.12g} "
+                          "rounds to k <= 0, where k^theta is not real") from exc
 
 
 def verify_ode(v: VESParams, k_start: float, k_end: float, steps: int,
@@ -263,7 +280,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
         yv, yp, ypp = _fd_derivatives(y, k)
 
         R_cl = mrs_closed(spec, k)
-        worst.add("R", k, R_cl, yv / yp - k)
+        worst.add("R", k, R_cl, _mrs_identity(k, yv, yp))
 
         Rp_cl = mrs_derivative_closed(spec, k)
         worst.add("R_prime", k, Rp_cl, _central(lambda t: mrs_closed(spec, t), k),
@@ -314,7 +331,8 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
                         tolerance: float = DERIVATIVE_TOL) -> VerificationReport:
     """Check that the elasticity of the Sato-Hoffman closed form, computed
     by finite differences of the defining identity, is the affine function
-    1 + (rho-1)/(1 - delta*rho) * k inside the admissible range."""
+    1 + (rho-1)/(1 - delta*rho) * k (``sigma_closed``) inside the
+    admissible range."""
     if s.alpha != 1.0:
         raise ParamError("the affine-elasticity identity assumes degree one "
                          f"(alpha = 1), got alpha = {s.alpha!r}")
@@ -324,9 +342,8 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         if k >= bound:
             raise DomainError(
                 f"k = {k:.12g} is outside the admissible range k < {bound:.12g}")
-    slope = (s.rho - 1.0) / (1.0 - s.delta * s.rho)
     y = lambda k: eval_intensive(s, k)
     worst = _Worst()
     for k in grid:
-        worst.add("sigma", k, 1.0 + slope * k, _sigma_identity(k, *_fd_derivatives(y, k)))
+        worst.add("sigma", k, sigma_closed(s, k), _sigma_identity(k, *_fd_derivatives(y, k)))
     return worst.report("sato-hoffman", len(grid), tolerance)

@@ -21,7 +21,7 @@ identities
     sigma' = -lam*mu*(theta-1)^2 * k^(theta-2) / (lam + theta*mu*k^(theta-1))^2.
 
 A pole of sigma (R' = 0, or a vanishing rational denominator) raises
-SingularError rather than returning an infinity.
+SingularError in ``families._evaluate``, as does any non-finite result.
 
 Pointwise operations enforce evaluability (positive bracketed base,
 family domain restrictions); the economic validity conditions R > 0,
@@ -51,7 +51,6 @@ from .families import (
     _WageForm,
     _check_ves_branch,
     _evaluate,
-    _finite_or_singular,
     _require_ratio,
     _scale_power,
     loglinear_from_ves,
@@ -222,7 +221,10 @@ def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     den = p.c * R + (p.c - 1.0) * k
     if den == 0.0:
         raise SingularError(f"c*R + (c-1)*k vanishes at k = {k:.12g}")
-    return _finite_or_singular(p.b * R / den, "sigma", k)
+    sigma = p.b * R / den
+    if not math.isfinite(sigma):
+        raise SingularError(f"sigma is not finite at k = {k:.12g}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -299,20 +301,27 @@ def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2 of two positive doubles, halving each when their sum
+    overflows (a boundary in the top grid bracket)."""
+    total = lo + hi
+    return 0.5 * total if total < math.inf else 0.5 * lo + 0.5 * hi
+
+
 def _bisect_boundary(spec: FamilySpec, k_bad: float, k_good: float) -> tuple[float, float]:
     """Refine the validity boundary between an invalid and a valid point.
 
     Returns (boundary_estimate, last_invalid_point)."""
     lo, hi = k_bad, k_good
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if abs(hi - lo) <= _BISECT_REL_TOL * abs(mid):
             break
         if violated_constraints(spec, mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), lo
+    return _midpoint(lo, hi), lo
 
 
 def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
@@ -455,5 +464,10 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
         p = loglinear_from_ves(spec)
         return _regime_of_rental_regression(p.b, p.c, p.xi)
     if isinstance(spec, _WageForm):
-        return _regime_of_wage_regression(spec.b, spec.c, spec._xi())
+        try:
+            xi = spec._xi()
+        except OverflowError as exc:  # Lu-Fletcher's a^(1/b)
+            raise SingularError(f"{type(spec).__name__}: the constant xi overflows, so it "
+                                "has no sign to classify by") from exc
+        return _regime_of_wage_regression(spec.b, spec.c, xi)
     raise TypeError(f"unsupported family spec: {type(spec).__name__}")

@@ -764,6 +764,84 @@ def test_ves_errors_and_exit_codes_property(capsys, lam, mu, theta, psi, k_from,
     assert code in (0, 1, 2)
 
 
+#: flag sets per family; each family's own spellings, and flags a family ignores
+_FAMILY_FLAGS = {
+    "ves": [("lambda", "mu", "theta", "psi"), ("a", "b", "c", "xi"), ("ln-a", "b", "c", "xi")],
+    "cd": [("A", "beta")],
+    "ces": [("gamma", "delta", "sigma")],
+    "lh": [("a", "b", "c", "xi"), ("ln-a", "b", "c", "xi")],
+    "lf": [("a", "b", "c", "zeta"), ("ln-a", "b", "c", "zeta")],
+    "sh": [("gamma", "delta", "rho"), ("gamma", "delta", "rho", "alpha")],
+}
+_EXTREME = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(),  # any double, infinities and NaN included
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e-300, 1e300, 1.79e308, -1e300]),
+)
+_RATIO = st.one_of(st.floats(1e-3, 1e3), st.floats(),
+                   st.sampled_from([5e-324, 1e-300, 1e300, 1.79e308, math.inf, math.nan]))
+
+
+@st.composite
+def _argv(draw):
+    """argv for eval, trajectory, regime or verify over the six families,
+    with flags missing at times and values anywhere in the double range."""
+    command = draw(st.sampled_from(["eval", "trajectory", "regime", "verify"]))
+    argv = [command]
+    family = draw(st.sampled_from(sorted(_FAMILY_FLAGS)))
+    if command != "verify" or draw(st.booleans()):
+        argv.append(f"--family={family}")
+    for name in draw(st.sampled_from(_FAMILY_FLAGS[family])):
+        if draw(st.integers(0, 9)):
+            argv.append(f"--{name}={draw(_EXTREME)!r}")
+    if command == "eval":
+        names = ["k"] if draw(st.booleans()) else ["K", "L"]
+        argv += [f"--{name}={draw(_RATIO)!r}" for name in names]
+    elif command == "trajectory":
+        argv += [f"--k-from={draw(_RATIO)!r}", f"--k-to={draw(_RATIO)!r}",
+                 f"--points={draw(st.integers(-1, 20))}"]
+    elif command == "verify":
+        argv.append("--suite=" + draw(st.sampled_from(
+            ["family", "equivalence", "ode", "sato-hoffman", "reduction"])))
+        argv += [f"--{name}={draw(_RATIO)!r}" for name in ("k-from", "k-to")
+                 if draw(st.booleans())]
+        if draw(st.booleans()):
+            argv.append(f"--points={draw(st.integers(-1, 20))}")
+        argv.append(f"--steps={draw(st.integers(-1, 500))}")
+        if draw(st.booleans()):  # finite: the report line echoes the tolerance given
+            argv.append(f"--tolerance={draw(st.floats(0.0, 1e300))!r}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv="eval --family cd --A 1e300 --beta 0.5 --k 1e300".split())
+@example(argv="trajectory --family sh --gamma 1 --delta 0.5 --rho 2 --k-from 0.1 --k-to 10".split())
+@example(argv="trajectory --family cd --A 1 --beta 1e-10 --k-from 1e290 --k-to 1e300 "
+              "--points 3".split())
+@example(argv="trajectory --family ves --lambda 0 --mu 1 --theta 1.0001 --psi 1 --k-from 1e306 "
+              "--k-to 1.79e308 --points 20".split())
+@example(argv="trajectory --family ces --gamma 1 --delta 0.5 --sigma 0.999 --k-from 1e300 "
+              "--k-to 1.79e308 --points 20".split())
+@example(argv="verify --suite sato-hoffman --delta 0.5 --rho 2".split())
+@example(argv="regime --family lf --a 2.387225697911483 --b 8.314849275752976e-207 "
+              "--c 1.0858932576444476 --zeta 9.668955631133263e-235".split())
+@example(argv="verify --family cd --A 0.5093706720837234 --beta 2.0976140957680002e-46 "
+              "--suite family --points 10".split())
+@example(argv="verify --suite ode --a 2.6222489997406666 --b 0.5 --c 1.9981682408774857 "
+              "--xi=-2.2977550030302227 --steps 129 --k-from 2.4998678075824543 "
+              "--k-to 3.2769317457538814e-157".split())
+def test_exit_codes_property(capsys, argv):
+    # main never raises; 0 ok, 1 only for a failed verification, 2 for input
+    # errors; a successful command prints no inf or nan
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out), out
+
+
 def test_byte_identical_output_on_repeat(capsys):
     argv = ["trajectory", "--family", "ves", *REFERENCE_FLAGS, "--xi", "-3.79",
             "--k-from", "2.0799", "--k-to", "50", "--points", "50"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,6 +22,7 @@ from vesprod import (
     SatoHoffmanParams,
     SingularError,
     VESParams,
+    VesprodError,
     bracket_base,
     eval_extensive,
     eval_intensive,
@@ -124,6 +125,64 @@ def test_nonpositive_k_rejected(bad_k):
 def test_kernels_reject_non_family_spec(call):
     with pytest.raises(TypeError, match="unsupported family spec"):
         call(REFERENCE)
+
+
+_ANY = st.floats(-1e300, 1e300)
+_POSITIVE = st.floats(1e-300, 1e300)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_RATIO = st.floats(5e-324, 1.79e308)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(spec, k, L): the six families with parameters up to 1e+-300,
+    Sato-Hoffman also at delta*rho = 1, and k and L anywhere in the double
+    range."""
+    family = draw(st.sampled_from(["ves", "cd", "ces", "lh", "lf", "sh"]))
+    try:
+        if family == "ves":
+            spec = VESParams(draw(_ANY), draw(_ANY), draw(_ANY), draw(_POSITIVE))
+        elif family == "cd":
+            spec = CobbDouglasParams(draw(_POSITIVE), draw(_UNIT))
+        elif family == "ces":
+            spec = CESParams(draw(_POSITIVE), draw(_UNIT), draw(_POSITIVE))
+        elif family in ("lh", "lf"):
+            wage_form = LiuHildebrandParams if family == "lh" else LuFletcherParams
+            spec = wage_form(draw(_POSITIVE), draw(_POSITIVE), draw(st.floats(0.0, 1e300)),
+                             draw(_ANY))
+        else:
+            delta = draw(st.one_of(_UNIT, st.sampled_from([0.5, 0.25, 0.125])))
+            rho = draw(st.one_of(st.floats(0.0, 1.0).map(lambda t: t / delta),
+                                 st.just(1.0 / delta)))
+            spec = SatoHoffmanParams(draw(_POSITIVE), delta, rho)
+    except ParamError:
+        reject()
+    return spec, draw(_RATIO), draw(_RATIO)
+
+
+_KERNELS = (bracket_base, eval_intensive, intensive_derivative, intensive_second_derivative,
+            mrs_closed, mrs_derivative_closed, sigma_closed, sigma_derivative_closed)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_kernel_cases())
+@example(case=(CobbDouglasParams(1e300, 0.5), 1e300, 1.0))             # y overflows to inf
+@example(case=(CobbDouglasParams(1e272, 0.3548), 1.38e-118, 1.0))      # y' overflows to inf
+@example(case=(SatoHoffmanParams(1.0, 0.5, 2.0), 1.0, 1.0))            # delta*rho = 1
+@example(case=(SatoHoffmanParams(1.0, 0.5, 1.5), 2.9e-280, 1.0))       # k**2 rounds to 0 in y''
+def test_kernels_return_a_finite_float_or_raise(case):
+    spec, k, L = case
+    calls = [(kernel, (spec, k)) for kernel in _KERNELS] + [(eval_extensive, (spec, k, L))]
+    for kernel, args in calls:
+        try:
+            value = kernel(*args)
+        except VesprodError:
+            continue
+        assert isinstance(value, float), kernel.__name__
+        if kernel is bracket_base:  # only its sign matters: +-inf, but not NaN
+            assert not math.isnan(value), kernel.__name__
+        else:
+            assert math.isfinite(value), kernel.__name__
 
 
 # ---------------------------------------------------------------------------

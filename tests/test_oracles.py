@@ -96,6 +96,18 @@ def test_ode_overflow_is_singular(v, k_start, k_end):
         ode_integrate_theorem(v, k_start, 1.0, k_end, 64)
 
 
+def test_ode_node_rounding_below_zero_is_a_domain_error():
+    # the last node k_start + (steps-1) h + h of a path down to 3.3e-157 rounds
+    # below 0, where k^theta is complex; with a node exactly 0, 0^theta < 0 divides by zero
+    v = ves_from_loglinear(LogLinearParams(a=2.6222489997406666, b=0.5, c=1.9981682408774857,
+                                           xi=-2.2977550030302227))
+    with pytest.raises(DomainError, match="k <= 0"):
+        verify_ode(v, 2.4998678075824543, 3.2769317457538814e-157, 129)
+    with pytest.raises(DomainError, match="k <= 0"):
+        ode_integrate_theorem(VESParams(lam=0.0, mu=1.0, theta=-0.5, psi=1.0), 1.0, 1.0,
+                              1e-20, 2)
+
+
 def test_verify_ode_underflowing_y_is_singular():
     # y(1) = psi/2 rounds to 0 for the least subnormal psi
     v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=5e-324)
@@ -155,6 +167,28 @@ def test_verify_family_zero_second_difference_is_singular():
     grid = list(np.geomspace(interval.k_low * 1.001, interval.k_high * 0.999, 64))
     with pytest.raises(SingularError, match="k = "):
         verify_family(v, grid)
+
+
+def test_verify_family_vanishing_first_difference_is_singular():
+    # y = A k^beta with beta = 2.1e-46 is flat to rounding: the finite-difference y' is 0
+    spec = CobbDouglasParams(A=0.5093706720837234, beta=2.0976140957680002e-46)
+    with pytest.raises(SingularError, match="y' vanishes"):
+        verify_family(spec, [0.5])
+
+
+@pytest.mark.parametrize("k", [1e-200, 1e-320])
+def test_finite_difference_step_underflow_is_singular(k):
+    # the step squared (1e-200) or the step itself (1e-320) rounds to 0
+    with pytest.raises(SingularError, match="step underflows"):
+        verify_family(CobbDouglasParams(A=1.0, beta=0.5), [k])
+    with pytest.raises(SingularError, match="step underflows"):
+        verify_sato_hoffman(SatoHoffmanParams(gamma=1.0, delta=0.5, rho=1.5), [k])
+
+
+def test_verify_sato_hoffman_at_unit_delta_rho_is_singular():
+    # delta*rho = 1: the closed-form sigma divides by 1 - delta*rho = 0
+    with pytest.raises(SingularError, match="sigma divides by zero"):
+        verify_sato_hoffman(SatoHoffmanParams(gamma=1.0, delta=0.5, rho=2.0), [1.0])
 
 
 def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):

@@ -315,6 +315,14 @@ def test_regime_of_extreme_parameters():
     assert r.sigma_limit == pytest.approx(0.005, rel=1e-12)
 
 
+def test_regime_of_overflowing_lu_fletcher_constant_is_singular():
+    # xi = zeta b a^(1/b) / (b-1) needs 2.39^(1.2e206)
+    spec = LuFletcherParams(a=2.387225697911483, b=8.314849275752976e-207,
+                            c=1.0858932576444476, zeta=9.668955631133263e-235)
+    with pytest.raises(SingularError, match="xi overflows"):
+        classify_regime(spec)
+
+
 def test_regime_boundary_and_sign_errors():
     with pytest.raises(ParamError, match="reduce"):
         classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0)))
@@ -516,10 +524,31 @@ _REFERENCE_VES = ves_from_loglinear(
                1e-3, 1e3, 512))                                  # R' = 0
 @example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1e-300, 1e300, 192))  # log-space grid
 @example(case=(CobbDouglasParams(1.0, 0.5), 1e10, math.nextafter(1e10, math.inf), 512))
+@example(case=(VESParams(0.0, 1.0, 1.0001, 1.0), 1e306, 1.79e308, 512))  # top grid bracket
+@example(case=(CESParams(1.0, 0.5, 0.999), 1e300, 1.79e308, 512))
 def test_validity_range_equals_the_full_scan(case):
     spec, lo, hi, samples = case
     assert _outcome(validity_range, spec, lo, hi, samples) \
         == _outcome(_scan_validity_range, spec, lo, hi, samples)
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    (VESParams(0.0, 1.0, 1.0001, 1.0), 1e306, 1.79e308),
+    (CESParams(1.0, 0.5, 0.999), 1e300, 1.79e308),
+])
+def test_validity_range_bisects_the_top_grid_bracket(spec, lo, hi):
+    # R overflows between the last two grid points, whose sum is past the double range
+    r = validity_range(spec, lo, hi)
+    assert r.k_low == lo and lo < r.k_high < hi
+    assert r.constraints_active == ("R>0",)
+
+
+def test_validity_range_counts_infinite_values_as_violated():
+    # R = (1-beta)/beta k overflows to +inf from k ~ 1.8e298 on
+    spec = CobbDouglasParams(A=1.0, beta=1e-10)
+    assert violated_constraints(spec, 1e300) == ("R>0",)
+    r = validity_range(spec, 1e290, 1e300)
+    assert r.k_high < 1.8e298 and r.constraints_active == ("R>0",)
 
 
 def test_validity_range_checks_only_next_to_cuts(monkeypatch, reference_fit_ves):
