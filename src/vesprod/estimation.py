@@ -34,13 +34,12 @@ from enum import Enum
 from .errors import (
     DomainError,
     MissingColumnError,
-    ParamError,
     ParseError,
     RankError,
     SingularError,
     ValidationError,
 )
-from .families import LogLinearParams, _scale_power
+from .families import LogLinearParams, _check_ves_branch, _parameter_space
 
 __all__ = [
     "Relation",
@@ -279,6 +278,7 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     )
 
 
+@_parameter_space
 def calibrate_xi(p: LogLinearParams, k0: float) -> float:
     """Integration constant that places the zero of the marginal rate of
     substitution at ``k0`` under the rental-rate closed form:
@@ -293,21 +293,10 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
     """
     if not (math.isfinite(k0) and k0 > 0.0):
         raise DomainError(f"k0 must be positive and finite, got {k0!r}")
+    _check_ves_branch(p)
     b, c = p.b, p.c
-    if b == 0.0 or b == 1.0:
-        raise ParamError(f"calibration needs b outside {{0, 1}}, got b = {b!r}")
-    if b == c:
-        raise ParamError("b = c is a singular branch; no closed form to calibrate")
     if c == 1.0:
         raise SingularError(
             "c = 1 is the constant-elasticity case: R(k) = mu k^theta never "
             "vanishes at positive k (R(k0) = 0 would force mu = 0)")
-    a1b = _scale_power(p, 1.0 / b, "a^(1/b)")
-    try:
-        xi = (1.0 - c) / (c - b) * b / ((1.0 - b) * a1b) * k0 ** (1.0 - c / b)
-    except (OverflowError, ZeroDivisionError):
-        xi = math.nan
-    if not math.isfinite(xi):
-        raise SingularError(f"xi has no finite value at k0 = {k0!r}: with b = {b!r}, "
-                            "a^(1/b) or k0^(1 - c/b) leaves the double range")
-    return xi
+    return (1.0 - c) / (c - b) * b / ((1.0 - b) * p.a ** (1.0 / b)) * k0 ** (1.0 - c / b)

@@ -36,18 +36,23 @@ shares the Liu-Hildebrand method set.  The public functions here and in
 :mod:`vesprod.substitution` delegate to them through one entry point that
 checks the arguments and turns floating-point failure into VesprodError.
 
+The parameter-space functions have one error boundary, :func:`_parameter_space`:
+an overflowing power, a division by zero and a non-finite result raise
+SingularError.  :func:`reduce_special_case` is total: it raises none of them.
+
 All types are frozen dataclasses and all operations are pure functions;
 they are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Union
 
-from .errors import DomainError, ParamError, SingularError
+from .errors import DomainError, ParamError, SingularError, VesprodError
 
 __all__ = [
     "LogLinearParams",
@@ -141,16 +146,6 @@ def _check_lh_branch(p: LogLinearParams) -> None:
         raise ParamError(f"the wage-relation closed form needs b outside {{0, 1}}, got b = {p.b!r}")
     if p.b + p.c == 1.0:
         raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
-
-
-def _scale_power(p: LogLinearParams, e: float, text: str) -> float:
-    """``p.a ** e``, where ``text`` names the power.  For tiny b the exponents
-    +-1/b and 1/(1-b) can take it past the double range: SingularError."""
-    try:
-        return p.a ** e
-    except OverflowError as exc:
-        raise SingularError(f"a = {p.a!r}, b = {p.b!r}: {text} overflows, "
-                            "so it has no finite value") from exc
 
 
 def _require_ratio(k: float) -> None:
@@ -773,6 +768,35 @@ def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
 # Parameter-space conversions
 # --------------------------------------------------------------------------
 
+def _finite(value: object) -> bool:
+    """Whether value, or every float in a tuple or dataclass of them, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if is_dataclass(value):  # by attribute: vars() would slow the instance's attribute reads
+        value = tuple(getattr(value, field.name) for field in fields(value))
+    return not isinstance(value, tuple) or all(map(_finite, value))
+
+
+def _parameter_space(fn):
+    """The error boundary of the parameter-space functions: an overflow, a division by zero
+    or a non-finite float result (also in a tuple or dataclass) is SingularError naming the call."""
+    @functools.wraps(fn)
+    def bounded(*args, **kwargs):
+        try:
+            result = fn(*args, **kwargs)
+            if _finite(result):
+                return result
+            what = "the result is not finite"
+        except OverflowError:
+            what = "a power overflows, so it has no finite value"
+        except ZeroDivisionError:
+            what = "a term divides by zero"
+        given = [*map(repr, args), *(f"{name}={value!r}" for name, value in kwargs.items())]
+        raise SingularError(f"{fn.__name__}({', '.join(given)}): {what}")
+    return bounded
+
+
+@_parameter_space
 def ves_from_loglinear(p: LogLinearParams) -> VESParams:
     """Map regression-space parameters (a, b, c, xi) of the rental-rate
     relation to the structural parameters (lam, mu, theta, psi):
@@ -786,11 +810,12 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
         raise SingularError("xi = 0 gives mu = 0: the variable-elasticity closed form "
                             "degenerates to a constant-returns power function")
     b, c = p.b, p.c
-    mu = xi * (b - 1.0) * _scale_power(p, 1.0 / b, "a^(1/b)") / b
-    psi = _scale_power(p, 1.0 / (1.0 - b), "a^(1/(1-b))")
+    mu = xi * (b - 1.0) * p.a ** (1.0 / b) / b
+    psi = p.a ** (1.0 / (1.0 - b))
     return VESParams(lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
 
 
+@_parameter_space
 def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     """Invert :func:`ves_from_loglinear`.  Requires lam*(theta-1) + theta != 0,
     and the image must satisfy the regression-space sign restrictions
@@ -809,16 +834,12 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     if b == 1.0:  # den = 1 + (1+lam)(theta-1) is 1 only by rounding
         raise SingularError("lam*(theta-1) + theta rounds to 1, so b = 1: a singular "
                             "branch of the closed form")
-    try:
-        a = v.psi ** (1.0 - b)
-    except OverflowError as exc:
-        raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) overflows, "
-                            "so it has no finite value") from exc
+    a = v.psi ** (1.0 - b)
     if a == 0.0:
         raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) underflows to 0, "
                             "so it has no positive value")
     p = LogLinearParams(a=a, b=b, c=c)
-    return p.with_xi(v.mu * b * _scale_power(p, -1.0 / b, "a^(-1/b)") / (b - 1.0))
+    return p.with_xi(v.mu * b * a ** (-1.0 / b) / (b - 1.0))
 
 
 def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:
@@ -827,36 +848,40 @@ def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:
     return LiuHildebrandParams(a=p.a, b=p.b, c=p.c, xi=p.require_xi())
 
 
+@_parameter_space
 def lf_from_lh(p: LogLinearParams) -> LuFletcherParams:
     """Convert wage-relation parameters to the Lu-Fletcher parameterization,
     zeta = xi (b-1) a^(-1/b) / b, under which the two closed forms coincide."""
     _check_lh_branch(p)
     xi = p.require_xi()
-    zeta = xi * (p.b - 1.0) * _scale_power(p, -1.0 / p.b, "a^(-1/b)") / p.b
+    zeta = xi * (p.b - 1.0) * p.a ** (-1.0 / p.b) / p.b
     return LuFletcherParams(a=p.a, b=p.b, c=p.c, zeta=zeta)
 
 
+def _gamma_delta(p: LogLinearParams, q: float) -> tuple[float, float]:
+    """(gamma, delta) of :func:`symmetric_form` from the first term q of the
+    defining base q + xi (b-1)/b = gamma^((b-1)/b), with delta = q / base."""
+    b = p.b
+    base = q + p.require_xi() * (b - 1.0) / b
+    if not base > 0.0:
+        raise DomainError(f"symmetric form undefined: the defining base is {base:.6g} <= 0")
+    return base ** (b / (b - 1.0)), q / base
+
+
+@_parameter_space
 def symmetric_form(p: LogLinearParams) -> tuple[float, float]:
     """Rewrite the rental-rate closed form in CES-like shape
     ``y = gamma [delta k^((b-1)/b) k^((1-c)/b) + (1-delta)]^(b/(b-1))``
     and return ``(gamma, delta)``.
 
-    The defining base ``(1-b) a^(-1/b) / (c-b) + xi (b-1) / b`` must be
-    positive (it is gamma^((b-1)/b)); otherwise no real gamma exists and
-    :class:`DomainError` is raised.
+    The defining base ``q + xi (b-1) / b``, ``q = (1-b) a^(-1/b) / (c-b)``, must
+    be positive (it is gamma^((b-1)/b)); otherwise no real gamma exists and
+    :class:`DomainError` is raised.  At c = 1 this is the CES identification.
     """
     _check_ves_branch(p)
-    xi = p.require_xi()
+    p.require_xi()  # before q, whose power may overflow
     b, c = p.b, p.c
-    q = (1.0 - b) * _scale_power(p, -1.0 / b, "a^(-1/b)") / (c - b)
-    m = xi * (b - 1.0) / b
-    base = q + m
-    if not base > 0.0:
-        raise DomainError(
-            f"symmetric form undefined: the defining base is {base:.6g} <= 0")
-    gamma = base ** (b / (b - 1.0))
-    delta = q / base
-    return gamma, delta
+    return _gamma_delta(p, (1.0 - b) * p.a ** (-1.0 / b) / (c - b))
 
 
 def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
@@ -864,14 +889,13 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
     """Collapse regression-space parameters onto a structural special case.
 
     |b| <= tol      -> Cobb-Douglas y = a k^c
-    |c - 1| <= tol  -> CES with sigma = b (distribution parameter and scale
-                       identified from the closed form at c = 1)
+    |c - 1| <= tol  -> CES with sigma = b, and gamma and delta from the
+                       symmetric form with q = a^(-1/b)
     otherwise       -> p returned unchanged (general variable-elasticity case)
 
-    Total function: when a threshold is met but the target family's own
-    invariants cannot be satisfied (e.g. b ~ 0 with c >= 1, or a CES
-    identification with non-positive base, an overflowing a^(-1/b) or xi
-    unset), the input is returned unchanged rather than raising.
+    Total function: for a valid ``tol`` it never raises.  Where a threshold is
+    met but the target cannot be built (b ~ 0 with c >= 1; for CES, xi unset,
+    b = 1, or no finite gamma and delta that CESParams admits), p is returned.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParamError(f"tol must be a non-negative float, got {tol!r}")
@@ -880,19 +904,9 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
             return CobbDouglasParams(A=p.a, beta=p.c)
         return p
     if abs(p.c - 1.0) <= tol:
-        b = p.b
-        if b == 1.0 or b <= 0.0 or p.xi is None:
-            return p
         try:
-            q = _scale_power(p, -1.0 / b, "a^(-1/b)")
-        except SingularError:
+            gamma, delta = _gamma_delta(p, p.a ** (-1.0 / p.b))
+            return CESParams(gamma=gamma, delta=delta, sigma=p.b)
+        except (VesprodError, ArithmeticError):
             return p
-        m = p.xi * (b - 1.0) / b
-        base = q + m
-        if not base > 0.0:
-            return p
-        delta = q / base
-        if not 0.0 < delta < 1.0:
-            return p
-        return CESParams(gamma=base ** (b / (b - 1.0)), delta=delta, sigma=b)
     return p

@@ -51,8 +51,8 @@ from .families import (
     _WageForm,
     _check_ves_branch,
     _evaluate,
+    _parameter_space,
     _require_ratio,
-    _scale_power,
     loglinear_from_ves,
     ves_from_loglinear,
 )
@@ -185,6 +185,7 @@ def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
 # Regression-space forms of sigma
 # --------------------------------------------------------------------------
 
+@_parameter_space
 def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) -> float:
     """Share form of the elasticity under the rental-rate relation:
 
@@ -208,6 +209,7 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     return p.b * wage / d
 
 
+@_parameter_space
 def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     """sigma = b R / (c R + (c-1) k) with R from the rental-rate closed form.
 
@@ -218,13 +220,7 @@ def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     _require_ratio(k)
     v = ves_from_loglinear(p)  # validates the branch and xi
     R = mrs_closed(v, k)
-    den = p.c * R + (p.c - 1.0) * k
-    if den == 0.0:
-        raise SingularError(f"c*R + (c-1)*k vanishes at k = {k:.12g}")
-    sigma = p.b * R / den
-    if not math.isfinite(sigma):
-        raise SingularError(f"sigma is not finite at k = {k:.12g}")
-    return sigma
+    return p.b * R / (p.c * R + (p.c - 1.0) * k)
 
 
 @dataclass(frozen=True)
@@ -254,12 +250,13 @@ class RegressionClosedForm:
     sigma_prime_num_coef_per_xi: float
 
 
+@_parameter_space
 def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
     """Closed-form display coefficients of R, R', sigma, sigma' for the
     rental-rate family in regression space (xi not needed)."""
     _check_ves_branch(p)
     b, c = p.b, p.c
-    a1b = _scale_power(p, 1.0 / b, "a^(1/b)")
+    a1b = p.a ** (1.0 / b)
     return RegressionClosedForm(
         exponent=c / b,
         mrs_k_coef=(1.0 - c) / (c - b),

@@ -393,6 +393,16 @@ def test_reduce_overflowing_scale_power_is_no_special_case(capsys):
     assert out.startswith("ves (no special case within tol)")
 
 
+@pytest.mark.parametrize("argv", [
+    "reduce --a 2 --b 1.0001 --c 1 --xi 1",  # the CES gamma rounds to 0
+    "reduce --a 2 --b 1.9657695262926573 --c 1 --xi 4.906446850327949e+170",  # overflows
+])
+def test_reduce_without_a_ces_gamma_is_no_special_case(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.startswith("ves (no special case within tol)")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -784,13 +794,18 @@ _RATIO = st.one_of(st.floats(1e-3, 1e3), st.floats(),
 
 @st.composite
 def _argv(draw):
-    """argv for eval, trajectory, regime or verify over the six families,
-    with flags missing at times and values anywhere in the double range."""
-    command = draw(st.sampled_from(["eval", "trajectory", "regime", "verify"]))
+    """argv for eval, trajectory, regime or verify over the six families, and
+    for reduce and calibrate-xi, with flags missing at times and values
+    anywhere in the double range."""
+    command = draw(st.sampled_from(["eval", "trajectory", "regime", "verify", "reduce",
+                                    "calibrate-xi"]))
     argv = [command]
-    family = draw(st.sampled_from(sorted(_FAMILY_FLAGS)))
-    if command != "verify" or draw(st.booleans()):
-        argv.append(f"--family={family}")
+    if command in ("reduce", "calibrate-xi"):
+        family = "lh"  # its flag sets are the regression-space ones
+    else:
+        family = draw(st.sampled_from(sorted(_FAMILY_FLAGS)))
+        if command != "verify" or draw(st.booleans()):
+            argv.append(f"--family={family}")
     for name in draw(st.sampled_from(_FAMILY_FLAGS[family])):
         if draw(st.integers(0, 9)):
             argv.append(f"--{name}={draw(_EXTREME)!r}")
@@ -810,6 +825,10 @@ def _argv(draw):
         argv.append(f"--steps={draw(st.integers(-1, 500))}")
         if draw(st.booleans()):  # finite: the report line echoes the tolerance given
             argv.append(f"--tolerance={draw(st.floats(0.0, 1e300))!r}")
+    elif command == "reduce" and draw(st.booleans()):
+        argv.append(f"--tol={draw(_RATIO)!r}")
+    elif command == "calibrate-xi":
+        argv.append(f"--k0={draw(_RATIO)!r}")
     return argv
 
 
@@ -832,6 +851,7 @@ def _argv(draw):
 @example(argv="verify --suite ode --a 2.6222489997406666 --b 0.5 --c 1.9981682408774857 "
               "--xi=-2.2977550030302227 --steps 129 --k-from 2.4998678075824543 "
               "--k-to 3.2769317457538814e-157".split())
+@example(argv="reduce --a 2 --b 1.9657695262926573 --c 1 --xi 4.906446850327949e+170".split())
 def test_exit_codes_property(capsys, argv):
     # main never raises; 0 ok, 1 only for a failed verification, 2 for input
     # errors; a successful command prints no inf or nan

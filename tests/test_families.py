@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from vesprod import (
     VESParams,
     VesprodError,
     bracket_base,
+    calibrate_xi,
     eval_extensive,
     eval_intensive,
     intensive_derivative,
@@ -32,6 +34,9 @@ from vesprod import (
     lh_from_loglinear,
     loglinear_from_ves,
     reduce_special_case,
+    regression_closed_form,
+    sigma_from_mrs,
+    sigma_from_shares,
     symmetric_form,
     ves_from_loglinear,
 )
@@ -522,6 +527,81 @@ def test_reduce_is_total_on_degenerate_targets():
     # c ~ 1 but defining base non-positive
     p3 = LogLinearParams(a=1.0, b=0.5, c=1.0, xi=3.0)
     assert reduce_special_case(p3) is p3
+
+
+@pytest.mark.parametrize("p", [
+    LogLinearParams(a=2.0, b=1.0001, c=1.0, xi=1.0),  # gamma = base^10001 rounds to 0
+    LogLinearParams(a=2.0, b=1.9657695262926573, c=1.0, xi=4.906446850327949e+170),  # overflows
+])
+def test_reduce_c_one_without_a_ces_gamma_returns_input(p):
+    assert reduce_special_case(p) is p
+
+
+# ---------------------------------------------------------------------------
+# Error model of the parameter-space functions
+# ---------------------------------------------------------------------------
+
+_SCALE = st.one_of(st.floats(1e-300, 1e300), st.floats(0.01, 3.0),
+                   st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300]))
+_SIGNED = st.one_of(_ANY, st.floats(-3.0, 3.0), st.sampled_from([0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def _parameter_space_cases(draw):
+    """(p, v, k, y, y', k0, tol): regression-space parameters up to 1e+-300 and
+    5e-324, also on the branches b in {0, 1}, b = c and c = 1; VES parameters
+    (None where they are not admissible); and the other arguments."""
+    b = draw(st.one_of(_SCALE, st.sampled_from([0.0, 1.0])))
+    c = draw(st.one_of(_SCALE, st.sampled_from([1.0, b])))
+    try:
+        p = LogLinearParams(draw(_SCALE), b, c, draw(st.one_of(st.none(), _SIGNED)))
+    except ParamError:
+        reject()
+    try:
+        v = VESParams(draw(_SIGNED), draw(_SIGNED), draw(_SIGNED), draw(_SCALE))
+    except ParamError:
+        v = None
+    return (p, v, draw(_RATIO), draw(_SIGNED), draw(_SIGNED), draw(_RATIO),
+            draw(st.one_of(st.just(1e-9), st.floats(0.0, 10.0))))
+
+
+_AT = (None, 1.0, 2.0, 0.5, 1.0, 1e-9)  # v, k, y, y', k0, tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_parameter_space_cases())
+@example(case=(LogLinearParams(a=2.09, b=5.8e192, c=0.497, xi=2.0), *_AT))  # (c - b)^3 overflows
+@example(case=(LogLinearParams(a=0.5, b=2.9e-242, c=0.497, xi=2.0), *_AT))  # b*b rounds to 0
+@example(case=(LogLinearParams(a=5.7e-130, b=1.0119, c=0.23, xi=-2.3), *_AT))
+@example(case=(LogLinearParams(a=0.5, b=5e-324, c=0.23, xi=-2.3), *_AT))  # delta = inf/inf
+@example(case=(LogLinearParams(a=2.0, b=0.5, c=5e-324, xi=-1.0), None, 7.6e-189, 1.51,
+               3.3e-225, 1.0, 1e-9))  # c y - k y' is subnormal
+@example(case=(LogLinearParams(a=2.0, b=1.9657695262926573, c=1.0, xi=4.906446850327949e+170),
+               *_AT))  # the CES gamma overflows
+def test_parameter_space_returns_finite_values_or_raises(case):
+    p, v, k, y, y_prime, k0, tol = case
+    calls = {
+        "ves_from_loglinear": lambda: ves_from_loglinear(p),
+        "loglinear_from_ves": lambda: loglinear_from_ves(v) if v else None,
+        "lh_from_loglinear": lambda: lh_from_loglinear(p),
+        "lf_from_lh": lambda: lf_from_lh(p),
+        "symmetric_form": lambda: symmetric_form(p),
+        "regression_closed_form": lambda: regression_closed_form(p),
+        "sigma_from_mrs": lambda: sigma_from_mrs(p, k),
+        "sigma_from_shares": lambda: sigma_from_shares(p, k, y, y_prime),
+        "calibrate_xi": lambda: calibrate_xi(p, k0),
+    }
+    results = {"reduce_special_case": reduce_special_case(p, tol)}  # total: never raises
+    for name, call in calls.items():
+        try:
+            results[name] = call()
+        except VesprodError:
+            pass
+    for name, value in results.items():
+        if dataclasses.is_dataclass(value):
+            value = dataclasses.astuple(value)
+        values = value if isinstance(value, tuple) else (value,)
+        assert all(math.isfinite(x) for x in values if isinstance(x, float)), (name, value)
 
 
 # ---------------------------------------------------------------------------
