@@ -299,4 +299,8 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
         raise SingularError(
             "c = 1 is the constant-elasticity case: R(k) = mu k^theta never "
             "vanishes at positive k (R(k0) = 0 would force mu = 0)")
-    return (1.0 - c) / (c - b) * b / ((1.0 - b) * p.a ** (1.0 / b)) * k0 ** (1.0 - c / b)
+    xi = (1.0 - c) / (c - b) * b / ((1.0 - b) * p.a ** (1.0 / b)) * k0 ** (1.0 - c / b)
+    if xi == 0.0:  # c != 1, so the true xi is not 0
+        raise SingularError(f"xi underflows to 0 for k0 = {k0!r}: the calibrated "
+                            "constant is too small to represent")
+    return xi

@@ -865,7 +865,11 @@ def _gamma_delta(p: LogLinearParams, q: float) -> tuple[float, float]:
     base = q + p.require_xi() * (b - 1.0) / b
     if not base > 0.0:
         raise DomainError(f"symmetric form undefined: the defining base is {base:.6g} <= 0")
-    return base ** (b / (b - 1.0)), q / base
+    gamma = base ** (b / (b - 1.0))
+    if gamma == 0.0:
+        raise SingularError(f"symmetric form: gamma = base^(b/(b-1)) underflows to 0 "
+                            f"(base = {base:.6g}, b = {b!r})")
+    return gamma, q / base
 
 
 @_parameter_space

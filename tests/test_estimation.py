@@ -310,6 +310,7 @@ def test_calibrate_xi_reference_value(reference_fit):
     (2.0, 2.0),   # a^(1/b) = 2^10000 overflows
     (0.5, 2.0),   # a^(1/b) = 0.5^10000 underflows to 0, a division by zero
     (1.0, 0.5),   # k0^(1 - c/b) = 0.5^(-4999) overflows
+    (1.0, 2.0),   # k0^(1 - c/b) = 2^(-4999) underflows to 0, so xi does
 ])
 def test_calibrate_xi_out_of_range_is_singular(a, k0):
     with pytest.raises(SingularError):

@@ -476,6 +476,16 @@ def test_symmetric_form_nonpositive_base():
         symmetric_form(LogLinearParams(a=1.0, b=0.5, c=1.5, xi=1.0))
 
 
+@pytest.mark.parametrize("p", [
+    LogLinearParams(a=1e100, b=1.055080915597846, c=0.6232419996980075,
+                    xi=-5.598781748921628e-106),  # base^19.2 with base = 2.1e-96
+    LogLinearParams(a=2.0, b=1.0001, c=1.0, xi=1.0),  # base^10001 with base = 0.5
+])
+def test_symmetric_form_underflowing_gamma_is_singular(p):
+    with pytest.raises(SingularError, match=r"gamma = base\^\(b/\(b-1\)\) underflows"):
+        symmetric_form(p)
+
+
 # ---------------------------------------------------------------------------
 # Special-case reduction
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_ves_structural, relerr
 from vesprod import (
@@ -12,6 +16,7 @@ from vesprod import (
     SatoHoffmanParams,
     SingularError,
     VESParams,
+    VesprodError,
     eval_intensive,
     ode_integrate_theorem,
     reduce_special_case,
@@ -90,6 +95,7 @@ def test_ode_singular_denominator():
 @pytest.mark.parametrize("v, k_start, k_end", [
     (VESParams(lam=0.0, mu=1.0, theta=1e4, psi=0.5), 2.0, 3.0),           # k^theta
     (VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0), 1.0 + 1e-6, 2.0),  # y, next to the root k = 1
+    (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), 1e-310, 2e-310),    # 1/den, den subnormal
 ])
 def test_ode_overflow_is_singular(v, k_start, k_end):
     with pytest.raises(SingularError, match="overflows"):
@@ -123,6 +129,117 @@ def test_verify_ode_default_window_report():
             report.tolerance, report.passed, report.worst_k, report.worst_quantity) == (
         "ode", 10000, "1.665335e-16", 1e-9, True, 2.0, "y")
     assert not verify_ode(v, 1.0, 2.0, 20, tolerance=1e-12).passed
+
+
+def _loop_ln_y(v, k_start, y_start, k_end, steps):
+    """ln y at k_end from the scalar RK4 loop the array oracle replaced, with
+    its errors; the caller takes the exponential."""
+    lam, mu, th = v.lam, v.mu, v.theta
+
+    def slope(k):
+        den = (1.0 + lam) * k + mu * k ** th
+        if den == 0.0:
+            raise SingularError(f"(1+lam) k + mu k^theta vanishes at k = {k:.12g}")
+        if math.copysign(1.0, den) != sign0:
+            raise SingularError(f"(1+lam) k + mu k^theta changes sign at k = {k:.12g}")
+        return 1.0 / den
+
+    h = (k_end - k_start) / steps
+    ln_y = math.log(y_start)
+    try:
+        sign0 = math.copysign(1.0, (1.0 + lam) * k_start + mu * k_start ** th)
+        for i in range(steps):
+            k = k_start + i * h
+            s1 = slope(k)
+            s_mid = slope(k + 0.5 * h)
+            s4 = slope(k + h)
+            ln_y += h / 6.0 * (s1 + 4.0 * s_mid + s4)
+        return ln_y
+    except OverflowError as exc:
+        raise SingularError(f"k^theta or the integrated y overflows between "
+                            f"k = {k_start:.12g} and k = {k_end:.12g}") from exc
+    except (TypeError, ZeroDivisionError) as exc:
+        raise DomainError(f"a node of the path from k = {k_start:.12g} to k = {k_end:.12g} "
+                          "rounds to k <= 0, where k^theta is not real") from exc
+
+
+def _exp_or_inf(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ulps_away(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+_ODE_LOOP_MAX_ULPS = 4  # numpy's power may differ from libm's in the last bit
+
+
+@st.composite
+def _ode_cases(draw):
+    """(v, k_start, y_start, k_end, steps) with integer and non-integer theta,
+    paths up and down, and y_start anywhere in the double range."""
+    lam = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0).filter(lambda x: x != -1.0)))
+    mu = draw(st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 1e-6))
+    theta = draw(st.one_of(st.integers(-6, 12).map(float), st.floats(-20.0, 20.0))
+                 .filter(lambda x: x != 1.0))
+    k_start = draw(st.floats(1e-3, 1e3))
+    ratio = draw(st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e3),
+                           st.sampled_from([1e-20, 1e-160])))
+    y_start = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)))
+    steps = draw(st.sampled_from([2, 3, 64, 129, 10000]))
+    return VESParams(lam=lam, mu=mu, theta=theta, psi=1.0), k_start, y_start, k_start * ratio, steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_ode_cases())
+@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1e-310, 1.0, 2e-310, 100))      # ln y = inf
+@example(case=(VESParams(0.0, 1.0, 1e4, 0.5), 2.0, 1.0, 3.0, 64))            # k^theta
+@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 2.0, 100))          # sign change
+@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 1.0, 2))            # den = 0
+@example(case=(VESParams(0.0, 1.0, -0.5, 1.0), 1.0, 1.0, 1e-20, 2))          # 0^theta < 0
+@example(case=(VESParams(0.0, 1.0, 3.996, 1.0), 2.4998678075824543, 1.0,
+               3.2769317457538814e-157, 129))                                 # (-k)^theta complex
+@example(case=(VESParams(0.0, 1.0, -50.5, 1.0), 2.4998678075824543, 1.0,
+               3.2769317457538814e-157, 129))                                 # |(-k)^theta| = inf
+@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1.0, 1e300, 2.0, 64))          # exp overflows
+def test_ode_matches_the_scalar_loop(case):
+    try:
+        ln_ref = _loop_ln_y(*case)
+    except VesprodError as exc:
+        with pytest.raises(type(exc)) as caught:
+            ode_integrate_theorem(*case)
+        assert str(caught.value) == str(exc)
+        return
+    # the loop's ln y turned infinite or nan where a denominator was subnormal or overflowed
+    lo, hi = ((_exp_or_inf(_ulps_away(ln_ref, -_ODE_LOOP_MAX_ULPS)),
+               _exp_or_inf(_ulps_away(ln_ref, _ODE_LOOP_MAX_ULPS)))
+              if math.isfinite(ln_ref) else (math.inf, math.inf))
+    try:
+        y = ode_integrate_theorem(*case)
+    except SingularError as exc:
+        assert hi == math.inf and "overflows" in str(exc)
+        return
+    assert lo <= y <= hi < math.inf
+
+
+@pytest.mark.parametrize("v, k_start, k_end, steps", [
+    (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), 1.0, 2.0, 10000),
+    (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), 1.0, 2.0, 5000),
+    (VESParams(lam=0.5, mu=2.0, theta=1.5, psi=1.0), 0.5, 3.0, 200),
+    ("reference", 3.0, 10.0, 10000),
+])
+def test_ode_equals_the_scalar_loop_on_the_golden_cases(reference_fit_ves, v, k_start, k_end,
+                                                         steps):
+    # the `vesprod verify --suite ode` cases the golden table pins
+    v = reference_fit_ves if v == "reference" else v
+    y_start = eval_intensive(v, k_start)
+    assert ode_integrate_theorem(v, k_start, y_start, k_end, steps) \
+        == math.exp(_loop_ln_y(v, k_start, y_start, k_end, steps))
 
 
 def test_ode_input_validation():
