@@ -264,11 +264,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     interval = validity_range(spec, args.k_from, args.k_to)
     lo, hi = interval.clip(args.k_from, args.k_to)
     # keep strictly inside a binding boundary
-    if not interval.is_empty:
-        if lo == interval.k_low and interval.k_low > args.k_from:
-            lo *= 1.0 + 1e-9
-        if hi == interval.k_high and interval.k_high < args.k_to:
-            hi *= 1.0 - 1e-9
+    if lo == interval.k_low and interval.k_low > args.k_from:
+        lo *= 1.0 + 1e-9
+    if hi == interval.k_high and interval.k_high < args.k_to:
+        hi *= 1.0 - 1e-9
     print(TRAJECTORY_HEADER)
     for k in _log_grid(lo, hi, args.points):
         row = (k, eval_intensive(spec, k), mrs_closed(spec, k),
@@ -313,6 +312,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 #: the VES spec the family and ode suites check when given no parameters
 _DEFAULT_VES = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
 
+#: the one family each verify suite checks; the family suite checks any
+_SUITE_FAMILY = {"equivalence": "lh", "ode": "ves", "sato-hoffman": "sh",
+                 "reduction": "ves"}
+
+#: every family parameter flag
+_PARAMS = _STRUCTURAL + _REGRESSION + ("xi", "zeta", "A", "beta", "gamma", "delta",
+                                       "sigma", "rho", "alpha")
+
 
 def _print_report(report: VerificationReport) -> int:
     status = "PASS" if report.passed else "FAIL"
@@ -348,8 +355,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # an unset --tolerance leaves each verifier its own default
     tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
     suite = args.suite
+    family = _SUITE_FAMILY.get(suite)
+    if args.family is not None and family not in (None, args.family):
+        raise _UsageError(f"suite '{suite}' checks --family {family}, "
+                          f"not --family {args.family}")
     if suite == "family":
-        spec = _DEFAULT_VES if args.family is None else _spec_from_args(args)
+        given = args.family is not None or _given(args, _PARAMS)
+        spec = _spec_from_args(args) if given else _DEFAULT_VES
         report = verify_family(spec, _k_grid(args, 0.5, 20.0, 64), **tol)
     elif suite == "equivalence":
         p = _loglinear_or(args, LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0))
@@ -363,7 +375,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                             _or(args.steps, 10000), **tol)
     elif suite == "sato-hoffman":
         s = SatoHoffmanParams(gamma=_or(args.gamma, 1.0), delta=_or(args.delta, 0.5),
-                              rho=_or(args.rho, 0.5))
+                              rho=_or(args.rho, 0.5), alpha=_or(args.alpha, 1.0))
         bound = s.k_upper_bound()
         hi = 10.0 if math.isinf(bound) else 0.93 * bound
         report = verify_sato_hoffman(s, _k_grid(args, hi / 30.0, hi, 32), **tol)

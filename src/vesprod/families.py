@@ -286,6 +286,8 @@ class VESParams(_Family):
 
     def _dsigma(self, k: float) -> float:
         lam, mu, th = self.lam, self.mu, self.theta
+        if lam == 0.0 and th != 0.0:  # sigma = 1/theta: the formula's signed zero
+            return float(-lam * mu)
         den = lam + th * mu * k ** (th - 1.0)
         return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
 
@@ -430,11 +432,15 @@ class _WageForm(_Family):
 
     def _coeffs(self) -> tuple[float, float, float]:
         """(m, n, A) of the closed form."""
-        b, c = self.b, self.c
-        return self._bracket_coef(), (b - 1.0) / (b + c - 1.0), self.a ** (1.0 / (1.0 - b))
+        return *self._bracket_coeffs(), self.a ** (1.0 / (1.0 - self.b))
+
+    def _bracket_coeffs(self) -> tuple[float, float]:
+        """(m, n) of the bracket, which does not need A: A may overflow where
+        the bracket is finite."""
+        return self._bracket_coef(), (self.b - 1.0) / (self.b + self.c - 1.0)
 
     def _bracket(self, k: float) -> float:
-        m, n, _ = self._coeffs()
+        m, n = self._bracket_coeffs()
         b, c = self.b, self.c
         return m * k ** ((b - 1.0) / b) + n * k ** (-c / b)
 
@@ -491,6 +497,8 @@ class _WageForm(_Family):
     def _dsigma(self, k: float) -> float:
         b, c, xi = self.b, self.c, self._xi()
         s = b + c - 1.0
+        if xi == 0.0 and c > 0.0:  # sigma = 1: the formula's signed zero
+            return xi * (1.0 - b) * s * b * c
         den = xi * (1.0 - b) * s * (1.0 - c) * k ** ((b - 1.0) / b) \
             + b * b * c * k ** (-c / b)
         num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)

@@ -21,7 +21,12 @@ not with the module.
 
 Every verifier, the ODE check (:func:`verify_ode`) included, returns a
 :class:`VerificationReport` and states its default tolerance in its
-signature; reports are deterministic for identical inputs.
+signature; reports are deterministic for identical inputs.  A verifier
+only produces (quantity, k, closed form, reference, scale floor)
+comparisons, and one function scores them all with one relative-error
+scale, max(|closed form|, |reference|, scale floor); for the ODE that is
+max(|integrated y|, |closed-form y|).  One loop applies each verifier's
+admissibility rule to its grid.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParamError, SingularError
 from .families import (
@@ -90,38 +95,28 @@ class VerificationReport:
     worst_quantity: str | None = None
 
 
-class _Worst:
-    """Accumulates worst-case absolute and relative errors over a grid."""
+#: one comparison: (quantity, k, closed form, reference, scale floor)
+_Comparison = tuple[str, float, float, float, float]
 
-    def __init__(self) -> None:
-        self.max_abs = 0.0
-        self.max_rel = 0.0
-        self.count = 0
-        self.worst_k: float | None = None
-        self.worst_quantity: str | None = None
 
-    def add(self, quantity: str, k: float, closed: float, reference: float,
-            scale_floor: float = 0.0) -> None:
+def _report(name: str, points: int, tolerance: float,
+            comparisons: Iterable[_Comparison]) -> VerificationReport:
+    """Score every comparison: its relative error is the absolute error over
+    max(|closed|, |reference|, scale floor), and 0 where the two agree
+    exactly; the last of several equal maxima locates the worst error."""
+    max_abs = max_rel = 0.0
+    worst_k = worst_quantity = None
+    for quantity, k, closed, reference, scale_floor in comparisons:
         abs_err = abs(closed - reference)
-        scale = max(abs(closed), abs(reference), scale_floor)
-        rel_err = 0.0 if abs_err == 0.0 else abs_err / scale
-        self.max_abs = max(self.max_abs, abs_err)
-        if rel_err >= self.max_rel:
-            self.max_rel = rel_err
-            self.worst_k = k
-            self.worst_quantity = quantity
-
-    def report(self, name: str, points: int, tolerance: float) -> VerificationReport:
-        return VerificationReport(
-            check_name=name,
-            max_abs_error=self.max_abs,
-            max_rel_error=self.max_rel,
-            points_checked=points,
-            tolerance=tolerance,
-            passed=self.max_rel <= tolerance,
-            worst_k=self.worst_k,
-            worst_quantity=self.worst_quantity,
-        )
+        rel_err = 0.0 if abs_err == 0.0 else \
+            abs_err / max(abs(closed), abs(reference), scale_floor)
+        max_abs = max(max_abs, abs_err)
+        if rel_err >= max_rel:
+            max_rel, worst_k, worst_quantity = rel_err, k, quantity
+    return VerificationReport(
+        check_name=name, max_abs_error=max_abs, max_rel_error=max_rel,
+        points_checked=points, tolerance=tolerance, passed=max_rel <= tolerance,
+        worst_k=worst_k, worst_quantity=worst_quantity)
 
 
 def _central(f: Callable[[float], float], k: float) -> float:
@@ -165,7 +160,11 @@ def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
     return yp * (k * yp - yv) / den
 
 
-def _check_grid(k_grid: Sequence[float]) -> list[float]:
+def _check_grid(k_grid: Sequence[float],
+                outside: Callable[[float], str | None] = lambda k: None) -> list[float]:
+    """The grid as floats: non-empty, positive, finite and strictly
+    increasing.  Then every point must be admissible: the first point for
+    which ``outside`` names a range raises DomainError naming the point."""
     grid = [float(k) for k in k_grid]
     if len(grid) < 1:
         raise ParamError("k_grid must contain at least one point")
@@ -175,6 +174,10 @@ def _check_grid(k_grid: Sequence[float]) -> list[float]:
     for lo, hi in zip(grid, grid[1:]):
         if not lo < hi:
             raise ParamError("k_grid must be strictly increasing")
+    for k in grid:
+        where = outside(k)
+        if where:
+            raise DomainError(f"k = {k:.12g} is outside the {where}")
     return grid
 
 
@@ -254,12 +257,7 @@ def verify_ode(v: VESParams, k_start: float, k_end: float, steps: int,
     if y_ref == 0.0:
         raise SingularError(f"the closed-form y underflows to 0 at k = {k_end:.12g}, "
                             "so the relative error is undefined")
-    err = abs(y_end - y_ref)
-    rel = err / abs(y_ref)
-    return VerificationReport(
-        check_name="ode", max_abs_error=err, max_rel_error=rel,
-        points_checked=steps, tolerance=tolerance, passed=rel <= tolerance,
-        worst_k=k_end, worst_quantity="y")
+    return _report("ode", steps, tolerance, [("y", k_end, y_end, y_ref, 0.0)])
 
 
 # --------------------------------------------------------------------------
@@ -281,34 +279,26 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     a 50-digit evaluation to 1.2e-15), and the report fails on sigma
     although the closed form is right.
     """
-    grid = _check_grid(k_grid)
-    for k in grid:
+    def outside(k: float) -> str | None:
         violated = violated_constraints(spec, k)
-        if violated:
-            raise DomainError(
-                f"k = {k:.12g} is outside the validity range "
-                f"(violated: {', '.join(violated)})")
+        return f"validity range (violated: {', '.join(violated)})" if violated else None
 
+    grid = _check_grid(k_grid, outside)
+    return _report("family", len(grid), tolerance, _family_comparisons(spec, grid))
+
+
+def _family_comparisons(spec: FamilySpec, grid: list[float]) -> Iterator[_Comparison]:
     y = lambda k: eval_intensive(spec, k)
-    worst = _Worst()
     for k in grid:
         yv, yp, ypp = _fd_derivatives(y, k)
-
         R_cl = mrs_closed(spec, k)
-        worst.add("R", k, R_cl, _mrs_identity(k, yv, yp))
-
-        Rp_cl = mrs_derivative_closed(spec, k)
-        worst.add("R_prime", k, Rp_cl, _central(lambda t: mrs_closed(spec, t), k),
-                  scale_floor=abs(R_cl) / k)
-
+        yield "R", k, R_cl, _mrs_identity(k, yv, yp), 0.0
+        yield ("R_prime", k, mrs_derivative_closed(spec, k),
+               _central(lambda t: mrs_closed(spec, t), k), abs(R_cl) / k)
         sig_cl = sigma_closed(spec, k)
-        worst.add("sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp))
-
-        sigp_cl = sigma_derivative_closed(spec, k)
-        worst.add("sigma_prime", k, sigp_cl,
-                  _central(lambda t: sigma_closed(spec, t), k),
-                  scale_floor=abs(sig_cl) / k)
-    return worst.report("family", len(grid), tolerance)
+        yield "sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp), 0.0
+        yield ("sigma_prime", k, sigma_derivative_closed(spec, k),
+               _central(lambda t: sigma_closed(spec, t), k), abs(sig_cl) / k)
 
 
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
@@ -317,11 +307,9 @@ def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
     """Worst relative difference between each kernel evaluated on ``spec``
     and on ``target``, over every grid point."""
     grid = _check_grid(k_grid)
-    worst = _Worst()
-    for k in grid:
-        for quantity, kernel in kernels:
-            worst.add(quantity, k, kernel(spec, k), kernel(target, k))
-    return worst.report(name, len(grid), tolerance)
+    return _report(name, len(grid), tolerance,
+                   ((quantity, k, kernel(spec, k), kernel(target, k), 0.0)
+                    for k in grid for quantity, kernel in kernels))
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -351,14 +339,10 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
     if s.alpha != 1.0:
         raise ParamError("the affine-elasticity identity assumes degree one "
                          f"(alpha = 1), got alpha = {s.alpha!r}")
-    grid = _check_grid(k_grid)
     bound = s.k_upper_bound()
-    for k in grid:
-        if k >= bound:
-            raise DomainError(
-                f"k = {k:.12g} is outside the admissible range k < {bound:.12g}")
+    grid = _check_grid(
+        k_grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
     y = lambda k: eval_intensive(s, k)
-    worst = _Worst()
-    for k in grid:
-        worst.add("sigma", k, sigma_closed(s, k), _sigma_identity(k, *_fd_derivatives(y, k)))
-    return worst.report("sato-hoffman", len(grid), tolerance)
+    return _report("sato-hoffman", len(grid), tolerance,
+                   (("sigma", k, sigma_closed(s, k),
+                     _sigma_identity(k, *_fd_derivatives(y, k)), 0.0) for k in grid))

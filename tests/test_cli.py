@@ -456,6 +456,41 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
 
 
+@pytest.mark.parametrize("flags, err", [
+    ("--suite ode --family ces --gamma 1 --delta 0.4 --sigma 0.7",
+     "usage error: suite 'ode' checks --family ves, not --family ces\n"),
+    ("--suite ode --family lh --a 1 --b 0.5 --c 0.2 --xi -1",
+     "usage error: suite 'ode' checks --family ves, not --family lh\n"),
+    ("--suite sato-hoffman --family ves --lambda 0 --mu 1 --theta 2 --psi 1",
+     "usage error: suite 'sato-hoffman' checks --family sh, not --family ves\n"),
+    ("--suite equivalence --family ces --gamma 1 --delta 0.4 --sigma 0.7",
+     "usage error: suite 'equivalence' checks --family lh, not --family ces\n"),
+    ("--suite reduction --family cd --A 2 --beta 0.4",
+     "usage error: suite 'reduction' checks --family ves, not --family cd\n"),
+    ("--suite family --lambda 0.5 --mu 2 --theta 1.5 --psi 1",
+     "usage error: missing --family\n"),
+], ids=["ode-ces", "ode-lh", "sato-hoffman-ves", "equivalence-ces", "reduction-cd",
+        "family-without-family"])
+def test_verify_checks_only_the_family_asked_for(capsys, flags, err):
+    # each of these once verified a default spec instead and exited 0
+    assert run(capsys, "verify", *flags.split()) == (2, "", err)
+
+
+@pytest.mark.parametrize("suite, family", [
+    ("ode", "ves"), ("reduction", "ves"), ("sato-hoffman", "sh"), ("equivalence", "lh"),
+])
+def test_verify_suite_accepts_its_own_family(capsys, suite, family):
+    assert run(capsys, "verify", "--suite", suite, "--family", family) == \
+        run(capsys, "verify", "--suite", suite)
+
+
+def test_verify_sato_hoffman_rejects_a_degree_other_than_one(capsys):
+    # --alpha was once dropped, so alpha = 1 was verified instead
+    assert run(capsys, "verify", "--suite", "sato-hoffman", "--alpha", "2") == (
+        2, "", "error: the affine-elasticity identity assumes degree one "
+               "(alpha = 1), got alpha = 2.0\n")
+
+
 # ---------------------------------------------------------------------------
 # Golden output
 # ---------------------------------------------------------------------------
@@ -675,9 +710,9 @@ GOLDEN_VERIFY = [
     ('--suite ode --ln-a 0.773454 --b 0.934369 --c 1.191951 --xi -3.79 --k-from 3 --k-to 10', 0,
      'ode: 10000 points, max_rel_error = 4.188985e-14, tolerance = 1e-09: PASS\nworst: k = 10.0000000000, quantity = y\n',
      ''),
-    ('--suite ode --family ces --gamma 1 --delta 0.4 --sigma 0.7', 0,
-     'ode: 10000 points, max_rel_error = 1.665335e-16, tolerance = 1e-09: PASS\nworst: k = 2.00000000000, quantity = y\n',
-     ''),
+    ('--suite ode --family ces --gamma 1 --delta 0.4 --sigma 0.7', 2,
+     '',
+     "usage error: suite 'ode' checks --family ves, not --family ces\n"),
     ('--suite ode --steps 20 --tolerance 1e-12', 1,
      'ode: 20 points, max_rel_error = 1.153524e-08, tolerance = 1e-12: FAIL\nworst: k = 2.00000000000, quantity = y\n',
      ''),

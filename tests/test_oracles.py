@@ -317,6 +317,19 @@ def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
     assert report.worst_quantity == "sigma"
 
 
+def test_verifiers_name_the_first_inadmissible_point(reference_fit_ves):
+    # the reference fit is valid from k = 2.0776 up to past 1e8
+    with pytest.raises(DomainError) as info:
+        verify_family(reference_fit_ves, [1.0, 1.5, 3.0])
+    assert str(info.value) == "k = 1 is outside the validity range (violated: R>0, sigma>0)"
+    with pytest.raises(DomainError) as info:
+        verify_family(reference_fit_ves, [3.0, 1e300])
+    assert str(info.value) == "k = 1e+300 is outside the validity range (violated: R>0)"
+    with pytest.raises(DomainError) as info:
+        verify_sato_hoffman(SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5), [1.0, 1.5, 2.0])
+    assert str(info.value) == "k = 1.5 is outside the admissible range k < 1.5"
+
+
 def test_verify_family_grid_validation(reference_fit_ves):
     with pytest.raises(ParamError):
         verify_family(reference_fit_ves, [3.0, 2.5])

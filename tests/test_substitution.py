@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from vesprod import (
     ShareError,
     SingularError,
     VESParams,
+    bracket_base,
     classify_regime,
     eval_intensive,
     intensive_derivative,
@@ -630,6 +632,33 @@ def test_sigma_prime_does_not_round_to_zero():
     # the 50-digit value is 4.950125e-201
     v = VESParams(lam=-0.5, mu=1.0, theta=200.0, psi=1.0)
     assert sigma_derivative_closed(v, 10.0) == pytest.approx(4.950125e-201, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("spec, k, expected", [
+    # sigma = 1/theta with lam = 0; (theta-1)^2 overflows
+    (VESParams(lam=0.0, mu=1.0, theta=3e154, psi=1.0), 2.0, -0.0),
+    # sigma = 1 with xi = 0; (b+c-1)^2 overflows
+    (LiuHildebrandParams(a=1.0, b=0.5, c=2e154, xi=0.0), 2.0, 0.0),
+    # where the full formula is finite, the same bits as it
+    (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), 2.0, -0.0),
+    (VESParams(lam=0, mu=1, theta=2, psi=1), 2.0, 0.0),
+    (VESParams(lam=0.0, mu=-1.0, theta=2.0, psi=1.0), 0.5, 0.0),
+    (LiuHildebrandParams(a=1.0, b=2.0, c=0.2, xi=0.0), 2.0, -0.0),
+])
+def test_sigma_prime_of_a_constant_sigma_is_a_signed_zero(spec, k, expected):
+    assert struct.pack("<d", sigma_derivative_closed(spec, k)) == struct.pack("<d", expected)
+
+
+def test_wage_bracket_does_not_use_the_scale_constant():
+    # A = a^(1/(1-b)) overflows at a = 1e300; the bracket, R, R' and sigma do not use it
+    big = LiuHildebrandParams(a=1e300, b=0.5, c=0.2, xi=-1.0)
+    unit = LiuHildebrandParams(a=1.0, b=0.5, c=0.2, xi=-1.0)
+    assert bracket_base(big, 1.0) == bracket_base(unit, 1.0) == pytest.approx(8.0 / 3.0)
+    assert violated_constraints(big, 1.0) == ()
+    assert validity_range(big, 0.1, 10.0) == validity_range(unit, 0.1, 10.0) \
+        == ValidityInterval(k_low=0.1, k_high=10.0, constraints_active=())
+    with pytest.raises(DomainError, match="overflows"):
+        eval_intensive(big, 1.0)
 
 
 def test_sigma_limits_at_large_k():
