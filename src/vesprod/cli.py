@@ -11,10 +11,11 @@ deterministic for identical flags and input bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParamError, VesprodError
 from .families import (
@@ -79,108 +80,107 @@ def _fmt(value: float) -> str:
 
 
 # --------------------------------------------------------------------------
-# Flag groups and spec assembly
+# Parameter flags and spec assembly
 # --------------------------------------------------------------------------
 
-_STRUCTURAL = ("lam", "mu", "theta", "psi")
-_REGRESSION = ("a", "ln_a", "b", "c")
+#: the spec type of each --family; a family reads the flags of its fields
+_FAMILIES = {"ves": VESParams, "ces": CESParams, "cd": CobbDouglasParams,
+             "lh": LiuHildebrandParams, "lf": LuFletcherParams, "sh": SatoHoffmanParams}
+
+#: flag and help of --family and of each parameter field; field a also reads --ln-a
+_FLAGS = {
+    "family": ("--family", "production-function family"),
+    "a": ("--a", "scale constant of the log-linear relation"),
+    "ln_a": ("--ln-a", "intercept ln(a) (alternative to --a)"),
+    "b": ("--b", "slope on the log price term"),
+    "c": ("--c", "slope on ln k"),
+    "xi": ("--xi", "integration constant xi"),
+    "zeta": ("--zeta", "integration constant zeta (lf)"),
+    "lam": ("--lambda", "structural lambda (ves)"),
+    "mu": ("--mu", "structural mu (ves)"),
+    "theta": ("--theta", "structural theta (ves)"),
+    "psi": ("--psi", "structural scale psi (ves)"),
+    "A": ("--A", "scale A (cd)"),
+    "beta": ("--beta", "capital share beta (cd)"),
+    "gamma": ("--gamma", "scale gamma (ces, sh)"),
+    "delta": ("--delta", "distribution parameter delta (ces, sh)"),
+    "sigma": ("--sigma", "elasticity sigma (ces)"),
+    "rho": ("--rho", "rho (sh)"),
+    "alpha": ("--alpha", "degree alpha (sh, default 1)"),
+}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("family parameters")
-    g.add_argument("--family", choices=["ves", "ces", "cd", "lh", "lf", "sh"],
-                   help="production-function family")
-    g.add_argument("--a", type=float, help="scale constant of the log-linear relation")
-    g.add_argument("--ln-a", dest="ln_a", type=float,
-                   help="intercept ln(a) (alternative to --a)")
-    g.add_argument("--b", type=float, help="slope on the log price term")
-    g.add_argument("--c", type=float, help="slope on ln k")
-    g.add_argument("--xi", type=float, help="integration constant xi")
-    g.add_argument("--zeta", type=float, help="integration constant zeta (lf)")
-    g.add_argument("--lambda", dest="lam", type=float, help="structural lambda (ves)")
-    g.add_argument("--mu", type=float, help="structural mu (ves)")
-    g.add_argument("--theta", type=float, help="structural theta (ves)")
-    g.add_argument("--psi", type=float, help="structural scale psi (ves)")
-    g.add_argument("--A", type=float, help="scale A (cd)")
-    g.add_argument("--beta", type=float, help="capital share beta (cd)")
-    g.add_argument("--gamma", type=float, help="scale gamma (ces, sh)")
-    g.add_argument("--delta", type=float, help="distribution parameter delta (ces, sh)")
-    g.add_argument("--sigma", type=float, help="elasticity sigma (ces)")
-    g.add_argument("--rho", type=float, help="rho (sh)")
-    g.add_argument("--alpha", type=float, help="degree alpha (sh, default 1)")
+    for name, (flag, text) in _FLAGS.items():
+        kind = {"choices": list(_FAMILIES)} if name == "family" else {"type": float}
+        g.add_argument(flag, dest=name, help=text, **kind)
 
 
-def _given(args: argparse.Namespace, names: Sequence[str]) -> list[str]:
-    return [n for n in names if getattr(args, n, None) is not None]
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def _need(args: argparse.Namespace, names: Sequence[str], family: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-").replace("lam", "lambda")
-                          for n in missing)
-        raise _UsageError(f"family '{family}' needs {flags}")
+def _given(args: argparse.Namespace, names: Iterable[str]) -> bool:
+    return any(getattr(args, n) is not None for n in names)
 
 
-def _scale_a(args: argparse.Namespace) -> float:
-    if args.a is not None and args.ln_a is not None:
-        raise _UsageError("give either --a or --ln-a, not both")
+def _check_read(args: argparse.Namespace, reader: str, names: Sequence[str]) -> None:
+    """Usage error for a flag of `_FLAGS` given that `reader` does not read:
+    it reads the flags of `names`, and --ln-a with `a`."""
+    for name, (flag, _) in _FLAGS.items():
+        read = name in names or (name == "ln_a" and "a" in names)
+        if not read and getattr(args, name) is not None:
+            raise _UsageError(f"{reader} does not read {flag}")
+
+
+def _value(args: argparse.Namespace, name: str) -> float | None:
+    """The value given for field `name`; field a may come as --ln-a."""
+    if name != "a" or args.ln_a is None:
+        return getattr(args, name)
     if args.a is not None:
-        return args.a
-    if args.ln_a is not None:
-        try:
-            return math.exp(args.ln_a)
-        except OverflowError:
-            raise ParamError(f"a = e^ln_a overflows for ln_a = {args.ln_a!r}") from None
-    raise _UsageError("missing --a (or --ln-a)")
+        raise _UsageError("give either --a or --ln-a, not both")
+    try:
+        return math.exp(args.ln_a)
+    except OverflowError:
+        raise ParamError(f"a = e^ln_a overflows for ln_a = {args.ln_a!r}") from None
 
 
-def _loglinear_from_args(args: argparse.Namespace,
-                         xi_required: bool = True) -> LogLinearParams:
-    a = _scale_a(args)
-    if args.b is None or args.c is None:
-        raise _UsageError("missing --b or --c")
-    if xi_required and args.xi is None:
-        raise _UsageError("missing --xi")
-    return LogLinearParams(a=a, b=args.b, c=args.c, xi=args.xi)
+def _read(args: argparse.Namespace, cls, need: str, names: Sequence[str] | None = None,
+          base=None):
+    """The `cls` that the flags of its fields give.  Each field in `names`
+    must be given; with `names` left out, every field is read and one with a
+    default (its value in `base`, else in `cls`) may be omitted.  `need`
+    opens the usage error that lists the missing flags."""
+    fields = [f for f in dataclasses.fields(cls) if names is None or f.name in names]
+    given = {f.name: v for f in fields if (v := _value(args, f.name)) is not None}
+    if base is not None:
+        return dataclasses.replace(base, **given)
+    missing = [_FLAGS[f.name][0] for f in fields if f.name not in given
+               and (names is not None or f.default is dataclasses.MISSING)]
+    if missing:
+        raise _UsageError(f"{need} {', '.join(missing)}")
+    return cls(**given)
 
 
-def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    family = args.family
+def _spec_from_args(args: argparse.Namespace, family: str | None = None,
+                    reader: str | None = None, default=None) -> FamilySpec:
+    """The spec of `family` (else of --family), or `default` if no flag of
+    it is given.  ves also reads regression space: a, b, c and xi."""
+    family = family or args.family
     if family is None:
         raise _UsageError("missing --family")
-    if family == "ves":
-        structural = _given(args, _STRUCTURAL)
-        regression = _given(args, _REGRESSION + ("xi",))
-        if structural and regression:
+    cls = _FAMILIES[family]
+    alt = _fields(LogLinearParams) if cls is VESParams else ()
+    _check_read(args, reader or f"family '{family}'", ("family", *_fields(cls), *alt))
+    if alt and _given(args, ("ln_a", *alt)):
+        if _given(args, _fields(cls)):
             raise _UsageError("do not mix structural (--lambda/--mu/--theta/--psi) "
                               "and regression (--a/--b/--c/--xi) parameters")
-        if structural:
-            _need(args, _STRUCTURAL, "ves")
-            return VESParams(lam=args.lam, mu=args.mu, theta=args.theta, psi=args.psi)
-        if regression:
-            return ves_from_loglinear(_loglinear_from_args(args))
-        raise _UsageError("family 'ves' needs --lambda/--mu/--theta/--psi "
-                          "or --a/--b/--c/--xi")
-    if family == "ces":
-        _need(args, ("gamma", "delta", "sigma"), "ces")
-        return CESParams(gamma=args.gamma, delta=args.delta, sigma=args.sigma)
-    if family == "cd":
-        _need(args, ("A", "beta"), "cd")
-        return CobbDouglasParams(A=args.A, beta=args.beta)
-    if family == "lh":
-        p = _loglinear_from_args(args)
-        return LiuHildebrandParams(a=p.a, b=p.b, c=p.c, xi=p.xi)
-    if family == "lf":
-        a = _scale_a(args)
-        _need(args, ("b", "c", "zeta"), "lf")
-        return LuFletcherParams(a=a, b=args.b, c=args.c, zeta=args.zeta)
-    if family == "sh":
-        _need(args, ("gamma", "delta", "rho"), "sh")
-        alpha = 1.0 if args.alpha is None else args.alpha
-        return SatoHoffmanParams(gamma=args.gamma, delta=args.delta,
-                                 rho=args.rho, alpha=alpha)
-    raise _UsageError(f"unknown family {family!r}")
+        return ves_from_loglinear(_read(args, LogLinearParams, "missing", alt))
+    if default is not None and not _given(args, _fields(cls)):
+        return default
+    return _read(args, cls, f"family '{family}' needs")
 
 
 # --------------------------------------------------------------------------
@@ -234,14 +234,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         source = fh.read()
     dataset = load_dataset(source)
     report = fit_loglinear(dataset, args.relation)
+    diag = diagnose_fit(dataset, report) if args.diagnose else None
     for line in _fit_lines(report):
         print(line)
-    if args.diagnose:
-        diag = diagnose_fit(dataset, report)
+    if diag is not None:
+        t = diag.c_significance  # +-inf where c's standard error is 0 or negligible
         print("diagnostics:")
         print(f"  b_plus_c = {_fmt(diag.b_plus_c)}")
         print(f"  dist_to_unity = {_fmt(diag.dist_to_unity)}")
-        print(f"  c_significance = {_fmt(diag.c_significance)}")
+        print(f"  c_significance = {_fmt(t) if math.isfinite(t) else '(unbounded)'}")
         if diag.capital_share_range is None:
             print("  capital_share_range = (no rental column)")
             print("  share_restriction_violated = (no rental column)")
@@ -286,8 +287,9 @@ def _cmd_regime(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_xi(args: argparse.Namespace) -> int:
-    p = _loglinear_from_args(args, xi_required=False)
-    xi = calibrate_xi(p, args.k0)
+    names = ("a", "b", "c")
+    _check_read(args, "calibrate-xi", names)
+    xi = calibrate_xi(_read(args, LogLinearParams, "missing", names), args.k0)
     print(f"xi = {_fmt(xi)}")
     print(f"criterion: R(k0) = 0 at k0 = {_fmt(args.k0)}; "
           "pass --xi explicitly to use a different rule")
@@ -295,8 +297,8 @@ def _cmd_calibrate_xi(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    p = _loglinear_from_args(args, xi_required=False)
-    reduced = reduce_special_case(p, tol=args.tol)
+    _check_read(args, "reduce", _fields(LogLinearParams))
+    reduced = reduce_special_case(_read(args, LogLinearParams, "missing"), tol=args.tol)
     if isinstance(reduced, CobbDouglasParams):
         print(f"cobb-douglas: A = {_fmt(reduced.A)}, beta = {_fmt(reduced.beta)}")
     elif isinstance(reduced, CESParams):
@@ -309,16 +311,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the VES spec the family and ode suites check when given no parameters
+#: the VES and Sato-Hoffman specs the suites check when given no parameters
 _DEFAULT_VES = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+_DEFAULT_SH = SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5)
 
 #: the one family each verify suite checks; the family suite checks any
 _SUITE_FAMILY = {"equivalence": "lh", "ode": "ves", "sato-hoffman": "sh",
                  "reduction": "ves"}
-
-#: every family parameter flag
-_PARAMS = _STRUCTURAL + _REGRESSION + ("xi", "zeta", "A", "beta", "gamma", "delta",
-                                       "sigma", "rho", "alpha")
 
 
 def _print_report(report: VerificationReport) -> int:
@@ -345,9 +344,13 @@ def _k_grid(args: argparse.Namespace, lo: float, hi: float, n: int) -> list[floa
     return _log_grid(lo, hi, n)
 
 
-def _loglinear_or(args: argparse.Namespace, default: LogLinearParams) -> LogLinearParams:
-    if _given(args, ("a", "ln_a", "b", "c", "xi")):
-        return _loglinear_from_args(args)
+def _loglinear_or(args: argparse.Namespace, reader: str,
+                  default: LogLinearParams) -> LogLinearParams:
+    """The suite's regression-space parameters, xi included, or `default`."""
+    names = _fields(LogLinearParams)
+    _check_read(args, reader, ("family", *names))
+    if _given(args, ("ln_a", *names)):
+        return _read(args, LogLinearParams, "missing", names)
     return default
 
 
@@ -356,31 +359,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
     suite = args.suite
     family = _SUITE_FAMILY.get(suite)
+    reader = f"suite '{suite}'"
     if args.family is not None and family not in (None, args.family):
-        raise _UsageError(f"suite '{suite}' checks --family {family}, "
-                          f"not --family {args.family}")
+        raise _UsageError(f"{reader} checks --family {family}, not --family {args.family}")
     if suite == "family":
-        given = args.family is not None or _given(args, _PARAMS)
-        spec = _spec_from_args(args) if given else _DEFAULT_VES
+        spec = _spec_from_args(args) if _given(args, _FLAGS) else _DEFAULT_VES
         report = verify_family(spec, _k_grid(args, 0.5, 20.0, 64), **tol)
     elif suite == "equivalence":
-        p = _loglinear_or(args, LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0))
+        p = _loglinear_or(args, reader, LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0))
         report = verify_equivalence_lh_lf(p, _k_grid(args, 0.1, 10.0, 50), **tol)
     elif suite == "ode":
-        v = _DEFAULT_VES
-        if _given(args, _STRUCTURAL + _REGRESSION + ("xi",)):
-            args.family = "ves"
-            v = _spec_from_args(args)
+        v = _spec_from_args(args, "ves", reader, _DEFAULT_VES)
         report = verify_ode(v, _or(args.k_from, 1.0), _or(args.k_to, 2.0),
                             _or(args.steps, 10000), **tol)
     elif suite == "sato-hoffman":
-        s = SatoHoffmanParams(gamma=_or(args.gamma, 1.0), delta=_or(args.delta, 0.5),
-                              rho=_or(args.rho, 0.5), alpha=_or(args.alpha, 1.0))
+        _check_read(args, reader, ("family", *_fields(SatoHoffmanParams)))
+        s = _read(args, SatoHoffmanParams, "", base=_DEFAULT_SH)
         bound = s.k_upper_bound()
         hi = 10.0 if math.isinf(bound) else 0.93 * bound
         report = verify_sato_hoffman(s, _k_grid(args, hi / 30.0, hi, 32), **tol)
     elif suite == "reduction":
-        p = _loglinear_or(args, LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0))
+        p = _loglinear_or(args, reader, LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0))
         target = reduce_special_case(p)
         if isinstance(target, LogLinearParams):
             raise _UsageError("parameters do not reduce to a special case; "

@@ -104,10 +104,10 @@ class DegeneracyDiagnostics:
     """Health indicators of a fitted log-linear relation.
 
     ``c_significance`` is the ratio of c to its standard error (+inf for a
-    noiseless fit).  ``capital_share_range`` is the observed range of
-    beta = k*r/y when the rental column is present, else None;
-    ``share_restriction_violated`` flags max(beta) >= c, which breaks the
-    share form's requirement c > beta.
+    noiseless fit, +-inf where the ratio overflows).  ``capital_share_range``
+    is the observed range of beta = k*r/y when the rental column is present,
+    else None; ``share_restriction_violated`` flags max(beta) >= c, which
+    breaks the share form's requirement c > beta.
     """
 
     b_plus_c: float
@@ -257,15 +257,19 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     """Degeneracy indicators for a fit produced from ``d``: b + c and its
     distance to unity, the significance ratio of c, and (when the rental
     column is present) the observed capital-share range k*r/y with a flag
-    when it reaches c."""
+    when it reaches c.  A share that overflows raises :class:`DomainError`."""
     b = f.b_hat.value
     c = f.c_hat.value
     se_c = f.c_hat.stderr
     c_significance = math.inf if se_c == 0.0 else c / se_c
     if d.has_r:
         shares = [row.k * row.r / row.y for row in d.rows]
-        share_range: tuple[float, float] | None = (min(shares), max(shares))
-        violated: bool | None = max(shares) >= c
+        top = max(shares)
+        if math.isinf(top):
+            period = d.rows[shares.index(top)].period
+            raise DomainError(f"period {period!r}: the capital share k*r/y overflows")
+        share_range: tuple[float, float] | None = (min(shares), top)
+        violated: bool | None = top >= c
     else:
         share_range = None
         violated = None

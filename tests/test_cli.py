@@ -1,23 +1,28 @@
 import contextlib
+import dataclasses
 import math
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vesprod import (
+    LiuHildebrandParams,
     LogLinearParams,
     VESParams,
     VesprodError,
     calibrate_xi,
     classify_regime,
+    eval_intensive,
     loglinear_from_ves,
     ode_integrate_theorem,
     verify_family,
     ves_from_loglinear,
 )
-from vesprod.cli import TRAJECTORY_HEADER, main
+from vesprod.cli import _FAMILIES, _FLAGS, TRAJECTORY_HEADER, _fmt, main
 
 REFERENCE_FLAGS = ["--ln-a", "0.773454", "--b", "0.934369", "--c", "1.191951"]
 
@@ -50,7 +55,6 @@ def test_eval_regression_space_matches_structural(capsys):
     code1, out1, _ = run(capsys, "eval", "--family", "ves", *REFERENCE_FLAGS,
                          "--xi", "-3.79", "--k", "3.3")
     p = LogLinearParams(a=math.exp(0.773454), b=0.934369, c=1.191951, xi=-3.79)
-    from vesprod import eval_intensive
     expected = eval_intensive(ves_from_loglinear(p), 3.3)
     assert code1 == 0
     assert float(out1) == pytest.approx(expected, rel=1e-11)
@@ -160,6 +164,13 @@ def test_fit_diagnose_degenerate_sum(tmp_path, capsys, rng):
     assert code == 0
     assert "b+c within 1e-6 of unity: marginal rate of substitution degenerates" in out
     assert "capital_share_range = (no rental column)" in out
+
+
+def test_fit_diagnose_exact_fit_prints_no_inf(tmp_path, capsys):
+    path = _write(tmp_path, "exact.csv", "period,y,k,r\na,1,1,1\nb,1,2,1\nc,1,1,2\nd,1,2,2\n")
+    code, out, _ = run(capsys, "fit", path, "--relation", "rental", "--diagnose")
+    assert code == 0
+    assert "  c_significance = (unbounded)\n" in out
 
 
 def test_fit_missing_file_exits_2(capsys):
@@ -482,6 +493,41 @@ def test_verify_checks_only_the_family_asked_for(capsys, flags, err):
 def test_verify_suite_accepts_its_own_family(capsys, suite, family):
     assert run(capsys, "verify", "--suite", suite, "--family", family) == \
         run(capsys, "verify", "--suite", suite)
+
+
+@pytest.mark.parametrize("argv, reader, flag", [
+    ("eval --family cd --A 2 --beta 0.4 --k 1 --gamma 7 --psi 3", "family 'cd'", "--psi"),
+    ("regime --family ces --gamma 1 --delta 0.4 --sigma 0.7 --xi 5", "family 'ces'", "--xi"),
+    ("calibrate-xi --a 1 --b 0.5 --c 1.5 --k0 1 --theta 4", "calibrate-xi", "--theta"),
+    ("calibrate-xi --a 1 --b 0.5 --c 1.5 --k0 1 --xi 4", "calibrate-xi", "--xi"),
+    ("reduce --family ces --a 1 --b 0.5 --c 1 --xi -1", "reduce", "--family"),
+    ("verify --suite ode --gamma 5", "suite 'ode'", "--gamma"),
+    ("verify --suite equivalence --zeta 3", "suite 'equivalence'", "--zeta"),
+    ("verify --suite sato-hoffman --lambda 9 --mu 1 --theta 2 --psi 1", "suite 'sato-hoffman'",
+     "--lambda"),
+    # named before --ln-a is read, so e^1000 never overflows
+    ("eval --family cd --A 2 --beta 0.4 --ln-a 1000 --k 1", "family 'cd'", "--ln-a"),
+], ids=["eval-cd", "regime-ces", "calibrate-theta", "calibrate-xi", "reduce-family",
+        "verify-ode", "verify-equivalence", "verify-sato-hoffman", "eval-ln-a"])
+def test_unread_flag_is_a_usage_error(capsys, argv, reader, flag):
+    # each of these once ignored the flag and exited 0
+    assert run(capsys, *argv.split()) == (2, "", f"usage error: {reader} does not read {flag}\n")
+
+
+def test_every_family_field_has_a_flag():
+    fields = {f.name for cls in (*_FAMILIES.values(), LogLinearParams)
+              for f in dataclasses.fields(cls)}
+    assert fields <= set(_FLAGS)
+
+
+def test_lh_reaches_its_ces_boundary(capsys):
+    # c = 0 is admitted by LiuHildebrandParams; the CLI once read lh through
+    # LogLinearParams, which requires c > 0
+    flags = "--family lh --a 1 --b 0.5 --c 0 --xi -1".split()
+    assert run(capsys, "regime", *flags) == (
+        0, "constant sigma, limit 0.500000000000, constant\n", "")
+    expected = _fmt(eval_intensive(LiuHildebrandParams(a=1.0, b=0.5, c=0.0, xi=-1.0), 2.5))
+    assert run(capsys, "eval", *flags, "--k", "2.5") == (0, expected + "\n", "")
 
 
 def test_verify_sato_hoffman_rejects_a_degree_other_than_one(capsys):
@@ -837,12 +883,31 @@ _RATIO = st.one_of(st.floats(1e-3, 1e3), st.floats(),
 
 
 @st.composite
+def _csv(draw):
+    """fit input: a subset of the columns in any order and 0 to 6 rows of
+    positive doubles, or at times of any doubles (inf and nan spelled as
+    repr does)."""
+    # the integers' simplest value 0 keeps a column, positive cells and six
+    # rows, so that many draws reach a fit and its diagnostics
+    columns = [c for c in draw(st.permutations(["period", "y", "k", "r", "w"]))
+               if draw(st.integers(0, 9)) < 9]
+    wild = draw(st.integers(0, 3)) == 3
+    cell = st.floats() if wild else st.floats(min_value=0.0, exclude_min=True)
+    rows = [",".join(f"t{i}" if c == "period" else repr(draw(cell)) for c in columns)
+            for i in range(6 - draw(st.integers(0, 6)))]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+@st.composite
 def _argv(draw):
-    """argv for eval, trajectory, regime or verify over the six families, and
-    for reduce and calibrate-xi, with flags missing at times and values
-    anywhere in the double range."""
+    """argv for eval, trajectory, regime or verify over the six families, for
+    reduce and calibrate-xi, with flags missing at times and values anywhere
+    in the double range, and for fit, whose argv[1] is the CSV text."""
     command = draw(st.sampled_from(["eval", "trajectory", "regime", "verify", "reduce",
-                                    "calibrate-xi"]))
+                                    "calibrate-xi", "fit"]))
+    if command == "fit":
+        return ["fit", draw(_csv()), "--relation", draw(st.sampled_from(["rental", "wage"])),
+                *(["--diagnose"] if draw(st.booleans()) else [])]
     argv = [command]
     if command in ("reduce", "calibrate-xi"):
         family = "lh"  # its flag sets are the regression-space ones
@@ -876,7 +941,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=350, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
 @example(argv="eval --family cd --A 1e300 --beta 0.5 --k 1e300".split())
@@ -896,10 +961,20 @@ def _argv(draw):
               "--xi=-2.2977550030302227 --steps 129 --k-from 2.4998678075824543 "
               "--k-to 3.2769317457538814e-157".split())
 @example(argv="reduce --a 2 --b 1.9657695262926573 --c 1 --xi 4.906446850327949e+170".split())
+@example(argv=["fit", "period,y,k,r\nt0,1,1,1\nt1,1,2,1\nt2,1,1,2\nt3,1,2,2\n",  # exact fit
+               "--relation", "rental", "--diagnose"])
+@example(argv=["fit", "period,y,k,r\nt0,0.2,1e300,1e10\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n",
+               "--relation", "rental", "--diagnose"])  # the share k*r/y overflows
 def test_exit_codes_property(capsys, argv):
     # main never raises; 0 ok, 1 only for a failed verification, 2 for input
     # errors; a successful command prints no inf or nan
-    code, out, _ = run(capsys, *argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "fit":  # fit reads its CSV text from a file
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(argv[1])
+            argv = ["fit", path, *argv[2:]]
+        code, out, _ = run(capsys, *argv)
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "verify"
     if code == 0:

@@ -288,6 +288,13 @@ def test_diagnose_zero_stderr_gives_inf_sentinel(rng):
     assert math.isinf(diagnose_fit(d, f).c_significance)
 
 
+
+def test_diagnose_overflowing_share_raises():
+    d = load_dataset("period,y,k,r\nt0,0.2,1e300,1e10\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n")
+    with pytest.raises(DomainError, match="period 't0': the capital share k\\*r/y overflows"):
+        diagnose_fit(d, fit_loglinear(d, "rental"))
+
+
 # ---------------------------------------------------------------------------
 # Calibration of xi
 # ---------------------------------------------------------------------------
