@@ -202,25 +202,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _fit_lines(report) -> list[str]:
+    """The fit as text: each standard error starts below its estimate, or one
+    space after the previous one where that would overlap."""
     price = "r" if report.relation is Relation.RENTAL else "w"
-    vals = [_fmt(report.intercept_ln_a.value), _fmt(report.b_hat.value),
-            _fmt(report.c_hat.value)]
-    ses = [f"({_fmt(report.intercept_ln_a.stderr)})",
-           f"({_fmt(report.b_hat.stderr)})",
-           f"({_fmt(report.c_hat.stderr)})"]
-    prefix = "ln(y) = "
-    seps = [" + ", f" ln({price}) + ", " ln(k)"]
-    line1 = prefix + vals[0] + seps[0] + vals[1] + seps[1] + vals[2] + seps[2]
-    columns = [len(prefix),
-               len(prefix) + len(vals[0]) + len(seps[0]),
-               len(prefix) + len(vals[0]) + len(seps[0]) + len(vals[1]) + len(seps[1])]
-    line2 = ""
-    for col, se in zip(columns, ses):
-        if len(line2) < col:
-            line2 += " " * (col - len(line2))
-        elif line2:
-            line2 += " "
-        line2 += se
+    line1, line2 = "ln(y) = ", ""
+    for estimate, sep in zip((report.intercept_ln_a, report.b_hat, report.c_hat),
+                             (" + ", f" ln({price}) + ", " ln(k)")):
+        line2 += " " * max(len(line1) - len(line2), 1 if line2 else 0)
+        line2 += f"({_fmt(estimate.stderr)})"
+        line1 += _fmt(estimate.value) + sep
     return [f"relation: {report.relation.value}",
             f"n_obs: {report.n_obs}",
             line1,
@@ -362,6 +352,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reader = f"suite '{suite}'"
     if args.family is not None and family not in (None, args.family):
         raise _UsageError(f"{reader} checks --family {family}, not --family {args.family}")
+    unread = "points" if suite == "ode" else "steps"
+    if getattr(args, unread) is not None:
+        raise _UsageError(f"{reader} does not read --{unread}")
     if suite == "family":
         spec = _spec_from_args(args) if _given(args, _FLAGS) else _DEFAULT_VES
         report = verify_family(spec, _k_grid(args, 0.5, 20.0, 64), **tol)

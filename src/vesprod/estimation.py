@@ -24,6 +24,7 @@ normal matrix is never inverted directly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -120,6 +121,7 @@ class DegeneracyDiagnostics:
 _COLUMNS = ("period", "y", "k", "r", "w")
 _REQUIRED = ("period", "y", "k")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_NORMAL = 2.0 ** -1022  # the smallest normal double: a product below it has lost bits
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:
@@ -253,6 +255,16 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     )
 
 
+def _scaled_share(k: float, r: float, y: float) -> float:
+    """k*r/y on the mantissas and exponents of k, r and y, so that it is inf
+    only where the share overflows; where k*r and k*r/y are normal doubles it
+    is k*r/y bit for bit."""
+    (mk, ek), (mr, er), (my, ey) = map(math.frexp, (k, r, y))
+    with contextlib.suppress(OverflowError):
+        return math.ldexp(mk * mr / my, ek + er - ey)
+    return math.inf
+
+
 def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     """Degeneracy indicators for a fit produced from ``d``: b + c and its
     distance to unity, the significance ratio of c, and (when the rental
@@ -263,7 +275,8 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     se_c = f.c_hat.stderr
     c_significance = math.inf if se_c == 0.0 else c / se_c
     if d.has_r:
-        shares = [row.k * row.r / row.y for row in d.rows]
+        shares = [kr / row.y if _NORMAL <= (kr := row.k * row.r) < math.inf
+                  else _scaled_share(row.k, row.r, row.y) for row in d.rows]
         top = max(shares)
         if math.isinf(top):
             period = d.rows[shares.index(top)].period

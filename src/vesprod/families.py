@@ -32,9 +32,12 @@ Each family type carries its closed forms as private methods (``_y``,
 ``_F``, ``_dy``, ``_d2y``, ``_R``, ``_dR``, ``_sigma``, ``_dsigma`` and the
 bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
 the points where the validity conditions on them can change; Lu-Fletcher
-shares the Liu-Hildebrand method set.  The public functions here and in
-:mod:`vesprod.substitution` delegate to them through one entry point that
-checks the arguments and turns floating-point failure into VesprodError.
+shares the Liu-Hildebrand method set.  Construction stores the constants they
+read on every call: exponents, and the wage forms' A, m, n and xi.  A public
+function here or in :mod:`vesprod.substitution` returns a method's finite
+value at a positive finite float k in one call; anything else goes through
+the one entry point that checks the arguments and turns floating-point
+failure into VesprodError.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -165,6 +168,8 @@ def _require_factors(K: float, L: float) -> None:
 _LN_MAX = math.log(sys.float_info.max)
 _LN_ZERO = -1075.0 * math.log(2.0)
 
+_setattr = object.__setattr__  # sets a per-spec constant on a frozen spec
+
 
 def _root(e: float, a: float, b: float) -> list[float]:
     """ln k where a + b k^e changes sign (none when a and b share a sign)."""
@@ -186,12 +191,23 @@ def _magnitude(e: float, *coefs: float) -> list[float]:
     return [level / e for level in levels]
 
 
+class _Overflowed:
+    """Stands in for a per-spec constant whose power overflowed, so that
+    construction could not set it on the spec: reading it raises
+    OverflowError, at the point where a closed form reads the constant."""
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return self
+        raise OverflowError("the per-spec constant overflows")
+
+
 class _Family:
     """Base of the six family specs.
 
     Each family states its closed forms once, as methods of a capital-labor
-    ratio ``k`` (or of factor inputs ``K, L``) that :func:`_evaluate` has
-    already checked to be positive and finite:
+    ratio ``k`` (or of factor inputs ``K, L``) already checked to be positive
+    and finite:
 
         _bracket  bracketed base; its positivity is the evaluability condition
         _y, _F    intensive and extensive form
@@ -243,14 +259,15 @@ class VESParams(_Family):
         if self.theta == 1.0:
             raise ParamError("theta = 1 degenerates R(k) to a linear function; "
                              "use a Cobb-Douglas spec instead")
+        _setattr(self, "_expo", 1.0 / ((1.0 + self.lam) * (1.0 - self.theta)))
+        _setattr(self, "_e", self.theta - 1.0)
 
     def _bracket(self, k: float) -> float:
         return (1.0 + self.lam) * k ** (1.0 - self.theta) + self.mu
 
     def _y(self, k: float) -> float:
         base = self._positive_bracket(k)
-        expo = 1.0 / ((1.0 + self.lam) * (1.0 - self.theta))
-        return self.psi * base ** expo
+        return self.psi * base ** self._expo
 
     def _F(self, K: float, L: float) -> float:
         lam, th = self.lam, self.theta
@@ -263,32 +280,30 @@ class VESParams(_Family):
 
     def _dy(self, k: float) -> float:
         base = self._positive_bracket(k)
-        expo = 1.0 / ((1.0 + self.lam) * (1.0 - self.theta))
-        return self.psi * k ** (-self.theta) * base ** (expo - 1.0)
+        return self.psi * k ** (-self.theta) * base ** (self._expo - 1.0)
 
     def _d2y(self, k: float) -> float:
         base = self._positive_bracket(k)
         lam, th = self.lam, self.theta
-        expo = 1.0 / ((1.0 + lam) * (1.0 - th))
-        return (-self.psi * k ** (-th - 1.0) * base ** (expo - 2.0)
+        return (-self.psi * k ** (-th - 1.0) * base ** (self._expo - 2.0)
                 * (lam * k ** (1.0 - th) + th * self.mu))
 
     def _R(self, k: float) -> float:
         return self.lam * k + self.mu * k ** self.theta
 
     def _dR(self, k: float) -> float:
-        return self.lam + self.theta * self.mu * k ** (self.theta - 1.0)
+        return self.lam + self.theta * self.mu * k ** self._e
 
     def _sigma(self, k: float) -> float:
         lam, mu, th = self.lam, self.mu, self.theta
-        x = k ** (th - 1.0)
+        x = k ** self._e
         return (lam + mu * x) / (lam + th * mu * x)
 
     def _dsigma(self, k: float) -> float:
         lam, mu, th = self.lam, self.mu, self.theta
         if lam == 0.0 and th != 0.0:  # sigma = 1/theta: the formula's signed zero
             return float(-lam * mu)
-        den = lam + th * mu * k ** (th - 1.0)
+        den = lam + th * mu * k ** self._e
         return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
 
     def _sign_changes(self) -> list[float]:
@@ -362,21 +377,20 @@ class CESParams(_Family):
         _require_positive("sigma", self.sigma)
         if self.sigma == 1.0:
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
+        _setattr(self, "_e", (self.sigma - 1.0) / self.sigma)
+        _setattr(self, "_ey", self.sigma / (self.sigma - 1.0))
 
     def _bracket(self, k: float) -> float:
-        s = self.sigma
-        return self.delta * k ** ((s - 1.0) / s) + (1.0 - self.delta)
+        return self.delta * k ** self._e + (1.0 - self.delta)
 
     def _y(self, k: float) -> float:
-        s = self.sigma
         base = self._positive_bracket(k)
-        return self.gamma * base ** (s / (s - 1.0))
+        return self.gamma * base ** self._ey
 
     def _F(self, K: float, L: float) -> float:
-        s = self.sigma
-        e = (s - 1.0) / s
+        e = self._e
         base = self.delta * K ** e + (1.0 - self.delta) * L ** e
-        return self.gamma * base ** (s / (s - 1.0))
+        return self.gamma * base ** self._ey
 
     def _dy(self, k: float) -> float:
         s = self.sigma
@@ -415,9 +429,11 @@ class _WageForm(_Family):
     A = a^(1/(1-b)), and its R, R', sigma' as rational functions of
     k^((b+c-1)/b) in the Liu-Hildebrand constant xi.
 
-    Subclasses supply the bracket coefficient m (:meth:`_bracket_coef`) and
-    xi (:meth:`_xi`) from their own integration constant.
+    Construction stores n, A and the exponents, and subclasses m and xi from
+    their own integration constant; A may overflow where the bracket is finite.
     """
+
+    _A = _Overflowed()
 
     def __post_init__(self) -> None:
         _require_positive("a", self.a)
@@ -429,45 +445,41 @@ class _WageForm(_Family):
             raise ParamError(f"c must be non-negative, got {self.c!r}")
         if self.b + self.c == 1.0:
             raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
-
-    def _coeffs(self) -> tuple[float, float, float]:
-        """(m, n, A) of the closed form."""
-        return *self._bracket_coeffs(), self.a ** (1.0 / (1.0 - self.b))
-
-    def _bracket_coeffs(self) -> tuple[float, float]:
-        """(m, n) of the bracket, which does not need A: A may overflow where
-        the bracket is finite."""
-        return self._bracket_coef(), (self.b - 1.0) / (self.b + self.c - 1.0)
+        b, c = self.b, self.c
+        _setattr(self, "_n", (b - 1.0) / (b + c - 1.0))
+        _setattr(self, "_e", (b + c - 1.0) / b)
+        _setattr(self, "_eb", (b - 1.0) / b)
+        _setattr(self, "_ec", -c / b)
+        try:
+            _setattr(self, "_A", self.a ** (1.0 / (1.0 - b)))
+        except OverflowError:
+            pass
 
     def _bracket(self, k: float) -> float:
-        m, n = self._bracket_coeffs()
-        b, c = self.b, self.c
-        return m * k ** ((b - 1.0) / b) + n * k ** (-c / b)
+        return self._m * k ** self._eb + self._n * k ** self._ec
 
     def _y(self, k: float) -> float:
         base = self._positive_bracket(k)
-        _, _, A = self._coeffs()
-        return A * base ** (self.b / (self.b - 1.0))
+        return self._A * base ** (self.b / (self.b - 1.0))
 
     def _F(self, K: float, L: float) -> float:
-        m, n, A = self._coeffs()
-        b, c = self.b, self.c
-        base = m * K ** ((b - 1.0) / b) + n * K ** (-c / b) * L ** ((b + c - 1.0) / b)
+        m, n, A = self._m, self._n, self._A
+        base = m * K ** self._eb + n * K ** self._ec * L ** self._e
         if not base > 0.0:
             raise DomainError(
                 f"{type(self).__name__}: bracketed base is non-positive at K/L = {K / L:.12g}")
-        return A * base ** (b / (b - 1.0))
+        return A * base ** (self.b / (self.b - 1.0))
 
     def _dy(self, k: float) -> float:
         base = self._positive_bracket(k)
-        m, n, A = self._coeffs()
+        m, n, A = self._m, self._n, self._A
         b, c = self.b, self.c
         Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
         return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
 
     def _d2y(self, k: float) -> float:
         base = self._positive_bracket(k)
-        m, n, A = self._coeffs()
+        m, n, A = self._m, self._n, self._A
         b, c = self.b, self.c
         Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
         Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
@@ -476,31 +488,30 @@ class _WageForm(_Family):
                                     + base ** (1.0 / (b - 1.0)) * Spp)
 
     def _R(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi()
-        den = xi * (1.0 - b) * (b + c - 1.0) * k ** ((b + c - 1.0) / b) + b * c
+        b, c, xi = self.b, self.c, self._xi
+        den = xi * (1.0 - b) * (b + c - 1.0) * k ** self._e + b * c
         return -b * (b + c - 1.0) * k / den
 
     def _dR(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi()
-        x = k ** ((b + c - 1.0) / b)
+        b, c, xi = self.b, self.c, self._xi
+        x = k ** self._e
         den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
         num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
         return -(b + c - 1.0) * num / den / den
 
     def _sigma(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi()
-        x = k ** ((b + c - 1.0) / b)
+        b, c, xi = self.b, self.c, self._xi
+        x = k ** self._e
         den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
         num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
         return b * num / den
 
     def _dsigma(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi()
+        b, c, xi = self.b, self.c, self._xi
         s = b + c - 1.0
         if xi == 0.0 and c > 0.0:  # sigma = 1: the formula's signed zero
             return xi * (1.0 - b) * s * b * c
-        den = xi * (1.0 - b) * s * (1.0 - c) * k ** ((b - 1.0) / b) \
-            + b * b * c * k ** (-c / b)
+        den = xi * (1.0 - b) * s * (1.0 - c) * k ** self._eb + b * b * c * k ** self._ec
         num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
         return num / den / den
 
@@ -510,14 +521,14 @@ class _WageForm(_Family):
         # D1 = c1 x + bc and D2 = c2 x + b^2 c
         b, c = self.b, self.c
         try:
-            m, xi = self._bracket_coef(), self._xi()
+            m, xi = self._m, self._xi
         except OverflowError:  # then every condition fails at every k
             return []
         s = b + c - 1.0
-        e, n = s / b, (b - 1.0) / s
+        e, n = self._e, self._n
         c1, c2 = xi * (1.0 - b) * s, xi * (1.0 - b) * (1.0 - c) * s
         cuts = [*_root(e, n, m), *_root(e, b * c, c1), *_root(e, b * b * c, c2),
-                *_magnitude((b - 1.0) / b, m), *_magnitude(-c / b, n),
+                *_magnitude(self._eb, m), *_magnitude(self._ec, n),
                 *_magnitude(e, c1, c2, b * c1), *_magnitude(1.0, b * s)]
         # a quotient overflows or rounds to 0 where the ratio of its leading
         # terms does: every numerator term over every denominator term
@@ -548,12 +559,8 @@ class LiuHildebrandParams(_WageForm):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_finite("xi", self.xi)
-
-    def _bracket_coef(self) -> float:
-        return self.xi * (self.b - 1.0) / self.b
-
-    def _xi(self) -> float:
-        return self.xi
+        _setattr(self, "_m", self.xi * (self.b - 1.0) / self.b)
+        _setattr(self, "_xi", self.xi)
 
 
 @dataclass(frozen=True)
@@ -571,20 +578,22 @@ class LuFletcherParams(_WageForm):
     c: float
     zeta: float
 
+    _m = _xi = _Overflowed()
+
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_finite("zeta", self.zeta)
-
-    def _bracket_coef(self) -> float:
-        return self.zeta * self.a ** (1.0 / self.b)
-
-    def _xi(self) -> float:
-        return self.zeta * self.b * self.a ** (1.0 / self.b) / (self.b - 1.0)
+        try:
+            a_1b = self.a ** (1.0 / self.b)
+        except OverflowError:
+            return
+        _setattr(self, "_m", self.zeta * a_1b)
+        _setattr(self, "_xi", self.zeta * self.b * a_1b / (self.b - 1.0))
 
     def _sigma(self, k: float) -> float:
         a, b, c, zeta = self.a, self.b, self.c, self.zeta
-        u = k ** ((b - 1.0) / b)
-        v = b * c * a ** (-1.0 / b) * k ** (-c / b)
+        u = k ** self._eb
+        v = b * c * a ** (-1.0 / b) * k ** self._ec
         den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
         num = zeta * b * (1.0 - b - c) * u + v
         return num / den
@@ -713,7 +722,7 @@ _QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_
 
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
-    is given: the one path from a public kernel to a closed form.
+    is given: the public kernels' one error boundary (see :func:`_kernel`).
 
     Rejects a non-family spec with TypeError and checks k (or K and L)
     once.  It is the one place that says what a floating-point failure in
@@ -742,16 +751,34 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     raise error(f"{type(spec).__name__}: {what} at {where}")
 
 
+def _kernel(method: str):
+    """Make the decorated stub the public kernel of the closed form ``method``:
+    a positive finite float k on a family spec takes one method call, whose
+    finite value it returns; all else goes to :func:`_evaluate`, which recomputes it."""
+    def make(stub):
+        @functools.wraps(stub)
+        def kernel(spec, k):
+            if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+                try:
+                    if math.isfinite(value := getattr(type(spec), method)(spec, k)):
+                        return value
+                except ArithmeticError:
+                    pass
+            return _evaluate(spec, method, k)
+        return kernel
+    return make
+
+
+@_kernel("_bracket")
 def bracket_base(spec: FamilySpec, k: float) -> float:
     """Bracketed base of the closed form at k.  Its positivity is the
     evaluability condition; validity analysis intersects it with R > 0,
     R' > 0 and sigma > 0.  Cobb-Douglas has none and returns inf."""
-    return _evaluate(spec, "_bracket", k)
 
 
+@_kernel("_y")
 def eval_intensive(spec: FamilySpec, k: float) -> float:
     """Output per worker y(k) at capital-labor ratio k."""
-    return _evaluate(spec, "_y", k)
 
 
 def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
@@ -761,15 +788,15 @@ def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
     return _evaluate(spec, "_F", K, L)
 
 
+@_kernel("_dy")
 def intensive_derivative(spec: FamilySpec, k: float) -> float:
     """dy/dk from the closed form: the marginal product of capital (the
     rental rate) for degree-one families."""
-    return _evaluate(spec, "_dy", k)
 
 
+@_kernel("_d2y")
 def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
     """d^2 y / dk^2 from the closed form."""
-    return _evaluate(spec, "_d2y", k)
 
 
 # --------------------------------------------------------------------------

@@ -126,19 +126,15 @@ def _central(f: Callable[[float], float], k: float) -> float:
     return (f(k + h) - f(k - h)) / (2.0 * h)
 
 
-def _second(f: Callable[[float], float], k: float) -> float:
-    h = k * _H2
-    t = k + h
-    h = t - k
-    return (f(k + h) - 2.0 * f(k) + f(k - h)) / (h * h)
-
-
 def _fd_derivatives(y: Callable[[float], float], k: float) -> tuple[float, float, float]:
-    """y, y' and y'' at k, the derivatives by finite differences.  A step
-    that underflows (its square does below k ~ 1e-158) divides by zero:
-    SingularError."""
+    """y, y' and y'' at k, the derivatives by finite differences of y (called
+    once at k).  A step that underflows (its square does below k ~ 1e-158)
+    divides by zero: SingularError."""
+    h = k * _H2
+    h = (k + h) - k  # the second difference's step, exactly representable
     try:
-        return y(k), _central(y, k), _second(y, k)
+        yv = y(k)
+        return yv, _central(y, k), (y(k + h) - 2.0 * yv + y(k - h)) / (h * h)
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
@@ -219,24 +215,24 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
     h = (k_end - k_start) / steps
     k = k_start + np.arange(steps) * h
-    nodes = np.stack([k, k + 0.5 * h, k + h], axis=1)  # row i: step i's three stages
+    nodes = k[:, None] + np.array([0.0, 0.5 * h, h])  # row i: step i's three stages
     with np.errstate(all="ignore"):
-        power = nodes ** th
-        den = (1.0 + lam) * nodes + mu * power
-        sign0 = np.copysign(1.0, den[0, 0])  # node 0 is k_start
-        bad = ~np.isfinite(power) | (den == 0.0) | (np.copysign(1.0, den) != sign0)
+        den = nodes ** th
+        finite = np.isfinite(den)  # of k^theta, before the denominator is built over it
+        den *= mu
+        den += (1.0 + lam) * nodes
+        bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))  # node 0: k_start
         first = int(np.argmax(bad))
         if bad.flat[first]:
             node = nodes.flat[first]
             if node != 0.0 and np.isinf(abs(node) ** th):  # also where (-k)^theta is complex
                 raise overflow
-            if not math.isfinite(power.flat[first]):  # 0^theta < 0, or a complex (-k)^theta
+            if not finite.flat[first]:  # 0^theta < 0, or a complex (-k)^theta
                 raise DomainError(f"a node of the path from k = {k_start:.12g} to "
                                   f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
-            if den.flat[first] == 0.0:
-                raise SingularError(f"(1+lam) k + mu k^theta vanishes at k = {node:.12g}")
-            raise SingularError(f"(1+lam) k + mu k^theta changes sign at k = {node:.12g}")
-        slope = 1.0 / den
+            what = "vanishes" if den.flat[first] == 0.0 else "changes sign"
+            raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
+        slope = np.divide(1.0, den, out=den)
         increments = h / 6.0 * (slope[:, 0] + 4.0 * slope[:, 1] + slope[:, 2])
     # sequential sums, as a loop adds them (np.sum would add pairwise)
     ln_y = float(np.add.accumulate(np.concatenate(([math.log(y_start)], increments)))[-1])

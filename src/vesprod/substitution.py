@@ -51,6 +51,7 @@ from .families import (
     _WageForm,
     _check_ves_branch,
     _evaluate,
+    _kernel,
     _parameter_space,
     _require_ratio,
     loglinear_from_ves,
@@ -161,24 +162,24 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 # and their derivatives; the closed forms are methods of the family types.
 # --------------------------------------------------------------------------
 
+@_kernel("_R")
 def mrs_closed(spec: FamilySpec, k: float) -> float:
     """R(k) = y/y' - k from the family's closed form."""
-    return _evaluate(spec, "_R", k)
 
 
+@_kernel("_dR")
 def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
     """dR/dk from the family's closed form."""
-    return _evaluate(spec, "_dR", k)
 
 
+@_kernel("_sigma")
 def sigma_closed(spec: FamilySpec, k: float) -> float:
     """sigma(k) from the family's closed form."""
-    return _evaluate(spec, "_sigma", k)
 
 
+@_kernel("_dsigma")
 def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
     """d sigma / dk from the family's closed form."""
-    return _evaluate(spec, "_dsigma", k)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
         return _regime_of_rental_regression(p.b, p.c, p.xi)
     if isinstance(spec, _WageForm):
         try:
-            xi = spec._xi()
+            xi = spec._xi
         except OverflowError as exc:  # Lu-Fletcher's a^(1/b)
             raise SingularError(f"{type(spec).__name__}: the constant xi overflows, so it "
                                 "has no sign to classify by") from exc

@@ -505,10 +505,13 @@ def test_verify_suite_accepts_its_own_family(capsys, suite, family):
     ("verify --suite equivalence --zeta 3", "suite 'equivalence'", "--zeta"),
     ("verify --suite sato-hoffman --lambda 9 --mu 1 --theta 2 --psi 1", "suite 'sato-hoffman'",
      "--lambda"),
+    ("verify --suite ode --points 3", "suite 'ode'", "--points"),
+    ("verify --suite family --steps 3", "suite 'family'", "--steps"),
     # named before --ln-a is read, so e^1000 never overflows
     ("eval --family cd --A 2 --beta 0.4 --ln-a 1000 --k 1", "family 'cd'", "--ln-a"),
 ], ids=["eval-cd", "regime-ces", "calibrate-theta", "calibrate-xi", "reduce-family",
-        "verify-ode", "verify-equivalence", "verify-sato-hoffman", "eval-ln-a"])
+        "verify-ode", "verify-equivalence", "verify-sato-hoffman", "verify-ode-points",
+        "verify-family-steps", "eval-ln-a"])
 def test_unread_flag_is_a_usage_error(capsys, argv, reader, flag):
     # each of these once ignored the flag and exited 0
     assert run(capsys, *argv.split()) == (2, "", f"usage error: {reader} does not read {flag}\n")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from vesprod import (
     validity_range,
     ves_from_loglinear,
 )
+from vesprod.estimation import _scaled_share
 
 
 def test_import_does_not_load_numpy():
@@ -293,6 +295,32 @@ def test_diagnose_overflowing_share_raises():
     d = load_dataset("period,y,k,r\nt0,0.2,1e300,1e10\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n")
     with pytest.raises(DomainError, match="period 't0': the capital share k\\*r/y overflows"):
         diagnose_fit(d, fit_loglinear(d, "rental"))
+
+
+@pytest.mark.parametrize("value, share_range", [(1e200, (1.0, 1e200)), (1e-200, (1e-200, 4.0))])
+def test_diagnose_share_whose_product_leaves_the_range(value, share_range):
+    # k*r overflows (1e400) or underflows (1e-400) on the way to a share of 1e+-200;
+    # the first once exited 2 as an overflow, the second gave a share of 0
+    d = load_dataset(f"period,y,k,r\nt0,{value},{value},{value}\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n")
+    lo, hi = diagnose_fit(d, fit_loglinear(d, "rental")).capital_share_range
+    assert (lo, hi) == (pytest.approx(share_range[0], rel=1e-15),
+                        pytest.approx(share_range[1], rel=1e-15))
+
+
+def test_scaled_share_is_the_rounded_true_share():
+    # k*r/y's own bits where k*r and k*r/y are normal; elsewhere within 2 ulp
+    # of the correctly rounded share, and inf exactly where the share overflows
+    rng = np.random.default_rng(3)
+    for k, r, y in (10.0 ** rng.uniform(-320.0, 308.0, size=(3000, 3))).tolist():
+        share = _scaled_share(k, r, y)
+        if all(sys.float_info.min <= x < math.inf for x in (k * r, k * r / y)):
+            assert share == k * r / y
+            continue
+        true = Fraction(k) * Fraction(r) / Fraction(y)
+        if true > Fraction(sys.float_info.max):
+            assert share == math.inf
+        else:
+            assert abs(share - float(true)) <= 2.0 * math.ulp(float(true))
 
 
 # ---------------------------------------------------------------------------

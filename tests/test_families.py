@@ -40,6 +40,7 @@ from vesprod import (
     symmetric_form,
     ves_from_loglinear,
 )
+from vesprod.families import _evaluate
 from vesprod.substitution import (
     classify_regime,
     mrs_closed,
@@ -188,6 +189,73 @@ def test_kernels_return_a_finite_float_or_raise(case):
             assert not math.isnan(value), kernel.__name__
         else:
             assert math.isfinite(value), kernel.__name__
+
+
+def _outcome(call, *args):
+    """A call's value (a float by its bits), or its exception's type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else repr(value)
+
+
+_METHODS = ("_bracket", "_y", "_dy", "_d2y", "_R", "_dR", "_sigma", "_dsigma")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_kernel_cases(), kind=st.sampled_from([float, float, int, np.float64]))
+@example(case=(CobbDouglasParams(1e300, 0.5), 1e300, 1.0), kind=float)
+@example(case=(SatoHoffmanParams(1.0, 0.5, 2.0), 1.0, 1.0), kind=float)
+@example(case=(REFERENCE, 1.0, 1.0), kind=float)  # not a family spec
+@example(case=(CobbDouglasParams(2.0, 0.4), 2.0, 1.0), kind=str)  # k that is no number
+def test_kernels_equal_their_error_boundary(case, kind):
+    # a public kernel returns a finite value at a positive float k from one
+    # method call; everything else it hands to _evaluate, so both agree on
+    # every input, bit for bit or in the exception's type and message
+    spec, k, _ = case
+    k = kind(min(k, 1e300)) if kind is int else kind(k)
+    for kernel, method in zip(_KERNELS, _METHODS):
+        assert _outcome(kernel, spec, k) == _outcome(_evaluate, spec, method, k), kernel.__name__
+
+
+def _overflows(spec, where="k = 1"):
+    return DomainError, f"{type(spec).__name__}: the closed form overflows at {where}"
+
+
+# xi = zeta b a^(1/b) / (b-1) and m = zeta a^(1/b) need 2.39^(1.2e206)
+_LF_HUGE = LuFletcherParams(a=2.387225697911483, b=8.314849275752976e-207,
+                            c=1.0858932576444476, zeta=9.668955631133263e-235)
+# (b-1)/b = -1e170, and b**2 rounds to 0 in y''
+_LH_TINY_B = LiuHildebrandParams(a=0.5, b=1e-170, c=0.5, xi=-1.0)
+# A = 10^1000, with a positive and with a negative bracket at k = 1
+_LH_HUGE_A = LiuHildebrandParams(a=10.0, b=0.999, c=0.5, xi=-10.0)
+_LH_HUGE_A_NEGATIVE = LiuHildebrandParams(a=10.0, b=0.999, c=0.5, xi=1.0)
+_NEGATIVE_BASE = (DomainError, "LiuHildebrandParams: bracketed base is non-positive at k = 1 "
+                  "(base = -0.00300501); the closed form is not defined there")
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (_LF_HUGE, [_overflows(_LF_HUGE)] * 6 + [0.0, _overflows(_LF_HUGE),
+                                             _overflows(_LF_HUGE, "K = 1, L = 1")]),
+    (_LH_TINY_B, [1e170, 0.5, (SingularError, "LiuHildebrandParams: y' is not finite at k = 1"),
+                  (SingularError, "LiuHildebrandParams: y'' divides by zero at k = 1"),
+                  1e-170, 0.5, 2e-170, 1e-170, 0.5]),
+    (_LH_HUGE_A, [0.008006001993977954] + [_overflows(_LH_HUGE_A)] * 3
+     + [-1.008070615356616, -1.0131516420931341, 0.9949849296734881, -0.0025176131712907096,
+        _overflows(_LH_HUGE_A, "K = 1, L = 1")]),
+    # F reads A before its bracket, so A's overflow is reported first there
+    (_LH_HUGE_A_NEGATIVE, [-0.003005009017033067] + [_NEGATIVE_BASE] * 3
+     + [-0.9970039940079881, -0.9965069860239582, 1.0004987501251879, 0.00024900093756257855,
+        _overflows(_LH_HUGE_A_NEGATIVE, "K = 1, L = 1")]),
+], ids=["lf-huge-m-and-xi", "lh-tiny-b", "lh-huge-a", "lh-huge-a-negative-base"])
+def test_wage_specs_with_extreme_constants(spec, expected):
+    # the constants are set at construction where they can be computed; a
+    # constant that overflows raises where the closed form reads it
+    calls = [(kernel, (spec, 1.0)) for kernel in _KERNELS] + [(eval_extensive, (spec, 1.0, 1.0))]
+    for (kernel, args), want in zip(calls, expected, strict=True):
+        got = kernel(*args) if isinstance(want, float) else _outcome(kernel, *args)
+        assert got == want, kernel.__name__
 
 
 # ---------------------------------------------------------------------------

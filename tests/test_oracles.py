@@ -242,6 +242,15 @@ def test_ode_equals_the_scalar_loop_on_the_golden_cases(reference_fit_ves, v, k_
         == math.exp(_loop_ln_y(v, k_start, y_start, k_end, steps))
 
 
+def test_ode_overflowing_denominator_has_a_zero_slope():
+    # k^theta <= 4e10 is finite but mu k^theta overflows: the denominator is
+    # inf and its slope 0, as in the loop; only a k^theta that is not finite
+    # itself is an error
+    v = VESParams(lam=0.0, mu=1e300, theta=2.0, psi=1.0)
+    assert ode_integrate_theorem(v, 1e5, 0.7, 2e5, 64) \
+        == math.exp(_loop_ln_y(v, 1e5, 0.7, 2e5, 64))
+
+
 def test_ode_input_validation():
     v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
     with pytest.raises(DomainError):
