@@ -722,7 +722,9 @@ _QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_
 
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
-    is given: the public kernels' one error boundary (see :func:`_kernel`).
+    is given: the public kernels' one error boundary.  A k-kernel returns
+    its method's finite value at a positive finite float k on a family spec
+    from one call, and hands every other input here, which recomputes it.
 
     Rejects a non-family spec with TypeError and checks k (or K and L)
     once.  It is the one place that says what a floating-point failure in
@@ -751,34 +753,28 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     raise error(f"{type(spec).__name__}: {what} at {where}")
 
 
-def _kernel(method: str):
-    """Make the decorated stub the public kernel of the closed form ``method``:
-    a positive finite float k on a family spec takes one method call, whose
-    finite value it returns; all else goes to :func:`_evaluate`, which recomputes it."""
-    def make(stub):
-        @functools.wraps(stub)
-        def kernel(spec, k):
-            if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
-                try:
-                    if math.isfinite(value := getattr(type(spec), method)(spec, k)):
-                        return value
-                except ArithmeticError:
-                    pass
-            return _evaluate(spec, method, k)
-        return kernel
-    return make
-
-
-@_kernel("_bracket")
 def bracket_base(spec: FamilySpec, k: float) -> float:
     """Bracketed base of the closed form at k.  Its positivity is the
     evaluability condition; validity analysis intersects it with R > 0,
     R' > 0 and sigma > 0.  Cobb-Douglas has none and returns inf."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._bracket(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_bracket", k)
 
 
-@_kernel("_y")
 def eval_intensive(spec: FamilySpec, k: float) -> float:
     """Output per worker y(k) at capital-labor ratio k."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._y(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_y", k)
 
 
 def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
@@ -788,15 +784,27 @@ def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
     return _evaluate(spec, "_F", K, L)
 
 
-@_kernel("_dy")
 def intensive_derivative(spec: FamilySpec, k: float) -> float:
     """dy/dk from the closed form: the marginal product of capital (the
     rental rate) for degree-one families."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._dy(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_dy", k)
 
 
-@_kernel("_d2y")
 def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
     """d^2 y / dk^2 from the closed form."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._d2y(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_d2y", k)
 
 
 # --------------------------------------------------------------------------

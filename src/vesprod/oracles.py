@@ -25,8 +25,10 @@ signature; reports are deterministic for identical inputs.  A verifier
 only produces (quantity, k, closed form, reference, scale floor)
 comparisons, and one function scores them all with one relative-error
 scale, max(|closed form|, |reference|, scale floor); for the ODE that is
-max(|integrated y|, |closed-form y|).  One loop applies each verifier's
-admissibility rule to its grid.
+max(|integrated y|, |closed-form y|); a tolerance must be a non-negative
+finite number.  One loop applies each verifier's admissibility rule to its
+grid; :func:`verify_family`'s rule evaluates the closed-form R, R' and
+sigma once per point, and its comparisons reuse those values.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    bracket_base,
     eval_intensive,
     lf_from_lh,
     lh_from_loglinear,
@@ -103,7 +106,10 @@ def _report(name: str, points: int, tolerance: float,
             comparisons: Iterable[_Comparison]) -> VerificationReport:
     """Score every comparison: its relative error is the absolute error over
     max(|closed|, |reference|, scale floor), and 0 where the two agree
-    exactly; the last of several equal maxima locates the worst error."""
+    exactly; the last of several equal maxima locates the worst error.  A
+    tolerance that is NaN, negative or infinite raises ParamError."""
+    if not (tolerance >= 0.0 and math.isfinite(tolerance)):
+        raise ParamError(f"tolerance must be a non-negative finite number, got {tolerance!r}")
     max_abs = max_rel = 0.0
     worst_k = worst_quantity = None
     for quantity, k, closed, reference, scale_floor in comparisons:
@@ -158,10 +164,15 @@ def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
 
 def _check_grid(k_grid: Sequence[float],
                 outside: Callable[[float], str | None] = lambda k: None) -> list[float]:
-    """The grid as floats: non-empty, positive, finite and strictly
+    """The grid as floats: non-empty, numbers, positive, finite and strictly
     increasing.  Then every point must be admissible: the first point for
     which ``outside`` names a range raises DomainError naming the point."""
-    grid = [float(k) for k in k_grid]
+    grid = []
+    for k in k_grid:
+        try:
+            grid.append(float(k))
+        except (TypeError, ValueError):
+            raise ParamError(f"grid point {k!r} is not a number") from None
     if len(grid) < 1:
         raise ParamError("k_grid must contain at least one point")
     for k in grid:
@@ -267,7 +278,8 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
 
     All grid points must satisfy the validity constraints (positive
     bracket, R > 0, R' > 0, sigma > 0); the first offending point raises
-    DomainError naming it.
+    DomainError naming it.  The R, R' and sigma evaluated for that check
+    are the closed forms compared.
 
     The finite-difference y'' loses accuracy where y is nearly linear: for
     the reference VES fit at k = 1e8, where k^2 |y''| / y = 0.0129, it is
@@ -275,23 +287,31 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     a 50-digit evaluation to 1.2e-15), and the report fails on sigma
     although the closed form is right.
     """
+    closed: list[tuple[float, float, float]] = []  # (R, R', sigma) per admissible point
+
     def outside(k: float) -> str | None:
-        violated = violated_constraints(spec, k)
-        return f"validity range (violated: {', '.join(violated)})" if violated else None
+        # in violated_constraints' order, bracket first; it words the error
+        try:
+            if bracket_base(spec, k) > 0.0:
+                values = mrs_closed(spec, k), mrs_derivative_closed(spec, k), sigma_closed(spec, k)
+                if min(values) > 0.0:
+                    closed.append(values)
+                    return None
+        except (DomainError, SingularError):
+            pass
+        return f"validity range (violated: {', '.join(violated_constraints(spec, k))})"
 
     grid = _check_grid(k_grid, outside)
-    return _report("family", len(grid), tolerance, _family_comparisons(spec, grid))
+    return _report("family", len(grid), tolerance, _family_comparisons(spec, grid, closed))
 
 
-def _family_comparisons(spec: FamilySpec, grid: list[float]) -> Iterator[_Comparison]:
+def _family_comparisons(spec: FamilySpec, grid: list[float],
+                        closed: list[tuple[float, float, float]]) -> Iterator[_Comparison]:
     y = lambda k: eval_intensive(spec, k)
-    for k in grid:
+    for k, (R_cl, dR_cl, sig_cl) in zip(grid, closed):
         yv, yp, ypp = _fd_derivatives(y, k)
-        R_cl = mrs_closed(spec, k)
         yield "R", k, R_cl, _mrs_identity(k, yv, yp), 0.0
-        yield ("R_prime", k, mrs_derivative_closed(spec, k),
-               _central(lambda t: mrs_closed(spec, t), k), abs(R_cl) / k)
-        sig_cl = sigma_closed(spec, k)
+        yield ("R_prime", k, dR_cl, _central(lambda t: mrs_closed(spec, t), k), abs(R_cl) / k)
         yield "sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp), 0.0
         yield ("sigma_prime", k, sigma_derivative_closed(spec, k),
                _central(lambda t: sigma_closed(spec, t), k), abs(sig_cl) / k)

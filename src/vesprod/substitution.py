@@ -48,12 +48,13 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    _Family,
     _WageForm,
     _check_ves_branch,
     _evaluate,
-    _kernel,
     _parameter_space,
     _require_ratio,
+    bracket_base,
     loglinear_from_ves,
     ves_from_loglinear,
 )
@@ -162,24 +163,48 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 # and their derivatives; the closed forms are methods of the family types.
 # --------------------------------------------------------------------------
 
-@_kernel("_R")
 def mrs_closed(spec: FamilySpec, k: float) -> float:
     """R(k) = y/y' - k from the family's closed form."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._R(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_R", k)
 
 
-@_kernel("_dR")
 def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
     """dR/dk from the family's closed form."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._dR(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_dR", k)
 
 
-@_kernel("_sigma")
 def sigma_closed(spec: FamilySpec, k: float) -> float:
     """sigma(k) from the family's closed form."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._sigma(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_sigma", k)
 
 
-@_kernel("_dsigma")
 def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
     """d sigma / dk from the family's closed form."""
+    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+        try:
+            if math.isfinite(value := spec._dsigma(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_dsigma", k)
 
 
 # --------------------------------------------------------------------------
@@ -275,10 +300,10 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
 # Validity range
 # --------------------------------------------------------------------------
 
-#: The validity conditions as (label, closed-form method) in report order.
+#: The validity conditions as (label, public kernel) in report order.
 #: Where the bracket fails the other forms are not evaluable: it is reported alone.
-_CONSTRAINTS = (("bracket>0", "_bracket"), ("R>0", "_R"), ("R_prime>0", "_dR"),
-                ("sigma>0", "_sigma"))
+_CONSTRAINTS = (("bracket>0", bracket_base), ("R>0", mrs_closed),
+                ("R_prime>0", mrs_derivative_closed), ("sigma>0", sigma_closed))
 
 #: Relative width to which validity_range bisects an endpoint.
 _BISECT_REL_TOL = 1e-10
@@ -287,14 +312,14 @@ _BISECT_REL_TOL = 1e-10
 def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     """Which of the four validity conditions fail at k (empty when valid)."""
     bad = []
-    for label, method in _CONSTRAINTS:
+    for label, kernel in _CONSTRAINTS:
         try:
-            holds = _evaluate(spec, method, k) > 0.0
+            holds = kernel(spec, k) > 0.0
         except (DomainError, SingularError):
             holds = False
         if not holds:
             bad.append(label)
-            if method == "_bracket":
+            if kernel is bracket_base:
                 break
     return tuple(bad)
 
@@ -343,8 +368,8 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
             and 0.0 < k_probe_low < k_probe_high):
         raise ParamError(f"probe bounds must satisfy 0 < low < high, got "
                          f"({k_probe_low!r}, {k_probe_high!r})")
-    if samples < 2:
-        raise ParamError("need at least 2 probe samples")
+    if not isinstance(samples, int) or samples < 2:
+        raise ParamError("samples must be an integer >= 2")
 
     def point(i: int) -> float:
         return _grid_point(k_probe_low, k_probe_high, samples, i)

@@ -828,6 +828,19 @@ GOLDEN_VERIFY = [
     ('--suite family --family ves --lambda 0', 2,
      '',
      "usage error: family 'ves' needs --mu, --theta, --psi\n"),
+    # a NaN tolerance once failed every check (exit 1) and inf passed every one
+    ('--suite ode --tolerance nan', 2,
+     '',
+     'error: tolerance must be a non-negative finite number, got nan\n'),
+    ('--suite ode --tolerance -1', 2,
+     '',
+     'error: tolerance must be a non-negative finite number, got -1.0\n'),
+    ('--suite ode --tolerance inf', 2,
+     '',
+     'error: tolerance must be a non-negative finite number, got inf\n'),
+    ('--suite family --tolerance nan', 2,
+     '',
+     'error: tolerance must be a non-negative finite number, got nan\n'),
 ]
 
 

@@ -18,8 +18,11 @@ from vesprod import (
     VESParams,
     VesprodError,
     eval_intensive,
+    mrs_closed,
+    mrs_derivative_closed,
     ode_integrate_theorem,
     reduce_special_case,
+    sigma_closed,
     validity_range,
     verify_equivalence_lh_lf,
     verify_family,
@@ -318,12 +321,30 @@ def test_verify_sato_hoffman_at_unit_delta_rho_is_singular():
 
 
 def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
-    from vesprod.substitution import sigma_closed as true_sigma
-    monkeypatch.setattr(oracles_module, "sigma_closed",
-                        lambda spec, k: 1.01 * true_sigma(spec, k))
-    report = verify_family(reference_fit_ves, list(np.geomspace(2.4, 20.0, 16)))
-    assert not report.passed
-    assert report.worst_quantity == "sigma"
+    # the closed forms compared are those of the oracles module's own names,
+    # also where its admissibility check evaluated them
+    for kernel, quantity in ((sigma_closed, "sigma"), (mrs_closed, "R"),
+                             (mrs_derivative_closed, "R_prime")):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles_module, kernel.__name__,
+                          lambda spec, k, kernel=kernel: 1.01 * kernel(spec, k))
+            report = verify_family(reference_fit_ves, list(np.geomspace(2.4, 20.0, 16)))
+        assert not report.passed, quantity
+        assert report.worst_quantity == quantity
+
+
+def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_ves, monkeypatch):
+    # the admissibility check's R, R' and sigma are the values compared
+    grid = list(np.geomspace(2.4, 20.0, 16))
+    calls = []
+    for method in ("_R", "_dR", "_sigma"):
+        def counted(spec, k, method=method, body=getattr(VESParams, method)):
+            calls.append((method, k))
+            return body(spec, k)
+        monkeypatch.setattr(VESParams, method, counted)
+    verify_family(reference_fit_ves, grid)
+    for method in ("_R", "_dR", "_sigma"):
+        assert [k for m, k in calls if m == method and k in grid] == grid, method
 
 
 def test_verifiers_name_the_first_inadmissible_point(reference_fit_ves):
@@ -346,6 +367,10 @@ def test_verify_family_grid_validation(reference_fit_ves):
         verify_family(reference_fit_ves, [-1.0, 2.5])
     with pytest.raises(ParamError):
         verify_family(reference_fit_ves, [])
+    with pytest.raises(ParamError, match="grid point 'a' is not a number"):
+        verify_family(reference_fit_ves, [3.0, "a"])
+    with pytest.raises(ParamError, match="grid point None is not a number"):
+        verify_family(reference_fit_ves, [None])
 
 
 def test_verify_family_deterministic(reference_fit_ves):
@@ -366,7 +391,8 @@ def test_equivalence_reference_params():
 
 def test_equivalence_zero_xi_exact():
     p = LogLinearParams(a=2.0, b=0.5, c=0.2, xi=0.0)
-    report = verify_equivalence_lh_lf(p, list(np.geomspace(0.5, 5.0, 20)))
+    report = verify_equivalence_lh_lf(p, list(np.geomspace(0.5, 5.0, 20)), tolerance=0.0)
+    assert report.passed
     assert report.max_rel_error == 0.0
     assert report.max_abs_error == 0.0
 
@@ -458,3 +484,19 @@ def test_report_passed_iff_within_tolerance(reference_fit_ves):
     report2 = verify_family(reference_fit_ves, grid, tolerance=1e-3)
     assert report2.passed
     assert report2.points_checked > 0
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, -1e-300, math.inf])
+def test_verifiers_reject_a_bad_tolerance(reference_fit_ves, tolerance):
+    # NaN fails every comparison and inf passes every one: neither is a verdict
+    p = LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0)
+    calls = [
+        lambda: verify_family(reference_fit_ves, [3.0, 5.0], tolerance),
+        lambda: verify_equivalence_lh_lf(p, [1.0, 2.0], tolerance),
+        lambda: verify_ode(reference_fit_ves, 3.0, 10.0, 100, tolerance),
+        lambda: verify_reduction(reference_fit_ves, reference_fit_ves, [3.0], tolerance),
+        lambda: verify_sato_hoffman(SatoHoffmanParams(1.0, 0.5, 1.5), [1.0], tolerance),
+    ]
+    for call in calls:
+        with pytest.raises(ParamError, match="tolerance must be a non-negative finite number"):
+            call()

@@ -573,6 +573,9 @@ def test_validity_range_checks_only_next_to_cuts(monkeypatch, reference_fit_ves)
 def test_validity_range_bad_probe():
     with pytest.raises(ParamError):
         validity_range(CobbDouglasParams(A=1.0, beta=0.5), 2.0, 1.0)
+    for samples in (2.5, 1):
+        with pytest.raises(ParamError, match="samples must be an integer >= 2"):
+            validity_range(CobbDouglasParams(A=1.0, beta=0.5), 0.1, 10.0, samples=samples)
 
 
 # ---------------------------------------------------------------------------
