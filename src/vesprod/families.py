@@ -32,12 +32,15 @@ Each family type carries its closed forms as private methods (``_y``,
 ``_F``, ``_dy``, ``_d2y``, ``_R``, ``_dR``, ``_sigma``, ``_dsigma`` and the
 bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
 the points where the validity conditions on them can change; Lu-Fletcher
-shares the Liu-Hildebrand method set.  Construction stores the constants they
-read on every call: exponents, and the wage forms' A, m, n and xi.  A public
-function here or in :mod:`vesprod.substitution` returns a method's finite
-value at a positive finite float k in one call; anything else goes through
-the one entry point that checks the arguments and turns floating-point
-failure into VesprodError.
+shares the Liu-Hildebrand method set.  Construction stores the factors of
+y, R, R', sigma and sigma' that depend only on the parameters.  A factor is
+stored only where it is a left prefix of the product it replaces, in Python's
+left-to-right evaluation, so that every result keeps its bits; one whose
+power overflows is left unset, and reading it raises OverflowError where the
+formula reads it.  A public function here or in :mod:`vesprod.substitution`
+returns a method's finite value at a positive finite float k in one call;
+anything else goes through the one entry point that checks the arguments and
+turns floating-point failure into VesprodError.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -152,14 +155,14 @@ def _check_lh_branch(p: LogLinearParams) -> None:
 
 
 def _require_ratio(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
+    if not 0.0 < k <= sys.float_info.max:  # no float conversion, which an int may overflow
         raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
 
 
 def _require_factors(K: float, L: float) -> None:
-    if not (math.isfinite(K) and K > 0.0):
+    if not 0.0 < K <= sys.float_info.max:
         raise DomainError(f"capital input must be positive and finite, got {K!r}")
-    if not (math.isfinite(L) and L > 0.0):
+    if not 0.0 < L <= sys.float_info.max:
         raise DomainError(f"labor input must be positive and finite, got {L!r}")
 
 
@@ -247,6 +250,8 @@ class VESParams(_Family):
     theta: float
     psi: float
 
+    _dsnum = _Overflowed()  # -lam mu (theta-1)^2, which sigma' reads first
+
     def __post_init__(self) -> None:
         _require_finite("lam", self.lam)
         _require_finite("mu", self.mu)
@@ -261,6 +266,11 @@ class VESParams(_Family):
                              "use a Cobb-Douglas spec instead")
         _setattr(self, "_expo", 1.0 / ((1.0 + self.lam) * (1.0 - self.theta)))
         _setattr(self, "_e", self.theta - 1.0)
+        _setattr(self, "_tm", self.theta * self.mu)
+        try:
+            _setattr(self, "_dsnum", -self.lam * self.mu * (self.theta - 1.0) ** 2)
+        except OverflowError:
+            pass
 
     def _bracket(self, k: float) -> float:
         return (1.0 + self.lam) * k ** (1.0 - self.theta) + self.mu
@@ -292,28 +302,28 @@ class VESParams(_Family):
         return self.lam * k + self.mu * k ** self.theta
 
     def _dR(self, k: float) -> float:
-        return self.lam + self.theta * self.mu * k ** self._e
+        return self.lam + self._tm * k ** self._e
 
     def _sigma(self, k: float) -> float:
-        lam, mu, th = self.lam, self.mu, self.theta
+        lam = self.lam
         x = k ** self._e
-        return (lam + mu * x) / (lam + th * mu * x)
+        return (lam + self.mu * x) / (lam + self._tm * x)
 
     def _dsigma(self, k: float) -> float:
-        lam, mu, th = self.lam, self.mu, self.theta
+        lam, th = self.lam, self.theta
         if lam == 0.0 and th != 0.0:  # sigma = 1/theta: the formula's signed zero
-            return float(-lam * mu)
-        den = lam + th * mu * k ** self._e
-        return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
+            return float(-lam * self.mu)
+        den = lam + self._tm * k ** self._e
+        return self._dsnum * k ** (th - 2.0) / den / den
 
     def _sign_changes(self) -> list[float]:
         # with x = k^(theta-1): bracket k^(1-theta) ((1+lam) + mu x), R = k (lam + mu x),
         # R' = lam + theta mu x and sigma = (lam + mu x) / (lam + theta mu x)
         lam, mu, th = self.lam, self.mu, self.theta
-        e = th - 1.0
-        return [*_root(e, 1.0 + lam, mu), *_root(e, lam, mu), *_root(e, lam, th * mu),
+        e, tm = self._e, self._tm
+        return [*_root(e, 1.0 + lam, mu), *_root(e, lam, mu), *_root(e, lam, tm),
                 *_magnitude(1.0 - th, 1.0 + lam), *_magnitude(1.0, lam),
-                *_magnitude(th, mu), *_magnitude(e, mu, th * mu)]
+                *_magnitude(th, mu), *_magnitude(e, mu, tm)]
 
 
 @dataclass(frozen=True)
@@ -429,11 +439,13 @@ class _WageForm(_Family):
     A = a^(1/(1-b)), and its R, R', sigma' as rational functions of
     k^((b+c-1)/b) in the Liu-Hildebrand constant xi.
 
-    Construction stores n, A and the exponents, and subclasses m and xi from
-    their own integration constant; A may overflow where the bracket is finite.
+    Construction stores n, A, the exponents and the products of b and c, and
+    subclasses m, xi and the products of xi from their own integration
+    constant; A and the numerator of sigma' (through s^2) may overflow where the
+    bracket is finite.
     """
 
-    _A = _Overflowed()
+    _A = _dsnum = _Overflowed()
 
     def __post_init__(self) -> None:
         _require_positive("a", self.a)
@@ -450,8 +462,31 @@ class _WageForm(_Family):
         _setattr(self, "_e", (b + c - 1.0) / b)
         _setattr(self, "_eb", (b - 1.0) / b)
         _setattr(self, "_ec", -c / b)
+        _setattr(self, "_ed", -(c + 1.0) / b)
+        _setattr(self, "_ey", b / (b - 1.0))
+        _setattr(self, "_bc", b * c)
+        _setattr(self, "_bbc", b * b * c)
+        _setattr(self, "_nbs", -b * (b + c - 1.0))
+        _setattr(self, "_ns", -(b + c - 1.0))
         try:
             _setattr(self, "_A", self.a ** (1.0 / (1.0 - b)))
+        except OverflowError:
+            pass
+
+    def _set_xi(self, m: float, xi: float) -> None:
+        """Store m, xi and the products of xi that R, R', sigma and sigma' read,
+        each in the order its formula multiplies: with s = b+c-1, c1 = xi(1-b)s,
+        c2 = xi(1-b)(1-c)s for R', c1 (1-c) for sigma and c1 b c s^2 for sigma'."""
+        b, c = self.b, self.c
+        s = b + c - 1.0
+        c1 = xi * (1.0 - b) * s
+        _setattr(self, "_m", m)
+        _setattr(self, "_xi", xi)
+        _setattr(self, "_c1", c1)
+        _setattr(self, "_c2", xi * (1.0 - b) * (1.0 - c) * s)
+        _setattr(self, "_c2_sigma", c1 * (1.0 - c))
+        try:
+            _setattr(self, "_dsnum", c1 * b * c * s ** 2)
         except OverflowError:
             pass
 
@@ -460,7 +495,7 @@ class _WageForm(_Family):
 
     def _y(self, k: float) -> float:
         base = self._positive_bracket(k)
-        return self._A * base ** (self.b / (self.b - 1.0))
+        return self._A * base ** self._ey
 
     def _F(self, K: float, L: float) -> float:
         m, n, A = self._m, self._n, self._A
@@ -468,7 +503,7 @@ class _WageForm(_Family):
         if not base > 0.0:
             raise DomainError(
                 f"{type(self).__name__}: bracketed base is non-positive at K/L = {K / L:.12g}")
-        return A * base ** (self.b / (self.b - 1.0))
+        return A * base ** self._ey
 
     def _dy(self, k: float) -> float:
         base = self._positive_bracket(k)
@@ -488,32 +523,26 @@ class _WageForm(_Family):
                                     + base ** (1.0 / (b - 1.0)) * Spp)
 
     def _R(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi
-        den = xi * (1.0 - b) * (b + c - 1.0) * k ** self._e + b * c
-        return -b * (b + c - 1.0) * k / den
+        den = self._c1 * k ** self._e + self._bc
+        return self._nbs * k / den
 
     def _dR(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi
         x = k ** self._e
-        den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-        num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
-        return -(b + c - 1.0) * num / den / den
+        den = self._c1 * x + self._bc
+        num = self._c2 * x + self._bbc
+        return self._ns * num / den / den
 
     def _sigma(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi
         x = k ** self._e
-        den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
-        num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
-        return b * num / den
+        den = self._c2_sigma * x + self._bbc
+        num = self._c1 * x + self._bc
+        return self.b * num / den
 
     def _dsigma(self, k: float) -> float:
-        b, c, xi = self.b, self.c, self._xi
-        s = b + c - 1.0
-        if xi == 0.0 and c > 0.0:  # sigma = 1: the formula's signed zero
-            return xi * (1.0 - b) * s * b * c
-        den = xi * (1.0 - b) * s * (1.0 - c) * k ** self._eb + b * b * c * k ** self._ec
-        num = xi * (1.0 - b) * s * b * c * s ** 2 * k ** (-(c + 1.0) / b)
-        return num / den / den
+        if self._xi == 0.0 and self.c > 0.0:  # sigma = 1: the formula's signed zero
+            return self._c1 * self.b * self.c
+        den = self._c2_sigma * k ** self._eb + self._bbc * k ** self._ec
+        return self._dsnum * k ** self._ed / den / den
 
     def _sign_changes(self) -> list[float]:
         # with x = k^((b+c-1)/b) and s = b+c-1: bracket k^(-c/b) (m x + n),
@@ -521,20 +550,19 @@ class _WageForm(_Family):
         # D1 = c1 x + bc and D2 = c2 x + b^2 c
         b, c = self.b, self.c
         try:
-            m, xi = self._m, self._xi
+            m, c1, c2 = self._m, self._c1, self._c2
         except OverflowError:  # then every condition fails at every k
             return []
         s = b + c - 1.0
-        e, n = self._e, self._n
-        c1, c2 = xi * (1.0 - b) * s, xi * (1.0 - b) * (1.0 - c) * s
-        cuts = [*_root(e, n, m), *_root(e, b * c, c1), *_root(e, b * b * c, c2),
+        e, n, bc, bbc = self._e, self._n, self._bc, self._bbc
+        cuts = [*_root(e, n, m), *_root(e, bc, c1), *_root(e, bbc, c2),
                 *_magnitude(self._eb, m), *_magnitude(self._ec, n),
                 *_magnitude(e, c1, c2, b * c1), *_magnitude(1.0, b * s)]
         # a quotient overflows or rounds to 0 where the ratio of its leading
         # terms does: every numerator term over every denominator term
-        numerators = ((-b * s, 1.0), (-s * c2, e), (-s * b * b * c, 0.0), (b * c1, e),
-                      (b * b * c, 0.0))
-        denominators = ((b * c, 0.0), (c1, e), (b * b * c, 0.0), (c2, e))
+        numerators = ((self._nbs, 1.0), (-s * c2, e), (-s * b * b * c, 0.0), (b * c1, e),
+                      (bbc, 0.0))
+        denominators = ((bc, 0.0), (c1, e), (bbc, 0.0), (c2, e))
         for num, e_num in numerators:
             for den, e_den in denominators:
                 if den != 0.0:
@@ -559,8 +587,7 @@ class LiuHildebrandParams(_WageForm):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_finite("xi", self.xi)
-        _setattr(self, "_m", self.xi * (self.b - 1.0) / self.b)
-        _setattr(self, "_xi", self.xi)
+        self._set_xi(self.xi * (self.b - 1.0) / self.b, self.xi)
 
 
 @dataclass(frozen=True)
@@ -578,24 +605,29 @@ class LuFletcherParams(_WageForm):
     c: float
     zeta: float
 
-    _m = _xi = _Overflowed()
+    _m = _xi = _c1 = _c2 = _c2_sigma = _bca = _Overflowed()
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_finite("zeta", self.zeta)
+        a, b, c, zeta = self.a, self.b, self.c, self.zeta
+        _setattr(self, "_zc", zeta * (1.0 - c) * (1.0 - b - c))
+        _setattr(self, "_zb", zeta * b * (1.0 - b - c))
+        try:  # sigma reads no xi: it stays finite where a^(1/b) overflows
+            _setattr(self, "_bca", b * c * a ** (-1.0 / b))
+        except OverflowError:
+            pass
         try:
-            a_1b = self.a ** (1.0 / self.b)
+            a_1b = a ** (1.0 / b)
         except OverflowError:
             return
-        _setattr(self, "_m", self.zeta * a_1b)
-        _setattr(self, "_xi", self.zeta * self.b * a_1b / (self.b - 1.0))
+        self._set_xi(zeta * a_1b, zeta * b * a_1b / (b - 1.0))
 
     def _sigma(self, k: float) -> float:
-        a, b, c, zeta = self.a, self.b, self.c, self.zeta
         u = k ** self._eb
-        v = b * c * a ** (-1.0 / b) * k ** self._ec
-        den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
-        num = zeta * b * (1.0 - b - c) * u + v
+        v = self._bca * k ** self._ec
+        den = self._zc * u + v
+        num = self._zb * u + v
         return num / den
 
 
@@ -624,12 +656,14 @@ class SatoHoffmanParams(_Family):
         if not 0.0 <= dr <= 1.0:
             raise ParamError(f"delta*rho must lie in [0, 1], got {dr!r}")
         _require_positive("alpha", self.alpha)
+        _setattr(self, "_dr", dr)
+        _setattr(self, "_bound", math.inf if self.rho >= 1.0 else (1.0 - dr) / (1.0 - self.rho))
+        _setattr(self, "_a1", self.alpha * (1.0 - dr))
+        _setattr(self, "_adr", self.alpha * dr)
 
     def k_upper_bound(self) -> float:
         """Upper end of the admissible k range (inf when rho >= 1)."""
-        if self.rho >= 1.0:
-            return math.inf
-        return (1.0 - self.delta * self.rho) / (1.0 - self.rho)
+        return self._bound
 
     def _check_domain(self, k: float, degree_one: bool = False) -> None:
         """Reject k outside the admissible range; with ``degree_one`` (the
@@ -637,7 +671,7 @@ class SatoHoffmanParams(_Family):
         if degree_one and self.alpha != 1.0:
             raise ParamError("substitution formulas assume degree one; "
                              f"alpha = {self.alpha!r} is not supported here")
-        bound = self.k_upper_bound()
+        bound = self._bound
         if k >= bound:
             raise DomainError(
                 f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
@@ -646,30 +680,28 @@ class SatoHoffmanParams(_Family):
     def _bracket(self, k: float) -> float:
         # (1 - delta*rho) + (rho - 1) k: positive exactly on the admissible
         # k range for rho < 1, and everywhere for rho >= 1.
-        return (1.0 - self.delta * self.rho) + (self.rho - 1.0) * k
+        return (1.0 - self._dr) + (self.rho - 1.0) * k
 
     def _y(self, k: float) -> float:
         self._check_domain(k)
-        dr = self.delta * self.rho
         G = 1.0 + (self.rho - 1.0) * k
-        return self.gamma * k ** (self.alpha * (1.0 - dr)) * G ** (self.alpha * dr)
+        return self.gamma * k ** self._a1 * G ** self._adr
 
     def _F(self, K: float, L: float) -> float:
         self._check_domain(K / L)
-        dr = self.delta * self.rho
         inner = L + (self.rho - 1.0) * K
-        return self.gamma * K ** (self.alpha * (1.0 - dr)) * inner ** (self.alpha * dr)
+        return self.gamma * K ** self._a1 * inner ** self._adr
 
     def _dy(self, k: float) -> float:
         y = self._y(k)
-        dr = self.delta * self.rho
+        dr = self._dr
         G = 1.0 + (self.rho - 1.0) * k
         g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
         return y * g
 
     def _d2y(self, k: float) -> float:
         y = self._y(k)
-        dr = self.delta * self.rho
+        dr = self._dr
         G = 1.0 + (self.rho - 1.0) * k
         g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
         gp = self.alpha * (-(1.0 - dr) / k ** 2 - dr * (self.rho - 1.0) ** 2 / G ** 2)
@@ -677,28 +709,28 @@ class SatoHoffmanParams(_Family):
 
     def _R(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self.delta * self.rho
+        dr = self._dr
         return dr * k / ((1.0 - dr) + (self.rho - 1.0) * k)
 
     def _dR(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self.delta * self.rho
+        dr = self._dr
         D = (1.0 - dr) + (self.rho - 1.0) * k
         return dr * (1.0 - dr) / (D * D)
 
     def _sigma(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self.delta * self.rho
+        dr = self._dr
         return 1.0 + (self.rho - 1.0) / (1.0 - dr) * k
 
     def _dsigma(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        return (self.rho - 1.0) / (1.0 - self.delta * self.rho)
+        return (self.rho - 1.0) / (1.0 - self._dr)
 
     def _sign_changes(self) -> list[float]:
         # the domain bound (1 - delta rho)/(1 - rho), where the bracket and sigma
         # vanish; R = dr k / D and R' = dr (1 - dr) / D^2 with D the bracket
-        dr, r = self.delta * self.rho, self.rho - 1.0
+        dr, r = self._dr, self.rho - 1.0
         cuts = [*_root(1.0, 1.0 - dr, r), *_magnitude(1.0, dr)]
         if r * r != 0.0:  # else D^2 < (1.5e-162 k)^2 stays inside the double range
             cuts += _magnitude(2.0, r * r, dr * (1.0 - dr) / (r * r))

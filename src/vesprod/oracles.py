@@ -107,7 +107,9 @@ def _report(name: str, points: int, tolerance: float,
     """Score every comparison: its relative error is the absolute error over
     max(|closed|, |reference|, scale floor), and 0 where the two agree
     exactly; the last of several equal maxima locates the worst error.  A
-    tolerance that is NaN, negative or infinite raises ParamError."""
+    tolerance that is NaN, negative or infinite raises ParamError, and a
+    reference that is not finite (which no relative error can score)
+    SingularError naming the check, the quantity and k."""
     if not (tolerance >= 0.0 and math.isfinite(tolerance)):
         raise ParamError(f"tolerance must be a non-negative finite number, got {tolerance!r}")
     max_abs = max_rel = 0.0
@@ -119,6 +121,9 @@ def _report(name: str, points: int, tolerance: float,
         max_abs = max(max_abs, abs_err)
         if rel_err >= max_rel:
             max_rel, worst_k, worst_quantity = rel_err, k, quantity
+        elif rel_err != rel_err:  # NaN, which a finite closed form gives only with such a reference
+            raise SingularError(f"{name}: the {quantity} reference is {reference!r} at "
+                                f"k = {k:.12g}, so the check cannot be scored")
     return VerificationReport(
         check_name=name, max_abs_error=max_abs, max_rel_error=max_rel,
         points_checked=points, tolerance=tolerance, passed=max_rel <= tolerance,
@@ -171,6 +176,8 @@ def _check_grid(k_grid: Sequence[float],
     for k in k_grid:
         try:
             grid.append(float(k))
+        except OverflowError:  # an int past the double range
+            raise DomainError(f"grid point {k!r} is not a positive finite number") from None
         except (TypeError, ValueError):
             raise ParamError(f"grid point {k!r} is not a number") from None
     if len(grid) < 1:
@@ -212,10 +219,12 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     several nodes fail, the first in step order is reported.
     """
     for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not 0.0 < value <= sys.float_info.max:  # no float conversion for an int
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
     if not isinstance(steps, int) or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+    if steps > sys.float_info.max:
+        raise DomainError("steps must be an integer >= 2 inside the double range")
     if k_end == k_start:
         return y_start
 

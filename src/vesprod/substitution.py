@@ -37,6 +37,7 @@ no scan: the sign of sigma' follows from the parameters (see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -364,8 +365,7 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     one next to it, to relative 1e-10.  An empty interval is returned
     (never an exception) when no grid point is valid.
     """
-    if not (math.isfinite(k_probe_low) and math.isfinite(k_probe_high)
-            and 0.0 < k_probe_low < k_probe_high):
+    if not 0.0 < k_probe_low < k_probe_high <= sys.float_info.max:  # also for an int
         raise ParamError(f"probe bounds must satisfy 0 < low < high, got "
                          f"({k_probe_low!r}, {k_probe_high!r})")
     if not isinstance(samples, int) or samples < 2:

@@ -841,6 +841,10 @@ GOLDEN_VERIFY = [
     ('--suite family --tolerance nan', 2,
      '',
      'error: tolerance must be a non-negative finite number, got nan\n'),
+    # both sides of the sigma identity overflow there (-inf/-inf): its NaN once passed unscored
+    ('--suite sato-hoffman --gamma 1e250 --delta 0.5 --rho 1 --k-from 1e10 --k-to 2e10 --points 3', 2,
+     '',
+     'error: sato-hoffman: the sigma reference is nan at k = 10000000000, so the check cannot be scored\n'),
 ]
 
 

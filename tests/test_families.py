@@ -258,6 +258,195 @@ def test_wage_specs_with_extreme_constants(spec, expected):
         assert got == want, kernel.__name__
 
 
+# The closed forms as they were written before their parameter-only factors
+# were stored at construction (wage forms, Lu-Fletcher's sigma, Sato-Hoffman
+# and VES), with every per-spec constant computed where it is read.  The
+# stored factors are left prefixes of these products, so every value must
+# keep its bits, and every error its type and message.
+
+def _old_m_xi(s):
+    if isinstance(s, LiuHildebrandParams):
+        return s.xi * (s.b - 1.0) / s.b, s.xi
+    a_1b = s.a ** (1.0 / s.b)
+    return s.zeta * a_1b, s.zeta * s.b * a_1b / (s.b - 1.0)
+
+
+def _old_wage_bracket(s, k):
+    b, c = s.b, s.c
+    return _old_m_xi(s)[0] * k ** ((b - 1.0) / b) + (b - 1.0) / (b + c - 1.0) * k ** (-c / b)
+
+
+def _old_wage_y(s, k):
+    base = s._positive_bracket(k)
+    return s.a ** (1.0 / (1.0 - s.b)) * base ** (s.b / (s.b - 1.0))
+
+
+def _old_wage_R(s, k):
+    b, c, xi = s.b, s.c, _old_m_xi(s)[1]
+    den = xi * (1.0 - b) * (b + c - 1.0) * k ** ((b + c - 1.0) / b) + b * c
+    return -b * (b + c - 1.0) * k / den
+
+
+def _old_wage_dR(s, k):
+    b, c, xi = s.b, s.c, _old_m_xi(s)[1]
+    x = k ** ((b + c - 1.0) / b)
+    den = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
+    num = xi * (1.0 - b) * (1.0 - c) * (b + c - 1.0) * x + b * b * c
+    return -(b + c - 1.0) * num / den / den
+
+
+def _old_wage_sigma(s, k):
+    b, c, xi = s.b, s.c, _old_m_xi(s)[1]
+    x = k ** ((b + c - 1.0) / b)
+    den = xi * (1.0 - b) * (b + c - 1.0) * (1.0 - c) * x + b * b * c
+    num = xi * (1.0 - b) * (b + c - 1.0) * x + b * c
+    return b * num / den
+
+
+def _old_wage_dsigma(s, k):
+    b, c, xi = s.b, s.c, _old_m_xi(s)[1]
+    t = b + c - 1.0
+    if xi == 0.0 and c > 0.0:
+        return xi * (1.0 - b) * t * b * c
+    den = xi * (1.0 - b) * t * (1.0 - c) * k ** ((b - 1.0) / b) + b * b * c * k ** (-c / b)
+    num = xi * (1.0 - b) * t * b * c * t ** 2 * k ** (-(c + 1.0) / b)
+    return num / den / den
+
+
+def _old_lf_sigma(s, k):
+    a, b, c, zeta = s.a, s.b, s.c, s.zeta
+    u = k ** ((b - 1.0) / b)
+    v = b * c * a ** (-1.0 / b) * k ** (-c / b)
+    den = zeta * (1.0 - c) * (1.0 - b - c) * u + v
+    num = zeta * b * (1.0 - b - c) * u + v
+    return num / den
+
+
+def _old_sh_check_domain(s, k, degree_one=False):
+    if degree_one and s.alpha != 1.0:
+        raise ParamError("substitution formulas assume degree one; "
+                         f"alpha = {s.alpha!r} is not supported here")
+    bound = math.inf if s.rho >= 1.0 else (1.0 - s.delta * s.rho) / (1.0 - s.rho)
+    if k >= bound:
+        raise DomainError(f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
+                          f"k < {bound:.12g} for rho = {s.rho:.12g}")
+
+
+def _old_sh_y(s, k):
+    s._check_domain(k)
+    dr = s.delta * s.rho
+    G = 1.0 + (s.rho - 1.0) * k
+    return s.gamma * k ** (s.alpha * (1.0 - dr)) * G ** (s.alpha * dr)
+
+
+def _old_sh_R(s, k):
+    s._check_domain(k, degree_one=True)
+    dr = s.delta * s.rho
+    return dr * k / ((1.0 - dr) + (s.rho - 1.0) * k)
+
+
+def _old_sh_dR(s, k):
+    s._check_domain(k, degree_one=True)
+    dr = s.delta * s.rho
+    D = (1.0 - dr) + (s.rho - 1.0) * k
+    return dr * (1.0 - dr) / (D * D)
+
+
+def _old_sh_sigma(s, k):
+    s._check_domain(k, degree_one=True)
+    return 1.0 + (s.rho - 1.0) / (1.0 - s.delta * s.rho) * k
+
+
+def _old_sh_dsigma(s, k):
+    s._check_domain(k, degree_one=True)
+    return (s.rho - 1.0) / (1.0 - s.delta * s.rho)
+
+
+def _old_ves_dR(s, k):
+    return s.lam + s.theta * s.mu * k ** (s.theta - 1.0)
+
+
+def _old_ves_sigma(s, k):
+    lam, mu, th = s.lam, s.mu, s.theta
+    x = k ** (th - 1.0)
+    return (lam + mu * x) / (lam + th * mu * x)
+
+
+def _old_ves_dsigma(s, k):
+    lam, mu, th = s.lam, s.mu, s.theta
+    if lam == 0.0 and th != 0.0:
+        return float(-lam * mu)
+    den = lam + th * mu * k ** (th - 1.0)
+    return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
+
+
+_OLD_WAGE = {"_bracket": _old_wage_bracket, "_y": _old_wage_y, "_R": _old_wage_R,
+             "_dR": _old_wage_dR, "_sigma": _old_wage_sigma, "_dsigma": _old_wage_dsigma}
+# same-named subclasses, so that _evaluate's messages name the family as before
+_OLD_TYPES = {cls: type(cls.__name__, (cls,), methods) for cls, methods in [
+    (LiuHildebrandParams, _OLD_WAGE),
+    (LuFletcherParams, {**_OLD_WAGE, "_sigma": _old_lf_sigma}),
+    (SatoHoffmanParams, {"_check_domain": _old_sh_check_domain, "_y": _old_sh_y,
+                         "_R": _old_sh_R, "_dR": _old_sh_dR, "_sigma": _old_sh_sigma,
+                         "_dsigma": _old_sh_dsigma,
+                         "_bracket": lambda s, k: (1.0 - s.delta * s.rho) + (s.rho - 1.0) * k}),
+    (VESParams, {"_dR": _old_ves_dR, "_sigma": _old_ves_sigma, "_dsigma": _old_ves_dsigma}),
+]}
+
+_HUGE = st.sampled_from([1e300, -1e300, 1e200, -1e200, 2.0 ** 600])
+
+
+@st.composite
+def _formula_cases(draw):
+    """(spec, k) for the four families whose constants moved to construction,
+    with parameters and k anywhere in the double range: overflowing a, xi,
+    zeta and b + c - 1, xi = 0, and Lu-Fletcher b near 0, where a^(1/b) or
+    a^(-1/b) overflows."""
+    family = draw(st.sampled_from(["lh", "lf", "sh", "ves"]))
+    try:
+        if family == "ves":
+            spec = VESParams(draw(_ANY), draw(st.one_of(_ANY, _HUGE)),
+                             draw(st.one_of(_ANY, _HUGE, st.floats(-3.0, 3.0))), draw(_POSITIVE))
+        elif family == "sh":
+            delta = draw(st.one_of(_UNIT, st.sampled_from([0.5, 0.25, 0.125])))
+            rho = draw(st.one_of(st.floats(0.0, 1.0).map(lambda t: t / delta),
+                                 st.just(1.0 / delta)))
+            alpha = draw(st.one_of(st.just(1.0), _POSITIVE, st.floats(0.1, 10.0)))
+            spec = SatoHoffmanParams(draw(_POSITIVE), delta, rho, alpha)
+        else:
+            wage_form = LiuHildebrandParams if family == "lh" else LuFletcherParams
+            b = draw(st.one_of(_POSITIVE, st.floats(1e-300, 1e-2), st.floats(0.5, 1.5)))
+            c = draw(st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 3.0), st.just(0.0), _HUGE))
+            spec = wage_form(draw(st.one_of(_POSITIVE, st.floats(0.01, 100.0))), b, c,
+                             draw(st.one_of(_ANY, _HUGE, st.sampled_from([0.0, -0.0]))))
+    except ParamError:
+        reject()
+    return spec, draw(st.one_of(_RATIO, st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=_formula_cases())
+@example(case=(_LH_HUGE_A, 1.0))                                           # A overflows
+@example(case=(_LF_HUGE, 2.0))                                             # a^(1/b) overflows
+@example(case=(LuFletcherParams(0.1, 1e-3, 0.5, 1.0), 2.0))                # a^(-1/b) overflows
+@example(case=(LuFletcherParams(2.0, 0.5, 1e300, 1e300), 2.0))            # zeta products overflow
+@example(case=(LiuHildebrandParams(2.0, 0.5, 1e200, -1.0), 1.0))          # (b+c-1)^2 overflows
+@example(case=(LiuHildebrandParams(1e300, 0.5, 0.3, 1e300), 3.0))         # xi products overflow
+@example(case=(LiuHildebrandParams(1.3, 0.5, 0.3, 0.0), 2.0))             # xi = 0
+@example(case=(LiuHildebrandParams(1.3, 0.5, 0.3, -0.0), 2.0))
+@example(case=(LuFletcherParams(1.3, 0.5, 0.3, 0.0), 2.0))
+@example(case=(VESParams(0.5, 1.0, 1e200, 1.0), 0.5))                      # (theta-1)^2 overflows
+@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 2.0))                        # sigma' = -0.0
+@example(case=(SatoHoffmanParams(1.0, 0.5, 2.0), 1.0))                     # delta*rho = 1
+@example(case=(SatoHoffmanParams(1.0, 0.5, 0.5), 2.0))                     # outside the range
+@example(case=(SatoHoffmanParams(1.0, 0.5, 0.5, 2.0), 1.0))                # alpha != 1
+def test_closed_forms_keep_the_bits_of_the_formulas_they_replace(case):
+    spec, k = case
+    old = _OLD_TYPES[type(spec)](*(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+    for method in ("_bracket", "_y", "_R", "_dR", "_sigma", "_dsigma"):
+        assert _outcome(_evaluate, spec, method, k) == _outcome(_evaluate, old, method, k), method
+
+
 # ---------------------------------------------------------------------------
 # Extensive form and homogeneity
 # ---------------------------------------------------------------------------

@@ -486,6 +486,40 @@ def test_report_passed_iff_within_tolerance(reference_fit_ves):
     assert report2.points_checked > 0
 
 
+@pytest.mark.parametrize("reference", [math.nan, math.inf, -math.inf])
+def test_report_rejects_a_reference_that_is_not_finite(reference):
+    # a NaN relative error never reaches the maximum, so such a check once passed unscored
+    comparisons = [("R", 1.0, 2.0, 2.0, 0.0), ("sigma", 3.0, 1.5, reference, 0.0),
+                   ("R", 5.0, 2.0, 2.5, 0.0)]
+    with pytest.raises(SingularError) as caught:
+        oracles_module._report("family", 3, 1e-6, comparisons)
+    assert str(caught.value) == (f"family: the sigma reference is {reference!r} at k = 3, "
+                                 "so the check cannot be scored")
+
+
+def test_verify_sato_hoffman_with_an_overflowing_identity_is_singular():
+    # k y y'' and y'(k y' - y) both overflow: the finite-difference sigma is -inf/-inf
+    s = SatoHoffmanParams(gamma=1e250, delta=0.5, rho=1.0)
+    with pytest.raises(SingularError, match="sato-hoffman: the sigma reference is nan"):
+        verify_sato_hoffman(s, [1e10, 1.5e10, 2e10])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda v, x: verify_family(v, [x]), DomainError),
+    (lambda v, x: validity_range(v, 0.1, x), ParamError),
+    (lambda v, x: ode_integrate_theorem(v, 1.0, 0.5, 2.0, x), DomainError),
+    (lambda v, x: ode_integrate_theorem(v, x, 0.5, 2.0, 100), DomainError),
+    (lambda v, x: eval_intensive(v, x), DomainError),
+], ids=["verify_family", "validity_range", "ode-steps", "ode-k_start", "eval_intensive"])
+def test_an_int_past_the_double_range_raises_as_inf_does(call, error):
+    # such an int was once converted to float, whose OverflowError escaped
+    v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+    with pytest.raises(error):
+        call(v, math.inf)
+    with pytest.raises(error):
+        call(v, 10 ** 400)
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, -1e-300, math.inf])
 def test_verifiers_reject_a_bad_tolerance(reference_fit_ves, tolerance):
     # NaN fails every comparison and inf passes every one: neither is a verdict
