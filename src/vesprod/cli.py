@@ -27,6 +27,7 @@ from .families import (
     LuFletcherParams,
     SatoHoffmanParams,
     VESParams,
+    _quote,
     eval_extensive,
     eval_intensive,
     reduce_special_case,
@@ -143,7 +144,7 @@ def _value(args: argparse.Namespace, name: str) -> float | None:
     try:
         return math.exp(args.ln_a)
     except OverflowError:
-        raise ParamError(f"a = e^ln_a overflows for ln_a = {args.ln_a!r}") from None
+        raise ParamError(f"a = e^ln_a overflows for ln_a = {_quote(args.ln_a)}") from None
 
 
 def _read(args: argparse.Namespace, cls, need: str, names: Sequence[str] | None = None,

@@ -40,7 +40,8 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .families import LogLinearParams, _check_ves_branch, _parameter_space
+from .families import (LogLinearParams, _check_ves_branch, _parameter_space, _quote,
+                       _require_in_domain)
 
 __all__ = [
     "Relation",
@@ -308,8 +309,7 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
     below ``k0``).  The calibration criterion R(k0) = 0 is a convention;
     override xi manually to use a different one.
     """
-    if not (math.isfinite(k0) and k0 > 0.0):
-        raise DomainError(f"k0 must be positive and finite, got {k0!r}")
+    _require_in_domain("k0", k0)
     _check_ves_branch(p)
     b, c = p.b, p.c
     if c == 1.0:
@@ -318,6 +318,6 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
             "vanishes at positive k (R(k0) = 0 would force mu = 0)")
     xi = (1.0 - c) / (c - b) * b / ((1.0 - b) * p.a ** (1.0 / b)) * k0 ** (1.0 - c / b)
     if xi == 0.0:  # c != 1, so the true xi is not 0
-        raise SingularError(f"xi underflows to 0 for k0 = {k0!r}: the calibrated "
+        raise SingularError(f"xi underflows to 0 for k0 = {_quote(k0)}: the calibrated "
                             "constant is too small to represent")
     return xi

@@ -37,10 +37,11 @@ y, R, R', sigma and sigma' that depend only on the parameters.  A factor is
 stored only where it is a left prefix of the product it replaces, in Python's
 left-to-right evaluation, so that every result keeps its bits; one whose
 power overflows is left unset, and reading it raises OverflowError where the
-formula reads it.  A public function here or in :mod:`vesprod.substitution`
-returns a method's finite value at a positive finite float k in one call;
-anything else goes through the one entry point that checks the arguments and
-turns floating-point failure into VesprodError.
+formula reads it.  The six kernels that a workload calls (the bracket, y, R,
+R', sigma, sigma') return a method's finite value at a positive finite float k
+in one call; anything else goes through the one entry point that checks the
+arguments and turns floating-point failure into VesprodError.  Every number a
+caller gives is admitted by :func:`_is_finite` and quoted by :func:`_quote`.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -55,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
@@ -83,15 +84,36 @@ __all__ = [
 ]
 
 
+def _is_finite(value: float) -> bool:
+    """Whether a number is finite: an int past the largest double is not (never converted)."""
+    try:
+        return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    except OverflowError:  # a Fraction past the double range
+        return False
+
+
+def _quote(value: object) -> str:
+    """repr(value), or the size of an int with more digits than repr converts."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ParamError(f"{name} must be finite, got {value!r}")
+    if not _is_finite(value):
+        raise ParamError(f"{name} must be finite, got {_quote(value)}")
 
 
 def _require_positive(name: str, value: float) -> None:
     _require_finite(name, value)
     if value <= 0.0:
-        raise ParamError(f"{name} must be positive, got {value!r}")
+        raise ParamError(f"{name} must be positive, got {_quote(value)}")
+
+
+def _require_in_domain(name: str, value: float) -> None:
+    if not (_is_finite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {_quote(value)}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ class LogLinearParams:
         _require_positive("a", self.a)
         _require_finite("b", self.b)
         if self.b < 0.0:
-            raise ParamError(f"b must be non-negative, got {self.b!r}")
+            raise ParamError(f"b must be non-negative, got {_quote(self.b)}")
         _require_positive("c", self.c)
         if self.xi is not None:
             _require_finite("xi", self.xi)
@@ -149,21 +171,10 @@ def _check_ves_branch(p: LogLinearParams) -> None:
 def _check_lh_branch(p: LogLinearParams) -> None:
     """Branch restrictions of the wage closed form: b not in {0, 1}, b + c != 1."""
     if p.b == 0.0 or p.b == 1.0:
-        raise ParamError(f"the wage-relation closed form needs b outside {{0, 1}}, got b = {p.b!r}")
+        raise ParamError("the wage-relation closed form needs b outside {0, 1}, "
+                         f"got b = {_quote(p.b)}")
     if p.b + p.c == 1.0:
         raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
-
-
-def _require_ratio(k: float) -> None:
-    if not 0.0 < k <= sys.float_info.max:  # no float conversion, which an int may overflow
-        raise DomainError(f"capital-labor ratio must be positive and finite, got {k!r}")
-
-
-def _require_factors(K: float, L: float) -> None:
-    if not 0.0 < K <= sys.float_info.max:
-        raise DomainError(f"capital input must be positive and finite, got {K!r}")
-    if not 0.0 < L <= sys.float_info.max:
-        raise DomainError(f"labor input must be positive and finite, got {L!r}")
 
 
 #: ln of the largest double, past which a power raises OverflowError and a
@@ -337,7 +348,7 @@ class CobbDouglasParams(_Family):
         _require_positive("A", self.A)
         _require_finite("beta", self.beta)
         if not 0.0 < self.beta < 1.0:
-            raise ParamError(f"beta must lie in (0, 1), got {self.beta!r}")
+            raise ParamError(f"beta must lie in (0, 1), got {_quote(self.beta)}")
 
     def _bracket(self, k: float) -> float:
         return math.inf  # no bracketed base; never binds
@@ -383,7 +394,7 @@ class CESParams(_Family):
         _require_positive("gamma", self.gamma)
         _require_finite("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
-            raise ParamError(f"delta must lie in (0, 1), got {self.delta!r}")
+            raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
         _require_positive("sigma", self.sigma)
         if self.sigma == 1.0:
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
@@ -454,7 +465,7 @@ class _WageForm(_Family):
             raise ParamError("b = 1 is a singular branch of the wage closed form")
         _require_finite("c", self.c)
         if self.c < 0.0:
-            raise ParamError(f"c must be non-negative, got {self.c!r}")
+            raise ParamError(f"c must be non-negative, got {_quote(self.c)}")
         if self.b + self.c == 1.0:
             raise ParamError("b + c = 1 is excluded: the integration step divides by b + c - 1")
         b, c = self.b, self.c
@@ -650,11 +661,11 @@ class SatoHoffmanParams(_Family):
         _require_positive("gamma", self.gamma)
         _require_finite("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
-            raise ParamError(f"delta must lie in (0, 1), got {self.delta!r}")
+            raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
         _require_finite("rho", self.rho)
         dr = self.delta * self.rho
         if not 0.0 <= dr <= 1.0:
-            raise ParamError(f"delta*rho must lie in [0, 1], got {dr!r}")
+            raise ParamError(f"delta*rho must lie in [0, 1], got {_quote(dr)}")
         _require_positive("alpha", self.alpha)
         _setattr(self, "_dr", dr)
         _setattr(self, "_bound", math.inf if self.rho >= 1.0 else (1.0 - dr) / (1.0 - self.rho))
@@ -670,7 +681,7 @@ class SatoHoffmanParams(_Family):
         substitution formulas R, R', sigma, sigma') first require alpha = 1."""
         if degree_one and self.alpha != 1.0:
             raise ParamError("substitution formulas assume degree one; "
-                             f"alpha = {self.alpha!r} is not supported here")
+                             f"alpha = {_quote(self.alpha)} is not supported here")
         bound = self._bound
         if k >= bound:
             raise DomainError(
@@ -754,9 +765,9 @@ _QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_
 
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
-    is given: the public kernels' one error boundary.  A k-kernel returns
-    its method's finite value at a positive finite float k on a family spec
-    from one call, and hands every other input here, which recomputes it.
+    is given: the public kernels' one error boundary.  The six kernels a
+    workload calls return the finite value at a positive finite float k on a
+    family spec from one call, and hand every other input here to recompute.
 
     Rejects a non-family spec with TypeError and checks k (or K and L)
     once.  It is the one place that says what a floating-point failure in
@@ -769,10 +780,11 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     try:
         if L is None:
-            _require_ratio(k)
+            _require_in_domain("capital-labor ratio", k)
             value = getattr(spec, method)(k)
         else:
-            _require_factors(k, L)
+            _require_in_domain("capital input", k)
+            _require_in_domain("labor input", L)
             value = getattr(spec, method)(k, L)
         if math.isfinite(value) or (method == "_bracket" and not math.isnan(value)):
             return value
@@ -819,23 +831,11 @@ def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:
 def intensive_derivative(spec: FamilySpec, k: float) -> float:
     """dy/dk from the closed form: the marginal product of capital (the
     rental rate) for degree-one families."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
-        try:
-            if math.isfinite(value := spec._dy(k)):
-                return value
-        except ArithmeticError:
-            pass
     return _evaluate(spec, "_dy", k)
 
 
 def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
     """d^2 y / dk^2 from the closed form."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
-        try:
-            if math.isfinite(value := spec._d2y(k)):
-                return value
-        except ArithmeticError:
-            pass
     return _evaluate(spec, "_d2y", k)
 
 
@@ -844,31 +844,39 @@ def intensive_second_derivative(spec: FamilySpec, k: float) -> float:
 # --------------------------------------------------------------------------
 
 def _finite(value: object) -> bool:
-    """Whether value, or every float in a tuple or dataclass of them, is finite."""
+    """Whether value, or every float in a tuple of them, is finite."""
     if isinstance(value, float):
         return math.isfinite(value)
-    if is_dataclass(value):  # by attribute: vars() would slow the instance's attribute reads
-        value = tuple(getattr(value, field.name) for field in fields(value))
     return not isinstance(value, tuple) or all(map(_finite, value))
 
 
 def _parameter_space(fn):
-    """The error boundary of the parameter-space functions: an overflow, a division by zero
-    or a non-finite float result (also in a tuple or dataclass) is SingularError naming the call."""
+    """The error boundary of the parameter-space functions: an overflow, a division by zero or a
+    non-finite float (a result, tuple item or _construct value) is SingularError naming the call."""
     @functools.wraps(fn)
     def bounded(*args, **kwargs):
         try:
             result = fn(*args, **kwargs)
-            if _finite(result):
-                return result
+            if not _finite(result):
+                raise FloatingPointError
+            return result
+        except FloatingPointError:  # also from _construct
             what = "the result is not finite"
         except OverflowError:
             what = "a power overflows, so it has no finite value"
         except ZeroDivisionError:
             what = "a term divides by zero"
-        given = [*map(repr, args), *(f"{name}={value!r}" for name, value in kwargs.items())]
+        given = [*map(_quote, args), *(f"{name}={_quote(v)}" for name, v in kwargs.items())]
         raise SingularError(f"{fn.__name__}({', '.join(given)}): {what}")
     return bounded
+
+
+def _construct(make, **values):
+    """``make(**values)``, or FloatingPointError (a result not finite) where a value is not:
+    a parameter map names no field its caller never gave."""
+    if not _finite(tuple(values.values())):
+        raise FloatingPointError
+    return make(**values)
 
 
 @_parameter_space
@@ -887,7 +895,7 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
     b, c = p.b, p.c
     mu = xi * (b - 1.0) * p.a ** (1.0 / b) / b
     psi = p.a ** (1.0 / (1.0 - b))
-    return VESParams(lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
+    return _construct(VESParams, lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
 
 
 @_parameter_space
@@ -911,10 +919,10 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
                             "branch of the closed form")
     a = v.psi ** (1.0 - b)
     if a == 0.0:
-        raise SingularError(f"psi = {v.psi!r}, b = {b!r}: psi^(1-b) underflows to 0, "
-                            "so it has no positive value")
-    p = LogLinearParams(a=a, b=b, c=c)
-    return p.with_xi(v.mu * b * a ** (-1.0 / b) / (b - 1.0))
+        raise SingularError(f"psi = {_quote(v.psi)}, b = {_quote(b)}: psi^(1-b) underflows "
+                            "to 0, so it has no positive value")
+    p = _construct(LogLinearParams, a=a, b=b, c=c)
+    return _construct(p.with_xi, xi=v.mu * b * a ** (-1.0 / b) / (b - 1.0))
 
 
 def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:
@@ -930,7 +938,7 @@ def lf_from_lh(p: LogLinearParams) -> LuFletcherParams:
     _check_lh_branch(p)
     xi = p.require_xi()
     zeta = xi * (p.b - 1.0) * p.a ** (-1.0 / p.b) / p.b
-    return LuFletcherParams(a=p.a, b=p.b, c=p.c, zeta=zeta)
+    return _construct(LuFletcherParams, a=p.a, b=p.b, c=p.c, zeta=zeta)
 
 
 def _gamma_delta(p: LogLinearParams, q: float) -> tuple[float, float]:
@@ -943,7 +951,7 @@ def _gamma_delta(p: LogLinearParams, q: float) -> tuple[float, float]:
     gamma = base ** (b / (b - 1.0))
     if gamma == 0.0:
         raise SingularError(f"symmetric form: gamma = base^(b/(b-1)) underflows to 0 "
-                            f"(base = {base:.6g}, b = {b!r})")
+                            f"(base = {base:.6g}, b = {_quote(b)})")
     return gamma, q / base
 
 
@@ -976,8 +984,8 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
     met but the target cannot be built (b ~ 0 with c >= 1; for CES, xi unset,
     b = 1, or no finite gamma and delta that CESParams admits), p is returned.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParamError(f"tol must be a non-negative float, got {tol!r}")
+    if not (_is_finite(tol) and tol >= 0.0):
+        raise ParamError(f"tol must be a non-negative float, got {_quote(tol)}")
     if abs(p.b) <= tol:
         if 0.0 < p.c < 1.0:
             return CobbDouglasParams(A=p.a, beta=p.c)

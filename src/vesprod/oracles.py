@@ -45,6 +45,9 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    _is_finite,
+    _quote,
+    _require_in_domain,
     bracket_base,
     eval_intensive,
     lf_from_lh,
@@ -110,8 +113,8 @@ def _report(name: str, points: int, tolerance: float,
     tolerance that is NaN, negative or infinite raises ParamError, and a
     reference that is not finite (which no relative error can score)
     SingularError naming the check, the quantity and k."""
-    if not (tolerance >= 0.0 and math.isfinite(tolerance)):
-        raise ParamError(f"tolerance must be a non-negative finite number, got {tolerance!r}")
+    if not (tolerance >= 0.0 and _is_finite(tolerance)):
+        raise ParamError(f"tolerance must be a non-negative finite number, got {_quote(tolerance)}")
     max_abs = max_rel = 0.0
     worst_k = worst_quantity = None
     for quantity, k, closed, reference, scale_floor in comparisons:
@@ -122,7 +125,7 @@ def _report(name: str, points: int, tolerance: float,
         if rel_err >= max_rel:
             max_rel, worst_k, worst_quantity = rel_err, k, quantity
         elif rel_err != rel_err:  # NaN, which a finite closed form gives only with such a reference
-            raise SingularError(f"{name}: the {quantity} reference is {reference!r} at "
+            raise SingularError(f"{name}: the {quantity} reference is {_quote(reference)} at "
                                 f"k = {k:.12g}, so the check cannot be scored")
     return VerificationReport(
         check_name=name, max_abs_error=max_abs, max_rel_error=max_rel,
@@ -177,14 +180,14 @@ def _check_grid(k_grid: Sequence[float],
         try:
             grid.append(float(k))
         except OverflowError:  # an int past the double range
-            raise DomainError(f"grid point {k!r} is not a positive finite number") from None
+            raise DomainError(f"grid point {_quote(k)} is not a positive finite number") from None
         except (TypeError, ValueError):
-            raise ParamError(f"grid point {k!r} is not a number") from None
+            raise ParamError(f"grid point {_quote(k)} is not a number") from None
     if len(grid) < 1:
         raise ParamError("k_grid must contain at least one point")
     for k in grid:
         if not (math.isfinite(k) and k > 0.0):
-            raise DomainError(f"grid point {k!r} is not a positive finite number")
+            raise DomainError(f"grid point {_quote(k)} is not a positive finite number")
     for lo, hi in zip(grid, grid[1:]):
         if not lo < hi:
             raise ParamError("k_grid must be strictly increasing")
@@ -219,11 +222,10 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     several nodes fail, the first in step order is reported.
     """
     for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
-        if not 0.0 < value <= sys.float_info.max:  # no float conversion for an int
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        _require_in_domain(name, value)
     if not isinstance(steps, int) or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    if steps > sys.float_info.max:
+        raise DomainError(f"steps must be an integer >= 2, got {_quote(steps)}")
+    if not _is_finite(steps):
         raise DomainError("steps must be an integer >= 2 inside the double range")
     if k_end == k_start:
         return y_start
@@ -363,7 +365,7 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
     admissible range."""
     if s.alpha != 1.0:
         raise ParamError("the affine-elasticity identity assumes degree one "
-                         f"(alpha = 1), got alpha = {s.alpha!r}")
+                         f"(alpha = 1), got alpha = {_quote(s.alpha)}")
     bound = s.k_upper_bound()
     grid = _check_grid(
         k_grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)

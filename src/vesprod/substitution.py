@@ -37,7 +37,6 @@ no scan: the sign of sigma' follows from the parameters (see
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,9 +51,12 @@ from .families import (
     _Family,
     _WageForm,
     _check_ves_branch,
+    _construct,
     _evaluate,
+    _is_finite,
     _parameter_space,
-    _require_ratio,
+    _quote,
+    _require_in_domain,
     bracket_base,
     loglinear_from_ves,
     ves_from_loglinear,
@@ -222,7 +224,7 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     positive; the latter failing means the implied capital share
     beta = k y' / y is at least c, which the relation rules out.
     """
-    _require_ratio(k)
+    _require_in_domain("capital-labor ratio", k)
     wage = y - k * y_prime
     if wage <= 0.0:
         raise ShareError(f"wage share y - k*y' = {wage:.6g} <= 0: inputs are not "
@@ -244,7 +246,7 @@ def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     constant b; as k grows it tends to 1/c when c > b and to 1/b when
     c <= b, so sigma tends to b/c or to 1.
     """
-    _require_ratio(k)
+    _require_in_domain("capital-labor ratio", k)
     v = ves_from_loglinear(p)  # validates the branch and xi
     R = mrs_closed(v, k)
     return p.b * R / (p.c * R + (p.c - 1.0) * k)
@@ -284,17 +286,16 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
     _check_ves_branch(p)
     b, c = p.b, p.c
     a1b = p.a ** (1.0 / b)
-    return RegressionClosedForm(
-        exponent=c / b,
-        mrs_k_coef=(1.0 - c) / (c - b),
-        mrs_pow_coef_per_xi=-(1.0 - b) * a1b / b,
-        mrs_prime_pow_coef_per_xi=-c * (1.0 - b) * a1b / (b * b),
-        sigma_num_k_coef=b * (c - 1.0),
-        sigma_num_pow_coef_per_xi=(1.0 - b) * (c - b) * a1b,
-        sigma_den_k_coef=b * b * (c - 1.0),
-        sigma_den_pow_coef_per_xi=c * (1.0 - b) * (c - b) * a1b,
-        sigma_prime_num_coef_per_xi=-b * (1.0 - b) * (c - 1.0) * (c - b) ** 3 * a1b,
-    )
+    return _construct(RegressionClosedForm,
+                      exponent=c / b,
+                      mrs_k_coef=(1.0 - c) / (c - b),
+                      mrs_pow_coef_per_xi=-(1.0 - b) * a1b / b,
+                      mrs_prime_pow_coef_per_xi=-c * (1.0 - b) * a1b / (b * b),
+                      sigma_num_k_coef=b * (c - 1.0),
+                      sigma_num_pow_coef_per_xi=(1.0 - b) * (c - b) * a1b,
+                      sigma_den_k_coef=b * b * (c - 1.0),
+                      sigma_den_pow_coef_per_xi=c * (1.0 - b) * (c - b) * a1b,
+                      sigma_prime_num_coef_per_xi=-b * (1.0 - b) * (c - 1.0) * (c - b) ** 3 * a1b)
 
 
 # --------------------------------------------------------------------------
@@ -365,10 +366,10 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     one next to it, to relative 1e-10.  An empty interval is returned
     (never an exception) when no grid point is valid.
     """
-    if not 0.0 < k_probe_low < k_probe_high <= sys.float_info.max:  # also for an int
+    if not (0.0 < k_probe_low < k_probe_high and _is_finite(k_probe_high)):
         raise ParamError(f"probe bounds must satisfy 0 < low < high, got "
-                         f"({k_probe_low!r}, {k_probe_high!r})")
-    if not isinstance(samples, int) or samples < 2:
+                         f"({_quote(k_probe_low)}, {_quote(k_probe_high)})")
+    if not (isinstance(samples, int) and 2 <= samples and _is_finite(samples)):
         raise ParamError("samples must be an integer >= 2")
 
     def point(i: int) -> float:
@@ -428,9 +429,9 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
 def _regime_of_rental_regression(b: float, c: float, xi: float) -> RegimeReport:
     if xi >= 0.0:
         raise ParamError("regime analysis assumes xi < 0 (required for R to be "
-                         f"positive and increasing on some range); got xi = {xi!r}")
+                         f"positive and increasing on some range); got xi = {_quote(xi)}")
     if b >= 1.0:
-        raise ParamError(f"the regime taxonomy assumes b < 1, got b = {b!r}")
+        raise ParamError(f"the regime taxonomy assumes b < 1, got b = {_quote(b)}")
     if abs(c - 1.0) <= BOUNDARY_TOL:
         raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
                          "use reduce_special_case first")
@@ -446,14 +447,14 @@ def _regime_of_rental_regression(b: float, c: float, xi: float) -> RegimeReport:
 def _regime_of_wage_regression(b: float, c: float, xi: float) -> RegimeReport:
     if xi >= 0.0:
         raise ParamError("regime analysis assumes xi < 0; got "
-                         f"xi = {xi!r}")
+                         f"xi = {_quote(xi)}")
     if not 0.0 < b < 1.0:
-        raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {b!r}")
+        raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {_quote(b)}")
     if c == 0.0:
         # CES boundary: sigma identically equal to b
         return RegimeReport(RegimeCase.CONSTANT_SIGMA, b, Monotonicity.CONSTANT)
     if c >= 1.0:
-        raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {c!r}")
+        raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {_quote(c)}")
     if abs(b + c - 1.0) <= BOUNDARY_TOL:
         raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
                          "substitution degenerates); use reduce_special_case first")

@@ -82,6 +82,15 @@ def test_eval_parameter_overflow_exits_2(capsys):
     assert "overflows" in err
 
 
+def test_eval_parameter_map_without_a_finite_result_exits_2(capsys):
+    # mu = xi (b-1) a^(1/b) / b is -inf: the error names the map, not the field mu
+    code, out, err = run(capsys, "eval", "--family", "ves", "--a", "2", "--b", "0.5",
+                         "--c", "0.3", "--xi", "1e308", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: ves_from_loglinear(LogLinearParams(a=2.0, b=0.5, c=0.3, xi=1e+308)): "
+                   "the result is not finite\n")
+
+
 @pytest.mark.parametrize("value", ["-9.68e-05", "-1E3", "-2.5e+00"])
 def test_negative_exponent_value_as_separate_token(capsys, value):
     base = ["eval", "--family", "ves", "--a", "2", "--b", "0.5", "--c", "1.5"]

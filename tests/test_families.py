@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,12 +34,20 @@ from vesprod import (
     lf_from_lh,
     lh_from_loglinear,
     loglinear_from_ves,
+    ode_integrate_theorem,
     reduce_special_case,
     regression_closed_form,
     sigma_from_mrs,
     sigma_from_shares,
     symmetric_form,
+    validity_range,
+    verify_equivalence_lh_lf,
+    verify_family,
+    verify_ode,
+    verify_reduction,
+    verify_sato_hoffman,
     ves_from_loglinear,
+    violated_constraints,
 )
 from vesprod.families import _evaluate
 from vesprod.substitution import (
@@ -952,3 +961,151 @@ def test_with_xi_returns_new_value():
     p = LogLinearParams(a=1.0, b=0.5, c=0.8)
     q = p.with_xi(-2.5)
     assert p.xi is None and q.xi == -2.5 and q.b == p.b
+
+
+# ---------------------------------------------------------------------------
+# Numeric arguments
+# ---------------------------------------------------------------------------
+
+_V = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+_RENTAL = LogLinearParams(a=1.0, b=0.5, c=1.2, xi=-1.0)
+
+#: every public function that takes a number, with arguments it accepts; each
+#: int or float among them (positional or keyword), and the point of each
+#: one-point grid, is a numeric slot
+_NUMERIC_CALLS = [
+    (LogLinearParams, (1.0, 0.5, 0.3, -1.0), {}),
+    (VESParams, (0.0, 1.0, 2.0, 1.0), {}),
+    (CobbDouglasParams, (2.0, 0.4), {}),
+    (CESParams, (1.0, 0.5, 2.0), {}),
+    (LiuHildebrandParams, (1.0, 0.5, 0.2, -1.0), {}),
+    (LuFletcherParams, (1.0, 0.5, 0.2, 1.0), {}),
+    (SatoHoffmanParams, (1.0, 0.5, 1.5, 1.0), {}),
+    *((kernel, (_V, 1.5), {}) for kernel in _KERNELS),
+    (eval_extensive, (_V, 1.5, 1.0), {}),
+    (violated_constraints, (_V, 1.5), {}),
+    (validity_range, (_V, 0.5, 2.0), {"samples": 16}),
+    (sigma_from_shares, (_RENTAL, 1.0, 2.0, 0.5), {}),
+    (sigma_from_mrs, (_RENTAL, 2.0), {}),
+    (calibrate_xi, (LogLinearParams(a=1, b=0.5, c=1.2), 2.0), {}),
+    (reduce_special_case, (LogLinearParams(a=1, b=0.5, c=1.0, xi=-1),), {"tol": 1e-9}),
+    (ode_integrate_theorem, (_V, 1.0, 0.5, 2.0, 100), {}),
+    (verify_family, (_V, [1.5]), {"tolerance": 1e-6}),
+    (verify_equivalence_lh_lf, (LogLinearParams(a=1.0, b=0.5, c=0.2, xi=-1.0), [1.5]),
+     {"tolerance": 1e-10}),
+    (verify_ode, (_V, 1.0, 2.0, 100), {"tolerance": 1e-9}),
+    (verify_reduction, (_V, _V, [1.5]), {"tolerance": 1e-10}),
+    (verify_sato_hoffman, (SatoHoffmanParams(1.0, 0.5, 1.5), [1.5]), {"tolerance": 1e-6}),
+]
+
+_OUT_OF_RANGE = (10 ** 400, -10 ** 400, 10 ** 5000, -10 ** 5000, math.nan, math.inf, -math.inf,
+                 Fraction(10 ** 400))
+
+
+def _with(value, slot, args, kwargs):
+    """args and kwargs with the number at ``slot`` (an index or a name) replaced by
+    value, and a grid by the one-point grid [value]."""
+    args, kwargs = list(args), dict(kwargs)
+    where = kwargs if isinstance(slot, str) else args
+    where[slot] = [value] if isinstance(where[slot], list) else value
+    return args, kwargs
+
+
+@pytest.mark.parametrize("function, args, kwargs", _NUMERIC_CALLS,
+                         ids=[function.__name__ for function, _, _ in _NUMERIC_CALLS])
+def test_a_number_out_of_range_returns_or_raises_a_vesprod_error(function, args, kwargs):
+    # never OverflowError (from float() of a large int) or ValueError (from the
+    # repr of an int with more than 4300 digits), whatever the slot
+    function(*args, **kwargs)
+    slots = [*(i for i, arg in enumerate(args) if isinstance(arg, (int, float, list))),
+             *(name for name, arg in kwargs.items() if isinstance(arg, (int, float)))]
+    assert slots
+    for slot in slots:
+        for value in _OUT_OF_RANGE:
+            call_args, call_kwargs = _with(value, slot, args, kwargs)
+            try:
+                function(*call_args, **call_kwargs)
+            except VesprodError:
+                pass
+
+
+_BITS = "an int of 16610 bits"  # 10**5000
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: VESParams(10 ** 400, 1, 2, 1), ParamError, f"lam must be finite, got {10 ** 400}"),
+    (lambda: LogLinearParams(a=10 ** 400, b=0.5, c=0.3), ParamError,
+     f"a must be finite, got {10 ** 400}"),
+    (lambda: verify_ode(_V, 1.0, 2.0, 100, tolerance=10 ** 400), ParamError,
+     f"tolerance must be a non-negative finite number, got {10 ** 400}"),
+    (lambda: reduce_special_case(LogLinearParams(a=1, b=0.5, c=1.0, xi=-1), tol=10 ** 400),
+     ParamError, f"tol must be a non-negative float, got {10 ** 400}"),
+    (lambda: calibrate_xi(LogLinearParams(a=1, b=0.5, c=1.2), 10 ** 400), DomainError,
+     f"k0 must be positive and finite, got {10 ** 400}"),
+    (lambda: eval_intensive(_V, 10 ** 5000), DomainError,
+     f"capital-labor ratio must be positive and finite, got {_BITS}"),
+    (lambda: eval_intensive(_V, -10 ** 5000), DomainError,
+     "capital-labor ratio must be positive and finite, got a negative int of 16610 bits"),
+    (lambda: verify_family(_V, [10 ** 5000]), DomainError,
+     f"grid point {_BITS} is not a positive finite number"),
+    (lambda: validity_range(_V, 10 ** 5000, 10 ** 5001), ParamError,
+     f"probe bounds must satisfy 0 < low < high, got ({_BITS}, an int of 16613 bits)"),
+    (lambda: ode_integrate_theorem(_V, 1.0, 10 ** 5000, 2.0, 100), DomainError,
+     f"y_start must be positive and finite, got {_BITS}"),
+    (lambda: calibrate_xi(LogLinearParams(a=1, b=0.5, c=1.2), 10 ** 5000), DomainError,
+     f"k0 must be positive and finite, got {_BITS}"),
+], ids=["VESParams", "LogLinearParams", "verify_ode", "reduce_special_case", "calibrate_xi",
+        "eval_intensive", "eval_intensive-negative", "verify_family", "validity_range",
+        "ode_integrate_theorem", "calibrate_xi-long"])
+def test_a_large_int_is_rejected_and_quoted_by_its_size(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def _message(call):
+    with pytest.raises(VesprodError) as caught:
+        call()
+    return f"{type(caught.value).__name__}: {caught.value}"
+
+
+@pytest.mark.parametrize("value, text", [(0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"),
+                                         (math.inf, "inf")])
+def test_rejected_numbers_keep_their_messages(value, text):
+    cd = CobbDouglasParams(2.0, 0.4)
+    p = LogLinearParams(a=1.0, b=0.5, c=1.2)
+    positive = f"must be {'positive' if math.isfinite(value) else 'finite'}, got {text}"
+    checks = {
+        "A": (lambda: CobbDouglasParams(value, 0.4), f"ParamError: A {positive}"),
+        "capital-labor ratio": (lambda: eval_intensive(cd, value), None),
+        "capital input": (lambda: eval_extensive(cd, value, 1.0), None),
+        "labor input": (lambda: eval_extensive(cd, 1.0, value), None),
+        "k0": (lambda: calibrate_xi(p, value), None),
+        "k_start": (lambda: ode_integrate_theorem(_V, value, 0.5, 2.0, 100), None),
+        "y_start": (lambda: ode_integrate_theorem(_V, 1.0, value, 2.0, 100), None),
+        "k_end": (lambda: ode_integrate_theorem(_V, 1.0, 0.5, value, 100), None),
+    }
+    if value != 0.0:  # a zero tolerance is admitted
+        checks["tol"] = (lambda: reduce_special_case(p, value),
+                         f"ParamError: tol must be a non-negative float, got {text}")
+        checks["tolerance"] = (lambda: verify_ode(_V, 1.0, 2.0, 100, value),
+                               f"ParamError: tolerance must be a non-negative finite number, "
+                               f"got {text}")
+    for name, (call, expected) in checks.items():
+        expected = expected or f"DomainError: {name} must be positive and finite, got {text}"
+        assert _message(call) == expected, name
+
+
+@pytest.mark.parametrize("call, given", [
+    (lambda: ves_from_loglinear(LogLinearParams(a=2.0, b=0.5, c=0.3, xi=1e308)),  # mu = -inf
+     "ves_from_loglinear(LogLinearParams(a=2.0, b=0.5, c=0.3, xi=1e+308))"),
+    (lambda: loglinear_from_ves(VESParams(0.5, 1e308, 0.5, 1.0)),  # xi = inf
+     "loglinear_from_ves(VESParams(lam=0.5, mu=1e+308, theta=0.5, psi=1.0))"),
+    (lambda: lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e308)),  # zeta = inf
+     "lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e+308))"),
+], ids=["ves_from_loglinear", "loglinear_from_ves", "lf_from_lh"])
+def test_a_parameter_map_without_a_finite_result_is_singular(call, given):
+    # not a ParamError about mu, xi or zeta, which the caller never gave
+    with pytest.raises(SingularError) as caught:
+        call()
+    assert str(caught.value) == f"{given}: the result is not finite"
