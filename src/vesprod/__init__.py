@@ -54,6 +54,7 @@ from .substitution import (
     sigma_derivative_closed,
     sigma_from_mrs,
     sigma_from_shares,
+    trajectory,
     validity_range,
     violated_constraints,
 )

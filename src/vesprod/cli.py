@@ -37,11 +37,7 @@ from .substitution import (
     RegimeCase,
     _log_grid,
     classify_regime,
-    mrs_closed,
-    mrs_derivative_closed,
-    sigma_closed,
-    sigma_derivative_closed,
-    validity_range,
+    trajectory,
 )
 from .estimation import (
     Relation,
@@ -253,18 +249,9 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         raise _UsageError("--points must be at least 2")
     if not 0.0 < args.k_from < args.k_to:
         raise _UsageError("need 0 < --k-from < --k-to")
-    interval = validity_range(spec, args.k_from, args.k_to)
-    lo, hi = interval.clip(args.k_from, args.k_to)
-    # keep strictly inside a binding boundary
-    if lo == interval.k_low and interval.k_low > args.k_from:
-        lo *= 1.0 + 1e-9
-    if hi == interval.k_high and interval.k_high < args.k_to:
-        hi *= 1.0 - 1e-9
+    rows = trajectory(spec, args.k_from, args.k_to, args.points)
     print(TRAJECTORY_HEADER)
-    for k in _log_grid(lo, hi, args.points):
-        row = (k, eval_intensive(spec, k), mrs_closed(spec, k),
-               mrs_derivative_closed(spec, k), sigma_closed(spec, k),
-               sigma_derivative_closed(spec, k))
+    for row in rows:
         print(",".join(_fmt(v) for v in row))
     return 0
 

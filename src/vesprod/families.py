@@ -38,10 +38,11 @@ stored only where it is a left prefix of the product it replaces, in Python's
 left-to-right evaluation, so that every result keeps its bits; one whose
 power overflows is left unset, and reading it raises OverflowError where the
 formula reads it.  The six kernels that a workload calls (the bracket, y, R,
-R', sigma, sigma') return a method's finite value at a positive finite float k
-in one call; anything else goes through the one entry point that checks the
-arguments and turns floating-point failure into VesprodError.  Every number a
-caller gives is admitted by :func:`_is_finite` and quoted by :func:`_quote`.
+R', sigma, sigma') return a method's finite value (the bracket's also +-inf) at
+a positive finite float k in one call; anything else goes through the one entry
+point that checks the arguments and turns floating-point failure into
+VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
+and quoted by :func:`_quote`.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -803,7 +804,7 @@ def bracket_base(spec: FamilySpec, k: float) -> float:
     R' > 0 and sigma > 0.  Cobb-Douglas has none and returns inf."""
     if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._bracket(k)):
+            if not math.isnan(value := spec._bracket(k)):
                 return value
         except ArithmeticError:
             pass
@@ -895,6 +896,13 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
     b, c = p.b, p.c
     mu = xi * (b - 1.0) * p.a ** (1.0 / b) / b
     psi = p.a ** (1.0 / (1.0 - b))
+    # a > 0 and xi != 0, so a zero is an underflow
+    if psi == 0.0:
+        raise SingularError(f"a = {_quote(p.a)}, b = {_quote(b)}: a^(1/(1-b)) underflows to 0, "
+                            "so psi has no positive value")
+    if mu == 0.0:
+        raise SingularError(f"a = {_quote(p.a)}, b = {_quote(b)}, xi = {_quote(xi)}: "
+                            "xi (b-1) a^(1/b) / b underflows to 0, so mu has no nonzero value")
     return _construct(VESParams, lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
 
 

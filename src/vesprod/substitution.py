@@ -26,7 +26,7 @@ SingularError in ``families._evaluate``, as does any non-finite result.
 Pointwise operations enforce evaluability (positive bracketed base,
 family domain restrictions); the economic validity conditions R > 0,
 R' > 0, sigma > 0 are intersected by :func:`validity_range`, which is
-what trajectory emission builds on.  It checks them only next to the
+what :func:`trajectory` builds on.  It checks them only next to the
 points where they can change, which each family states in closed form
 (``_sign_changes``: roots of the factors of its closed forms, and where
 their power terms overflow or round to 0).  Regime classification needs
@@ -58,6 +58,7 @@ from .families import (
     _quote,
     _require_in_domain,
     bracket_base,
+    eval_intensive,
     loglinear_from_ves,
     ves_from_loglinear,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "classify_regime",
     "validity_range",
     "violated_constraints",
+    "trajectory",
 ]
 
 #: Parameters closer than this to a structural boundary (b = c, c = 1,
@@ -420,6 +422,24 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
             active.update(violated_constraints(spec, bad_point))
     return ValidityInterval(k_low=ends[0], k_high=ends[1], constraints_active=tuple(
         label for label, _ in _CONSTRAINTS if label in active))
+
+
+def trajectory(spec: FamilySpec, k_from: float, k_to: float,
+               points: int) -> list[tuple[float, ...]]:
+    """Rows (k, y, R, R', sigma, sigma') at `points` (2 to 10**6) log-spaced k
+    across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
+    an end the range binds.  Returns every row or raises, never part of them."""
+    if not (isinstance(points, int) and 2 <= points <= 10 ** 6):
+        raise ParamError(f"points must be an integer in [2, 10**6], got {_quote(points)}")
+    interval = validity_range(spec, k_from, k_to)
+    lo, hi = interval.clip(k_from, k_to)
+    if lo == interval.k_low and interval.k_low > k_from:  # keep inside a binding end
+        lo *= 1.0 + 1e-9
+    if hi == interval.k_high and interval.k_high < k_to:
+        hi *= 1.0 - 1e-9
+    return [(k, eval_intensive(spec, k), mrs_closed(spec, k), mrs_derivative_closed(spec, k),
+             sigma_closed(spec, k), sigma_derivative_closed(spec, k))
+            for k in _log_grid(lo, hi, points)]
 
 
 # --------------------------------------------------------------------------

@@ -981,6 +981,8 @@ def _argv(draw):
               "--k-to 1.79e308 --points 20".split())
 @example(argv="trajectory --family ces --gamma 1 --delta 0.5 --sigma 0.999 --k-from 1e300 "
               "--k-to 1.79e308 --points 20".split())
+@example(argv="trajectory --family cd --A 1e300 --beta 0.5 --k-from 1e10 --k-to 1e30 "
+              "--points 5".split())  # y is not finite at the third row
 @example(argv="verify --suite sato-hoffman --delta 0.5 --rho 2".split())
 @example(argv="regime --family lf --a 2.387225697911483 --b 8.314849275752976e-207 "
               "--c 1.0858932576444476 --zeta 9.668955631133263e-235".split())
@@ -996,7 +998,7 @@ def _argv(draw):
                "--relation", "rental", "--diagnose"])  # the share k*r/y overflows
 def test_exit_codes_property(capsys, argv):
     # main never raises; 0 ok, 1 only for a failed verification, 2 for input
-    # errors; a successful command prints no inf or nan
+    # errors, with nothing on stdout; a successful command prints no inf or nan
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "fit":  # fit reads its CSV text from a file
             path = os.path.join(tmp, "data.csv")
@@ -1006,6 +1008,7 @@ def test_exit_codes_property(capsys, argv):
         code, out, _ = run(capsys, *argv)
     assert code in (0, 1, 2)
     assert code != 1 or argv[0] == "verify"
+    assert code != 2 or out == "", out  # an error leaves no partial output
     if code == 0:
         assert not re.search(r"\b(inf|nan)\b", out), out
 

@@ -40,6 +40,7 @@ from vesprod import (
     sigma_from_mrs,
     sigma_from_shares,
     symmetric_form,
+    trajectory,
     validity_range,
     verify_equivalence_lh_lf,
     verify_family,
@@ -49,6 +50,7 @@ from vesprod import (
     ves_from_loglinear,
     violated_constraints,
 )
+import vesprod.families as families
 from vesprod.families import _evaluate
 from vesprod.substitution import (
     classify_regime,
@@ -226,6 +228,15 @@ def test_kernels_equal_their_error_boundary(case, kind):
     k = kind(min(k, 1e300)) if kind is int else kind(k)
     for kernel, method in zip(_KERNELS, _METHODS):
         assert _outcome(kernel, spec, k) == _outcome(_evaluate, spec, method, k), kernel.__name__
+
+
+def test_cobb_douglas_bracket_takes_the_one_call_path(monkeypatch):
+    # its bracket is inf, which is the value, not a failure to recompute
+    calls = []
+    monkeypatch.setattr(families, "_evaluate", lambda *a: calls.append(a) or _evaluate(*a))
+    spec = CobbDouglasParams(1.0, 0.3)
+    assert [bracket_base(spec, k) for k in (0.5, 1.0, 2.0)] == [math.inf] * 3
+    assert calls == []
 
 
 def _overflows(spec, where="k = 1"):
@@ -628,6 +639,20 @@ def test_loglinear_from_ves_underflow_is_singular():
         loglinear_from_ves(VESParams(lam=0.9998, mu=1.0, theta=0.5, psi=2.0))
 
 
+@pytest.mark.parametrize("p, message", [
+    (LogLinearParams(a=1e-300, b=0.5, c=0.3, xi=-1.0),  # psi = 1e-600
+     "a = 1e-300, b = 0.5: a^(1/(1-b)) underflows to 0, so psi has no positive value"),
+    (LogLinearParams(a=1e-200, b=0.3, c=0.2, xi=-1.0),  # a^(1/b) = 1e-667
+     "a = 1e-200, b = 0.3, xi = -1.0: xi (b-1) a^(1/b) / b underflows to 0, "
+     "so mu has no nonzero value"),
+], ids=["psi", "mu"])
+def test_ves_from_loglinear_underflow_is_singular(p, message):
+    # not a ParamError about psi or mu, which the caller never gave
+    with pytest.raises(SingularError) as caught:
+        ves_from_loglinear(p)
+    assert str(caught.value) == message
+
+
 def test_loglinear_from_ves_b_rounding_to_one_is_singular():
     # lam*(theta-1) + theta = 1 + (1+lam)(theta-1) rounds to 1
     with pytest.raises(SingularError, match="b = 1"):
@@ -985,6 +1010,7 @@ _NUMERIC_CALLS = [
     (eval_extensive, (_V, 1.5, 1.0), {}),
     (violated_constraints, (_V, 1.5), {}),
     (validity_range, (_V, 0.5, 2.0), {"samples": 16}),
+    (trajectory, (_V, 0.5, 2.0, 16), {}),
     (sigma_from_shares, (_RENTAL, 1.0, 2.0, 0.5), {}),
     (sigma_from_mrs, (_RENTAL, 2.0), {}),
     (calibrate_xi, (LogLinearParams(a=1, b=0.5, c=1.2), 2.0), {}),

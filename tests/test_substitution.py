@@ -40,11 +40,12 @@ from vesprod import (
     sigma_derivative_closed,
     sigma_from_mrs,
     sigma_from_shares,
+    trajectory,
     validity_range,
     ves_from_loglinear,
     violated_constraints,
 )
-from vesprod.substitution import _CONSTRAINTS, ValidityInterval, _bisect_boundary
+from vesprod.substitution import _CONSTRAINTS, ValidityInterval, _bisect_boundary, _log_grid
 
 # displayed coefficients the closed forms must reproduce at the reference fit
 PRINTED = {
@@ -576,6 +577,39 @@ def test_validity_range_bad_probe():
     for samples in (2.5, 1):
         with pytest.raises(ParamError, match="samples must be an integer >= 2"):
             validity_range(CobbDouglasParams(A=1.0, beta=0.5), 0.1, 10.0, samples=samples)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory
+# ---------------------------------------------------------------------------
+
+def test_trajectory_rows_are_the_kernels_inside_a_binding_end(reference_fit_ves):
+    v = reference_fit_ves
+    interval = validity_range(v, 0.1, 50.0)
+    assert 0.1 < interval.k_low and interval.k_high == 50.0  # R > 0 binds the low end
+    grid = _log_grid(interval.k_low * (1.0 + 1e-9), 50.0, 16)
+    assert trajectory(v, 0.1, 50.0, 16) == [
+        (k, eval_intensive(v, k), mrs_closed(v, k), mrs_derivative_closed(v, k),
+         sigma_closed(v, k), sigma_derivative_closed(v, k)) for k in grid]
+
+
+_POINTS = r"points must be an integer in \[2, 10\*\*6\], got "
+_CD_HUGE_A = CobbDouglasParams(A=1e300, beta=0.5)
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((_CD_HUGE_A, 0.1, 10.0, 1), ParamError, _POINTS + "1"),
+    ((_CD_HUGE_A, 0.1, 10.0, 10 ** 6 + 1), ParamError, _POINTS + "1000001"),
+    ((_CD_HUGE_A, 0.1, 10.0, 2.0), ParamError, _POINTS + "2.0"),
+    # y = 1e300 k^0.5 is finite at k = 1e10 and 1e15, not at 1e20
+    ((_CD_HUGE_A, 1e10, 1e30, 5), SingularError, r"y is not finite at k = 1e\+20"),
+    # R = k^2 - 2k is positive only from k = 2
+    ((VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0), 0.1, 1.0, 8), DomainError,
+     "validity interval is empty"),
+])
+def test_trajectory_raises_rather_than_return_part_of_the_rows(args, error, match):
+    with pytest.raises(error, match=match):
+        trajectory(*args)
 
 
 # ---------------------------------------------------------------------------
