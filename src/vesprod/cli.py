@@ -5,13 +5,16 @@ Subcommands: eval, fit, trajectory, regime, calibrate-xi, reduce, verify.
 Exit codes are a stable contract: 0 on success (or a passing
 verification), 1 on a failed verification, 2 on usage or input errors.
 Numeric output prints with 12 significant digits; all commands are
-deterministic for identical flags and input bytes.
+deterministic for identical flags and input bytes.  Each command returns
+its exit code and lines; only `main` writes them to stdout, once the
+command has returned, so an error leaves stdout empty by construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -184,18 +187,19 @@ def _spec_from_args(args: argparse.Namespace, family: str | None = None,
 # Subcommands
 # --------------------------------------------------------------------------
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+#: what a command returns: its exit code and the lines that `main` prints
+_Output = tuple[int, Iterable[str]]
+
+
+def _cmd_eval(args: argparse.Namespace) -> _Output:
     spec = _spec_from_args(args)
     have_k = args.k is not None
     have_KL = args.K is not None or args.L is not None
     if have_k == have_KL or (have_KL and (args.K is None or args.L is None)):
         raise _UsageError("give exactly one of --k or the pair --K and --L")
     if have_k:
-        value = eval_intensive(spec, args.k)
-    else:
-        value = eval_extensive(spec, args.K, args.L)
-    print(_fmt(value))
-    return 0
+        return 0, [_fmt(eval_intensive(spec, args.k))]
+    return 0, [_fmt(eval_extensive(spec, args.K, args.L))]
 
 
 def _fit_lines(report) -> list[str]:
@@ -216,77 +220,68 @@ def _fit_lines(report) -> list[str]:
             f"r_squared = {_fmt(report.r_squared)}"]
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> _Output:
     with open(args.input, "r", encoding="utf-8") as fh:
         source = fh.read()
     dataset = load_dataset(source)
     report = fit_loglinear(dataset, args.relation)
-    diag = diagnose_fit(dataset, report) if args.diagnose else None
-    for line in _fit_lines(report):
-        print(line)
-    if diag is not None:
+    lines = _fit_lines(report)
+    if args.diagnose:
+        diag = diagnose_fit(dataset, report)
         t = diag.c_significance  # +-inf where c's standard error is 0 or negligible
-        print("diagnostics:")
-        print(f"  b_plus_c = {_fmt(diag.b_plus_c)}")
-        print(f"  dist_to_unity = {_fmt(diag.dist_to_unity)}")
-        print(f"  c_significance = {_fmt(t) if math.isfinite(t) else '(unbounded)'}")
+        lines += ["diagnostics:",
+                  f"  b_plus_c = {_fmt(diag.b_plus_c)}",
+                  f"  dist_to_unity = {_fmt(diag.dist_to_unity)}",
+                  f"  c_significance = {_fmt(t) if math.isfinite(t) else '(unbounded)'}"]
         if diag.capital_share_range is None:
-            print("  capital_share_range = (no rental column)")
-            print("  share_restriction_violated = (no rental column)")
+            lines += ["  capital_share_range = (no rental column)",
+                      "  share_restriction_violated = (no rental column)"]
         else:
             lo, hi = diag.capital_share_range
-            print(f"  capital_share_range = [{_fmt(lo)}, {_fmt(hi)}]")
-            print(f"  share_restriction_violated = "
-                  f"{'true' if diag.share_restriction_violated else 'false'}")
+            lines += [f"  capital_share_range = [{_fmt(lo)}, {_fmt(hi)}]",
+                      "  share_restriction_violated = "
+                      f"{'true' if diag.share_restriction_violated else 'false'}"]
         if diag.dist_to_unity < 1e-6:
-            print("b+c within 1e-6 of unity: marginal rate of substitution degenerates")
-    return 0
+            lines.append("b+c within 1e-6 of unity: marginal rate of substitution degenerates")
+    return 0, lines
 
 
-def _cmd_trajectory(args: argparse.Namespace) -> int:
+def _cmd_trajectory(args: argparse.Namespace) -> _Output:
     spec = _spec_from_args(args)
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
     if not 0.0 < args.k_from < args.k_to:
         raise _UsageError("need 0 < --k-from < --k-to")
     rows = trajectory(spec, args.k_from, args.k_to, args.points)
-    print(TRAJECTORY_HEADER)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    return 0
+    # formatted as written: a million rows need not be held twice
+    return 0, itertools.chain([TRAJECTORY_HEADER], (",".join(map(_fmt, row)) for row in rows))
 
 
-def _cmd_regime(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    report = classify_regime(spec)
-    print(f"{_REGIME_TEXT[report.case_label]}, limit {_fmt(report.sigma_limit)}, "
-          f"{report.monotonicity.value}")
-    return 0
+def _cmd_regime(args: argparse.Namespace) -> _Output:
+    report = classify_regime(_spec_from_args(args))
+    return 0, [f"{_REGIME_TEXT[report.case_label]}, limit {_fmt(report.sigma_limit)}, "
+               f"{report.monotonicity.value}"]
 
 
-def _cmd_calibrate_xi(args: argparse.Namespace) -> int:
+def _cmd_calibrate_xi(args: argparse.Namespace) -> _Output:
     names = ("a", "b", "c")
     _check_read(args, "calibrate-xi", names)
     xi = calibrate_xi(_read(args, LogLinearParams, "missing", names), args.k0)
-    print(f"xi = {_fmt(xi)}")
-    print(f"criterion: R(k0) = 0 at k0 = {_fmt(args.k0)}; "
-          "pass --xi explicitly to use a different rule")
-    return 0
+    return 0, [f"xi = {_fmt(xi)}", f"criterion: R(k0) = 0 at k0 = {_fmt(args.k0)}; "
+                                   "pass --xi explicitly to use a different rule"]
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> _Output:
     _check_read(args, "reduce", _fields(LogLinearParams))
     reduced = reduce_special_case(_read(args, LogLinearParams, "missing"), tol=args.tol)
     if isinstance(reduced, CobbDouglasParams):
-        print(f"cobb-douglas: A = {_fmt(reduced.A)}, beta = {_fmt(reduced.beta)}")
-    elif isinstance(reduced, CESParams):
-        print(f"ces: gamma = {_fmt(reduced.gamma)}, delta = {_fmt(reduced.delta)}, "
-              f"sigma = {_fmt(reduced.sigma)}")
-    else:
-        xi_text = "unset" if reduced.xi is None else _fmt(reduced.xi)
-        print(f"ves (no special case within tol): a = {_fmt(reduced.a)}, "
-              f"b = {_fmt(reduced.b)}, c = {_fmt(reduced.c)}, xi = {xi_text}")
-    return 0
+        return 0, [f"cobb-douglas: A = {_fmt(reduced.A)}, beta = {_fmt(reduced.beta)}"]
+    if isinstance(reduced, CESParams):
+        return 0, [f"ces: gamma = {_fmt(reduced.gamma)}, delta = {_fmt(reduced.delta)}, "
+                   f"sigma = {_fmt(reduced.sigma)}"]
+    xi_text = "unset" if reduced.xi is None else _fmt(reduced.xi)
+    return 0, [f"ves (no special case within tol): a = {_fmt(reduced.a)}, "
+               f"b = {_fmt(reduced.b)}, c = {_fmt(reduced.c)}, xi = {xi_text}"]
 
 
 #: the VES and Sato-Hoffman specs the suites check when given no parameters
@@ -298,14 +293,14 @@ _SUITE_FAMILY = {"equivalence": "lh", "ode": "ves", "sato-hoffman": "sh",
                  "reduction": "ves"}
 
 
-def _print_report(report: VerificationReport) -> int:
+def _report_lines(report: VerificationReport) -> _Output:
     status = "PASS" if report.passed else "FAIL"
-    print(f"{report.check_name}: {report.points_checked} points, "
-          f"max_rel_error = {report.max_rel_error:.6e}, "
-          f"tolerance = {report.tolerance:g}: {status}")
+    lines = [f"{report.check_name}: {report.points_checked} points, "
+             f"max_rel_error = {report.max_rel_error:.6e}, "
+             f"tolerance = {report.tolerance:g}: {status}"]
     if report.worst_k is not None:
-        print(f"worst: k = {_fmt(report.worst_k)}, quantity = {report.worst_quantity}")
-    return 0 if report.passed else 1
+        lines.append(f"worst: k = {_fmt(report.worst_k)}, quantity = {report.worst_quantity}")
+    return 0 if report.passed else 1, lines
 
 
 def _or(value, default):
@@ -332,7 +327,7 @@ def _loglinear_or(args: argparse.Namespace, reader: str,
     return default
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     # an unset --tolerance leaves each verifier its own default
     tol = {} if args.tolerance is None else {"tolerance": args.tolerance}
     suite = args.suite
@@ -359,7 +354,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bound = s.k_upper_bound()
         hi = 10.0 if math.isinf(bound) else 0.93 * bound
         report = verify_sato_hoffman(s, _k_grid(args, hi / 30.0, hi, 32), **tol)
-    elif suite == "reduction":
+    else:  # reduction
         p = _loglinear_or(args, reader, LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0))
         target = reduce_special_case(p)
         if isinstance(target, LogLinearParams):
@@ -371,9 +366,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                               "verified pointwise")
         report = verify_reduction(ves_from_loglinear(p), target,
                                   _k_grid(args, 0.1, 10.0, 50), **tol)
-    else:
-        raise _UsageError(f"unknown suite {suite!r}")
-    return _print_report(report)
+    return _report_lines(report)
 
 
 # --------------------------------------------------------------------------
@@ -477,14 +470,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        for line in lines:  # a broken pipe here is an OSError too
+            print(line)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except VesprodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VesprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -903,7 +903,15 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
     if mu == 0.0:
         raise SingularError(f"a = {_quote(p.a)}, b = {_quote(b)}, xi = {_quote(xi)}: "
                             "xi (b-1) a^(1/b) / b underflows to 0, so mu has no nonzero value")
-    return _construct(VESParams, lam=(c - 1.0) / (b - c), mu=mu, theta=c / b, psi=psi)
+    lam = (c - 1.0) / (b - c)
+    try:
+        return _construct(VESParams, lam=lam, mu=mu, theta=c / b, psi=psi)
+    except ParamError:
+        if lam != -1.0:
+            raise
+    # b != 1, so lam = -1 only by rounding, which a c far above b does
+    raise SingularError(f"b = {_quote(b)}, c = {_quote(c)}: (c-1)/(b-c) rounds to -1, "
+                        "so lam has no admissible value")
 
 
 @_parameter_space

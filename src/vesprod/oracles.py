@@ -204,9 +204,9 @@ def _check_grid(k_grid: Sequence[float],
 
 def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                           k_end: float, steps: int) -> float:
-    """Propagate y from ``k_start`` to ``k_end`` by integrating the
-    defining equation of R(k) = lam*k + mu*k^theta with the classical
-    fourth-order Runge-Kutta scheme in ln y.
+    """Propagate y from ``k_start`` to ``k_end`` in ``steps`` (2 to 10**6)
+    steps by integrating the defining equation of R(k) = lam*k + mu*k^theta
+    with the classical fourth-order Runge-Kutta scheme in ln y.
 
     The slope does not depend on y, so the scheme is composite Simpson's
     rule: the nodes k_start + i h, their midpoints and right ends are
@@ -225,8 +225,8 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
         _require_in_domain(name, value)
     if not isinstance(steps, int) or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {_quote(steps)}")
-    if not _is_finite(steps):
-        raise DomainError("steps must be an integer >= 2 inside the double range")
+    if steps > 10 ** 6:
+        raise DomainError(f"steps must be at most 10**6, got {_quote(steps)}")
     if k_end == k_start:
         return y_start
 

@@ -433,9 +433,9 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
         raise ParamError(f"points must be an integer in [2, 10**6], got {_quote(points)}")
     interval = validity_range(spec, k_from, k_to)
     lo, hi = interval.clip(k_from, k_to)
-    if lo == interval.k_low and interval.k_low > k_from:  # keep inside a binding end
+    if lo > k_from:  # keep inside a binding end
         lo *= 1.0 + 1e-9
-    if hi == interval.k_high and interval.k_high < k_to:
+    if hi < k_to:
         hi *= 1.0 - 1e-9
     return [(k, eval_intensive(spec, k), mrs_closed(spec, k), mrs_derivative_closed(spec, k),
              sigma_closed(spec, k), sigma_derivative_closed(spec, k))

@@ -22,7 +22,7 @@ from vesprod import (
     verify_family,
     ves_from_loglinear,
 )
-from vesprod.cli import _FAMILIES, _FLAGS, TRAJECTORY_HEADER, _fmt, main
+from vesprod.cli import _FAMILIES, _FLAGS, TRAJECTORY_HEADER, _build_parser, _fmt, main
 
 REFERENCE_FLAGS = ["--ln-a", "0.773454", "--b", "0.934369", "--c", "1.191951"]
 
@@ -1011,6 +1011,36 @@ def test_exit_codes_property(capsys, argv):
     assert code != 2 or out == "", out  # an error leaves no partial output
     if code == 0:
         assert not re.search(r"\b(inf|nan)\b", out), out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "ves", *REFERENCE_FLAGS, "--xi=-3.79", "--k", "3"],
+    ["fit", "{csv}", "--relation", "rental", "--diagnose"],
+    ["trajectory", "--family", "ves", *REFERENCE_FLAGS, "--xi=-3.79",
+     "--k-from", "2.0799", "--k-to", "50", "--points", "5"],
+    ["regime", "--family", "ves", *REFERENCE_FLAGS, "--xi=-3.79"],
+    ["calibrate-xi", *REFERENCE_FLAGS, "--k0", "2.0799"],
+    ["reduce", "--a", "1", "--b", "0.6", "--c", "1", "--xi=-1"],
+    ["verify", "--suite", "family", "--tolerance", "1e-18"],  # exit 1, with a worst line
+], ids=lambda argv: argv[0])
+def test_commands_return_their_lines_and_only_main_prints(tmp_path, capsys, argv):
+    # a command that raised would leave stdout empty: it has printed nothing
+    csv = _write(tmp_path, "d.csv", "period,y,k,r\nt0,1,1,1\nt1,1,2,1\nt2,1,1,2\nt3,1,2,2\n")
+    argv = [csv if token == "{csv}" else token for token in argv]
+    args = _build_parser().parse_args(argv)
+    code, lines = args.func(args)
+    text = "".join(line + "\n" for line in lines)
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *argv) == (code, text, "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("verify --suite ode --steps 1000001", "steps must be at most 10**6, got 1000001"),
+    ("eval --family ves --a 1 --b 0.5 --c 1e20 --xi -1 --k 1",
+     "b = 0.5, c = 1e+20: (c-1)/(b-c) rounds to -1, so lam has no admissible value"),
+], ids=["ode-steps", "ves-lam"])
+def test_bounded_steps_and_rounded_lam_exit_2(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
 
 
 def test_byte_identical_output_on_repeat(capsys):

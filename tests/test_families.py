@@ -653,6 +653,15 @@ def test_ves_from_loglinear_underflow_is_singular(p, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("c", [1e20, 1e16])
+def test_ves_from_loglinear_lam_rounding_to_minus_one_is_singular(c):
+    # (c-1)/(b-c) rounds to -1 for a c far above b: not a ParamError about lam
+    with pytest.raises(SingularError) as caught:
+        ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=c, xi=-1.0))
+    assert str(caught.value) == (f"b = 0.5, c = {c!r}: (c-1)/(b-c) rounds to -1, "
+                                 "so lam has no admissible value")
+
+
 def test_loglinear_from_ves_b_rounding_to_one_is_singular():
     # lam*(theta-1) + theta = 1 + (1+lam)(theta-1) rounds to 1
     with pytest.raises(SingularError, match="b = 1"):
@@ -1125,11 +1134,14 @@ def test_rejected_numbers_keep_their_messages(value, text):
 @pytest.mark.parametrize("call, given", [
     (lambda: ves_from_loglinear(LogLinearParams(a=2.0, b=0.5, c=0.3, xi=1e308)),  # mu = -inf
      "ves_from_loglinear(LogLinearParams(a=2.0, b=0.5, c=0.3, xi=1e+308))"),
+    # lam rounds to -1 too, but mu = -1/5e-324 is not finite, which is reported first
+    (lambda: ves_from_loglinear(LogLinearParams(a=1.0, b=5e-324, c=9007199254740996.0, xi=1.0)),
+     "ves_from_loglinear(LogLinearParams(a=1.0, b=5e-324, c=9007199254740996.0, xi=1.0))"),
     (lambda: loglinear_from_ves(VESParams(0.5, 1e308, 0.5, 1.0)),  # xi = inf
      "loglinear_from_ves(VESParams(lam=0.5, mu=1e+308, theta=0.5, psi=1.0))"),
     (lambda: lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e308)),  # zeta = inf
      "lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e+308))"),
-], ids=["ves_from_loglinear", "loglinear_from_ves", "lf_from_lh"])
+], ids=["ves_from_loglinear", "ves_from_loglinear-lam", "loglinear_from_ves", "lf_from_lh"])
 def test_a_parameter_map_without_a_finite_result_is_singular(call, given):
     # not a ParamError about mu, xi or zeta, which the caller never gave
     with pytest.raises(SingularError) as caught:

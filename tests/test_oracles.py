@@ -264,6 +264,27 @@ def test_ode_input_validation():
         ode_integrate_theorem(v, 1.0, 0.5, 2.0, 1)
 
 
+class _ArrayBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("steps", [10 ** 6, 10 ** 6 + 1, 2 ** 62, 10 ** 300],
+                         ids=["10**6", "10**6+1", "2**62", "10**300"])
+def test_ode_step_count_is_bounded_before_any_array(monkeypatch, steps):
+    # np.arange builds the first array: 10**6 steps reach it, more do not
+    def arange(*args, **kwargs):
+        raise _ArrayBuilt
+    monkeypatch.setattr(np, "arange", arange)
+    v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+    if steps == 10 ** 6:
+        with pytest.raises(_ArrayBuilt):
+            ode_integrate_theorem(v, 1.0, 0.5, 2.0, steps)
+        return
+    with pytest.raises(DomainError) as caught:
+        ode_integrate_theorem(v, 1.0, 0.5, 2.0, steps)
+    assert str(caught.value) == f"steps must be at most 10**6, got {steps!r}"
+
+
 # ---------------------------------------------------------------------------
 # verify_family
 # ---------------------------------------------------------------------------
