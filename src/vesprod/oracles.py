@@ -15,9 +15,9 @@ Finite-difference steps follow the standard truncation/rounding balance:
 h = k * eps^(1/3) for first derivatives and h = k * eps^(1/4) for second
 derivatives.  The integrator works in ln y, where the equation is exact
 quadrature; this removes positivity drift.  Its slope does not depend on
-y, so the Runge-Kutta scheme is composite Simpson's rule; all nodes are
-evaluated as numpy arrays, and numpy is imported on the first ODE call,
-not with the module.
+y, so the Runge-Kutta scheme is composite Simpson's rule; each of its
+three stages is evaluated at every step as one numpy array, and numpy is
+imported on the first ODE call, not with the module.
 
 Every verifier, the ODE check (:func:`verify_ode`) included, returns a
 :class:`VerificationReport` and states its default tolerance in its
@@ -133,22 +133,24 @@ def _report(name: str, points: int, tolerance: float,
         worst_k=worst_k, worst_quantity=worst_quantity)
 
 
-def _central(f: Callable[[float], float], k: float) -> float:
+def _central(kernel: Callable[[FamilySpec, float], float], spec: FamilySpec, k: float) -> float:
+    """The central difference of ``kernel(spec, .)`` at k."""
     h = k * _H1
     t = k + h
     h = t - k  # make the step exactly representable
-    return (f(k + h) - f(k - h)) / (2.0 * h)
+    return (kernel(spec, k + h) - kernel(spec, k - h)) / (2.0 * h)
 
 
-def _fd_derivatives(y: Callable[[float], float], k: float) -> tuple[float, float, float]:
-    """y, y' and y'' at k, the derivatives by finite differences of y (called
-    once at k).  A step that underflows (its square does below k ~ 1e-158)
-    divides by zero: SingularError."""
+def _fd_derivatives(spec: FamilySpec, k: float) -> tuple[float, float, float]:
+    """y, y' and y'' at k, the derivatives by finite differences of
+    ``eval_intensive`` (called once at k).  A step that underflows (its
+    square does below k ~ 1e-158) divides by zero: SingularError."""
     h = k * _H2
     h = (k + h) - k  # the second difference's step, exactly representable
     try:
-        yv = y(k)
-        return yv, _central(y, k), (y(k + h) - 2.0 * yv + y(k - h)) / (h * h)
+        yv = eval_intensive(spec, k)
+        return yv, _central(eval_intensive, spec, k), \
+            (eval_intensive(spec, k + h) - 2.0 * yv + eval_intensive(spec, k - h)) / (h * h)
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
@@ -209,17 +211,21 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     with the classical fourth-order Runge-Kutta scheme in ln y.
 
     The slope does not depend on y, so the scheme is composite Simpson's
-    rule: the nodes k_start + i h, their midpoints and right ends are
-    evaluated as numpy arrays (numpy is imported on the first call), and
-    the step increments are added in step order.
+    rule: the left ends k_start + i h, the midpoints and the right ends of
+    the steps are evaluated as one numpy array each (numpy is imported on
+    the first call), and the step increments are added in step order.
 
     For ``y_start`` consistent with the closed form the result matches
     the closed form at ``k_end`` with relative error O(steps^-4).
     Raises SingularError if the denominator (1+lam) k + mu k^theta
-    vanishes, changes sign or overflows along the path, or if the
-    integrated y overflows, and DomainError where a node next to a tiny
-    ``k_end`` rounds to k <= 0 and k^theta has no real value there; where
-    several nodes fail, the first in step order is reported.
+    vanishes or changes sign along the path, if k^theta overflows at a
+    node, or if the integrated ln y or y is not finite (a subnormal
+    denominator, or an infinite (1+lam) k against an infinite mu k^theta
+    of the other sign).  A denominator that overflows while k^theta is
+    finite is not an error: its slope is 0.  Raises DomainError where a
+    node next to a tiny ``k_end`` rounds to k <= 0 and k^theta has no real
+    value there.  Where several nodes fail, the first in step order is
+    reported.
     """
     for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
         _require_in_domain(name, value)
@@ -237,25 +243,36 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
     h = (k_end - k_start) / steps
     k = k_start + np.arange(steps) * h
-    nodes = k[:, None] + np.array([0.0, 0.5 * h, h])  # row i: step i's three stages
+    stages = (0.0, 0.5 * h, h)
+    nodes = np.empty((3, steps))  # row j: stage j of every step, each row one contiguous pass
+    for j, stage in enumerate(stages):
+        np.add(k, stage, out=nodes[j])
     with np.errstate(all="ignore"):
         den = nodes ** th
         finite = np.isfinite(den)  # of k^theta, before the denominator is built over it
         den *= mu
-        den += (1.0 + lam) * nodes
+        nodes *= 1.0 + lam  # the nodes themselves are not read again
+        den += nodes
         bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))  # node 0: k_start
-        first = int(np.argmax(bad))
-        if bad.flat[first]:
-            node = nodes.flat[first]
+        by_step = bad.any(axis=0)
+        i = int(np.argmax(by_step))
+        if by_step[i]:  # the first failing node in step order: step i, then its first stage
+            j = int(np.argmax(bad[:, i]))
+            node = k[i] + stages[j]
             if node != 0.0 and np.isinf(abs(node) ** th):  # also where (-k)^theta is complex
                 raise overflow
-            if not finite.flat[first]:  # 0^theta < 0, or a complex (-k)^theta
+            if not finite[j, i]:  # 0^theta < 0, or a complex (-k)^theta
                 raise DomainError(f"a node of the path from k = {k_start:.12g} to "
                                   f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
-            what = "vanishes" if den.flat[first] == 0.0 else "changes sign"
+            what = "vanishes" if den[j, i] == 0.0 else "changes sign"
             raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
         slope = np.divide(1.0, den, out=den)
-        increments = h / 6.0 * (slope[:, 0] + 4.0 * slope[:, 1] + slope[:, 2])
+        # h/6 (s0 + 4 s1 + s2), built in place in the order a loop computes it
+        increments = slope[1]
+        increments *= 4.0
+        increments += slope[0]
+        increments += slope[2]
+        increments *= h / 6.0
     # sequential sums, as a loop adds them (np.sum would add pairwise)
     ln_y = float(np.add.accumulate(np.concatenate(([math.log(y_start)], increments)))[-1])
     if math.isfinite(ln_y):  # a subnormal denominator makes ln y infinite
@@ -318,14 +335,13 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
 
 def _family_comparisons(spec: FamilySpec, grid: list[float],
                         closed: list[tuple[float, float, float]]) -> Iterator[_Comparison]:
-    y = lambda k: eval_intensive(spec, k)
     for k, (R_cl, dR_cl, sig_cl) in zip(grid, closed):
-        yv, yp, ypp = _fd_derivatives(y, k)
+        yv, yp, ypp = _fd_derivatives(spec, k)
         yield "R", k, R_cl, _mrs_identity(k, yv, yp), 0.0
-        yield ("R_prime", k, dR_cl, _central(lambda t: mrs_closed(spec, t), k), abs(R_cl) / k)
+        yield "R_prime", k, dR_cl, _central(mrs_closed, spec, k), abs(R_cl) / k
         yield "sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp), 0.0
         yield ("sigma_prime", k, sigma_derivative_closed(spec, k),
-               _central(lambda t: sigma_closed(spec, t), k), abs(sig_cl) / k)
+               _central(sigma_closed, spec, k), abs(sig_cl) / k)
 
 
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
@@ -369,7 +385,6 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
     bound = s.k_upper_bound()
     grid = _check_grid(
         k_grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
-    y = lambda k: eval_intensive(s, k)
     return _report("sato-hoffman", len(grid), tolerance,
                    (("sigma", k, sigma_closed(s, k),
-                     _sigma_identity(k, *_fd_derivatives(y, k)), 0.0) for k in grid))
+                     _sigma_identity(k, *_fd_derivatives(s, k)), 0.0) for k in grid))

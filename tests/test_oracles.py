@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from vesprod import (
     DomainError,
     LiuHildebrandParams,
     LogLinearParams,
+    LuFletcherParams,
     ParamError,
     SatoHoffmanParams,
     SingularError,
@@ -23,6 +25,7 @@ from vesprod import (
     ode_integrate_theorem,
     reduce_special_case,
     sigma_closed,
+    sigma_derivative_closed,
     validity_range,
     verify_equivalence_lh_lf,
     verify_family,
@@ -198,18 +201,29 @@ def _ode_cases(draw):
     return VESParams(lam=lam, mu=mu, theta=theta, psi=1.0), k_start, y_start, k_start * ratio, steps
 
 
+_ODE_EXAMPLES = [
+    (VESParams(0.0, 1.0, 2.0, 1.0), 1e-310, 1.0, 2e-310, 100),      # ln y = inf
+    (VESParams(0.0, 1.0, 1e4, 0.5), 2.0, 1.0, 3.0, 64),            # k^theta
+    (VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 2.0, 100),          # sign change
+    (VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 1.0, 2),            # den = 0
+    (VESParams(0.0, 1.0, -0.5, 1.0), 1.0, 1.0, 1e-20, 2),          # 0^theta < 0
+    (VESParams(0.0, 1.0, 3.996, 1.0), 2.4998678075824543, 1.0,
+     3.2769317457538814e-157, 129),                                 # (-k)^theta complex
+    (VESParams(0.0, 1.0, -50.5, 1.0), 2.4998678075824543, 1.0,
+     3.2769317457538814e-157, 129),                                 # |(-k)^theta| = inf
+    (VESParams(0.0, 1.0, 2.0, 1.0), 1.0, 1e300, 2.0, 64),          # exp overflows
+]
+
+
+def _with_ode_examples(test):
+    for case in reversed(_ODE_EXAMPLES):
+        test = example(case=case)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_ode_cases())
-@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1e-310, 1.0, 2e-310, 100))      # ln y = inf
-@example(case=(VESParams(0.0, 1.0, 1e4, 0.5), 2.0, 1.0, 3.0, 64))            # k^theta
-@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 2.0, 100))          # sign change
-@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 1.0, 2))            # den = 0
-@example(case=(VESParams(0.0, 1.0, -0.5, 1.0), 1.0, 1.0, 1e-20, 2))          # 0^theta < 0
-@example(case=(VESParams(0.0, 1.0, 3.996, 1.0), 2.4998678075824543, 1.0,
-               3.2769317457538814e-157, 129))                                 # (-k)^theta complex
-@example(case=(VESParams(0.0, 1.0, -50.5, 1.0), 2.4998678075824543, 1.0,
-               3.2769317457538814e-157, 129))                                 # |(-k)^theta| = inf
-@example(case=(VESParams(0.0, 1.0, 2.0, 1.0), 1.0, 1e300, 2.0, 64))          # exp overflows
+@_with_ode_examples
 def test_ode_matches_the_scalar_loop(case):
     try:
         ln_ref = _loop_ln_y(*case)
@@ -228,6 +242,75 @@ def test_ode_matches_the_scalar_loop(case):
         assert hi == math.inf and "overflows" in str(exc)
         return
     assert lo <= y <= hi < math.inf
+
+
+def _step_major_ode(v, k_start, y_start, k_end, steps):
+    """ode_integrate_theorem's body on a (steps, 3) array of nodes, row i
+    holding step i's three stages; the stage-major oracle must give its
+    bits and its errors."""
+    if k_end == k_start:
+        return y_start
+    lam, mu, th = v.lam, v.mu, v.theta
+    overflow = SingularError(f"k^theta or the integrated y overflows between "
+                             f"k = {k_start:.12g} and k = {k_end:.12g}")
+    h = (k_end - k_start) / steps
+    k = k_start + np.arange(steps) * h
+    nodes = k[:, None] + np.array([0.0, 0.5 * h, h])
+    with np.errstate(all="ignore"):
+        den = nodes ** th
+        finite = np.isfinite(den)
+        den *= mu
+        den += (1.0 + lam) * nodes
+        bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))
+        first = int(np.argmax(bad))
+        if bad.flat[first]:
+            node = nodes.flat[first]
+            if node != 0.0 and np.isinf(abs(node) ** th):
+                raise overflow
+            if not finite.flat[first]:
+                raise DomainError(f"a node of the path from k = {k_start:.12g} to "
+                                  f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
+            what = "vanishes" if den.flat[first] == 0.0 else "changes sign"
+            raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
+        slope = np.divide(1.0, den, out=den)
+        increments = h / 6.0 * (slope[:, 0] + 4.0 * slope[:, 1] + slope[:, 2])
+    ln_y = float(np.add.accumulate(np.concatenate(([math.log(y_start)], increments)))[-1])
+    if math.isfinite(ln_y):
+        with contextlib.suppress(OverflowError):
+            return math.exp(ln_y)
+    raise overflow
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_ode_cases())
+@_with_ode_examples
+# the first failing node in step order is step 2's midpoint; a scan of the
+# stage rows would meet step 3's left end, k = 0.65, first
+@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 2.0, 1.0, 0.2, 4))
+# (1+lam) k = -inf and mu k^theta = inf: a NaN denominator that no node
+# flags, which must still reach the overflow error
+@example(case=(VESParams(-1e301, 1e300, 2.0, 1.0), 1e8, 1.0, 2e8, 100))
+def test_ode_is_bit_equal_to_the_step_major_body(case):
+    try:
+        expected = _step_major_ode(*case)
+    except VesprodError as exc:
+        with pytest.raises(type(exc)) as caught:
+            ode_integrate_theorem(*case)
+        assert str(caught.value) == str(exc)
+        return
+    assert ode_integrate_theorem(*case).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("case, message", [
+    ((VESParams(-2.0, 1.0, 2.0, 1.0), 2.0, 1.0, 0.2, 4),
+     "(1+lam) k + mu k^theta changes sign at k = 0.875"),
+    ((VESParams(-1e301, 1e300, 2.0, 1.0), 1e8, 1.0, 2e8, 100),
+     "k^theta or the integrated y overflows between k = 100000000 and k = 200000000"),
+], ids=["sign-change-at-a-midpoint", "inf-minus-inf"])
+def test_ode_reports_the_first_failure_in_step_order(case, message):
+    with pytest.raises(SingularError) as caught:
+        ode_integrate_theorem(*case)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("v, k_start, k_end, steps", [
@@ -397,6 +480,70 @@ def test_verify_family_grid_validation(reference_fit_ves):
 def test_verify_family_deterministic(reference_fit_ves):
     grid = list(np.geomspace(2.4, 40.0, 24))
     assert verify_family(reference_fit_ves, grid) == verify_family(reference_fit_ves, grid)
+
+
+def _lambda_central(f, k):
+    h = k * oracles_module._H1
+    t = k + h
+    h = t - k
+    return (f(k + h) - f(k - h)) / (2.0 * h)
+
+
+def _lambda_fd_derivatives(y, k):
+    h = k * oracles_module._H2
+    h = (k + h) - k
+    try:
+        yv = y(k)
+        return yv, _lambda_central(y, k), (y(k + h) - 2.0 * yv + y(k - h)) / (h * h)
+    except ZeroDivisionError as exc:
+        raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
+
+
+def _lambda_family_comparisons(spec, grid, closed):
+    y = lambda k: eval_intensive(spec, k)
+    for k, (R_cl, dR_cl, sig_cl) in zip(grid, closed):
+        yv, yp, ypp = _lambda_fd_derivatives(y, k)
+        yield "R", k, R_cl, oracles_module._mrs_identity(k, yv, yp), 0.0
+        yield ("R_prime", k, dR_cl, _lambda_central(lambda t: mrs_closed(spec, t), k),
+               abs(R_cl) / k)
+        yield "sigma", k, sig_cl, oracles_module._sigma_identity(k, yv, yp, ypp), 0.0
+        yield ("sigma_prime", k, sigma_derivative_closed(spec, k),
+               _lambda_central(lambda t: sigma_closed(spec, t), k), abs(sig_cl) / k)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("reference", list(np.geomspace(2.4, 80.0, 64))),
+    ("reference", [1e7, 1e8, 1e9]),  # a failing report
+    (CobbDouglasParams(A=2.0, beta=0.4), list(np.geomspace(0.1, 10.0, 16))),
+    (CESParams(gamma=1.0, delta=0.4, sigma=0.7), list(np.geomspace(0.1, 10.0, 16))),
+    (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), list(np.geomspace(0.1, 10.0, 16))),
+    (LiuHildebrandParams(a=1.0, b=0.5, c=0.2, xi=-1.0), list(np.geomspace(0.1, 10.0, 16))),
+    (LuFletcherParams(a=1.0, b=0.5, c=0.2, zeta=1.0), list(np.geomspace(0.1, 10.0, 16))),
+    (SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5), list(np.geomspace(0.1, 1.4, 16))),
+], ids=["reference", "reference-failing", "cd", "ces", "ves", "lh", "lf", "sh"])
+def test_finite_differences_equal_those_through_a_lambda(reference_fit_ves, monkeypatch, spec,
+                                                         grid):
+    # the kernels called directly give the comparisons, and so the reports,
+    # of the same kernels called through one lambda per evaluation
+    spec = reference_fit_ves if spec == "reference" else spec
+    verifiers = [verify_family] + [verify_sato_hoffman] * isinstance(spec, SatoHoffmanParams)
+    report = oracles_module._report
+
+    def run():
+        compared = []
+
+        def recorded(name, points, tolerance, comparisons):
+            compared.append(list(comparisons))
+            return report(name, points, tolerance, compared[-1])
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles_module, "_report", recorded)
+            return [verify(spec, grid) for verify in verifiers], compared
+
+    direct = run()
+    monkeypatch.setattr(oracles_module, "_family_comparisons", _lambda_family_comparisons)
+    monkeypatch.setattr(oracles_module, "_fd_derivatives", lambda spec, k:
+                        _lambda_fd_derivatives(lambda t: eval_intensive(spec, t), k))
+    assert direct == run()
 
 
 # ---------------------------------------------------------------------------
