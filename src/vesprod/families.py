@@ -42,7 +42,9 @@ R', sigma, sigma') return a method's finite value (the bracket's also +-inf) at
 a positive finite float k in one call; anything else goes through the one entry
 point that checks the arguments and turns floating-point failure into
 VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
-and quoted by :func:`_quote`.
+and quoted by :func:`_quote`.  :func:`_on_grid` runs a method unchanged over
+a whole grid of k for the oracles, with libm's ``pow`` as the scalar
+formulas have it.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -796,6 +798,76 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
         error, what = SingularError, f"{_QUANTITY[method]} divides by zero"
     where = f"k = {k:.12g}" if L is None else f"K = {k:.12g}, L = {L:.12g}"
     raise error(f"{type(spec).__name__}: {what} at {where}")
+
+
+class _MixedBranch(Exception):
+    """The truth value of a grid of k whose points take both sides of a branch."""
+
+
+@functools.cache
+def _grid_type() -> type:
+    """The grid-of-k type, built on first use so that importing families loads
+    no numpy: an ndarray whose ``**`` is ``np.float_power`` (libm's ``pow``, as
+    Python's float ``**`` is; ``np.power`` is not), whose truth value is the
+    common truth of its points (mixed truth raises :class:`_MixedBranch`), and
+    which formats as its points do, so that an error message about it builds."""
+    import numpy as np
+
+    class _Grid(np.ndarray):
+        def __pow__(self, other):
+            return np.float_power(self, other)
+
+        def __rpow__(self, other):
+            return np.float_power(other, self)
+
+        def __bool__(self) -> bool:
+            truth = self.view(np.ndarray)
+            if truth.all():
+                return True
+            if truth.any():
+                raise _MixedBranch
+            return False
+
+        def __format__(self, spec: str) -> str:
+            return ", ".join(format(k, spec) for k in self.tolist())
+
+    return _Grid
+
+
+def _as_grid(points, *specs: FamilySpec):
+    """Positive finite float points as a grid of k for :func:`_on_grid`, or None
+    where the grid pass does not run: numpy is not loaded (a one-shot check
+    would pay its import for nothing), a spec is no family spec (which the
+    kernels reject), or a spec holds a parameter that is not a float (an int
+    or a numpy scalar computes otherwise than in an array of floats)."""
+    if "numpy" not in sys.modules or not all(
+            isinstance(spec, _Family)
+            and all(type(getattr(spec, name)) is float for name in spec.__dataclass_fields__)
+            for spec in specs):
+        return None
+    import numpy as np
+    return np.array(points, dtype=float).view(_grid_type())
+
+
+def _on_grid(spec: FamilySpec, method: str, ks):
+    """``spec.<method>`` at every point of the grid of k ``ks`` (from
+    :func:`_as_grid`, or arithmetic on one) from one call of the unchanged
+    method, as an ndarray: the kernel's value at each point, bit for bit.
+    None where the kernel could fail at a point: the method raised (a branch
+    that the points do not all take included), an operation overflowed,
+    divided by zero or was invalid, or a value is not finite (for the
+    bracket: NaN).  Any other exception is not a failure of the closed form
+    and propagates."""
+    import numpy as np
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = getattr(spec, method)(ks)
+    except (ArithmeticError, VesprodError, _MixedBranch):  # FloatingPointError included
+        return None
+    # a constant method (Cobb-Douglas sigma, say) returns one float for all points
+    values = value.view(np.ndarray) if isinstance(value, np.ndarray) else np.full(ks.shape, value)
+    ok = ~np.isnan(values) if method == "_bracket" else np.isfinite(values)
+    return values if ok.all() else None
 
 
 def bracket_base(spec: FamilySpec, k: float) -> float:

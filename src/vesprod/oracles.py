@@ -29,6 +29,18 @@ max(|integrated y|, |closed-form y|); a tolerance must be a non-negative
 finite number.  One loop applies each verifier's admissibility rule to its
 grid; :func:`verify_family`'s rule evaluates the closed-form R, R' and
 sigma once per point, and its comparisons reuse those values.
+
+Where numpy is already loaded, every verifier but the ODE check first takes
+a grid pass: each closed form runs once over all the points at which the
+scalar loop evaluates it (the grid, and k +- h for the finite differences),
+as one array whose powers are libm's ``pow`` (``families._on_grid``), so
+every value keeps the scalar kernel's bits.  The scoring function then sees
+the comparisons that decide the report: the largest absolute error and the
+last largest relative error.  Where a point is inadmissible, a closed form
+fails, or an operation overflows, divides by zero or is invalid, the scalar
+loop runs instead, and it alone names the first point that fails.  Without
+numpy loaded only the scalar loop runs, so a one-shot check does not pay
+numpy's import.
 """
 
 from __future__ import annotations
@@ -45,7 +57,10 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    _as_grid,
     _is_finite,
+    _MixedBranch,
+    _on_grid,
     _quote,
     _require_in_domain,
     bracket_base,
@@ -133,24 +148,36 @@ def _report(name: str, points: int, tolerance: float,
         worst_k=worst_k, worst_quantity=worst_quantity)
 
 
+def _step(k: float, relative: float) -> float:
+    """The finite-difference step k * relative, rounded so that k + h is exact."""
+    return (k + k * relative) - k
+
+
+def _difference(plus: float, minus: float, h: float) -> float:
+    """The central difference of the values at k + h and k - h."""
+    return (plus - minus) / (2.0 * h)
+
+
+def _second_difference(plus: float, at: float, minus: float, h: float) -> float:
+    """The second difference of the values at k + h, k and k - h."""
+    return (plus - 2.0 * at + minus) / (h * h)
+
+
 def _central(kernel: Callable[[FamilySpec, float], float], spec: FamilySpec, k: float) -> float:
     """The central difference of ``kernel(spec, .)`` at k."""
-    h = k * _H1
-    t = k + h
-    h = t - k  # make the step exactly representable
-    return (kernel(spec, k + h) - kernel(spec, k - h)) / (2.0 * h)
+    h = _step(k, _H1)
+    return _difference(kernel(spec, k + h), kernel(spec, k - h), h)
 
 
 def _fd_derivatives(spec: FamilySpec, k: float) -> tuple[float, float, float]:
     """y, y' and y'' at k, the derivatives by finite differences of
     ``eval_intensive`` (called once at k).  A step that underflows (its
     square does below k ~ 1e-158) divides by zero: SingularError."""
-    h = k * _H2
-    h = (k + h) - k  # the second difference's step, exactly representable
+    h = _step(k, _H2)
     try:
         yv = eval_intensive(spec, k)
         return yv, _central(eval_intensive, spec, k), \
-            (eval_intensive(spec, k + h) - 2.0 * yv + eval_intensive(spec, k - h)) / (h * h)
+            _second_difference(eval_intensive(spec, k + h), yv, eval_intensive(spec, k - h), h)
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
@@ -172,11 +199,9 @@ def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
     return yp * (k * yp - yv) / den
 
 
-def _check_grid(k_grid: Sequence[float],
-                outside: Callable[[float], str | None] = lambda k: None) -> list[float]:
+def _check_grid(k_grid: Sequence[float]) -> list[float]:
     """The grid as floats: non-empty, numbers, positive, finite and strictly
-    increasing.  Then every point must be admissible: the first point for
-    which ``outside`` names a range raises DomainError naming the point."""
+    increasing."""
     grid = []
     for k in k_grid:
         try:
@@ -193,11 +218,75 @@ def _check_grid(k_grid: Sequence[float],
     for lo, hi in zip(grid, grid[1:]):
         if not lo < hi:
             raise ParamError("k_grid must be strictly increasing")
+    return grid
+
+
+def _require_admissible(grid: list[float], outside: Callable[[float], str | None]) -> None:
+    """The first point for which ``outside`` names a range raises DomainError
+    naming the point."""
     for k in grid:
         where = outside(k)
         if where:
             raise DomainError(f"k = {k:.12g} is outside the {where}")
-    return grid
+
+
+# --------------------------------------------------------------------------
+# The grid pass: each closed form once over every point a verifier evaluates
+# --------------------------------------------------------------------------
+
+def _grid_pass(compute: Callable[..., list[_Comparison] | None], grid: list[float],
+               *specs: FamilySpec) -> list[_Comparison] | None:
+    """``compute(k)`` with k the grid as a grid of k for ``families._on_grid``,
+    under numpy's raising floating-point errors.  None where the grid pass
+    does not run (see ``families._as_grid``), or where compute returns None
+    or raises SingularError, FloatingPointError or the signal of a branch
+    that the points do not all take: then the scalar loop, which alone names
+    the first point that fails, runs instead."""
+    k = _as_grid(grid, *specs)
+    if k is None:
+        return None
+    import numpy as np
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return compute(k)
+    except (FloatingPointError, SingularError, _MixedBranch):
+        return None
+
+
+def _stencil(k):
+    """The steps h1 and h2 of :func:`_central` and :func:`_fd_derivatives` at
+    every point of the grid k, and its stencil k, k + h1, k - h1, k + h2,
+    k - h2 as one grid of k: its first 3n points are _central's."""
+    import numpy as np
+    h1, h2 = _step(k, _H1), _step(k, _H2)
+    return h1, h2, np.concatenate((k, k + h1, k - h1, k + h2, k - h2)).view(type(k))
+
+
+def _fd_on_grid(spec: FamilySpec, h1, h2, stencil):
+    """y, y' and y'' over the grid as :func:`_fd_derivatives` computes them,
+    from one call of y over the stencil; None where y fails at a point."""
+    y = _on_grid(spec, "_y", stencil)
+    if y is None:
+        return None
+    yv, y1p, y1m, y2p, y2m = y.reshape(5, -1)
+    return yv, _difference(y1p, y1m, h1), _second_difference(y2p, yv, y2m, h2)
+
+
+def _decisive(k, quantities: Sequence[str], closed, reference, floor) -> list[_Comparison]:
+    """The comparisons that decide :func:`_report`'s result over a grid of
+    them (``closed[i, j]`` of quantity j at point i, in that order): one with
+    the largest absolute error, then the last with the largest relative
+    error.  Their errors are computed as _report computes them."""
+    import numpy as np
+    abs_err = abs(closed - reference)
+    scale = np.maximum(np.maximum(abs(closed), abs(reference)), floor)
+    rel = np.divide(abs_err, scale, out=np.zeros(abs_err.shape), where=abs_err != 0.0).ravel()
+    worst = rel.size - 1 - int(np.argmax(rel[::-1]))  # the last of equal maxima
+    largest = int(np.argmax(abs_err))
+    chosen = [worst] if largest == worst else [largest, worst]
+    q = len(quantities)
+    return [(quantities[i % q], float(k[i // q]),
+             *(float(a.flat[i]) for a in (closed, reference, floor))) for i in chosen]
 
 
 # --------------------------------------------------------------------------
@@ -315,22 +404,26 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     a 50-digit evaluation to 1.2e-15), and the report fails on sigma
     although the closed form is right.
     """
-    closed: list[tuple[float, float, float]] = []  # (R, R', sigma) per admissible point
+    grid = _check_grid(k_grid)
+    comparisons = _grid_pass(lambda k: _family_on_grid(spec, k), grid, spec)
+    if comparisons is None:
+        closed: list[tuple[float, float, float]] = []  # (R, R', sigma) per admissible point
 
-    def outside(k: float) -> str | None:
-        # in violated_constraints' order, bracket first; it words the error
-        try:
-            if bracket_base(spec, k) > 0.0:
-                values = mrs_closed(spec, k), mrs_derivative_closed(spec, k), sigma_closed(spec, k)
-                if min(values) > 0.0:
-                    closed.append(values)
-                    return None
-        except (DomainError, SingularError):
-            pass
-        return f"validity range (violated: {', '.join(violated_constraints(spec, k))})"
+        def outside(k: float) -> str | None:
+            # in violated_constraints' order, bracket first; it words the error
+            try:
+                if bracket_base(spec, k) > 0.0:
+                    values = mrs_closed(spec, k), mrs_derivative_closed(spec, k), sigma_closed(spec, k)
+                    if min(values) > 0.0:
+                        closed.append(values)
+                        return None
+            except (DomainError, SingularError):
+                pass
+            return f"validity range (violated: {', '.join(violated_constraints(spec, k))})"
 
-    grid = _check_grid(k_grid, outside)
-    return _report("family", len(grid), tolerance, _family_comparisons(spec, grid, closed))
+        _require_admissible(grid, outside)
+        comparisons = _family_comparisons(spec, grid, closed)
+    return _report("family", len(grid), tolerance, comparisons)
 
 
 def _family_comparisons(spec: FamilySpec, grid: list[float],
@@ -344,15 +437,70 @@ def _family_comparisons(spec: FamilySpec, grid: list[float],
                _central(sigma_closed, spec, k), abs(sig_cl) / k)
 
 
+def _family_on_grid(spec: FamilySpec, k) -> list[_Comparison] | None:
+    """:func:`_family_comparisons` over the grid k, decided by :func:`_decisive`,
+    from one call of each closed form at the points where the scalar loop
+    calls it: the bracket, R' and sigma' at k, R and sigma also at k +- h1,
+    y at the whole stencil.  None where a point is inadmissible or a closed
+    form fails."""
+    import numpy as np
+    h1, h2, stencil = _stencil(k)
+    n = len(k)
+    values = []
+    for method, at in (("_bracket", n), ("_R", 3 * n), ("_dR", n), ("_sigma", 3 * n)):
+        values.append(_on_grid(spec, method, stencil[:at]))
+        if values[-1] is None or not values[-1][:n].min() > 0.0:
+            return None  # the scalar check names the first inadmissible point
+    _, R, dR, sig = values
+    dsig = _on_grid(spec, "_dsigma", k)
+    fd = None if dsig is None else _fd_on_grid(spec, h1, h2, stencil)
+    if fd is None:
+        return None
+    yv, yp, ypp = fd
+    R_k, R_plus, R_minus = R.reshape(3, -1)
+    sig_k, sig_plus, sig_minus = sig.reshape(3, -1)
+    zero = np.zeros(n)
+    return _decisive(
+        k, ("R", "R_prime", "sigma", "sigma_prime"),
+        np.stack((R_k, dR, sig_k, dsig), axis=1),
+        np.stack((_mrs_identity(k, yv, yp), _difference(R_plus, R_minus, h1),
+                  _sigma_identity(k, yv, yp, ypp), _difference(sig_plus, sig_minus, h1)), axis=1),
+        np.stack((zero, abs(R_k) / k, zero, abs(sig_k) / k), axis=1))
+
+
+#: the public kernel of each closed form that the pointwise checks compare
+_KERNELS = {"_y": eval_intensive, "_R": mrs_closed, "_sigma": sigma_closed}
+
+
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
-               kernels: Sequence[tuple[str, Callable[[FamilySpec, float], float]]],
-               k_grid: Sequence[float], tolerance: float) -> VerificationReport:
-    """Worst relative difference between each kernel evaluated on ``spec``
-    and on ``target``, over every grid point."""
+               quantities: Sequence[tuple[str, str]], k_grid: Sequence[float],
+               tolerance: float) -> VerificationReport:
+    """Worst relative difference between each closed form (a quantity and
+    its method) evaluated on ``spec`` and on ``target``, over every grid
+    point."""
     grid = _check_grid(k_grid)
-    return _report(name, len(grid), tolerance,
-                   ((quantity, k, kernel(spec, k), kernel(target, k), 0.0)
-                    for k in grid for quantity, kernel in kernels))
+    comparisons = _grid_pass(lambda k: _pointwise_on_grid(spec, target, quantities, k),
+                             grid, spec, target)
+    if comparisons is None:
+        comparisons = ((quantity, k, _KERNELS[method](spec, k), _KERNELS[method](target, k), 0.0)
+                       for k in grid for quantity, method in quantities)
+    return _report(name, len(grid), tolerance, comparisons)
+
+
+def _pointwise_on_grid(spec: FamilySpec, target: FamilySpec,
+                       quantities: Sequence[tuple[str, str]], k) -> list[_Comparison] | None:
+    """The pointwise comparisons over the grid k, decided by :func:`_decisive`;
+    None where a closed form fails."""
+    import numpy as np
+    columns = []
+    for _, method in quantities:
+        for which in (spec, target):
+            columns.append(_on_grid(which, method, k))
+            if columns[-1] is None:
+                return None
+    closed, reference = np.stack(columns[::2], axis=1), np.stack(columns[1::2], axis=1)
+    return _decisive(k, [quantity for quantity, _ in quantities], closed, reference,
+                     np.zeros(closed.shape))
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -361,15 +509,14 @@ def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
     (xi and zeta = xi (b-1) a^(-1/b) / b) and report the worst relative
     difference; the two are algebraically identical."""
     return _pointwise("lh-lf-equivalence", lh_from_loglinear(p), lf_from_lh(p),
-                      (("y", eval_intensive),), k_grid, tolerance)
+                      (("y", "_y"),), k_grid, tolerance)
 
 
 def verify_reduction(spec: FamilySpec, target: FamilySpec, k_grid: Sequence[float],
                      tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Pointwise comparison of y, R, and sigma between a spec and the
     special case it is claimed to reduce to."""
-    return _pointwise("reduction", spec, target,
-                      (("y", eval_intensive), ("R", mrs_closed), ("sigma", sigma_closed)),
+    return _pointwise("reduction", spec, target, (("y", "_y"), ("R", "_R"), ("sigma", "_sigma")),
                       k_grid, tolerance)
 
 
@@ -383,8 +530,24 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         raise ParamError("the affine-elasticity identity assumes degree one "
                          f"(alpha = 1), got alpha = {_quote(s.alpha)}")
     bound = s.k_upper_bound()
-    grid = _check_grid(
-        k_grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
-    return _report("sato-hoffman", len(grid), tolerance,
-                   (("sigma", k, sigma_closed(s, k),
-                     _sigma_identity(k, *_fd_derivatives(s, k)), 0.0) for k in grid))
+    grid = _check_grid(k_grid)
+    comparisons = _grid_pass(lambda k: _sato_hoffman_on_grid(s, k), grid, s)
+    if comparisons is None:
+        _require_admissible(
+            grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
+        comparisons = (("sigma", k, sigma_closed(s, k), _sigma_identity(k, *_fd_derivatives(s, k)),
+                        0.0) for k in grid)
+    return _report("sato-hoffman", len(grid), tolerance, comparisons)
+
+
+def _sato_hoffman_on_grid(s: SatoHoffmanParams, k) -> list[_Comparison] | None:
+    """verify_sato_hoffman's comparisons over the grid k, decided by
+    :func:`_decisive`; None where a point is outside the admissible range
+    (sigma's domain check fails) or a closed form fails."""
+    import numpy as np
+    sig = _on_grid(s, "_sigma", k)
+    fd = None if sig is None else _fd_on_grid(s, *_stencil(k))
+    if fd is None:
+        return None
+    return _decisive(k, ("sigma",), sig[:, None], _sigma_identity(k, *fd)[:, None],
+                     np.zeros((len(k), 1)))

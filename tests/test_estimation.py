@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -33,7 +34,10 @@ from vesprod.estimation import _scaled_share
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported by fit_loglinear alone, so the other commands skip its start-up
+    # numpy is imported by fit_loglinear and the ODE oracle alone, so the other
+    # commands skip its start-up; the verifiers then run their scalar loop,
+    # whose output is the golden table's
+    from test_cli import GOLDEN_VERIFY
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -41,6 +45,20 @@ def test_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+    # every golden verify command of a suite, one fresh interpreter per suite
+    code = ("import contextlib, io, json, sys\n"
+            "from vesprod.cli import main\n"
+            "runs = []\n"
+            "for flags in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        runs.append([main(['verify', *flags.split()]), out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(['numpy' in sys.modules, runs]))\n")
+    for suite in ("family", "equivalence", "reduction", "sato-hoffman"):
+        golden = [row for row in GOLDEN_VERIFY if row[0].split()[1] == suite]
+        done = subprocess.run([sys.executable, "-c", code, json.dumps([row[0] for row in golden])],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [False, [list(row[1:]) for row in golden]], suite
 
 
 def _csv(rows, header="period,y,k,r"):

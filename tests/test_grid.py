@@ -1,0 +1,208 @@
+"""The grid pass of the verifiers against their scalar loop.
+
+``families._on_grid`` evaluates one closed-form method over a whole grid of k
+in one call; the grid's ``**`` is ``np.float_power``, which calls libm's
+``pow`` as Python's float ``**`` does.  Its values must equal the public
+kernels' bit for bit, or it must return None.  Every verifier must give the
+same report, or raise the same exception, with the grid pass and without it.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vesprod import (
+    CESParams,
+    CobbDouglasParams,
+    LiuHildebrandParams,
+    LogLinearParams,
+    LuFletcherParams,
+    ParamError,
+    SatoHoffmanParams,
+    VESParams,
+    bracket_base,
+    eval_intensive,
+    intensive_derivative,
+    intensive_second_derivative,
+    mrs_closed,
+    mrs_derivative_closed,
+    sigma_closed,
+    sigma_derivative_closed,
+    verify_equivalence_lh_lf,
+    verify_family,
+    verify_reduction,
+    verify_sato_hoffman,
+)
+from vesprod.families import _MixedBranch, _as_grid, _on_grid
+import vesprod.oracles as oracles_module
+
+_KERNELS = {"_bracket": bracket_base, "_y": eval_intensive, "_dy": intensive_derivative,
+            "_d2y": intensive_second_derivative, "_R": mrs_closed, "_dR": mrs_derivative_closed,
+            "_sigma": sigma_closed, "_dsigma": sigma_derivative_closed}
+
+_ANY = st.one_of(st.floats(-1e300, 1e300), st.floats(-3.0, 3.0))
+_POSITIVE = st.one_of(st.floats(1e-300, 1e300), st.floats(0.05, 3.0))
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _specs(draw):
+    """One of the six families, its parameters across the double range and
+    near 1."""
+    family = draw(st.sampled_from(["ves", "cd", "ces", "lh", "lf", "sh"]))
+    try:
+        if family == "ves":
+            return VESParams(draw(_ANY), draw(_ANY), draw(_ANY), draw(_POSITIVE))
+        if family == "cd":
+            return CobbDouglasParams(draw(_POSITIVE), draw(_UNIT))
+        if family == "ces":
+            return CESParams(draw(_POSITIVE), draw(_UNIT), draw(_POSITIVE))
+        if family in ("lh", "lf"):
+            wage_form = LiuHildebrandParams if family == "lh" else LuFletcherParams
+            return wage_form(draw(_POSITIVE), draw(_POSITIVE),
+                             draw(st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 2.0))), draw(_ANY))
+        delta = draw(st.one_of(_UNIT, st.sampled_from([0.5, 0.25, 0.125])))
+        rho = draw(st.one_of(st.floats(0.0, 1.0).map(lambda t: t / delta), st.just(1.0 / delta),
+                             st.floats(1.0, 3.0)))
+        return SatoHoffmanParams(draw(_POSITIVE), delta, rho)
+    except ParamError:
+        return CobbDouglasParams(1.0, 0.5)
+
+
+@st.composite
+def _cases(draw):
+    """(spec, grid): a strictly increasing grid anywhere in the double range,
+    a log-spaced one, or one around a point where the sign of the bracket,
+    R, R' or sigma can change or a power overflows (a root, the Sato-Hoffman
+    bound, a pole of sigma)."""
+    spec = draw(_specs())
+    kind = draw(st.sampled_from(["anywhere", "window", "cut"]))
+    cuts = spec._sign_changes()
+    if kind == "cut" and cuts:
+        centre = math.exp(min(max(draw(st.sampled_from(cuts)), -744.0), 709.0))
+        points = [centre * f for f in draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6))]
+    elif kind == "window":
+        lo, ratio = draw(st.floats(1e-3, 1e3)), draw(st.floats(1.0, 1e3))
+        points = np.geomspace(lo, lo * ratio, draw(st.integers(1, 16))).tolist()
+    else:
+        points = draw(st.lists(st.floats(5e-324, 1.79e308), min_size=1, max_size=6))
+    grid = sorted({k for k in points if 0.0 < k < math.inf})
+    return spec, grid or [1.0]
+
+
+_VES = VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0)  # bracket 1 - 1/k: root at k = 1
+_VES_POLE = VESParams(lam=-0.5, mu=1.0, theta=2.0, psi=1.0)  # R' = 2k - 0.5: sigma's pole at 0.25
+_SH = SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5)  # bound 1.5
+_REFERENCE = VESParams(lam=0.1538, mu=-3.8236, theta=1.2757, psi=1.0815)
+_EXAMPLES = [
+    (_VES, [0.5, 2.0]),                            # straddles the bracket root
+    (_VES, [0.2, 0.5]),                            # bracket negative at every point
+    (_VES_POLE, [0.2, 0.25, 0.3]),                 # straddles a pole of sigma
+    (_SH, [1.0, 1.4, 1.6]),                        # straddles the Sato-Hoffman bound
+    (_SH, [2.0, 3.0]),                             # outside the bound at every point
+    (CobbDouglasParams(1e300, 0.5), [1e10, 1e300]),  # y overflows at one point
+    (CESParams(1.0, 0.5, 1e-3), [0.1, 0.2]),       # k^((s-1)/s) overflows at every point
+    (_REFERENCE, np.geomspace(2.4, 80.0, 64).tolist()),
+    (LiuHildebrandParams(1.0, 0.5, 0.2, -1.0), np.geomspace(0.1, 10.0, 16).tolist()),
+    (LuFletcherParams(1.0, 0.5, 0.2, 1.0), np.geomspace(0.1, 10.0, 16).tolist()),
+    (SatoHoffmanParams(1.0, 0.5, 1.5), [1e-200, 1.0]),  # a step that underflows
+]
+
+
+def _with_examples(**others):
+    def decorate(test):
+        for case in _EXAMPLES:
+            test = example(case=case, **others)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_cases())
+@_with_examples()
+def test_on_grid_equals_the_kernels_bit_for_bit_or_returns_none(case):
+    spec, grid = case
+    ks = _as_grid(grid, spec)
+    for method, kernel in _KERNELS.items():
+        values = _on_grid(spec, method, ks)
+        if values is not None:
+            assert [v.hex() for v in values.tolist()] == [kernel(spec, k).hex() for k in grid], \
+                method
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_cases(), target=_specs(),
+       tolerance=st.sampled_from([1e-6, 1e-10, 0.0, 1.0, math.nan]),
+       p=st.builds(LogLinearParams, a=st.floats(0.2, 5.0), b=st.floats(0.1, 1.5),
+                   c=st.floats(0.0, 1.5, exclude_min=True), xi=st.floats(-4.0, 4.0)))
+@_with_examples(target=_REFERENCE, tolerance=1e-6, p=LogLinearParams(1.0, 0.5, 0.2, -1.0))
+@example(case=(_REFERENCE, [1e7, 1e8, 1e9]), target=_REFERENCE, tolerance=1e-6,  # fails on sigma
+         p=LogLinearParams(1.0, 0.5, 0.2, -1.0))
+def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, tolerance, p):
+    spec, grid = case
+    calls = [(verify_family, spec, grid, tolerance),
+             (verify_reduction, spec, target, grid, tolerance),
+             (verify_reduction, spec, spec, grid, tolerance),
+             (verify_equivalence_lh_lf, p, grid, tolerance)]
+    if isinstance(spec, SatoHoffmanParams):
+        calls.append((verify_sato_hoffman, spec, grid, tolerance))
+    with_grid = [_outcome(*call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles_module, "_as_grid", lambda points, *specs: None)
+        assert [_outcome(*call) for call in calls] == with_grid
+
+
+@pytest.mark.parametrize("spec, grid, method", [
+    (_VES, [0.2, 0.5], "_y"),          # _positive_bracket fails at every point
+    (_SH, [2.0, 3.0], "_y"),           # _check_domain fails at every point
+    (_SH, [2.0, 3.0], "_sigma"),
+    (_VES, [0.5, 2.0], "_y"),          # a branch that the points do not all take
+    (_SH, [1.0, 2.0], "_R"),
+])
+def test_a_grid_that_fails_returns_none(spec, grid, method):
+    # the failures' messages format k with :.12g, which a grid of k does as its points do
+    assert _on_grid(spec, method, _as_grid(grid, spec)) is None
+
+
+def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
+    ks = _as_grid([1.0, 2.0, 3.0], _SH)
+    assert bool(ks > 0.5) and not bool(ks > 5.0)
+    with pytest.raises(_MixedBranch):
+        bool(ks > 1.5)
+    assert f"{ks:.3g}" == "1, 2, 3"
+
+
+def test_on_grid_lets_other_exceptions_through(monkeypatch):
+    def broken(spec, k):
+        raise TypeError("not a floating-point failure")
+    monkeypatch.setattr(CobbDouglasParams, "_y", broken)
+    spec = CobbDouglasParams(2.0, 0.4)
+    with pytest.raises(TypeError, match="not a floating-point failure"):
+        _on_grid(spec, "_y", _as_grid([1.0, 2.0], spec))
+
+
+def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
+    assert _as_grid([1.0], CobbDouglasParams(2.0, 0.4)) is not None
+    # an int or a numpy scalar parameter computes otherwise in an array of floats
+    assert _as_grid([1.0], CobbDouglasParams(2, 0.4)) is None
+    assert _as_grid([1.0], CobbDouglasParams(np.float64(2.0), 0.4)) is None
+    # what is no family spec the scalar kernels reject with TypeError
+    spec = LogLinearParams(1.0, 0.5, 0.2, -1.0)
+    assert _as_grid([1.0], spec) is None
+    for call in (lambda: verify_family(spec, [1.0]), lambda: verify_family("cd", [1.0]),
+                 lambda: verify_reduction(_SH, spec, [1.0])):
+        with pytest.raises(TypeError, match="unsupported family spec"):
+            call()
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert _as_grid([1.0], CobbDouglasParams(2.0, 0.4)) is None

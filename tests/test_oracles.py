@@ -21,7 +21,6 @@ from vesprod import (
     VesprodError,
     eval_intensive,
     mrs_closed,
-    mrs_derivative_closed,
     ode_integrate_theorem,
     reduce_special_case,
     sigma_closed,
@@ -424,31 +423,47 @@ def test_verify_sato_hoffman_at_unit_delta_rho_is_singular():
         verify_sato_hoffman(SatoHoffmanParams(gamma=1.0, delta=0.5, rho=2.0), [1.0])
 
 
+def _without_grid_pass(patch):
+    """Make the verifiers run their scalar loop, as they do where numpy is not loaded."""
+    patch.setattr(oracles_module, "_as_grid", lambda points, *specs: None)
+
+
 def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
-    # the closed forms compared are those of the oracles module's own names,
-    # also where its admissibility check evaluated them
-    for kernel, quantity in ((sigma_closed, "sigma"), (mrs_closed, "R"),
-                             (mrs_derivative_closed, "R_prime")):
-        with monkeypatch.context() as patch:
-            patch.setattr(oracles_module, kernel.__name__,
-                          lambda spec, k, kernel=kernel: 1.01 * kernel(spec, k))
-            report = verify_family(reference_fit_ves, list(np.geomspace(2.4, 20.0, 16)))
-        assert not report.passed, quantity
-        assert report.worst_quantity == quantity
+    # the closed forms compared are the family's methods, which the grid pass
+    # and the scalar loop both read, also where the admissibility check
+    # evaluated them
+    for grid_pass in (True, False):
+        for method, quantity in (("_sigma", "sigma"), ("_R", "R"), ("_dR", "R_prime")):
+            with monkeypatch.context() as patch:
+                if not grid_pass:
+                    _without_grid_pass(patch)
+                patch.setattr(VESParams, method,
+                              lambda spec, k, body=getattr(VESParams, method): 1.01 * body(spec, k))
+                report = verify_family(reference_fit_ves, list(np.geomspace(2.4, 20.0, 16)))
+            assert not report.passed, (quantity, grid_pass)
+            assert report.worst_quantity == quantity, grid_pass
 
 
 def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_ves, monkeypatch):
-    # the admissibility check's R, R' and sigma are the values compared
+    # the admissibility check's R, R' and sigma are the values compared; the
+    # grid pass calls each method once, with every point in one array
     grid = list(np.geomspace(2.4, 20.0, 16))
-    calls = []
-    for method in ("_R", "_dR", "_sigma"):
-        def counted(spec, k, method=method, body=getattr(VESParams, method)):
-            calls.append((method, k))
-            return body(spec, k)
-        monkeypatch.setattr(VESParams, method, counted)
-    verify_family(reference_fit_ves, grid)
-    for method in ("_R", "_dR", "_sigma"):
-        assert [k for m, k in calls if m == method and k in grid] == grid, method
+    for grid_pass in (True, False):
+        calls = []
+        with monkeypatch.context() as patch:
+            if not grid_pass:
+                _without_grid_pass(patch)
+            for method in ("_R", "_dR", "_sigma"):
+                def counted(spec, k, method=method, body=getattr(VESParams, method)):
+                    calls.append((method, k))
+                    return body(spec, k)
+                patch.setattr(VESParams, method, counted)
+            verify_family(reference_fit_ves, grid)
+        assert all(isinstance(k, np.ndarray) == grid_pass for _, k in calls)
+        points = [(method, t) for method, k in calls for t in np.atleast_1d(k).tolist()]
+        for method in ("_R", "_dR", "_sigma"):
+            assert [t for m, t in points if m == method and t in grid] == grid, \
+                (method, grid_pass)
 
 
 def test_verifiers_name_the_first_inadmissible_point(reference_fit_ves):
@@ -527,6 +542,7 @@ def test_finite_differences_equal_those_through_a_lambda(reference_fit_ves, monk
     # of the same kernels called through one lambda per evaluation
     spec = reference_fit_ves if spec == "reference" else spec
     verifiers = [verify_family] + [verify_sato_hoffman] * isinstance(spec, SatoHoffmanParams)
+    _without_grid_pass(monkeypatch)  # whose comparisons are the decisive ones alone
     report = oracles_module._report
 
     def run():
