@@ -20,7 +20,7 @@ import re
 import sys
 from typing import Iterable, Sequence
 
-from .errors import ParamError, VesprodError
+from .errors import ParamError, ParseError, VesprodError
 from .families import (
     CESParams,
     CobbDouglasParams,
@@ -39,6 +39,7 @@ from .families import (
 from .substitution import (
     RegimeCase,
     _log_grid,
+    _require_points,
     classify_regime,
     trajectory,
 )
@@ -222,7 +223,11 @@ def _fit_lines(report) -> list[str]:
 
 def _cmd_fit(args: argparse.Namespace) -> _Output:
     with open(args.input, "r", encoding="utf-8") as fh:
-        source = fh.read()
+        try:
+            source = fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes the whole file: start is its offset
+            raise ParseError(f"input is not UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x} "
+                             f"at byte offset {exc.start}") from None
     dataset = load_dataset(source)
     report = fit_loglinear(dataset, args.relation)
     lines = _fit_lines(report)
@@ -248,10 +253,7 @@ def _cmd_fit(args: argparse.Namespace) -> _Output:
 
 def _cmd_trajectory(args: argparse.Namespace) -> _Output:
     spec = _spec_from_args(args)
-    if args.points < 2:
-        raise _UsageError("--points must be at least 2")
-    if not 0.0 < args.k_from < args.k_to:
-        raise _UsageError("need 0 < --k-from < --k-to")
+    _check_window(args.k_from, args.k_to, args.points)
     rows = trajectory(spec, args.k_from, args.k_to, args.points)
     # formatted as written: a million rows need not be held twice
     return 0, itertools.chain([TRAJECTORY_HEADER], (",".join(map(_fmt, row)) for row in rows))
@@ -307,13 +309,19 @@ def _or(value, default):
     return default if value is None else value
 
 
-def _k_grid(args: argparse.Namespace, lo: float, hi: float, n: int) -> list[float]:
-    """Log grid from --k-from/--k-to/--points, each defaulting to the suite's."""
-    lo, hi, n = _or(args.k_from, lo), _or(args.k_to, hi), _or(args.points, n)
+def _check_window(lo: float, hi: float, n: int) -> None:
+    """Usage error for a window or count that no grid has; ParamError past 10**6."""
     if not 0.0 < lo < hi:
         raise _UsageError("need 0 < --k-from < --k-to")
     if n < 2:
         raise _UsageError("--points must be at least 2")
+    _require_points(n)
+
+
+def _k_grid(args: argparse.Namespace, lo: float, hi: float, n: int) -> list[float]:
+    """Log grid from --k-from/--k-to/--points, each defaulting to the suite's."""
+    lo, hi, n = _or(args.k_from, lo), _or(args.k_to, hi), _or(args.points, n)
+    _check_window(lo, hi, n)
     return _log_grid(lo, hi, n)
 
 

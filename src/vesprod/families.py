@@ -44,7 +44,7 @@ point that checks the arguments and turns floating-point failure into
 VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
 and quoted by :func:`_quote`.  :func:`_on_grid` runs a method unchanged over
 a whole grid of k for the oracles, with libm's ``pow`` as the scalar
-formulas have it.
+formulas have it; it returns every point's value or raises.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -800,8 +800,8 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     raise error(f"{type(spec).__name__}: {what} at {where}")
 
 
-class _MixedBranch(Exception):
-    """The truth value of a grid of k whose points take both sides of a branch."""
+class _GridFailed(Exception):
+    """A grid of k whose points take both sides of a branch, or give a value that is not finite."""
 
 
 @functools.cache
@@ -809,7 +809,7 @@ def _grid_type() -> type:
     """The grid-of-k type, built on first use so that importing families loads
     no numpy: an ndarray whose ``**`` is ``np.float_power`` (libm's ``pow``, as
     Python's float ``**`` is; ``np.power`` is not), whose truth value is the
-    common truth of its points (mixed truth raises :class:`_MixedBranch`), and
+    common truth of its points (mixed truth raises :class:`_GridFailed`), and
     which formats as its points do, so that an error message about it builds."""
     import numpy as np
 
@@ -825,7 +825,7 @@ def _grid_type() -> type:
             if truth.all():
                 return True
             if truth.any():
-                raise _MixedBranch
+                raise _GridFailed
             return False
 
         def __format__(self, spec: str) -> str:
@@ -853,21 +853,19 @@ def _on_grid(spec: FamilySpec, method: str, ks):
     """``spec.<method>`` at every point of the grid of k ``ks`` (from
     :func:`_as_grid`, or arithmetic on one) from one call of the unchanged
     method, as an ndarray: the kernel's value at each point, bit for bit.
-    None where the kernel could fail at a point: the method raised (a branch
-    that the points do not all take included), an operation overflowed,
-    divided by zero or was invalid, or a value is not finite (for the
-    bracket: NaN).  Any other exception is not a failure of the closed form
-    and propagates."""
+    Raises where the kernel could fail at a point: the method's
+    ArithmeticError (FloatingPointError where an operation overflowed,
+    divided by zero or was invalid) or VesprodError, and :class:`_GridFailed`
+    for a branch that the points do not all take or a value that is not
+    finite (for the bracket: NaN)."""
     import numpy as np
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            value = getattr(spec, method)(ks)
-    except (ArithmeticError, VesprodError, _MixedBranch):  # FloatingPointError included
-        return None
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        value = getattr(spec, method)(ks)
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
     values = value.view(np.ndarray) if isinstance(value, np.ndarray) else np.full(ks.shape, value)
-    ok = ~np.isnan(values) if method == "_bracket" else np.isfinite(values)
-    return values if ok.all() else None
+    if not (~np.isnan(values) if method == "_bracket" else np.isfinite(values)).all():
+        raise _GridFailed
+    return values
 
 
 def bracket_base(spec: FamilySpec, k: float) -> float:

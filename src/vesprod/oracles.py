@@ -34,13 +34,13 @@ Where numpy is already loaded, every verifier but the ODE check first takes
 a grid pass: each closed form runs once over all the points at which the
 scalar loop evaluates it (the grid, and k +- h for the finite differences),
 as one array whose powers are libm's ``pow`` (``families._on_grid``), so
-every value keeps the scalar kernel's bits.  The scoring function then sees
-the comparisons that decide the report: the largest absolute error and the
-last largest relative error.  Where a point is inadmissible, a closed form
-fails, or an operation overflows, divides by zero or is invalid, the scalar
-loop runs instead, and it alone names the first point that fails.  Without
-numpy loaded only the scalar loop runs, so a one-shot check does not pay
-numpy's import.
+every value keeps the scalar kernel's bits.  The verifier returns its
+comparisons as columns over the grid, or raises where a point is
+inadmissible or an operation fails; :func:`_grid_pass` alone catches that,
+and otherwise passes on only the comparisons that decide the report.  On
+a failure the scalar loop runs instead, and it alone names the first point
+that fails.  Without numpy loaded only the scalar loop runs, so a one-shot
+check does not pay numpy's import.
 """
 
 from __future__ import annotations
@@ -51,15 +51,15 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParamError, SingularError
+from .errors import DomainError, ParamError, SingularError, VesprodError
 from .families import (
     FamilySpec,
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
     _as_grid,
+    _GridFailed,
     _is_finite,
-    _MixedBranch,
     _on_grid,
     _quote,
     _require_in_domain,
@@ -234,23 +234,37 @@ def _require_admissible(grid: list[float], outside: Callable[[float], str | None
 # The grid pass: each closed form once over every point a verifier evaluates
 # --------------------------------------------------------------------------
 
-def _grid_pass(compute: Callable[..., list[_Comparison] | None], grid: list[float],
+def _grid_pass(columns: Callable[..., Sequence[tuple]], grid: list[float],
                *specs: FamilySpec) -> list[_Comparison] | None:
-    """``compute(k)`` with k the grid as a grid of k for ``families._on_grid``,
-    under numpy's raising floating-point errors.  None where the grid pass
-    does not run (see ``families._as_grid``), or where compute returns None
-    or raises SingularError, FloatingPointError or the signal of a branch
-    that the points do not all take: then the scalar loop, which alone names
-    the first point that fails, runs instead."""
+    """Of the columns (quantity, closed form, reference, scale floor) that
+    ``columns(k)`` gives over the grid of k, in the scalar loop's order at each
+    point, the comparisons that decide :func:`_report`'s result: one with the
+    largest absolute error, then the last with the largest relative error.
+    None where the grid pass does not run (``families._as_grid``), a float
+    operation fails, or columns raises ArithmeticError, VesprodError or
+    ``_GridFailed``: then the scalar loop, which names the failure, runs."""
     k = _as_grid(grid, *specs)
     if k is None:
         return None
     import numpy as np
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return compute(k)
-    except (FloatingPointError, SingularError, _MixedBranch):
+            compared = columns(k)
+            values = [np.empty((len(k), len(compared))) for _ in range(3)]  # np.stack costs more
+            for j, (_, *column) in enumerate(compared):
+                for array, value in zip(values, column):
+                    array[:, j] = value
+            closed, reference, floor = values
+            abs_err = abs(closed - reference)
+            scale = np.maximum(np.maximum(abs(closed), abs(reference)), floor)
+            rel = np.divide(abs_err, scale, out=np.zeros(abs_err.shape), where=abs_err != 0.0)
+    except (ArithmeticError, VesprodError, _GridFailed):  # FloatingPointError included
         return None
+    worst = rel.size - 1 - int(np.argmax(rel.ravel()[::-1]))  # the last of equal maxima
+    largest = int(np.argmax(abs_err))
+    q = len(compared)
+    return [(compared[i % q][0], float(k[i // q]), *(float(a.flat[i]) for a in values))
+            for i in ([worst] if largest == worst else [largest, worst])]
 
 
 def _stencil(k):
@@ -264,29 +278,9 @@ def _stencil(k):
 
 def _fd_on_grid(spec: FamilySpec, h1, h2, stencil):
     """y, y' and y'' over the grid as :func:`_fd_derivatives` computes them,
-    from one call of y over the stencil; None where y fails at a point."""
-    y = _on_grid(spec, "_y", stencil)
-    if y is None:
-        return None
-    yv, y1p, y1m, y2p, y2m = y.reshape(5, -1)
+    from one call of y over the stencil."""
+    yv, y1p, y1m, y2p, y2m = _on_grid(spec, "_y", stencil).reshape(5, -1)
     return yv, _difference(y1p, y1m, h1), _second_difference(y2p, yv, y2m, h2)
-
-
-def _decisive(k, quantities: Sequence[str], closed, reference, floor) -> list[_Comparison]:
-    """The comparisons that decide :func:`_report`'s result over a grid of
-    them (``closed[i, j]`` of quantity j at point i, in that order): one with
-    the largest absolute error, then the last with the largest relative
-    error.  Their errors are computed as _report computes them."""
-    import numpy as np
-    abs_err = abs(closed - reference)
-    scale = np.maximum(np.maximum(abs(closed), abs(reference)), floor)
-    rel = np.divide(abs_err, scale, out=np.zeros(abs_err.shape), where=abs_err != 0.0).ravel()
-    worst = rel.size - 1 - int(np.argmax(rel[::-1]))  # the last of equal maxima
-    largest = int(np.argmax(abs_err))
-    chosen = [worst] if largest == worst else [largest, worst]
-    q = len(quantities)
-    return [(quantities[i % q], float(k[i // q]),
-             *(float(a.flat[i]) for a in (closed, reference, floor))) for i in chosen]
 
 
 # --------------------------------------------------------------------------
@@ -437,35 +431,26 @@ def _family_comparisons(spec: FamilySpec, grid: list[float],
                _central(sigma_closed, spec, k), abs(sig_cl) / k)
 
 
-def _family_on_grid(spec: FamilySpec, k) -> list[_Comparison] | None:
-    """:func:`_family_comparisons` over the grid k, decided by :func:`_decisive`,
-    from one call of each closed form at the points where the scalar loop
-    calls it: the bracket, R' and sigma' at k, R and sigma also at k +- h1,
-    y at the whole stencil.  None where a point is inadmissible or a closed
-    form fails."""
-    import numpy as np
+def _family_on_grid(spec: FamilySpec, k) -> list[tuple]:
+    """The columns of :func:`_family_comparisons` over the grid k, from one
+    call of each closed form at the points where the scalar loop calls it:
+    the bracket, R' and sigma' at k, R and sigma also at k +- h1, y at the
+    whole stencil.  Raises where a closed form fails, and ``_GridFailed``
+    where a point is inadmissible."""
     h1, h2, stencil = _stencil(k)
     n = len(k)
-    values = []
-    for method, at in (("_bracket", n), ("_R", 3 * n), ("_dR", n), ("_sigma", 3 * n)):
-        values.append(_on_grid(spec, method, stencil[:at]))
-        if values[-1] is None or not values[-1][:n].min() > 0.0:
-            return None  # the scalar check names the first inadmissible point
-    _, R, dR, sig = values
+    R, dR, sig = (_on_grid(spec, method, stencil[:at])
+                  for method, at in (("_R", 3 * n), ("_dR", n), ("_sigma", 3 * n)))
+    if not min(_on_grid(spec, "_bracket", k).min(), R[:n].min(), dR.min(), sig[:n].min()) > 0.0:
+        raise _GridFailed  # the scalar check names the first inadmissible point
     dsig = _on_grid(spec, "_dsigma", k)
-    fd = None if dsig is None else _fd_on_grid(spec, h1, h2, stencil)
-    if fd is None:
-        return None
-    yv, yp, ypp = fd
+    yv, yp, ypp = _fd_on_grid(spec, h1, h2, stencil)
     R_k, R_plus, R_minus = R.reshape(3, -1)
     sig_k, sig_plus, sig_minus = sig.reshape(3, -1)
-    zero = np.zeros(n)
-    return _decisive(
-        k, ("R", "R_prime", "sigma", "sigma_prime"),
-        np.stack((R_k, dR, sig_k, dsig), axis=1),
-        np.stack((_mrs_identity(k, yv, yp), _difference(R_plus, R_minus, h1),
-                  _sigma_identity(k, yv, yp, ypp), _difference(sig_plus, sig_minus, h1)), axis=1),
-        np.stack((zero, abs(R_k) / k, zero, abs(sig_k) / k), axis=1))
+    return [("R", R_k, _mrs_identity(k, yv, yp), 0.0),
+            ("R_prime", dR, _difference(R_plus, R_minus, h1), abs(R_k) / k),
+            ("sigma", sig_k, _sigma_identity(k, yv, yp, ypp), 0.0),
+            ("sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig_k) / k)]
 
 
 #: the public kernel of each closed form that the pointwise checks compare
@@ -479,28 +464,13 @@ def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
     its method) evaluated on ``spec`` and on ``target``, over every grid
     point."""
     grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k: _pointwise_on_grid(spec, target, quantities, k),
-                             grid, spec, target)
+    comparisons = _grid_pass(lambda k: [(quantity, _on_grid(spec, method, k),
+                                         _on_grid(target, method, k), 0.0)
+                                        for quantity, method in quantities], grid, spec, target)
     if comparisons is None:
         comparisons = ((quantity, k, _KERNELS[method](spec, k), _KERNELS[method](target, k), 0.0)
                        for k in grid for quantity, method in quantities)
     return _report(name, len(grid), tolerance, comparisons)
-
-
-def _pointwise_on_grid(spec: FamilySpec, target: FamilySpec,
-                       quantities: Sequence[tuple[str, str]], k) -> list[_Comparison] | None:
-    """The pointwise comparisons over the grid k, decided by :func:`_decisive`;
-    None where a closed form fails."""
-    import numpy as np
-    columns = []
-    for _, method in quantities:
-        for which in (spec, target):
-            columns.append(_on_grid(which, method, k))
-            if columns[-1] is None:
-                return None
-    closed, reference = np.stack(columns[::2], axis=1), np.stack(columns[1::2], axis=1)
-    return _decisive(k, [quantity for quantity, _ in quantities], closed, reference,
-                     np.zeros(closed.shape))
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -531,23 +501,12 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
                          f"(alpha = 1), got alpha = {_quote(s.alpha)}")
     bound = s.k_upper_bound()
     grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k: _sato_hoffman_on_grid(s, k), grid, s)
+    comparisons = _grid_pass(lambda k: [("sigma", _on_grid(s, "_sigma", k),
+                                         _sigma_identity(k, *_fd_on_grid(s, *_stencil(k))), 0.0)],
+                             grid, s)
     if comparisons is None:
         _require_admissible(
             grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
         comparisons = (("sigma", k, sigma_closed(s, k), _sigma_identity(k, *_fd_derivatives(s, k)),
                         0.0) for k in grid)
     return _report("sato-hoffman", len(grid), tolerance, comparisons)
-
-
-def _sato_hoffman_on_grid(s: SatoHoffmanParams, k) -> list[_Comparison] | None:
-    """verify_sato_hoffman's comparisons over the grid k, decided by
-    :func:`_decisive`; None where a point is outside the admissible range
-    (sigma's domain check fails) or a closed form fails."""
-    import numpy as np
-    sig = _on_grid(s, "_sigma", k)
-    fd = None if sig is None else _fd_on_grid(s, *_stencil(k))
-    if fd is None:
-        return None
-    return _decisive(k, ("sigma",), sig[:, None], _sigma_identity(k, *fd)[:, None],
-                     np.zeros((len(k), 1)))

@@ -158,6 +158,12 @@ def _grid_point(lo: float, hi: float, n: int, i: int) -> float:
     return lo * ratio ** (i / (n - 1))
 
 
+def _require_points(points: int) -> None:
+    """ParamError unless `points`, a grid one call holds, is an int in [2, 10**6]."""
+    if not (isinstance(points, int) and 2 <= points <= 10 ** 6):
+        raise ParamError(f"points must be an integer in [2, 10**6], got {_quote(points)}")
+
+
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:
     """The n points of :func:`_grid_point` from lo to hi."""
     return [_grid_point(lo, hi, n, i) for i in range(n)]
@@ -429,8 +435,7 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
     """Rows (k, y, R, R', sigma, sigma') at `points` (2 to 10**6) log-spaced k
     across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
     an end the range binds.  Returns every row or raises, never part of them."""
-    if not (isinstance(points, int) and 2 <= points <= 10 ** 6):
-        raise ParamError(f"points must be an integer in [2, 10**6], got {_quote(points)}")
+    _require_points(points)
     interval = validity_range(spec, k_from, k_to)
     lo, hi = interval.clip(k_from, k_to)
     if lo > k_from:  # keep inside a binding end

@@ -196,6 +196,15 @@ def test_fit_non_finite_cell_exits_2(tmp_path, capsys):
     assert "row 2, column 'y'" in err
 
 
+def test_fit_non_utf8_file_exits_2_naming_the_byte(tmp_path, capsys):
+    # past the first 8 KiB, so that the offset counts the file's bytes, not a buffer's
+    head = "period,y,k,r\n" + "".join(f"t{i},1,2,3\n" for i in range(1000))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(head.encode() + b"x,\xff\xfe,2,3\n")
+    assert run(capsys, "fit", str(path), "--relation", "rental") == (
+        2, "", f"error: input is not UTF-8: invalid start byte 0xff at byte offset {len(head) + 2}\n")
+
+
 def test_fit_bad_relation_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "d.csv", "period,y,k\na,1,2\n")
     assert run(capsys, "fit", path, "--relation", "price")[0] == 2
@@ -996,14 +1005,15 @@ def _argv(draw):
                "--relation", "rental", "--diagnose"])
 @example(argv=["fit", "period,y,k,r\nt0,0.2,1e300,1e10\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n",
                "--relation", "rental", "--diagnose"])  # the share k*r/y overflows
+@example(argv=["fit", b"period,y,k,r\n1,\xff\xfe,2,3\n", "--relation", "rental"])  # not UTF-8
 def test_exit_codes_property(capsys, argv):
     # main never raises; 0 ok, 1 only for a failed verification, 2 for input
     # errors, with nothing on stdout; a successful command prints no inf or nan
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "fit":  # fit reads its CSV text from a file
             path = os.path.join(tmp, "data.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(argv[1])
+            with open(path, "wb") as fh:
+                fh.write(argv[1] if isinstance(argv[1], bytes) else argv[1].encode())
             argv = ["fit", path, *argv[2:]]
         code, out, _ = run(capsys, *argv)
     assert code in (0, 1, 2)
@@ -1038,7 +1048,9 @@ def test_commands_return_their_lines_and_only_main_prints(tmp_path, capsys, argv
     ("verify --suite ode --steps 1000001", "steps must be at most 10**6, got 1000001"),
     ("eval --family ves --a 1 --b 0.5 --c 1e20 --xi -1 --k 1",
      "b = 0.5, c = 1e+20: (c-1)/(b-c) rounds to -1, so lam has no admissible value"),
-], ids=["ode-steps", "ves-lam"])
+    ("verify --suite family --points 1000001",
+     "points must be an integer in [2, 10**6], got 1000001"),
+], ids=["ode-steps", "ves-lam", "family-points"])
 def test_bounded_steps_and_rounded_lam_exit_2(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
 

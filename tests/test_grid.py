@@ -3,8 +3,9 @@
 ``families._on_grid`` evaluates one closed-form method over a whole grid of k
 in one call; the grid's ``**`` is ``np.float_power``, which calls libm's
 ``pow`` as Python's float ``**`` does.  Its values must equal the public
-kernels' bit for bit, or it must return None.  Every verifier must give the
-same report, or raise the same exception, with the grid pass and without it.
+kernels' bit for bit, or it must raise a failure on which the grid pass
+falls back to the scalar loop.  Every verifier must give the same report,
+or raise the same exception, with the grid pass and without it.
 """
 
 import math
@@ -24,20 +25,23 @@ from vesprod import (
     ParamError,
     SatoHoffmanParams,
     VESParams,
+    VesprodError,
     bracket_base,
     eval_intensive,
     intensive_derivative,
     intensive_second_derivative,
     mrs_closed,
     mrs_derivative_closed,
+    reduce_special_case,
     sigma_closed,
     sigma_derivative_closed,
     verify_equivalence_lh_lf,
     verify_family,
     verify_reduction,
     verify_sato_hoffman,
+    ves_from_loglinear,
 )
-from vesprod.families import _MixedBranch, _as_grid, _on_grid
+from vesprod.families import _GridFailed, _as_grid, _on_grid
 import vesprod.oracles as oracles_module
 
 _KERNELS = {"_bracket": bracket_base, "_y": eval_intensive, "_dy": intensive_derivative,
@@ -113,6 +117,15 @@ _EXAMPLES = [
 ]
 
 
+def _values_or_none(spec, method, grid):
+    """_on_grid's values over the grid, or None where it raises a failure on
+    which the grid pass falls back to the scalar loop."""
+    try:
+        return _on_grid(spec, method, _as_grid(grid, spec))
+    except (ArithmeticError, VesprodError, _GridFailed):
+        return None
+
+
 def _with_examples(**others):
     def decorate(test):
         for case in _EXAMPLES:
@@ -126,9 +139,8 @@ def _with_examples(**others):
 @_with_examples()
 def test_on_grid_equals_the_kernels_bit_for_bit_or_returns_none(case):
     spec, grid = case
-    ks = _as_grid(grid, spec)
     for method, kernel in _KERNELS.items():
-        values = _on_grid(spec, method, ks)
+        values = _values_or_none(spec, method, grid)
         if values is not None:
             assert [v.hex() for v in values.tolist()] == [kernel(spec, k).hex() for k in grid], \
                 method
@@ -172,13 +184,37 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
 ])
 def test_a_grid_that_fails_returns_none(spec, grid, method):
     # the failures' messages format k with :.12g, which a grid of k does as its points do
-    assert _on_grid(spec, method, _as_grid(grid, spec)) is None
+    assert _values_or_none(spec, method, grid) is None
+
+
+_CES_LIMIT = LogLinearParams(1.0, 0.6, 1.0, -1.0)  # c = 1: VES reduces to CES
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_sato_hoffman, (_SH, np.geomspace(0.05, 1.4, 32).tolist())),
+    (verify_equivalence_lh_lf, (LogLinearParams(1.0, 0.5, 0.2, -1.0),
+                                np.geomspace(0.1, 10.0, 50).tolist())),
+    (verify_reduction, (ves_from_loglinear(_CES_LIMIT), reduce_special_case(_CES_LIMIT),
+                        np.geomspace(0.1, 10.0, 50).tolist())),
+], ids=["sato-hoffman", "equivalence", "reduction"])
+def test_the_other_verifiers_finish_in_the_grid_pass(monkeypatch, verify, args):
+    # a grid pass that always failed would give the same reports from the
+    # scalar loop, only slower: on a valid float grid no method sees a scalar k
+    calls = []
+    for cls in (VESParams, CESParams, LiuHildebrandParams, LuFletcherParams, SatoHoffmanParams):
+        for method in _KERNELS:
+            def counted(spec, k, body=getattr(cls, method)):
+                calls.append(k)
+                return body(spec, k)
+            monkeypatch.setattr(cls, method, counted)
+    assert verify(*args).passed
+    assert calls and all(isinstance(k, np.ndarray) for k in calls)
 
 
 def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     ks = _as_grid([1.0, 2.0, 3.0], _SH)
     assert bool(ks > 0.5) and not bool(ks > 5.0)
-    with pytest.raises(_MixedBranch):
+    with pytest.raises(_GridFailed):
         bool(ks > 1.5)
     assert f"{ks:.3g}" == "1, 2, 3"
 
