@@ -228,7 +228,8 @@ def _cmd_fit(args: argparse.Namespace) -> _Output:
         except UnicodeDecodeError as exc:  # read() decodes the whole file: start is its offset
             raise ParseError(f"input is not UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x} "
                              f"at byte offset {exc.start}") from None
-    dataset = load_dataset(source)
+    # as the utf-8-sig codec reads it: a leading byte-order mark is no part of the text
+    dataset = load_dataset(source.removeprefix("\ufeff"))
     report = fit_loglinear(dataset, args.relation)
     lines = _fit_lines(report)
     if args.diagnose:
@@ -313,6 +314,8 @@ def _check_window(lo: float, hi: float, n: int) -> None:
     """Usage error for a window or count that no grid has; ParamError past 10**6."""
     if not 0.0 < lo < hi:
         raise _UsageError("need 0 < --k-from < --k-to")
+    if hi == math.inf:
+        raise _UsageError("--k-to must be finite, got inf")
     if n < 2:
         raise _UsageError("--points must be at least 2")
     _require_points(n)

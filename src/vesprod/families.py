@@ -853,14 +853,15 @@ def _on_grid(spec: FamilySpec, method: str, ks):
     """``spec.<method>`` at every point of the grid of k ``ks`` (from
     :func:`_as_grid`, or arithmetic on one) from one call of the unchanged
     method, as an ndarray: the kernel's value at each point, bit for bit.
-    Raises where the kernel could fail at a point: the method's
-    ArithmeticError (FloatingPointError where an operation overflowed,
-    divided by zero or was invalid) or VesprodError, and :class:`_GridFailed`
-    for a branch that the points do not all take or a value that is not
-    finite (for the bracket: NaN)."""
+    It runs under the ``np.errstate(over/divide/invalid="raise")`` that the
+    oracles' grid pass (``oracles._grid_pass``) sets, and raises where the
+    kernel could fail at a point: the method's ArithmeticError
+    (FloatingPointError where an operation overflowed, divided by zero or was
+    invalid) or VesprodError, and :class:`_GridFailed` for a branch that the
+    points do not all take or a value that is not finite (for the bracket:
+    NaN)."""
     import numpy as np
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        value = getattr(spec, method)(ks)
+    value = getattr(spec, method)(ks)
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
     values = value.view(np.ndarray) if isinstance(value, np.ndarray) else np.full(ks.shape, value)
     if not (~np.isnan(values) if method == "_bracket" else np.isfinite(values)).all():

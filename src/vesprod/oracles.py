@@ -26,21 +26,26 @@ only produces (quantity, k, closed form, reference, scale floor)
 comparisons, and one function scores them all with one relative-error
 scale, max(|closed form|, |reference|, scale floor); for the ODE that is
 max(|integrated y|, |closed-form y|); a tolerance must be a non-negative
-finite number.  One loop applies each verifier's admissibility rule to its
-grid; :func:`verify_family`'s rule evaluates the closed-form R, R' and
-sigma once per point, and its comparisons reuse those values.
+finite number.
 
-Where numpy is already loaded, every verifier but the ODE check first takes
-a grid pass: each closed form runs once over all the points at which the
-scalar loop evaluates it (the grid, and k +- h for the finite differences),
-as one array whose powers are libm's ``pow`` (``families._on_grid``), so
-every value keeps the scalar kernel's bits.  The verifier returns its
-comparisons as columns over the grid, or raises where a point is
-inadmissible or an operation fails; :func:`_grid_pass` alone catches that,
-and otherwise passes on only the comparisons that decide the report.  On
-a failure the scalar loop runs instead, and it alone names the first point
-that fails.  Without numpy loaded only the scalar loop runs, so a one-shot
-check does not pay numpy's import.
+Each verifier is stated once, as a generator ``columns(k, at)`` that yields
+its (quantity, closed form, reference, scale floor) at k, where
+``at(spec, method, *points)`` gives a closed-form method's values at the
+points.  Where numpy is already loaded, every verifier but the ODE check
+first takes a grid pass (:func:`_grid_pass`): the columns run once with k
+the whole grid, and each ``at`` is one ``families._on_grid`` call over all
+its points (the grid, and k +- h for the finite differences), as one array
+whose powers are libm's ``pow``, so every value keeps the scalar kernel's
+bits.  The grid pass holds the only ``np.errstate`` and the only
+``except`` of that path: where a point is inadmissible or an operation
+fails it returns None, and otherwise it passes on only the comparisons
+that decide the report.  Then, or without numpy loaded (so that a one-shot
+check does not pay numpy's import), the scalar loop runs: it names the
+first inadmissible point (for :func:`verify_family`, as
+:func:`violated_constraints` finds it), and then runs the same columns
+point by point, with ``at`` the kernels' one error boundary
+(``families._evaluate``) at each point in turn, so it names the first
+failure.
 """
 
 from __future__ import annotations
@@ -58,23 +63,18 @@ from .families import (
     SatoHoffmanParams,
     VESParams,
     _as_grid,
+    _evaluate,
+    _grid_type,
     _GridFailed,
     _is_finite,
     _on_grid,
     _quote,
     _require_in_domain,
-    bracket_base,
     eval_intensive,
     lf_from_lh,
     lh_from_loglinear,
 )
-from .substitution import (
-    mrs_closed,
-    mrs_derivative_closed,
-    sigma_closed,
-    sigma_derivative_closed,
-    violated_constraints,
-)
+from .substitution import violated_constraints
 
 __all__ = [
     "VerificationReport",
@@ -118,6 +118,12 @@ class VerificationReport:
 
 #: one comparison: (quantity, k, closed form, reference, scale floor)
 _Comparison = tuple[str, float, float, float, float]
+#: ``at(spec, method, *points)``: a closed-form method's values at each point
+#: (each a float, or an array of k over the grid), in order
+_At = Callable[..., Sequence]
+#: ``columns(k, at)``: a verifier's (quantity, closed form, reference, scale
+#: floor) at k, in the order the scalar loop scores them
+_Columns = Callable[[float, _At], Iterable[tuple]]
 
 
 def _report(name: str, points: int, tolerance: float,
@@ -163,40 +169,44 @@ def _second_difference(plus: float, at: float, minus: float, h: float) -> float:
     return (plus - 2.0 * at + minus) / (h * h)
 
 
-def _central(kernel: Callable[[FamilySpec, float], float], spec: FamilySpec, k: float) -> float:
-    """The central difference of ``kernel(spec, .)`` at k."""
-    h = _step(k, _H1)
-    return _difference(kernel(spec, k + h), kernel(spec, k - h), h)
-
-
-def _fd_derivatives(spec: FamilySpec, k: float) -> tuple[float, float, float]:
-    """y, y' and y'' at k, the derivatives by finite differences of
-    ``eval_intensive`` (called once at k).  A step that underflows (its
-    square does below k ~ 1e-158) divides by zero: SingularError."""
-    h = _step(k, _H2)
+def _fd_derivatives(spec: FamilySpec, k, at: _At) -> tuple:
+    """y, y' and y'' at k, the derivatives by central differences of y with the
+    steps h1 and h2, from one ``at`` call at k, k +- h1 and k +- h2.  A step
+    that underflows (h2's square does below k ~ 1e-158) divides by zero:
+    SingularError."""
+    h1, h2 = _step(k, _H1), _step(k, _H2)
+    yv, y1p, y1m, y2p, y2m = at(spec, "_y", k, k + h1, k - h1, k + h2, k - h2)
     try:
-        yv = eval_intensive(spec, k)
-        return yv, _central(eval_intensive, spec, k), \
-            _second_difference(eval_intensive(spec, k + h), yv, eval_intensive(spec, k - h), h)
+        return yv, _difference(y1p, y1m, h1), _second_difference(y2p, yv, y2m, h2)
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
 
 def _mrs_identity(k: float, yv: float, yp: float) -> float:
     """R = y/y' - k from a (finite-difference) y'."""
-    if yp == 0.0:
+    try:
+        return yv / yp - k
+    except ZeroDivisionError:
         raise SingularError(f"finite-difference y' vanishes at k = {k:.12g}; "
-                            "the identity R = y/y' - k is singular there")
-    return yv / yp - k
+                            "the identity R = y/y' - k is singular there") from None
 
 
 def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
     """sigma = y'(k y' - y) / (k y y'') from (finite-difference) derivatives."""
-    den = k * yv * ypp
-    if den == 0.0:
+    try:
+        return yp * (k * yp - yv) / (k * yv * ypp)
+    except ZeroDivisionError:
         raise SingularError(f"k y y'' vanishes at k = {k:.12g} (finite-difference "
-                            f"y'' = {ypp:.6g}); the sigma identity is singular there")
-    return yp * (k * yp - yv) / den
+                            f"y'' = {ypp:.6g}); the sigma identity is singular there") from None
+
+
+def _positive(*values) -> bool:
+    """Whether every value is positive: numbers at one point, or arrays over the grid."""
+    for value in values:
+        positive = value > 0.0
+        if not (positive if isinstance(positive, bool) else positive.all()):
+            return False
+    return True
 
 
 def _check_grid(k_grid: Sequence[float]) -> list[float]:
@@ -231,16 +241,28 @@ def _require_admissible(grid: list[float], outside: Callable[[float], str | None
 
 
 # --------------------------------------------------------------------------
-# The grid pass: each closed form once over every point a verifier evaluates
+# One statement per verifier: its columns over the grid, or point by point
 # --------------------------------------------------------------------------
 
-def _grid_pass(columns: Callable[..., Sequence[tuple]], grid: list[float],
-               *specs: FamilySpec) -> list[_Comparison] | None:
-    """Of the columns (quantity, closed form, reference, scale floor) that
-    ``columns(k)`` gives over the grid of k, in the scalar loop's order at each
-    point, the comparisons that decide :func:`_report`'s result: one with the
-    largest absolute error, then the last with the largest relative error.
-    None where the grid pass does not run (``families._as_grid``), a float
+def _at_point(spec: FamilySpec, method: str, *points: float) -> list[float]:
+    """``spec.<method>`` at each point in turn, through the kernels' one error
+    boundary (``families._evaluate``)."""
+    return [_evaluate(spec, method, k) for k in points]
+
+
+def _at_grid(spec: FamilySpec, method: str, *points):
+    """``spec.<method>`` over the arrays of k ``points`` from one ``_on_grid``
+    call over them all: one row of values per array."""
+    import numpy as np
+    ks = np.concatenate(points) if len(points) > 1 else points[0]
+    return _on_grid(spec, method, ks.view(_grid_type())).reshape(len(points), -1)
+
+
+def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list[_Comparison] | None:
+    """Of the columns that ``columns(k, _at_grid)`` yields over the grid of k,
+    the comparisons that decide :func:`_report`'s result: one with the largest
+    absolute error, then the last with the largest relative error.  None
+    where the grid pass does not run (``families._as_grid``), a float
     operation fails, or columns raises ArithmeticError, VesprodError or
     ``_GridFailed``: then the scalar loop, which names the failure, runs."""
     k = _as_grid(grid, *specs)
@@ -249,7 +271,7 @@ def _grid_pass(columns: Callable[..., Sequence[tuple]], grid: list[float],
     import numpy as np
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            compared = columns(k)
+            compared = list(columns(k.view(np.ndarray), _at_grid))
             values = [np.empty((len(k), len(compared))) for _ in range(3)]  # np.stack costs more
             for j, (_, *column) in enumerate(compared):
                 for array, value in zip(values, column):
@@ -267,20 +289,20 @@ def _grid_pass(columns: Callable[..., Sequence[tuple]], grid: list[float],
             for i in ([worst] if largest == worst else [largest, worst])]
 
 
-def _stencil(k):
-    """The steps h1 and h2 of :func:`_central` and :func:`_fd_derivatives` at
-    every point of the grid k, and its stencil k, k + h1, k - h1, k + h2,
-    k - h2 as one grid of k: its first 3n points are _central's."""
-    import numpy as np
-    h1, h2 = _step(k, _H1), _step(k, _H2)
-    return h1, h2, np.concatenate((k, k + h1, k - h1, k + h2, k - h2)).view(type(k))
-
-
-def _fd_on_grid(spec: FamilySpec, h1, h2, stencil):
-    """y, y' and y'' over the grid as :func:`_fd_derivatives` computes them,
-    from one call of y over the stencil."""
-    yv, y1p, y1m, y2p, y2m = _on_grid(spec, "_y", stencil).reshape(5, -1)
-    return yv, _difference(y1p, y1m, h1), _second_difference(y2p, yv, y2m, h2)
+def _verify(name: str, columns: _Columns, grid: list[float], tolerance: float,
+            specs: Sequence[FamilySpec],
+            outside: Callable[[float], str | None] | None = None) -> VerificationReport:
+    """The report on the columns (quantity, closed form, reference, scale
+    floor) that ``columns(k, at)`` yields at each point k of the grid: from
+    the grid pass, or else from the scalar loop, which first requires every
+    point admissible (``outside``) and then runs the columns point by point."""
+    comparisons = _grid_pass(columns, grid, *specs)
+    if comparisons is None:
+        if outside is not None:
+            _require_admissible(grid, outside)
+        comparisons = ((quantity, k, *column) for k in grid
+                       for quantity, *column in columns(k, _at_point))
+    return _report(name, len(grid), tolerance, comparisons)
 
 
 # --------------------------------------------------------------------------
@@ -387,10 +409,9 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     """Compare closed-form R, R', sigma, sigma' against finite-difference
     evaluations of their defining identities at every grid point.
 
-    All grid points must satisfy the validity constraints (positive
-    bracket, R > 0, R' > 0, sigma > 0); the first offending point raises
-    DomainError naming it.  The R, R' and sigma evaluated for that check
-    are the closed forms compared.
+    All grid points must satisfy the validity constraints
+    (:func:`violated_constraints`: positive bracket, R > 0, R' > 0,
+    sigma > 0); the first offending point raises DomainError naming it.
 
     The finite-difference y'' loses accuracy where y is nearly linear: for
     the reference VES fit at k = 1e8, where k^2 |y''| / y = 0.0129, it is
@@ -398,63 +419,26 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     a 50-digit evaluation to 1.2e-15), and the report fails on sigma
     although the closed form is right.
     """
-    grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k: _family_on_grid(spec, k), grid, spec)
-    if comparisons is None:
-        closed: list[tuple[float, float, float]] = []  # (R, R', sigma) per admissible point
+    def columns(k, at: _At) -> Iterator[tuple]:
+        h1 = _step(k, _H1)
+        yv, yp, ypp = _fd_derivatives(spec, k, at)
+        R_ref = _mrs_identity(k, yv, yp)
+        (R, R_plus, R_minus), (dR,) = at(spec, "_R", k, k + h1, k - h1), at(spec, "_dR", k)
+        yield "R", R, R_ref, 0.0
+        yield "R_prime", dR, _difference(R_plus, R_minus, h1), abs(R) / k
+        sig_ref = _sigma_identity(k, yv, yp, ypp)
+        sig, sig_plus, sig_minus = at(spec, "_sigma", k, k + h1, k - h1)
+        yield "sigma", sig, sig_ref, 0.0
+        (dsig,) = at(spec, "_dsigma", k)
+        yield "sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig) / k
+        if not _positive(at(spec, "_bracket", k)[0], R, dR, sig):
+            raise _GridFailed  # on the grid only: the scalar loop has checked every point
 
-        def outside(k: float) -> str | None:
-            # in violated_constraints' order, bracket first; it words the error
-            try:
-                if bracket_base(spec, k) > 0.0:
-                    values = mrs_closed(spec, k), mrs_derivative_closed(spec, k), sigma_closed(spec, k)
-                    if min(values) > 0.0:
-                        closed.append(values)
-                        return None
-            except (DomainError, SingularError):
-                pass
-            return f"validity range (violated: {', '.join(violated_constraints(spec, k))})"
+    def outside(k: float) -> str | None:
+        violated = violated_constraints(spec, k)
+        return f"validity range (violated: {', '.join(violated)})" if violated else None
 
-        _require_admissible(grid, outside)
-        comparisons = _family_comparisons(spec, grid, closed)
-    return _report("family", len(grid), tolerance, comparisons)
-
-
-def _family_comparisons(spec: FamilySpec, grid: list[float],
-                        closed: list[tuple[float, float, float]]) -> Iterator[_Comparison]:
-    for k, (R_cl, dR_cl, sig_cl) in zip(grid, closed):
-        yv, yp, ypp = _fd_derivatives(spec, k)
-        yield "R", k, R_cl, _mrs_identity(k, yv, yp), 0.0
-        yield "R_prime", k, dR_cl, _central(mrs_closed, spec, k), abs(R_cl) / k
-        yield "sigma", k, sig_cl, _sigma_identity(k, yv, yp, ypp), 0.0
-        yield ("sigma_prime", k, sigma_derivative_closed(spec, k),
-               _central(sigma_closed, spec, k), abs(sig_cl) / k)
-
-
-def _family_on_grid(spec: FamilySpec, k) -> list[tuple]:
-    """The columns of :func:`_family_comparisons` over the grid k, from one
-    call of each closed form at the points where the scalar loop calls it:
-    the bracket, R' and sigma' at k, R and sigma also at k +- h1, y at the
-    whole stencil.  Raises where a closed form fails, and ``_GridFailed``
-    where a point is inadmissible."""
-    h1, h2, stencil = _stencil(k)
-    n = len(k)
-    R, dR, sig = (_on_grid(spec, method, stencil[:at])
-                  for method, at in (("_R", 3 * n), ("_dR", n), ("_sigma", 3 * n)))
-    if not min(_on_grid(spec, "_bracket", k).min(), R[:n].min(), dR.min(), sig[:n].min()) > 0.0:
-        raise _GridFailed  # the scalar check names the first inadmissible point
-    dsig = _on_grid(spec, "_dsigma", k)
-    yv, yp, ypp = _fd_on_grid(spec, h1, h2, stencil)
-    R_k, R_plus, R_minus = R.reshape(3, -1)
-    sig_k, sig_plus, sig_minus = sig.reshape(3, -1)
-    return [("R", R_k, _mrs_identity(k, yv, yp), 0.0),
-            ("R_prime", dR, _difference(R_plus, R_minus, h1), abs(R_k) / k),
-            ("sigma", sig_k, _sigma_identity(k, yv, yp, ypp), 0.0),
-            ("sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig_k) / k)]
-
-
-#: the public kernel of each closed form that the pointwise checks compare
-_KERNELS = {"_y": eval_intensive, "_R": mrs_closed, "_sigma": sigma_closed}
+    return _verify("family", columns, _check_grid(k_grid), tolerance, [spec], outside)
 
 
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
@@ -463,14 +447,12 @@ def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
     """Worst relative difference between each closed form (a quantity and
     its method) evaluated on ``spec`` and on ``target``, over every grid
     point."""
-    grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k: [(quantity, _on_grid(spec, method, k),
-                                         _on_grid(target, method, k), 0.0)
-                                        for quantity, method in quantities], grid, spec, target)
-    if comparisons is None:
-        comparisons = ((quantity, k, _KERNELS[method](spec, k), _KERNELS[method](target, k), 0.0)
-                       for k in grid for quantity, method in quantities)
-    return _report(name, len(grid), tolerance, comparisons)
+    def columns(k, at: _At) -> Iterator[tuple]:
+        for quantity, method in quantities:
+            (closed,), (reference,) = at(spec, method, k), at(target, method, k)
+            yield quantity, closed, reference, 0.0
+
+    return _verify(name, columns, _check_grid(k_grid), tolerance, [spec, target])
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -500,13 +482,10 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         raise ParamError("the affine-elasticity identity assumes degree one "
                          f"(alpha = 1), got alpha = {_quote(s.alpha)}")
     bound = s.k_upper_bound()
-    grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k: [("sigma", _on_grid(s, "_sigma", k),
-                                         _sigma_identity(k, *_fd_on_grid(s, *_stencil(k))), 0.0)],
-                             grid, s)
-    if comparisons is None:
-        _require_admissible(
-            grid, lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)
-        comparisons = (("sigma", k, sigma_closed(s, k), _sigma_identity(k, *_fd_derivatives(s, k)),
-                        0.0) for k in grid)
-    return _report("sato-hoffman", len(grid), tolerance, comparisons)
+
+    def columns(k, at: _At) -> Iterator[tuple]:
+        (sig,) = at(s, "_sigma", k)
+        yield "sigma", sig, _sigma_identity(k, *_fd_derivatives(s, k, at)), 0.0
+
+    return _verify("sato-hoffman", columns, _check_grid(k_grid), tolerance, [s],
+                   lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)

@@ -205,6 +205,21 @@ def test_fit_non_utf8_file_exits_2_naming_the_byte(tmp_path, capsys):
         2, "", f"error: input is not UTF-8: invalid start byte 0xff at byte offset {len(head) + 2}\n")
 
 
+def test_fit_reads_a_file_with_a_byte_order_mark_as_without_it(tmp_path, capsys):
+    # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+    text = b"period,y,k,r\nt0,1,1,1\nt1,1,2,1\nt2,1.5,1,2\nt3,1,2,2.5\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    expected = run(capsys, "fit", str(plain), "--relation", "rental", "--diagnose")
+    assert expected[0] == 0
+    assert run(capsys, "fit", str(marked), "--relation", "rental", "--diagnose") == expected
+    # a byte that is not UTF-8 is still counted from the file's first byte, the mark included
+    marked.write_bytes(b"\xef\xbb\xbfperiod,y,k,r\n1,\xff\xfe,2,3\n")
+    assert run(capsys, "fit", str(marked), "--relation", "rental") == (
+        2, "", "error: input is not UTF-8: invalid start byte 0xff at byte offset 18\n")
+
+
 def test_fit_bad_relation_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "d.csv", "period,y,k\na,1,2\n")
     assert run(capsys, "fit", path, "--relation", "price")[0] == 2
@@ -810,6 +825,10 @@ GOLDEN_VERIFY = [
     ('--suite family --k-from 5 --k-to 1', 2,
      '',
      'usage error: need 0 < --k-from < --k-to\n'),
+    # the log grid's first point was 0 * inf = nan
+    ('--suite family --k-to inf', 2,
+     '',
+     'usage error: --k-to must be finite, got inf\n'),
     ('--suite equivalence --points 1', 2,
      '',
      'usage error: --points must be at least 2\n'),
@@ -1006,6 +1025,9 @@ def _argv(draw):
 @example(argv=["fit", "period,y,k,r\nt0,0.2,1e300,1e10\nt1,2,2,1\nt2,1,1,2\nt3,1.5,2,3\n",
                "--relation", "rental", "--diagnose"])  # the share k*r/y overflows
 @example(argv=["fit", b"period,y,k,r\n1,\xff\xfe,2,3\n", "--relation", "rental"])  # not UTF-8
+@example(argv=["fit", b"\xef\xbb\xbfperiod,y,k,r\nt0,1,1,1\nt1,1,2,1\nt2,1,1,2\nt3,1,2,2\n",
+               "--relation", "rental"])  # a leading byte-order mark
+@example(argv=["fit", b"\xef\xbb\xbfperiod,y,k,r\n1,\xff\xfe,2,3\n", "--relation", "rental"])
 def test_exit_codes_property(capsys, argv):
     # main never raises; 0 ok, 1 only for a failed verification, 2 for input
     # errors, with nothing on stdout; a successful command prints no inf or nan

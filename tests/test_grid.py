@@ -118,10 +118,12 @@ _EXAMPLES = [
 
 
 def _values_or_none(spec, method, grid):
-    """_on_grid's values over the grid, or None where it raises a failure on
-    which the grid pass falls back to the scalar loop."""
+    """_on_grid's values over the grid, under the np.errstate that the grid
+    pass sets, or None where it raises a failure on which the grid pass falls
+    back to the scalar loop."""
     try:
-        return _on_grid(spec, method, _as_grid(grid, spec))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _on_grid(spec, method, _as_grid(grid, spec))
     except (ArithmeticError, VesprodError, _GridFailed):
         return None
 

@@ -21,6 +21,7 @@ from vesprod import (
     VesprodError,
     eval_intensive,
     mrs_closed,
+    mrs_derivative_closed,
     ode_integrate_theorem,
     reduce_special_case,
     sigma_closed,
@@ -445,25 +446,58 @@ def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
 
 
 def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_ves, monkeypatch):
-    # the admissibility check's R, R' and sigma are the values compared; the
-    # grid pass calls each method once, with every point in one array
+    # the grid pass calls each method once per point, with every point in one
+    # array; the scalar loop evaluates R, R' and sigma in violated_constraints
+    # and again in the comparisons
     grid = list(np.geomspace(2.4, 20.0, 16))
-    for grid_pass in (True, False):
-        calls = []
-        with monkeypatch.context() as patch:
-            if not grid_pass:
-                _without_grid_pass(patch)
-            for method in ("_R", "_dR", "_sigma"):
-                def counted(spec, k, method=method, body=getattr(VESParams, method)):
-                    calls.append((method, k))
-                    return body(spec, k)
-                patch.setattr(VESParams, method, counted)
-            verify_family(reference_fit_ves, grid)
-        assert all(isinstance(k, np.ndarray) == grid_pass for _, k in calls)
-        points = [(method, t) for method, k in calls for t in np.atleast_1d(k).tolist()]
-        for method in ("_R", "_dR", "_sigma"):
-            assert [t for m, t in points if m == method and t in grid] == grid, \
-                (method, grid_pass)
+    calls = []
+    for method in ("_R", "_dR", "_sigma"):
+        def counted(spec, k, method=method, body=getattr(VESParams, method)):
+            calls.append((method, k))
+            return body(spec, k)
+        monkeypatch.setattr(VESParams, method, counted)
+    verify_family(reference_fit_ves, grid)
+    assert all(isinstance(k, np.ndarray) for _, k in calls)
+    points = [(method, t) for method, k in calls for t in k.tolist()]
+    for method in ("_R", "_dR", "_sigma"):
+        assert [t for m, t in points if m == method and t in grid] == grid, method
+
+
+def test_the_scalar_loop_evaluates_a_point_in_order(reference_fit_ves, monkeypatch):
+    # the order in which one point evaluates and scores, which decides the
+    # type and message of the first exception where several could be raised
+    _without_grid_pass(monkeypatch)
+    events = []
+    for method in ("_y", "_R", "_dR", "_sigma", "_dsigma"):  # not _bracket, which y calls
+        def recorded(spec, t, method=method, body=getattr(VESParams, method)):
+            events.append((method, t))
+            return body(spec, t)
+        monkeypatch.setattr(VESParams, method, recorded)
+    for name in ("_mrs_identity", "_sigma_identity"):
+        def identity(t, *args, name=name, body=getattr(oracles_module, name)):
+            events.append((name, t))
+            return body(t, *args)
+        monkeypatch.setattr(oracles_module, name, identity)
+    report = oracles_module._report
+
+    def scored(name, points, tolerance, comparisons):
+        def each():
+            for comparison in comparisons:
+                events.append(("scored " + comparison[0], comparison[1]))
+                yield comparison
+        return report(name, points, tolerance, each())
+    monkeypatch.setattr(oracles_module, "_report", scored)
+    k = 3.0
+    verify_family(reference_fit_ves, [k])
+    h1, h2 = (k + k * oracles_module._H1) - k, (k + k * oracles_module._H2) - k
+    assert events == [
+        ("_R", k), ("_dR", k), ("_sigma", k),  # violated_constraints
+        ("_y", k), ("_y", k + h1), ("_y", k - h1), ("_y", k + h2), ("_y", k - h2),
+        ("_mrs_identity", k), ("_R", k), ("_R", k + h1), ("_R", k - h1), ("_dR", k),
+        ("scored R", k), ("scored R_prime", k),
+        ("_sigma_identity", k), ("_sigma", k), ("_sigma", k + h1), ("_sigma", k - h1),
+        ("scored sigma", k), ("_dsigma", k), ("scored sigma_prime", k),
+    ]
 
 
 def test_verifiers_name_the_first_inadmissible_point(reference_fit_ves):
@@ -538,28 +572,31 @@ def _lambda_family_comparisons(spec, grid, closed):
 ], ids=["reference", "reference-failing", "cd", "ces", "ves", "lh", "lf", "sh"])
 def test_finite_differences_equal_those_through_a_lambda(reference_fit_ves, monkeypatch, spec,
                                                          grid):
-    # the kernels called directly give the comparisons, and so the reports,
-    # of the same kernels called through one lambda per evaluation
+    # the scalar loop's comparisons, and so its reports, are those of the
+    # public kernels called through one lambda per evaluation
     spec = reference_fit_ves if spec == "reference" else spec
     verifiers = [verify_family] + [verify_sato_hoffman] * isinstance(spec, SatoHoffmanParams)
     _without_grid_pass(monkeypatch)  # whose comparisons are the decisive ones alone
     report = oracles_module._report
+    compared = []
 
-    def run():
-        compared = []
+    def recorded(name, points, tolerance, comparisons):
+        compared.append(list(comparisons))
+        return report(name, points, tolerance, compared[-1])
+    monkeypatch.setattr(oracles_module, "_report", recorded)
+    reports = [verify(spec, grid) for verify in verifiers]
 
-        def recorded(name, points, tolerance, comparisons):
-            compared.append(list(comparisons))
-            return report(name, points, tolerance, compared[-1])
-        with monkeypatch.context() as patch:
-            patch.setattr(oracles_module, "_report", recorded)
-            return [verify(spec, grid) for verify in verifiers], compared
-
-    direct = run()
-    monkeypatch.setattr(oracles_module, "_family_comparisons", _lambda_family_comparisons)
-    monkeypatch.setattr(oracles_module, "_fd_derivatives", lambda spec, k:
-                        _lambda_fd_derivatives(lambda t: eval_intensive(spec, t), k))
-    assert direct == run()
+    closed = [(mrs_closed(spec, k), mrs_derivative_closed(spec, k), sigma_closed(spec, k))
+              for k in grid]
+    expected = [list(_lambda_family_comparisons(spec, grid, closed))]
+    if isinstance(spec, SatoHoffmanParams):
+        expected.append([
+            ("sigma", k, sigma_closed(spec, k), oracles_module._sigma_identity(
+                k, *_lambda_fd_derivatives(lambda t: eval_intensive(spec, t), k)), 0.0)
+            for k in grid])
+    assert compared == expected
+    assert reports == [report(name, len(grid), oracles_module.DERIVATIVE_TOL, comparisons)
+                       for name, comparisons in zip(["family", "sato-hoffman"], expected)]
 
 
 # ---------------------------------------------------------------------------
