@@ -37,9 +37,9 @@ y, R, R', sigma and sigma' that depend only on the parameters.  A factor is
 stored only where it is a left prefix of the product it replaces, in Python's
 left-to-right evaluation, so that every result keeps its bits; one whose
 power overflows is left unset, and reading it raises OverflowError where the
-formula reads it.  The six kernels that a workload calls (the bracket, y, R,
-R', sigma, sigma') return a method's finite value (the bracket's also +-inf) at
-a positive finite float k in one call; anything else goes through the one entry
+formula reads it.  The five kernels that a trajectory row calls (y, R, R',
+sigma, sigma') return a method's finite value at a positive finite float k in
+one call; anything else, and every other kernel, goes through the one entry
 point that checks the arguments and turns floating-point failure into
 VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
 and quoted by :func:`_quote`.  :func:`_on_grid` runs a method unchanged over
@@ -768,9 +768,10 @@ _QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_
 
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
-    is given: the public kernels' one error boundary.  The six kernels a
-    workload calls return the finite value at a positive finite float k on a
-    family spec from one call, and hand every other input here to recompute.
+    is given: the public kernels' one error boundary.  The five kernels a
+    trajectory row calls return the finite value at a positive finite float
+    k on a family spec from one call, and hand every other input here to
+    recompute; the others call it directly.
 
     Rejects a non-family spec with TypeError and checks k (or K and L)
     once.  It is the one place that says what a floating-point failure in
@@ -816,9 +817,6 @@ def _grid_type() -> type:
     class _Grid(np.ndarray):
         def __pow__(self, other):
             return np.float_power(self, other)
-
-        def __rpow__(self, other):
-            return np.float_power(other, self)
 
         def __bool__(self) -> bool:
             truth = self.view(np.ndarray)
@@ -873,12 +871,6 @@ def bracket_base(spec: FamilySpec, k: float) -> float:
     """Bracketed base of the closed form at k.  Its positivity is the
     evaluability condition; validity analysis intersects it with R > 0,
     R' > 0 and sigma > 0.  Cobb-Douglas has none and returns inf."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
-        try:
-            if not math.isnan(value := spec._bracket(k)):
-                return value
-        except ArithmeticError:
-            pass
     return _evaluate(spec, "_bracket", k)
 
 

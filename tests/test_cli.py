@@ -1077,6 +1077,11 @@ def test_bounded_steps_and_rounded_lam_exit_2(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
 
 
+def test_a_and_ln_a_together_is_a_usage_error(capsys):
+    argv = "eval --family ves --a 1 --ln-a 0 --b 0.5 --c 0.3 --xi -1 --k 1"
+    assert run(capsys, *argv.split()) == (2, "", "usage error: give either --a or --ln-a, not both\n")
+
+
 def test_byte_identical_output_on_repeat(capsys):
     argv = ["trajectory", "--family", "ves", *REFERENCE_FLAGS, "--xi", "-3.79",
             "--k-from", "2.0799", "--k-to", "50", "--points", "50"]

@@ -142,6 +142,17 @@ def test_load_rejects_missing_required():
         load_dataset("period,y\np1,1.0\n")
 
 
+def test_load_rejects_duplicate_column():
+    # column names are compared in lower case
+    with pytest.raises(ParseError, match="duplicate column names in header"):
+        load_dataset("period,y,Y,k\np1,1.0,1.0,2.0\n")
+
+
+def test_load_rejects_empty_period_label():
+    with pytest.raises(ParseError, match=r"^row 1, column 'period': empty label$"):
+        load_dataset("period,y,k\n ,1,1\n")
+
+
 def test_load_field_count_mismatch():
     with pytest.raises(ParseError, match="row 2"):
         load_dataset("period,y,k\np1,1.0,2.0\np2,1.0\n")
@@ -152,6 +163,8 @@ def test_load_empty_and_blank():
         load_dataset("")
     with pytest.raises(ValidationError, match="no data rows"):
         load_dataset("period,y,k\n")
+    d = load_dataset("period,y,k\n\np1,1.0,2.0\n \np2,1.5,0.3\n")
+    assert [row.period for row in d.rows] == ["p1", "p2"]
 
 
 def test_load_scientific_notation_accepted():

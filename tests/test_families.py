@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pydoc
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +51,6 @@ from vesprod import (
     ves_from_loglinear,
     violated_constraints,
 )
-import vesprod.families as families
 from vesprod.families import _evaluate
 from vesprod.substitution import (
     classify_regime,
@@ -230,13 +230,10 @@ def test_kernels_equal_their_error_boundary(case, kind):
         assert _outcome(kernel, spec, k) == _outcome(_evaluate, spec, method, k), kernel.__name__
 
 
-def test_cobb_douglas_bracket_takes_the_one_call_path(monkeypatch):
-    # its bracket is inf, which is the value, not a failure to recompute
-    calls = []
-    monkeypatch.setattr(families, "_evaluate", lambda *a: calls.append(a) or _evaluate(*a))
+def test_cobb_douglas_bracket_is_inf():
+    # it has no bracket: inf is the value, not a failure to evaluate
     spec = CobbDouglasParams(1.0, 0.3)
     assert [bracket_base(spec, k) for k in (0.5, 1.0, 2.0)] == [math.inf] * 3
-    assert calls == []
 
 
 def _overflows(spec, where="k = 1"):
@@ -276,6 +273,14 @@ def test_wage_specs_with_extreme_constants(spec, expected):
     for (kernel, args), want in zip(calls, expected, strict=True):
         got = kernel(*args) if isinstance(want, float) else _outcome(kernel, *args)
         assert got == want, kernel.__name__
+
+
+@pytest.mark.parametrize("family", [VESParams, CobbDouglasParams, CESParams, LiuHildebrandParams,
+                                    LuFletcherParams, SatoHoffmanParams],
+                         ids=lambda family: family.__name__)
+def test_family_types_render_their_help(family):
+    # help() reads every class attribute, an unset per-spec constant included
+    assert family.__name__ in pydoc.render_doc(family)
 
 
 # The closed forms as they were written before their parameter-only factors

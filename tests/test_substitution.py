@@ -333,6 +333,14 @@ def test_regime_boundary_and_sign_errors():
         classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.6, c=1.3, xi=2.0)))
     with pytest.raises(ParamError):
         classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=0.3, xi=1.0))
+    with pytest.raises(ParamError, match="b = c is a case boundary"):
+        classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0)))
+    with pytest.raises(ParamError, match=r"stated for b in \(0, 1\), got 1.5"):
+        classify_regime(LiuHildebrandParams(a=1.0, b=1.5, c=0.2, xi=-1.0))
+    with pytest.raises(ParamError, match=r"stated for c in \(0, 1\), got 1.2"):
+        classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=1.2, xi=-1.0))
+    with pytest.raises(ParamError, match=r"b \+ c = 1 is a case boundary"):
+        classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +577,21 @@ def test_validity_range_checks_only_next_to_cuts(monkeypatch, reference_fit_ves)
     monkeypatch.setattr(substitution, "violated_constraints", counted)
     validity_range(reference_fit_ves, 0.1, 100.0)
     assert len([k for k in checked if k in grid]) == 2 + 2 * len(cuts)
+
+
+def test_validity_range_without_cuts_bisects_the_grid_index(monkeypatch, reference_fit_ves):
+    # with no cut points only the window's ends are checked; they disagree, so
+    # bisecting the grid index alone finds where the conditions change
+    expected = validity_range(reference_fit_ves, 0.1, 10.0)
+    monkeypatch.setattr(VESParams, "_sign_changes", lambda self: [])
+    assert validity_range(reference_fit_ves, 0.1, 10.0) == expected
+    assert expected.k_low == 2.077600011084373
+
+
+def test_clip_outside_the_validity_range_raises():
+    message = r"^\[3, 4\] does not intersect the validity range \[1, 2\]$"
+    with pytest.raises(DomainError, match=message):
+        ValidityInterval(1.0, 2.0, ()).clip(3.0, 4.0)
 
 
 def test_validity_range_bad_probe():
