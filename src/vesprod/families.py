@@ -815,14 +815,16 @@ def _grid_type() -> type:
     import numpy as np
 
     class _Grid(np.ndarray):
-        def __pow__(self, other):
-            return np.float_power(self, other)
+        __slots__ = ()  # no instance dict: each ufunc's result is cheaper to make
+
+        def __pow__(self, other):  # on the plain view, which skips the subclass's ufunc hooks
+            return np.float_power(self.view(np.ndarray), other).view(_Grid)
 
         def __bool__(self) -> bool:
             truth = self.view(np.ndarray)
-            if truth.all():
+            if np.logical_and.reduce(truth):
                 return True
-            if truth.any():
+            if np.logical_or.reduce(truth):
                 raise _GridFailed
             return False
 
@@ -862,7 +864,8 @@ def _on_grid(spec: FamilySpec, method: str, ks):
     value = getattr(spec, method)(ks)
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
     values = value.view(np.ndarray) if isinstance(value, np.ndarray) else np.full(ks.shape, value)
-    if not (~np.isnan(values) if method == "_bracket" else np.isfinite(values)).all():
+    if (np.logical_or.reduce(np.isnan(values)) if method == "_bracket"
+            else not np.logical_and.reduce(np.isfinite(values))):
         raise _GridFailed
     return values
 

@@ -17,7 +17,9 @@ derivatives.  The integrator works in ln y, where the equation is exact
 quadrature; this removes positivity drift.  Its slope does not depend on
 y, so the Runge-Kutta scheme is composite Simpson's rule; each of its
 three stages is evaluated at every step as one numpy array, and numpy is
-imported on the first ODE call, not with the module.
+imported on the first ODE call, not with the module.  Paths of up to 2**14
+steps compute in one workspace per thread, kept between calls and grown to
+the longest path run, so that a repeat call allocates no array.
 
 Every verifier, the ODE check (:func:`verify_ode`) included, returns a
 :class:`VerificationReport` and states its default tolerance in its
@@ -53,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -170,14 +173,16 @@ def _second_difference(plus: float, at: float, minus: float, h: float) -> float:
 
 
 def _fd_derivatives(spec: FamilySpec, k, at: _At) -> tuple:
-    """y, y' and y'' at k, the derivatives by central differences of y with the
-    steps h1 and h2, from one ``at`` call at k, k +- h1 and k +- h2.  A step
-    that underflows (h2's square does below k ~ 1e-158) divides by zero:
-    SingularError."""
+    """The step h1, the points (k, k + h1, k - h1), and y, y' and y'' at k, the
+    derivatives by central differences of y with the steps h1 and h2, from one
+    ``at`` call at k, k +- h1 and k +- h2.  A step that underflows (h2's
+    square does below k ~ 1e-158) divides by zero: SingularError."""
     h1, h2 = _step(k, _H1), _step(k, _H2)
-    yv, y1p, y1m, y2p, y2m = at(spec, "_y", k, k + h1, k - h1, k + h2, k - h2)
+    points = (k, k + h1, k - h1, k + h2, k - h2)
+    yv, y1p, y1m, y2p, y2m = at(spec, "_y", *points)
     try:
-        return yv, _difference(y1p, y1m, h1), _second_difference(y2p, yv, y2m, h2)
+        return (h1, points[:3], yv, _difference(y1p, y1m, h1),
+                _second_difference(y2p, yv, y2m, h2))
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
@@ -201,12 +206,9 @@ def _sigma_identity(k: float, yv: float, yp: float, ypp: float) -> float:
 
 
 def _positive(*values) -> bool:
-    """Whether every value is positive: numbers at one point, or arrays over the grid."""
-    for value in values:
-        positive = value > 0.0
-        if not (positive if isinstance(positive, bool) else positive.all()):
-            return False
-    return True
+    """Whether every value is positive: numbers at one point, or arrays over the
+    grid (by their least point)."""
+    return all((value.min() if hasattr(value, "min") else value) > 0.0 for value in values)
 
 
 def _check_grid(k_grid: Sequence[float]) -> list[float]:
@@ -261,10 +263,11 @@ def _at_grid(spec: FamilySpec, method: str, *points):
 def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list[_Comparison] | None:
     """Of the columns that ``columns(k, _at_grid)`` yields over the grid of k,
     the comparisons that decide :func:`_report`'s result: one with the largest
-    absolute error, then the last with the largest relative error.  None
-    where the grid pass does not run (``families._as_grid``), a float
-    operation fails, or columns raises ArithmeticError, VesprodError or
-    ``_GridFailed``: then the scalar loop, which names the failure, runs."""
+    absolute error, then the last with the largest relative error, each with
+    its scale as its scale floor.  None where the grid pass does not run
+    (``families._as_grid``), a float operation fails, or columns raises
+    ArithmeticError, VesprodError or ``_GridFailed``: then the scalar loop,
+    which names the failure, runs."""
     k = _as_grid(grid, *specs)
     if k is None:
         return None
@@ -272,20 +275,22 @@ def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             compared = list(columns(k.view(np.ndarray), _at_grid))
-            values = [np.empty((len(k), len(compared))) for _ in range(3)]  # np.stack costs more
-            for j, (_, *column) in enumerate(compared):
-                for array, value in zip(values, column):
-                    array[:, j] = value
-            closed, reference, floor = values
+            # row j: column j over the grid; read point by point through .T
+            closed = np.array([column[1] for column in compared])
+            reference = np.array([column[2] for column in compared])
             abs_err = abs(closed - reference)
-            scale = np.maximum(np.maximum(abs(closed), abs(reference)), floor)
+            scale = np.maximum(abs(closed), abs(reference))
+            for row, (*_, floor) in zip(scale, compared):
+                if not isinstance(floor, float) or floor:  # a floor of 0 changes no scale
+                    np.maximum(row, floor, out=row)
             rel = np.divide(abs_err, scale, out=np.zeros(abs_err.shape), where=abs_err != 0.0)
     except (ArithmeticError, VesprodError, _GridFailed):  # FloatingPointError included
         return None
-    worst = rel.size - 1 - int(np.argmax(rel.ravel()[::-1]))  # the last of equal maxima
-    largest = int(np.argmax(abs_err))
+    worst = rel.size - 1 - int(rel.T.ravel()[::-1].argmax())  # the last of equal maxima
+    largest = int(abs_err.T.argmax())
     q = len(compared)
-    return [(compared[i % q][0], float(k[i // q]), *(float(a.flat[i]) for a in values))
+    return [(compared[i % q][0], float(k[i // q]),
+             *(float(a[i % q, i // q]) for a in (closed, reference, scale)))
             for i in ([worst] if largest == worst else [largest, worst])]
 
 
@@ -309,6 +314,31 @@ def _verify(name: str, columns: _Columns, grid: list[float], tolerance: float,
 # ODE oracle for the variable-elasticity solution
 # --------------------------------------------------------------------------
 
+#: the longest path, in steps, that runs in its thread's workspace (1.2 MB
+#: there); a longer one allocates its arrays for the call
+_WORKSPACE_STEPS = 2 ** 14
+#: memory only: a call writes every element it reads, so no value passes
+#: from one call to the next
+_workspace = threading.local()
+
+
+def _ode_workspace(steps: int) -> tuple:
+    """This thread's ODE arrays for a path of ``steps`` steps (at most
+    ``_WORKSPACE_STEPS``), as views: the ramp 0, 1, ..., steps-1, k, the nodes
+    and their (1+lam) multiples as (3, steps), and the running sums.  They
+    are kept between calls, grown to the longest path run, so that a call
+    allocates no array."""
+    import numpy as np
+    arrays = getattr(_workspace, "arrays", None)
+    if arrays is None or len(arrays[0]) < steps:
+        arrays = _workspace.arrays = (np.arange(steps, dtype=float), np.empty(steps),
+                                      np.empty(3 * steps), np.empty(3 * steps),
+                                      np.empty(steps + 1))
+    ramp, k, nodes, scaled, sums = arrays
+    return (ramp[:steps], k[:steps], nodes[:3 * steps].reshape(3, steps),
+            scaled[:3 * steps].reshape(3, steps), sums[:steps + 1])
+
+
 def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                           k_end: float, steps: int) -> float:
     """Propagate y from ``k_start`` to ``k_end`` in ``steps`` (2 to 10**6)
@@ -318,7 +348,12 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     The slope does not depend on y, so the scheme is composite Simpson's
     rule: the left ends k_start + i h, the midpoints and the right ends of
     the steps are evaluated as one numpy array each (numpy is imported on
-    the first call), and the step increments are added in step order.
+    the first call), and the step increments are added in step order.  A
+    path of up to 2**14 steps with a float step and a float or int theta
+    runs in place in its thread's workspace, which is kept between calls and
+    grown to the longest such path; any other path allocates its arrays for
+    the call, typed as numpy types them (for a numpy float32 or longdouble
+    theta, say).
 
     For ``y_start`` consistent with the closed form the result matches
     the closed form at ``k_end`` with relative error O(steps^-4).
@@ -347,39 +382,56 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     overflow = SingularError(f"k^theta or the integrated y overflows between "
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
     h = (k_end - k_start) / steps
-    k = k_start + np.arange(steps) * h
     stages = (0.0, 0.5 * h, h)
-    nodes = np.empty((3, steps))  # row j: stage j of every step, each row one contiguous pass
-    for j, stage in enumerate(stages):
+    in_place = steps <= _WORKSPACE_STEPS and isinstance(h, float) and isinstance(th, (float, int))
+    if in_place:
+        ramp, k, nodes, scaled, sums = _ode_workspace(steps)
+        np.multiply(ramp, h, out=k)
+        k += k_start
+    else:
+        k = k_start + np.arange(steps) * h
+        nodes, scaled = np.empty((3, steps)), np.empty((3, steps))
+    for j, stage in enumerate(stages):  # row j: stage j of every step, each row one contiguous pass
         np.add(k, stage, out=nodes[j])
     with np.errstate(all="ignore"):
-        den = nodes ** th
-        finite = np.isfinite(den)  # of k^theta, before the denominator is built over it
+        np.multiply(nodes, 1.0 + lam, out=scaled)
+        if in_place:
+            nodes **= th  # numpy dispatches it as nodes ** th
+            den = nodes
+        else:
+            den = nodes ** th
+            sums = np.empty(steps + 1, den.dtype)
         den *= mu
-        nodes *= 1.0 + lam  # the nodes themselves are not read again
-        den += nodes
-        bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))  # node 0: k_start
-        by_step = bad.any(axis=0)
-        i = int(np.argmax(by_step))
-        if by_step[i]:  # the first failing node in step order: step i, then its first stage
-            j = int(np.argmax(bad[:, i]))
-            node = k[i] + stages[j]
-            if node != 0.0 and np.isinf(abs(node) ** th):  # also where (-k)^theta is complex
-                raise overflow
-            if not finite[j, i]:  # 0^theta < 0, or a complex (-k)^theta
-                raise DomainError(f"a node of the path from k = {k_start:.12g} to "
-                                  f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
-            what = "vanishes" if den[j, i] == 0.0 else "changes sign"
-            raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
+        den += scaled
+        # the masks of failing nodes, only where min and max (NaN if a node is)
+        # do not show every node finite and of one sign; always on an allocated path
+        lo, hi = (den.min(), den.max()) if in_place else (math.nan, math.nan)
+        if not (0.0 < lo and hi < math.inf or -math.inf < lo and hi < 0.0):
+            # k^theta again, from the nodes built into the (1+lam) multiples no longer read
+            finite = np.isfinite(np.add(k, np.reshape(stages, (3, 1)), out=scaled) ** th)
+            bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))  # node 0: k_start
+            by_step = bad.any(axis=0)
+            i = int(np.argmax(by_step))
+            if by_step[i]:  # the first failing node in step order: step i, then its first stage
+                j = int(np.argmax(bad[:, i]))
+                node = k[i] + stages[j]
+                if node != 0.0 and np.isinf(abs(node) ** th):  # also where (-k)^theta is complex
+                    raise overflow
+                if not finite[j, i]:  # 0^theta < 0, or a complex (-k)^theta
+                    raise DomainError(f"a node of the path from k = {k_start:.12g} to "
+                                      f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
+                what = "vanishes" if den[j, i] == 0.0 else "changes sign"
+                raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
         slope = np.divide(1.0, den, out=den)
-        # h/6 (s0 + 4 s1 + s2), built in place in the order a loop computes it
-        increments = slope[1]
-        increments *= 4.0
+        # ln y_start, then h/6 (s0 + 4 s1 + s2) of each step, built in place in
+        # the order a loop computes it
+        sums[0] = math.log(y_start)
+        increments = np.multiply(slope[1], 4.0, out=sums[1:])
         increments += slope[0]
         increments += slope[2]
         increments *= h / 6.0
     # sequential sums, as a loop adds them (np.sum would add pairwise)
-    ln_y = float(np.add.accumulate(np.concatenate(([math.log(y_start)], increments)))[-1])
+    ln_y = float(np.add.accumulate(sums, out=sums)[-1])
     if math.isfinite(ln_y):  # a subnormal denominator makes ln y infinite
         with contextlib.suppress(OverflowError):
             return math.exp(ln_y)
@@ -420,14 +472,13 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     although the closed form is right.
     """
     def columns(k, at: _At) -> Iterator[tuple]:
-        h1 = _step(k, _H1)
-        yv, yp, ypp = _fd_derivatives(spec, k, at)
+        h1, points, yv, yp, ypp = _fd_derivatives(spec, k, at)
         R_ref = _mrs_identity(k, yv, yp)
-        (R, R_plus, R_minus), (dR,) = at(spec, "_R", k, k + h1, k - h1), at(spec, "_dR", k)
+        (R, R_plus, R_minus), (dR,) = at(spec, "_R", *points), at(spec, "_dR", k)
         yield "R", R, R_ref, 0.0
         yield "R_prime", dR, _difference(R_plus, R_minus, h1), abs(R) / k
         sig_ref = _sigma_identity(k, yv, yp, ypp)
-        sig, sig_plus, sig_minus = at(spec, "_sigma", k, k + h1, k - h1)
+        sig, sig_plus, sig_minus = at(spec, "_sigma", *points)
         yield "sigma", sig, sig_ref, 0.0
         (dsig,) = at(spec, "_dsigma", k)
         yield "sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig) / k
@@ -485,7 +536,7 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
 
     def columns(k, at: _At) -> Iterator[tuple]:
         (sig,) = at(s, "_sigma", k)
-        yield "sigma", sig, _sigma_identity(k, *_fd_derivatives(s, k, at)), 0.0
+        yield "sigma", sig, _sigma_identity(k, *_fd_derivatives(s, k, at)[2:]), 0.0
 
     return _verify("sato-hoffman", columns, _check_grid(k_grid), tolerance, [s],
                    lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)

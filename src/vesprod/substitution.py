@@ -372,13 +372,18 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     first of several equally long ones), and each end of it inside the
     window is refined by bisection, between its grid point and the invalid
     one next to it, to relative 1e-10.  An empty interval is returned
-    (never an exception) when no grid point is valid.
+    (never an exception) when no grid point is valid.  The probe bounds are
+    taken as the floats nearest them, and the interval's ends are floats.
     """
-    if not (0.0 < k_probe_low < k_probe_high and _is_finite(k_probe_high)):
+    if not (0.0 < k_probe_low < k_probe_high and _is_finite(k_probe_high)
+            and float(k_probe_low) > 0.0):  # a low bound may round to 0
         raise ParamError(f"probe bounds must satisfy 0 < low < high, got "
                          f"({_quote(k_probe_low)}, {_quote(k_probe_high)})")
+    k_probe_low, k_probe_high = float(k_probe_low), float(k_probe_high)
     if not (isinstance(samples, int) and 2 <= samples and _is_finite(samples)):
         raise ParamError("samples must be an integer >= 2")
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
 
     def point(i: int) -> float:
         return _grid_point(k_probe_low, k_probe_high, samples, i)

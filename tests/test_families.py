@@ -136,12 +136,14 @@ def test_nonpositive_k_rejected(bad_k):
     lambda s: sigma_closed(s, 1.0),
     lambda s: sigma_derivative_closed(s, 1.0),
     classify_regime,
+    lambda s: validity_range(s, 0.5, 2.0),
 ], ids=["bracket_base", "eval_intensive", "eval_extensive", "intensive_derivative",
         "intensive_second_derivative", "mrs_closed", "mrs_derivative_closed",
-        "sigma_closed", "sigma_derivative_closed", "classify_regime"])
+        "sigma_closed", "sigma_derivative_closed", "classify_regime", "validity_range"])
 def test_kernels_reject_non_family_spec(call):
-    with pytest.raises(TypeError, match="unsupported family spec"):
-        call(REFERENCE)
+    for spec in (REFERENCE, None, "ves"):
+        with pytest.raises(TypeError, match=f"unsupported family spec: {type(spec).__name__}$"):
+            call(spec)
 
 
 _ANY = st.floats(-1e300, 1e300)
@@ -1067,6 +1069,20 @@ def test_a_number_out_of_range_returns_or_raises_a_vesprod_error(function, args,
                 function(*call_args, **call_kwargs)
             except VesprodError:
                 pass
+
+
+def test_validity_range_takes_fraction_and_int_bounds_as_the_nearest_floats():
+    cd = CobbDouglasParams(2.0, 0.5)
+    # a ratio of bounds past the double range is spaced in log space, as for floats
+    wide = validity_range(cd, Fraction(1e-200), Fraction(1e200))
+    assert wide == validity_range(cd, 1e-200, 1e200)
+    assert validity_range(_V, Fraction(1, 2), 2) == validity_range(_V, 0.5, 2.0)
+    ends = validity_range(cd, 1, 10)
+    assert (ends.k_low, ends.k_high) == (1.0, 10.0)
+    for interval in (wide, ends):
+        assert type(interval.k_low) is float and type(interval.k_high) is float
+    with pytest.raises(ParamError, match="probe bounds must satisfy 0 < low < high"):
+        validity_range(cd, Fraction(1, 10 ** 400), 1.0)  # rounds to 0
 
 
 _BITS = "an int of 16610 bits"  # 10**5000

@@ -1,5 +1,9 @@
 import contextlib
 import math
+import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,6 +315,129 @@ def test_ode_reports_the_first_failure_in_step_order(case, message):
     with pytest.raises(SingularError) as caught:
         ode_integrate_theorem(*case)
     assert str(caught.value) == message
+
+
+def _allocating_ode(v, k_start, y_start, k_end, steps):
+    """ode_integrate_theorem's body with every array allocated for the call,
+    as it was before the per-thread workspace; the workspace must give its
+    bits and its errors."""
+    if k_end == k_start:
+        return y_start
+    lam, mu, th = v.lam, v.mu, v.theta
+    overflow = SingularError(f"k^theta or the integrated y overflows between "
+                             f"k = {k_start:.12g} and k = {k_end:.12g}")
+    h = (k_end - k_start) / steps
+    k = k_start + np.arange(steps) * h
+    stages = (0.0, 0.5 * h, h)
+    nodes = np.empty((3, steps))
+    for j, stage in enumerate(stages):
+        np.add(k, stage, out=nodes[j])
+    with np.errstate(all="ignore"):
+        den = nodes ** th
+        finite = np.isfinite(den)
+        den *= mu
+        nodes *= 1.0 + lam
+        den += nodes
+        bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))
+        by_step = bad.any(axis=0)
+        i = int(np.argmax(by_step))
+        if by_step[i]:
+            j = int(np.argmax(bad[:, i]))
+            node = k[i] + stages[j]
+            if node != 0.0 and np.isinf(abs(node) ** th):
+                raise overflow
+            if not finite[j, i]:
+                raise DomainError(f"a node of the path from k = {k_start:.12g} to "
+                                  f"k = {k_end:.12g} rounds to k <= 0, where k^theta is not real")
+            what = "vanishes" if den[j, i] == 0.0 else "changes sign"
+            raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
+        slope = np.divide(1.0, den, out=den)
+        increments = slope[1]
+        increments *= 4.0
+        increments += slope[0]
+        increments += slope[2]
+        increments *= h / 6.0
+    ln_y = float(np.add.accumulate(np.concatenate(([math.log(y_start)], increments)))[-1])
+    if math.isfinite(ln_y):
+        with contextlib.suppress(OverflowError):
+            return math.exp(ln_y)
+    raise overflow
+
+
+def _workspace_cases():
+    """(v, k_start, y_start, k_end, steps), seeded: theta 0.5, 2, -1, 0 (numpy's
+    sqrt, square and reciprocal for **, and a constant power) and generic, paths
+    up and down of 2 to 10**5 steps (past the workspace's 2**14), and the three
+    error branches: a denominator that changes sign or vanishes, an overflow,
+    and a node that rounds to k <= 0."""
+    rng = random.Random(20)
+    cases = []
+    for theta in (0.5, 2.0, 2, -1.0, 0.0, None, None):
+        for steps in (2, 3, 64, 1000, 10000, 2 ** 14, 2 ** 14 + 1, 10 ** 5):
+            th = rng.uniform(-4.0, 4.0) if theta is None else theta
+            lam, mu = rng.uniform(-3.0, 3.0), rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2)
+            k_start, k_end = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
+            y_start = 10 ** rng.uniform(-3, 3)
+            v = VESParams(lam, mu, th, 1.0)
+            cases += [(v, k_start, y_start, k_end, steps), (v, k_end, y_start, k_start, steps)]
+    return cases + [
+        (VESParams(-2.0, 1.0, 2.0, 1.0), 0.5, 1.0, 2.0, 100),             # changes sign
+        (VESParams(-2.0, 1.0, 2.0, 1.0), 2.0, 1.0, 0.2, 4),               # at a midpoint
+        (VESParams(-1.5, 1.0, 2.0, 1.0), 0.25, 1.0, 1.0, 3),              # vanishes
+        (VESParams(0.0, 1.0, 1e4, 0.5), 2.0, 1.0, 3.0, 2 ** 14 + 1),      # k^theta overflows
+        (VESParams(-1e301, 1e300, 2.0, 1.0), 1e8, 1.0, 2e8, 100),         # inf - inf
+        (VESParams(0.0, 1.0, -0.5, 1.0), 1.0, 1.0, 1e-20, 2),             # 0^theta < 0
+        (VESParams(0.0, 1.0, 3.996, 1.0), 2.4998678075824543, 1.0,
+         3.2769317457538814e-157, 129),                                    # (-k)^theta complex
+        (VESParams(0.0, 1e300, 2.0, 1.0), 1e5, 0.7, 2e5, 64),             # den = inf: slope 0
+        (VESParams(0.0, 1.0, 2.0, 1.0), 1e-310, 1.0, 2e-310, 100),        # ln y = inf
+        (VESParams(0.0, 1.0, 2.0, 1.0), 1.0, 1e300, 2.0, 64),             # exp overflows
+    ]
+
+
+def _outcomes(call, cases):
+    """The repr of each case's result, or its exception's type and message."""
+    outcomes = []
+    for case in cases:
+        try:
+            outcomes.append(repr(call(*case)))
+        except VesprodError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def test_ode_in_its_workspace_keeps_the_allocating_body_bits_and_errors():
+    cases = _workspace_cases()
+    assert _outcomes(ode_integrate_theorem, cases) == _outcomes(_allocating_ode, cases)
+
+
+def test_ode_workspaces_of_four_threads_give_the_one_thread_results():
+    # more threads than cores, switching often: a workspace shared between
+    # threads would mix their paths' arrays
+    cases = _workspace_cases()
+    expected = _outcomes(ode_integrate_theorem, cases)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(lambda _: _outcomes(ode_integrate_theorem, cases), range(4),
+                                 timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [expected] * 4
+
+
+def test_a_repeat_ode_call_allocates_no_array():
+    # a count, not a timing: the allocating body peaked at about 0.75 MB here
+    v = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
+    ode_integrate_theorem(v, 1.0, 0.5, 2.0, 10000)  # grows this thread's workspace
+    tracemalloc.start()
+    try:
+        ode_integrate_theorem(v, 1.0, 0.5, 2.0, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("v, k_start, k_end, steps", [
