@@ -43,8 +43,9 @@ one call; anything else, and every other kernel, goes through the one entry
 point that checks the arguments and turns floating-point failure into
 VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
 and quoted by :func:`_quote`.  :func:`_on_grid` runs a method unchanged over
-a whole grid of k for the oracles, with libm's ``pow`` as the scalar
-formulas have it; it returns every point's value or raises.
+a whole grid of k for the oracles: the grid type (:func:`_grid_type`) holds a
+plain ndarray and applies each operator's ufunc to it, with libm's ``pow`` as
+the scalar formulas have it; it returns every point's value or raises.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -96,11 +97,15 @@ def _is_finite(value: float) -> bool:
 
 
 def _quote(value: object) -> str:
-    """repr(value), or the size of an int with more digits than repr converts."""
+    """repr(value), or the size of an int, or of a Fraction's terms, with more
+    digits than repr converts."""
     try:
         return repr(value)
     except ValueError:
-        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return (f"{'a negative' if value < 0 else 'a'} Fraction of {value.numerator.bit_length()} "
+                f"bits over {value.denominator.bit_length()} bits")
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -808,29 +813,66 @@ class _GridFailed(Exception):
 @functools.cache
 def _grid_type() -> type:
     """The grid-of-k type, built on first use so that importing families loads
-    no numpy: an ndarray whose ``**`` is ``np.float_power`` (libm's ``pow``, as
-    Python's float ``**`` is; ``np.power`` is not), whose truth value is the
-    common truth of its points (mixed truth raises :class:`_GridFailed`), and
-    which formats as its points do, so that an error message about it builds."""
+    no numpy: one float64 ndarray of the points, ``a``, whose every operator a
+    closed form uses applies its ufunc to plain arrays and wraps the result,
+    so that no ufunc pays for an ndarray subclass.  Its ``**`` is
+    ``np.float_power`` (libm's ``pow``, as Python's float ``**`` is;
+    ``np.power`` is not) and its six comparisons are pointwise; numpy defers
+    every operator to it (``__array_ufunc__ = None``), so a ufunc applied to
+    the grid itself raises TypeError.  Its truth value is the common truth of
+    its points (mixed truth raises :class:`_GridFailed`), and it formats as
+    its points do, so that an error message about it builds."""
     import numpy as np
 
-    class _Grid(np.ndarray):
-        __slots__ = ()  # no instance dict: each ufunc's result is cheaper to make
+    class _Grid:
+        __slots__ = ("a",)
+        __array_ufunc__ = None
+        __hash__ = None  # its == is pointwise
 
-        def __pow__(self, other):  # on the plain view, which skips the subclass's ufunc hooks
-            return np.float_power(self.view(np.ndarray), other).view(_Grid)
+        def __init__(self, a) -> None:
+            self.a = a
+
+        @staticmethod
+        def joined(arrays) -> "_Grid":
+            """One grid over the points of several arrays, in order."""
+            return _Grid(np.concatenate(arrays))
+
+        def __neg__(self) -> "_Grid":
+            return _Grid(np.negative(self.a))
+
+        def __abs__(self) -> "_Grid":
+            return _Grid(np.absolute(self.a))
 
         def __bool__(self) -> bool:
-            truth = self.view(np.ndarray)
-            if np.logical_and.reduce(truth):
+            true_points = np.count_nonzero(self.a)
+            if true_points == self.a.size:
                 return True
-            if np.logical_or.reduce(truth):
+            if true_points:
                 raise _GridFailed
             return False
 
         def __format__(self, spec: str) -> str:
-            return ", ".join(format(k, spec) for k in self.tolist())
+            return ", ".join(format(k, spec) for k in self.a.tolist())
 
+    def forward(ufunc):
+        def apply(grid, other):
+            return _Grid(ufunc(grid.a, other.a if type(other) is _Grid else other))
+        return apply
+
+    def reflected(ufunc):
+        def apply(grid, other):  # never a grid: a grid on the left takes forward
+            return _Grid(ufunc(other, grid.a))
+        return apply
+
+    for name, ufunc in (("add", np.add), ("sub", np.subtract), ("mul", np.multiply),
+                        ("truediv", np.divide)):
+        setattr(_Grid, f"__{name}__", forward(ufunc))
+        setattr(_Grid, f"__r{name}__", reflected(ufunc))
+    # no __rpow__: no closed form raises a number to a power of k
+    for name, ufunc in (("pow", np.float_power), ("lt", np.less), ("le", np.less_equal),
+                        ("eq", np.equal), ("ne", np.not_equal), ("gt", np.greater),
+                        ("ge", np.greater_equal)):
+        setattr(_Grid, f"__{name}__", forward(ufunc))
     return _Grid
 
 
@@ -846,7 +888,7 @@ def _as_grid(points, *specs: FamilySpec):
             for spec in specs):
         return None
     import numpy as np
-    return np.array(points, dtype=float).view(_grid_type())
+    return _grid_type()(np.array(points, dtype=float))
 
 
 def _on_grid(spec: FamilySpec, method: str, ks):
@@ -863,9 +905,9 @@ def _on_grid(spec: FamilySpec, method: str, ks):
     import numpy as np
     value = getattr(spec, method)(ks)
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
-    values = value.view(np.ndarray) if isinstance(value, np.ndarray) else np.full(ks.shape, value)
-    if (np.logical_or.reduce(np.isnan(values)) if method == "_bracket"
-            else not np.logical_and.reduce(np.isfinite(values))):
+    values = value.a if type(value) is type(ks) else np.full(ks.a.shape, value)
+    if (np.count_nonzero(np.isnan(values)) if method == "_bracket"
+            else np.count_nonzero(np.isfinite(values)) != values.size):
         raise _GridFailed
     return values
 

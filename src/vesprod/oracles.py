@@ -36,9 +36,9 @@ its (quantity, closed form, reference, scale floor) at k, where
 points.  Where numpy is already loaded, every verifier but the ODE check
 first takes a grid pass (:func:`_grid_pass`): the columns run once with k
 the whole grid, and each ``at`` is one ``families._on_grid`` call over all
-its points (the grid, and k +- h for the finite differences), as one array
-whose powers are libm's ``pow``, so every value keeps the scalar kernel's
-bits.  The grid pass holds the only ``np.errstate`` and the only
+its points (the grid, and k +- h for the finite differences), as one grid of
+k: a plain array whose operators are numpy's ufuncs and whose powers are
+libm's ``pow``, so every value keeps the scalar kernel's bits.  The grid pass holds the only ``np.errstate`` and the only
 ``except`` of that path: where a point is inadmissible or an operation
 fails it returns None, and otherwise it passes on only the comparisons
 that decide the report.  Then, or without numpy loaded (so that a one-shot
@@ -54,9 +54,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
@@ -213,9 +215,16 @@ def _positive(*values) -> bool:
 
 def _check_grid(k_grid: Sequence[float]) -> list[float]:
     """The grid as floats: non-empty, numbers, positive, finite and strictly
-    increasing."""
+    increasing.  Checked in one pass; only a grid that fails it is checked
+    again point by point, which names the first fault."""
+    points = list(k_grid)  # a one-shot iterator, too, can then be checked again
+    with contextlib.suppress(OverflowError, TypeError, ValueError):
+        grid = list(map(float, points))
+        if grid and all(map(math.isfinite, grid)) and min(grid) > 0.0 \
+                and all(map(operator.lt, grid, grid[1:])):
+            return grid
     grid = []
-    for k in k_grid:
+    for k in points:
         try:
             grid.append(float(k))
         except OverflowError:  # an int past the double range
@@ -255,9 +264,10 @@ def _at_point(spec: FamilySpec, method: str, *points: float) -> list[float]:
 def _at_grid(spec: FamilySpec, method: str, *points):
     """``spec.<method>`` over the arrays of k ``points`` from one ``_on_grid``
     call over them all: one row of values per array."""
-    import numpy as np
-    ks = np.concatenate(points) if len(points) > 1 else points[0]
-    return _on_grid(spec, method, ks.view(_grid_type())).reshape(len(points), -1)
+    grid = _grid_type()
+    if len(points) == 1:
+        return (_on_grid(spec, method, grid(points[0])),)
+    return _on_grid(spec, method, grid.joined(points)).reshape(len(points), -1)
 
 
 def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list[_Comparison] | None:
@@ -268,13 +278,14 @@ def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list
     (``families._as_grid``), a float operation fails, or columns raises
     ArithmeticError, VesprodError or ``_GridFailed``: then the scalar loop,
     which names the failure, runs."""
-    k = _as_grid(grid, *specs)
-    if k is None:
+    points = _as_grid(grid, *specs)
+    if points is None:
         return None
     import numpy as np
+    k = points.a  # the columns' own arithmetic runs on the plain array
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            compared = list(columns(k.view(np.ndarray), _at_grid))
+            compared = list(columns(k, _at_grid))
             # row j: column j over the grid; read point by point through .T
             closed = np.array([column[1] for column in compared])
             reference = np.array([column[2] for column in compared])
@@ -283,7 +294,8 @@ def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list
             for row, (*_, floor) in zip(scale, compared):
                 if not isinstance(floor, float) or floor:  # a floor of 0 changes no scale
                     np.maximum(row, floor, out=row)
-            rel = np.divide(abs_err, scale, out=np.zeros(abs_err.shape), where=abs_err != 0.0)
+            # 0 where abs_err is, as the scale is positive wherever abs_err is not
+            rel = abs_err / np.maximum(scale, 5e-324)
     except (ArithmeticError, VesprodError, _GridFailed):  # FloatingPointError included
         return None
     worst = rel.size - 1 - int(rel.T.ravel()[::-1].argmax())  # the last of equal maxima
@@ -339,6 +351,12 @@ def _ode_workspace(steps: int) -> tuple:
             scaled[:3 * steps].reshape(3, steps), sums[:steps + 1])
 
 
+def _nearest_float(value):
+    """A Fraction inside the double range as the float nearest it (so a tiny
+    one is 0.0); any other number as it is."""
+    return float(value) if isinstance(value, Fraction) and _is_finite(value) else value
+
+
 def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                           k_end: float, steps: int) -> float:
     """Propagate y from ``k_start`` to ``k_end`` in ``steps`` (2 to 10**6)
@@ -353,7 +371,8 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     runs in place in its thread's workspace, which is kept between calls and
     grown to the longest such path; any other path allocates its arrays for
     the call, typed as numpy types them (for a numpy float32 or longdouble
-    theta, say).
+    theta, say).  A Fraction, as an end point, ``y_start`` or a parameter, is
+    taken as the float nearest it.
 
     For ``y_start`` consistent with the closed form the result matches
     the closed form at ``k_end`` with relative error O(steps^-4).
@@ -367,6 +386,7 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     value there.  Where several nodes fail, the first in step order is
     reported.
     """
+    k_start, k_end, y_start = map(_nearest_float, (k_start, k_end, y_start))
     for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
         _require_in_domain(name, value)
     if not isinstance(steps, int) or steps < 2:
@@ -378,7 +398,7 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
 
     import numpy as np
 
-    lam, mu, th = v.lam, v.mu, v.theta
+    lam, mu, th = map(_nearest_float, (v.lam, v.mu, v.theta))
     overflow = SingularError(f"k^theta or the integrated y overflows between "
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
     h = (k_end - k_start) / steps

@@ -1041,7 +1041,7 @@ _NUMERIC_CALLS = [
 ]
 
 _OUT_OF_RANGE = (10 ** 400, -10 ** 400, 10 ** 5000, -10 ** 5000, math.nan, math.inf, -math.inf,
-                 Fraction(10 ** 400))
+                 Fraction(10 ** 400), Fraction(-1, 10 ** 5000))
 
 
 def _with(value, slot, args, kwargs):
@@ -1110,9 +1110,17 @@ _BITS = "an int of 16610 bits"  # 10**5000
      f"y_start must be positive and finite, got {_BITS}"),
     (lambda: calibrate_xi(LogLinearParams(a=1, b=0.5, c=1.2), 10 ** 5000), DomainError,
      f"k0 must be positive and finite, got {_BITS}"),
+    # a Fraction whose repr is too long: by the sizes of its numerator and denominator
+    (lambda: eval_intensive(CobbDouglasParams(2.0, 0.5), Fraction(-1, 10 ** 5000)), DomainError,
+     "capital-labor ratio must be positive and finite, got a negative Fraction of 1 bits over "
+     "16610 bits"),
+    (lambda: validity_range(CobbDouglasParams(2.0, 0.5), Fraction(-1, 10 ** 5000), 1.0),
+     ParamError, "probe bounds must satisfy 0 < low < high, got (a negative Fraction of 1 bits "
+     "over 16610 bits, 1.0)"),
 ], ids=["VESParams", "LogLinearParams", "verify_ode", "reduce_special_case", "calibrate_xi",
         "eval_intensive", "eval_intensive-negative", "verify_family", "validity_range",
-        "ode_integrate_theorem", "calibrate_xi-long"])
+        "ode_integrate_theorem", "calibrate_xi-long", "eval_intensive-fraction",
+        "validity_range-fraction"])
 def test_a_large_int_is_rejected_and_quoted_by_its_size(call, error, message):
     with pytest.raises(error) as caught:
         call()

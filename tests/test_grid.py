@@ -41,7 +41,7 @@ from vesprod import (
     verify_sato_hoffman,
     ves_from_loglinear,
 )
-from vesprod.families import _GridFailed, _as_grid, _on_grid
+from vesprod.families import _GridFailed, _as_grid, _grid_type, _on_grid
 import vesprod.oracles as oracles_module
 
 _KERNELS = {"_bracket": bracket_base, "_y": eval_intensive, "_dy": intensive_derivative,
@@ -210,7 +210,7 @@ def test_the_other_verifiers_finish_in_the_grid_pass(monkeypatch, verify, args):
                 return body(spec, k)
             monkeypatch.setattr(cls, method, counted)
     assert verify(*args).passed
-    assert calls and all(isinstance(k, np.ndarray) for k in calls)
+    assert calls and all(isinstance(k, _grid_type()) for k in calls)
 
 
 def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
@@ -219,6 +219,39 @@ def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     with pytest.raises(_GridFailed):
         bool(ks > 1.5)
     assert f"{ks:.3g}" == "1, 2, 3"
+    # every comparison is pointwise, == and != included
+    plain = ks.a
+    for compare in (lambda x, y: x == y, lambda x, y: x != y, lambda x, y: x < y,
+                    lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+        for other in (2.0, np.float64(2.0), _as_grid([3.0, 2.0, 1.0], _SH)):
+            truth = compare(ks, other)
+            assert type(truth) is _grid_type()
+            assert truth.a.tolist() == compare(plain, getattr(other, "a", other)).tolist()
+            # with the grid on the right, Python asks it for the reflected comparison
+            assert (compare(other, ks).a.tolist()
+                    == compare(getattr(other, "a", other), plain).tolist())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ks)
+    # unary - and abs, and every arithmetic operator both ways round, give the
+    # grid type with the plain ndarray's bits
+    signed = _as_grid([-1.5, 0.0, 2.5], _SH)
+    for result, want in ((-signed, -signed.a), (abs(signed), abs(signed.a))):
+        assert type(result) is _grid_type()
+        assert [v.hex() for v in result.a.tolist()] == [v.hex() for v in want.tolist()]
+    for other in (0.3, np.float64(0.3), 7):
+        for apply in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                      lambda x, y: x / y):
+            for result, want in ((apply(ks, other), apply(plain, other)),
+                                 (apply(other, ks), apply(other, plain))):
+                assert type(result) is _grid_type()
+                assert [v.hex() for v in result.a.tolist()] == [v.hex() for v in want.tolist()]
+        # ** is libm's pow, as a float's ** is
+        assert [v.hex() for v in (ks ** other).a.tolist()] == [(k ** float(other)).hex()
+                                                             for k in plain.tolist()]
+    # numpy defers to the grid's own operators: a ufunc of the grid itself raises
+    for ufunc in (np.add, np.exp, np.float_power):
+        with pytest.raises(TypeError):
+            ufunc(ks, 1.0) if ufunc.nin == 2 else ufunc(ks)
 
 
 def test_on_grid_lets_other_exceptions_through(monkeypatch):

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from vesprod import (
     verify_sato_hoffman,
     ves_from_loglinear,
 )
+from vesprod.families import _grid_type, _quote
 import vesprod.oracles as oracles_module
 
 
@@ -474,6 +476,34 @@ def test_ode_input_validation():
         ode_integrate_theorem(v, 1.0, 0.5, 2.0, 1)
 
 
+@pytest.mark.parametrize("fraction", [Fraction(1, 2), Fraction(1, 3), Fraction(-7, 5),
+                                      Fraction(1, 10 ** 400)],
+                         ids=["1/2", "1/3", "-7/5", "rounds-to-0"])
+def test_ode_takes_a_fraction_as_its_nearest_float(fraction):
+    # as an end point, y_start or a parameter: the call with the float in its
+    # place (a DomainError where that float is 0.0)
+    x = float(fraction)
+    calls = [((0.1, 1.0, 0.5, 1.0), fraction, 1.0, 2.0),
+             ((0.1, 1.0, 0.5, 1.0), 2.0, 1.0, fraction),
+             ((0.1, 1.0, 0.5, 1.0), 0.5, fraction, 2.0)]
+    if x != 0.0:  # else VESParams rejects mu = 0.0 but admits its Fraction
+        calls += [((0.1, 1.0, fraction, 1.0), 0.5, 1.0, 2.0),
+                  ((0.1, fraction, 0.5, 1.0), 0.5, 1.0, 2.0),
+                  ((fraction, 1.0, 0.5, 1.0), 0.5, 1.0, 2.0)]
+    for params, *path in calls:
+        with_float = [x if value is fraction else value for value in (*params, *path)]
+        assert _outcomes(ode_integrate_theorem, [(VESParams(*params), *path, 16)]) == \
+            _outcomes(ode_integrate_theorem, [(VESParams(*with_float[:4]), *with_float[4:], 16)])
+
+
+@pytest.mark.parametrize("theta", [np.longdouble(0.5), np.float32(0.5), np.longdouble(1) / 3])
+def test_ode_with_a_numpy_theta_allocates_its_arrays(theta):
+    # typed as numpy types them: a workspace of float64 would round a longdouble
+    # chain otherwise
+    case = (VESParams(0.1, 1.0, theta, 1.0), 0.5, 1.0, 2.0, 100)
+    assert _outcomes(ode_integrate_theorem, [case]) == _outcomes(_allocating_ode, [case])
+
+
 class _ArrayBuilt(Exception):
     pass
 
@@ -584,8 +614,8 @@ def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_v
             return body(spec, k)
         monkeypatch.setattr(VESParams, method, counted)
     verify_family(reference_fit_ves, grid)
-    assert all(isinstance(k, np.ndarray) for _, k in calls)
-    points = [(method, t) for method, k in calls for t in k.tolist()]
+    assert all(isinstance(k, _grid_type()) for _, k in calls)
+    points = [(method, t) for method, k in calls for t in k.a.tolist()]
     for method in ("_R", "_dR", "_sigma"):
         assert [t for m, t in points if m == method and t in grid] == grid, method
 
@@ -651,6 +681,54 @@ def test_verify_family_grid_validation(reference_fit_ves):
         verify_family(reference_fit_ves, [3.0, "a"])
     with pytest.raises(ParamError, match="grid point None is not a number"):
         verify_family(reference_fit_ves, [None])
+
+
+def _per_point_check(k_grid):
+    """The grid's checks point by point, which name its first fault."""
+    grid = []
+    for k in k_grid:
+        try:
+            grid.append(float(k))
+        except OverflowError:
+            raise DomainError(f"grid point {_quote(k)} is not a positive finite number") from None
+        except (TypeError, ValueError):
+            raise ParamError(f"grid point {_quote(k)} is not a number") from None
+    if not grid:
+        raise ParamError("k_grid must contain at least one point")
+    for k in grid:
+        if not (math.isfinite(k) and k > 0.0):
+            raise DomainError(f"grid point {_quote(k)} is not a positive finite number")
+    for lo, hi in zip(grid, grid[1:]):
+        if not lo < hi:
+            raise ParamError("k_grid must be strictly increasing")
+    return grid
+
+
+def _checked(check, k_grid):
+    try:
+        return [v.hex() for v in check(k_grid)]
+    except VesprodError as exc:
+        return type(exc), str(exc)
+
+
+_GRID_POINTS = st.one_of(st.floats(), st.floats(0.1, 10.0), st.integers(-10 ** 400, 10 ** 400),
+                         st.sampled_from(["a", None, Fraction(1, 3), np.float64(2.0), -0.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(_GRID_POINTS, max_size=6), ordered=st.booleans())
+@example(points=[3.0, "a", -1.0], ordered=False)
+@example(points=[2.0, 1.0, -1.0], ordered=False)
+@example(points=[1.0, math.nan, 0.5], ordered=False)
+def test_check_grid_names_the_first_fault_as_the_per_point_checks_do(points, ordered):
+    # the one-pass check and, where it fails, the same grid point by point;
+    # a one-shot iterator is checked as its list is
+    if ordered:
+        with contextlib.suppress(TypeError, OverflowError):  # None, "a", an int past floats
+            points = sorted(points)
+    want = _checked(_per_point_check, points)
+    for form in (list, tuple, iter):
+        assert _checked(oracles_module._check_grid, form(points)) == want
 
 
 def test_verify_family_deterministic(reference_fit_ves):
