@@ -309,7 +309,7 @@ def calibrate_xi(p: LogLinearParams, k0: float) -> float:
     below ``k0``).  The calibration criterion R(k0) = 0 is a convention;
     override xi manually to use a different one.
     """
-    _require_in_domain("k0", k0)
+    k0 = _require_in_domain("k0", k0)
     _check_ves_branch(p)
     b, c = p.b, p.c
     if c == 1.0:

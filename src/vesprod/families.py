@@ -41,8 +41,10 @@ formula reads it.  The five kernels that a trajectory row calls (y, R, R',
 sigma, sigma') return a method's finite value at a positive finite float k in
 one call; anything else, and every other kernel, goes through the one entry
 point that checks the arguments and turns floating-point failure into
-VesprodError.  Every number a caller gives is admitted by :func:`_is_finite`
-and quoted by :func:`_quote`.  :func:`_on_grid` runs a method unchanged over
+VesprodError.  Every number a caller gives is admitted, and from then on
+held, as the float nearest it (:func:`_nearest_float`): a spec stores each
+field so before any test or constant reads it.  :func:`_quote` quotes the
+caller's number.  :func:`_on_grid` runs a method unchanged over
 a whole grid of k for the oracles: the grid type (:func:`_grid_type`) holds a
 plain ndarray and applies each operator's ufunc to it, with libm's ``pow`` as
 the scalar formulas have it; it returns every point's value or raises.
@@ -88,12 +90,15 @@ __all__ = [
 ]
 
 
-def _is_finite(value: float) -> bool:
-    """Whether a number is finite: an int past the largest double is not (never converted)."""
+def _nearest_float(value: float) -> float:
+    """The float nearest a number, or NaN where it is not finite: an int past the
+    largest double is not (never converted)."""
     try:
-        return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+        finite = (abs(value) <= sys.float_info.max if isinstance(value, int)
+                  else math.isfinite(value))
+        return float(value) if finite else math.nan
     except OverflowError:  # a Fraction past the double range
-        return False
+        return math.nan
 
 
 def _quote(value: object) -> str:
@@ -108,20 +113,32 @@ def _quote(value: object) -> str:
                 f"bits over {value.denominator.bit_length()} bits")
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not _is_finite(value):
+_setattr = object.__setattr__  # sets a field or a per-spec constant on a frozen spec
+
+
+def _require_finite(spec: object, name: str) -> float:
+    """Store and return the float nearest a finite field of a spec under construction."""
+    value = getattr(spec, name)
+    number = _nearest_float(value)
+    if math.isnan(number):
         raise ParamError(f"{name} must be finite, got {_quote(value)}")
+    if number is not value:  # a float is its own nearest float
+        _setattr(spec, name, number)
+    return number
 
 
-def _require_positive(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if value <= 0.0:
+def _require_positive(spec: object, name: str) -> None:
+    value = getattr(spec, name)
+    if not _require_finite(spec, name) > 0.0:
         raise ParamError(f"{name} must be positive, got {_quote(value)}")
 
 
-def _require_in_domain(name: str, value: float) -> None:
-    if not (_is_finite(value) and value > 0.0):
+def _require_in_domain(name: str, value: float) -> float:
+    """The float nearest a positive finite number (one that rounds to 0 is not)."""
+    number = _nearest_float(value)
+    if not number > 0.0:
         raise DomainError(f"{name} must be positive and finite, got {_quote(value)}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -147,13 +164,13 @@ class LogLinearParams:
     xi: float | None = None
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_finite("b", self.b)
+        _require_positive(self, "a")
+        _require_finite(self, "b")
         if self.b < 0.0:
             raise ParamError(f"b must be non-negative, got {_quote(self.b)}")
-        _require_positive("c", self.c)
+        _require_positive(self, "c")
         if self.xi is not None:
-            _require_finite("xi", self.xi)
+            _require_finite(self, "xi")
 
     def with_xi(self, xi: float) -> "LogLinearParams":
         """Return a copy with the integration constant set to ``xi``."""
@@ -189,8 +206,6 @@ def _check_lh_branch(p: LogLinearParams) -> None:
 #: product becomes inf, and of 2^-1075, below which a product rounds to 0.
 _LN_MAX = math.log(sys.float_info.max)
 _LN_ZERO = -1075.0 * math.log(2.0)
-
-_setattr = object.__setattr__  # sets a per-spec constant on a frozen spec
 
 
 def _root(e: float, a: float, b: float) -> list[float]:
@@ -272,10 +287,10 @@ class VESParams(_Family):
     _dsnum = _Overflowed()  # -lam mu (theta-1)^2, which sigma' reads first
 
     def __post_init__(self) -> None:
-        _require_finite("lam", self.lam)
-        _require_finite("mu", self.mu)
-        _require_finite("theta", self.theta)
-        _require_positive("psi", self.psi)
+        _require_finite(self, "lam")
+        _require_finite(self, "mu")
+        _require_finite(self, "theta")
+        _require_positive(self, "psi")
         if self.lam == -1.0:
             raise ParamError("lam = -1 is excluded (exponent 1/((1+lam)(1-theta)) undefined)")
         if self.mu == 0.0:
@@ -331,7 +346,7 @@ class VESParams(_Family):
     def _dsigma(self, k: float) -> float:
         lam, th = self.lam, self.theta
         if lam == 0.0 and th != 0.0:  # sigma = 1/theta: the formula's signed zero
-            return float(-lam * self.mu)
+            return -lam * self.mu
         den = lam + self._tm * k ** self._e
         return self._dsnum * k ** (th - 2.0) / den / den
 
@@ -353,8 +368,8 @@ class CobbDouglasParams(_Family):
     beta: float
 
     def __post_init__(self) -> None:
-        _require_positive("A", self.A)
-        _require_finite("beta", self.beta)
+        _require_positive(self, "A")
+        _require_finite(self, "beta")
         if not 0.0 < self.beta < 1.0:
             raise ParamError(f"beta must lie in (0, 1), got {_quote(self.beta)}")
 
@@ -399,11 +414,11 @@ class CESParams(_Family):
     sigma: float
 
     def __post_init__(self) -> None:
-        _require_positive("gamma", self.gamma)
-        _require_finite("delta", self.delta)
+        _require_positive(self, "gamma")
+        _require_finite(self, "delta")
         if not 0.0 < self.delta < 1.0:
             raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
-        _require_positive("sigma", self.sigma)
+        _require_positive(self, "sigma")
         if self.sigma == 1.0:
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
         _setattr(self, "_e", (self.sigma - 1.0) / self.sigma)
@@ -467,11 +482,11 @@ class _WageForm(_Family):
     _A = _dsnum = _Overflowed()
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("b", self.b)
+        _require_positive(self, "a")
+        _require_positive(self, "b")
         if self.b == 1.0:
             raise ParamError("b = 1 is a singular branch of the wage closed form")
-        _require_finite("c", self.c)
+        _require_finite(self, "c")
         if self.c < 0.0:
             raise ParamError(f"c must be non-negative, got {_quote(self.c)}")
         if self.b + self.c == 1.0:
@@ -605,7 +620,7 @@ class LiuHildebrandParams(_WageForm):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require_finite("xi", self.xi)
+        _require_finite(self, "xi")
         self._set_xi(self.xi * (self.b - 1.0) / self.b, self.xi)
 
 
@@ -628,7 +643,7 @@ class LuFletcherParams(_WageForm):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require_finite("zeta", self.zeta)
+        _require_finite(self, "zeta")
         a, b, c, zeta = self.a, self.b, self.c, self.zeta
         _setattr(self, "_zc", zeta * (1.0 - c) * (1.0 - b - c))
         _setattr(self, "_zb", zeta * b * (1.0 - b - c))
@@ -666,15 +681,15 @@ class SatoHoffmanParams(_Family):
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_positive("gamma", self.gamma)
-        _require_finite("delta", self.delta)
+        _require_positive(self, "gamma")
+        _require_finite(self, "delta")
         if not 0.0 < self.delta < 1.0:
             raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
-        _require_finite("rho", self.rho)
+        _require_finite(self, "rho")
         dr = self.delta * self.rho
         if not 0.0 <= dr <= 1.0:
             raise ParamError(f"delta*rho must lie in [0, 1], got {_quote(dr)}")
-        _require_positive("alpha", self.alpha)
+        _require_positive(self, "alpha")
         _setattr(self, "_dr", dr)
         _setattr(self, "_bound", math.inf if self.rho >= 1.0 else (1.0 - dr) / (1.0 - self.rho))
         _setattr(self, "_a1", self.alpha * (1.0 - dr))
@@ -778,22 +793,23 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     k on a family spec from one call, and hand every other input here to
     recompute; the others call it directly.
 
-    Rejects a non-family spec with TypeError and checks k (or K and L)
-    once.  It is the one place that says what a floating-point failure in
-    a closed form means: an overflowing power raises DomainError; a
-    division by zero (a pole, or a term that rounded to 0) and a result
-    that is not finite raise SingularError.  Only ``_bracket``, of which
-    just the sign matters, may return +-inf (Cobb-Douglas has none: inf).
+    Rejects a non-family spec with TypeError and admits k (or K and L)
+    once, as the float nearest it.  It is the one place that says what a
+    floating-point failure in a closed form means: an overflowing power
+    raises DomainError; a division by zero (a pole, or a term that rounded
+    to 0) and a result that is not finite raise SingularError.  Only
+    ``_bracket``, of which just the sign matters, may return +-inf
+    (Cobb-Douglas has none: inf).
     """
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     try:
         if L is None:
-            _require_in_domain("capital-labor ratio", k)
+            k = _require_in_domain("capital-labor ratio", k)
             value = getattr(spec, method)(k)
         else:
-            _require_in_domain("capital input", k)
-            _require_in_domain("labor input", L)
+            k = _require_in_domain("capital input", k)
+            L = _require_in_domain("labor input", L)
             value = getattr(spec, method)(k, L)
         if math.isfinite(value) or (method == "_bracket" and not math.isnan(value)):
             return value
@@ -879,13 +895,9 @@ def _grid_type() -> type:
 def _as_grid(points, *specs: FamilySpec):
     """Positive finite float points as a grid of k for :func:`_on_grid`, or None
     where the grid pass does not run: numpy is not loaded (a one-shot check
-    would pay its import for nothing), a spec is no family spec (which the
-    kernels reject), or a spec holds a parameter that is not a float (an int
-    or a numpy scalar computes otherwise than in an array of floats)."""
-    if "numpy" not in sys.modules or not all(
-            isinstance(spec, _Family)
-            and all(type(getattr(spec, name)) is float for name in spec.__dataclass_fields__)
-            for spec in specs):
+    would pay its import for nothing), or a spec is no family spec (which the
+    kernels reject)."""
+    if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
         return None
     import numpy as np
     return _grid_type()(np.array(points, dtype=float))
@@ -1108,13 +1120,14 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
     met but the target cannot be built (b ~ 0 with c >= 1; for CES, xi unset,
     b = 1, or no finite gamma and delta that CESParams admits), p is returned.
     """
-    if not (_is_finite(tol) and tol >= 0.0):
+    tolerance = _nearest_float(tol)
+    if not tolerance >= 0.0:
         raise ParamError(f"tol must be a non-negative float, got {_quote(tol)}")
-    if abs(p.b) <= tol:
+    if abs(p.b) <= tolerance:
         if 0.0 < p.c < 1.0:
             return CobbDouglasParams(A=p.a, beta=p.c)
         return p
-    if abs(p.c - 1.0) <= tol:
+    if abs(p.c - 1.0) <= tolerance:
         try:
             gamma, delta = _gamma_delta(p, p.a ** (-1.0 / p.b))
             return CESParams(gamma=gamma, delta=delta, sigma=p.b)

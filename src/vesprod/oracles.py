@@ -58,7 +58,6 @@ import operator
 import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
@@ -71,7 +70,7 @@ from .families import (
     _evaluate,
     _grid_type,
     _GridFailed,
-    _is_finite,
+    _nearest_float,
     _on_grid,
     _quote,
     _require_in_domain,
@@ -138,9 +137,11 @@ def _report(name: str, points: int, tolerance: float,
     exactly; the last of several equal maxima locates the worst error.  A
     tolerance that is NaN, negative or infinite raises ParamError, and a
     reference that is not finite (which no relative error can score)
-    SingularError naming the check, the quantity and k."""
-    if not (tolerance >= 0.0 and _is_finite(tolerance)):
-        raise ParamError(f"tolerance must be a non-negative finite number, got {_quote(tolerance)}")
+    SingularError naming the check, the quantity and k.  The report holds the
+    float nearest the tolerance."""
+    given, tolerance = tolerance, _nearest_float(tolerance)
+    if not tolerance >= 0.0:
+        raise ParamError(f"tolerance must be a non-negative finite number, got {_quote(given)}")
     max_abs = max_rel = 0.0
     worst_k = worst_quantity = None
     for quantity, k, closed, reference, scale_floor in comparisons:
@@ -335,26 +336,21 @@ _workspace = threading.local()
 
 
 def _ode_workspace(steps: int) -> tuple:
-    """This thread's ODE arrays for a path of ``steps`` steps (at most
-    ``_WORKSPACE_STEPS``), as views: the ramp 0, 1, ..., steps-1, k, the nodes
-    and their (1+lam) multiples as (3, steps), and the running sums.  They
-    are kept between calls, grown to the longest path run, so that a call
-    allocates no array."""
+    """The ODE arrays for a path of ``steps`` steps, as views: the ramp 0, 1,
+    ..., steps-1, k, the nodes and their (1+lam) multiples as (3, steps), and
+    the running sums.  Up to ``_WORKSPACE_STEPS`` steps they are this
+    thread's, kept between calls and grown to the longest path run, so that a
+    call allocates no array; a longer path gets fresh arrays."""
     import numpy as np
     arrays = getattr(_workspace, "arrays", None)
     if arrays is None or len(arrays[0]) < steps:
-        arrays = _workspace.arrays = (np.arange(steps, dtype=float), np.empty(steps),
-                                      np.empty(3 * steps), np.empty(3 * steps),
-                                      np.empty(steps + 1))
+        arrays = (np.arange(steps, dtype=float), np.empty(steps), np.empty(3 * steps),
+                  np.empty(3 * steps), np.empty(steps + 1))
+        if steps <= _WORKSPACE_STEPS:
+            _workspace.arrays = arrays
     ramp, k, nodes, scaled, sums = arrays
     return (ramp[:steps], k[:steps], nodes[:3 * steps].reshape(3, steps),
             scaled[:3 * steps].reshape(3, steps), sums[:steps + 1])
-
-
-def _nearest_float(value):
-    """A Fraction inside the double range as the float nearest it (so a tiny
-    one is 0.0); any other number as it is."""
-    return float(value) if isinstance(value, Fraction) and _is_finite(value) else value
 
 
 def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
@@ -367,12 +363,9 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     rule: the left ends k_start + i h, the midpoints and the right ends of
     the steps are evaluated as one numpy array each (numpy is imported on
     the first call), and the step increments are added in step order.  A
-    path of up to 2**14 steps with a float step and a float or int theta
-    runs in place in its thread's workspace, which is kept between calls and
-    grown to the longest such path; any other path allocates its arrays for
-    the call, typed as numpy types them (for a numpy float32 or longdouble
-    theta, say).  A Fraction, as an end point, ``y_start`` or a parameter, is
-    taken as the float nearest it.
+    path of up to 2**14 steps runs in its thread's workspace, which is kept
+    between calls and grown to the longest such path; a longer path
+    allocates its arrays for the call.
 
     For ``y_start`` consistent with the closed form the result matches
     the closed form at ``k_end`` with relative error O(steps^-4).
@@ -386,9 +379,8 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     value there.  Where several nodes fail, the first in step order is
     reported.
     """
-    k_start, k_end, y_start = map(_nearest_float, (k_start, k_end, y_start))
-    for name, value in (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)):
-        _require_in_domain(name, value)
+    k_start, k_end, y_start = (_require_in_domain(name, value) for name, value in
+                               (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)))
     if not isinstance(steps, int) or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {_quote(steps)}")
     if steps > 10 ** 6:
@@ -398,34 +390,25 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
 
     import numpy as np
 
-    lam, mu, th = map(_nearest_float, (v.lam, v.mu, v.theta))
+    lam, mu, th = v.lam, v.mu, v.theta
     overflow = SingularError(f"k^theta or the integrated y overflows between "
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
     h = (k_end - k_start) / steps
     stages = (0.0, 0.5 * h, h)
-    in_place = steps <= _WORKSPACE_STEPS and isinstance(h, float) and isinstance(th, (float, int))
-    if in_place:
-        ramp, k, nodes, scaled, sums = _ode_workspace(steps)
-        np.multiply(ramp, h, out=k)
-        k += k_start
-    else:
-        k = k_start + np.arange(steps) * h
-        nodes, scaled = np.empty((3, steps)), np.empty((3, steps))
+    ramp, k, nodes, scaled, sums = _ode_workspace(steps)
+    np.multiply(ramp, h, out=k)
+    k += k_start
     for j, stage in enumerate(stages):  # row j: stage j of every step, each row one contiguous pass
         np.add(k, stage, out=nodes[j])
     with np.errstate(all="ignore"):
         np.multiply(nodes, 1.0 + lam, out=scaled)
-        if in_place:
-            nodes **= th  # numpy dispatches it as nodes ** th
-            den = nodes
-        else:
-            den = nodes ** th
-            sums = np.empty(steps + 1, den.dtype)
+        nodes **= th  # numpy dispatches it as nodes ** th
+        den = nodes
         den *= mu
         den += scaled
         # the masks of failing nodes, only where min and max (NaN if a node is)
-        # do not show every node finite and of one sign; always on an allocated path
-        lo, hi = (den.min(), den.max()) if in_place else (math.nan, math.nan)
+        # do not show every node finite and of one sign
+        lo, hi = den.min(), den.max()
         if not (0.0 < lo and hi < math.inf or -math.inf < lo and hi < 0.0):
             # k^theta again, from the nodes built into the (1+lam) multiples no longer read
             finite = np.isfinite(np.add(k, np.reshape(stages, (3, 1)), out=scaled) ** th)
@@ -464,6 +447,7 @@ def verify_ode(v: VESParams, k_start: float, k_end: float, steps: int,
     steps and compare with the closed-form y(k_end); the report counts the
     steps as its points."""
     y_start = eval_intensive(v, k_start)
+    k_end = _require_in_domain("k_end", k_end)
     y_end = ode_integrate_theorem(v, k_start, y_start, k_end, steps)
     y_ref = eval_intensive(v, k_end)
     if y_ref == 0.0:

@@ -53,7 +53,7 @@ from .families import (
     _check_ves_branch,
     _construct,
     _evaluate,
-    _is_finite,
+    _nearest_float,
     _parameter_space,
     _quote,
     _require_in_domain,
@@ -232,7 +232,7 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     positive; the latter failing means the implied capital share
     beta = k y' / y is at least c, which the relation rules out.
     """
-    _require_in_domain("capital-labor ratio", k)
+    k = _require_in_domain("capital-labor ratio", k)
     wage = y - k * y_prime
     if wage <= 0.0:
         raise ShareError(f"wage share y - k*y' = {wage:.6g} <= 0: inputs are not "
@@ -254,7 +254,7 @@ def sigma_from_mrs(p: LogLinearParams, k: float) -> float:
     constant b; as k grows it tends to 1/c when c > b and to 1/b when
     c <= b, so sigma tends to b/c or to 1.
     """
-    _require_in_domain("capital-labor ratio", k)
+    k = _require_in_domain("capital-labor ratio", k)
     v = ves_from_loglinear(p)  # validates the branch and xi
     R = mrs_closed(v, k)
     return p.b * R / (p.c * R + (p.c - 1.0) * k)
@@ -375,12 +375,12 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     (never an exception) when no grid point is valid.  The probe bounds are
     taken as the floats nearest them, and the interval's ends are floats.
     """
-    if not (0.0 < k_probe_low < k_probe_high and _is_finite(k_probe_high)
-            and float(k_probe_low) > 0.0):  # a low bound may round to 0
-        raise ParamError(f"probe bounds must satisfy 0 < low < high, got "
-                         f"({_quote(k_probe_low)}, {_quote(k_probe_high)})")
-    k_probe_low, k_probe_high = float(k_probe_low), float(k_probe_high)
-    if not (isinstance(samples, int) and 2 <= samples and _is_finite(samples)):
+    given = k_probe_low, k_probe_high
+    k_probe_low, k_probe_high = map(_nearest_float, given)
+    if not 0.0 < k_probe_low < k_probe_high:  # NaN where a bound is not finite
+        raise ParamError("probe bounds must satisfy 0 < low < high, got "
+                         f"({', '.join(map(_quote, given))})")
+    if not (isinstance(samples, int) and 2 <= _nearest_float(samples)):  # NaN past the double range
         raise ParamError("samples must be an integer >= 2")
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
@@ -439,9 +439,11 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
                points: int) -> list[tuple[float, ...]]:
     """Rows (k, y, R, R', sigma, sigma') at `points` (2 to 10**6) log-spaced k
     across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
-    an end the range binds.  Returns every row or raises, never part of them."""
+    an end the range binds, with the window's bounds taken as the floats nearest
+    them.  Returns every row or raises, never part of them."""
     _require_points(points)
     interval = validity_range(spec, k_from, k_to)
+    k_from, k_to = float(k_from), float(k_to)  # finite: validity_range admitted them
     lo, hi = interval.clip(k_from, k_to)
     if lo > k_from:  # keep inside a binding end
         lo *= 1.0 + 1e-9

@@ -1071,6 +1071,33 @@ def test_a_number_out_of_range_returns_or_raises_a_vesprod_error(function, args,
                 pass
 
 
+#: numbers that are not floats, next to one: each is admitted as the float nearest it
+_NEAR_FLOATS = (Fraction(1, 3), Fraction(10), Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400),
+                1 + Fraction(1, 10 ** 400), -1 + Fraction(1, 10 ** 400),
+                Fraction(1, 2) + Fraction(1, 10 ** 400), 2, 0, -1)
+
+
+def _repr_or_error(function, args, kwargs):
+    """The repr of the call's result, or the type of its VesprodError."""
+    try:
+        return repr(function(*args, **kwargs))
+    except VesprodError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("function, args, kwargs", _NUMERIC_CALLS,
+                         ids=[function.__name__ for function, _, _ in _NUMERIC_CALLS])
+def test_a_number_gives_what_its_nearest_float_gives(function, args, kwargs):
+    # every float slot (the int-only counts samples, points and steps are none)
+    slots = [*(i for i, arg in enumerate(args) if isinstance(arg, (float, list))),
+             *(name for name, arg in kwargs.items() if isinstance(arg, float))]
+    assert slots
+    for slot in slots:
+        for value in _NEAR_FLOATS:
+            assert _repr_or_error(function, *_with(value, slot, args, kwargs)) == \
+                _repr_or_error(function, *_with(float(value), slot, args, kwargs)), (slot, value)
+
+
 def test_validity_range_takes_fraction_and_int_bounds_as_the_nearest_floats():
     cd = CobbDouglasParams(2.0, 0.5)
     # a ratio of bounds past the double range is spaced in log space, as for floats

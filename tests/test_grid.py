@@ -265,9 +265,16 @@ def test_on_grid_lets_other_exceptions_through(monkeypatch):
 
 def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
     assert _as_grid([1.0], CobbDouglasParams(2.0, 0.4)) is not None
-    # an int or a numpy scalar parameter computes otherwise in an array of floats
-    assert _as_grid([1.0], CobbDouglasParams(2, 0.4)) is None
-    assert _as_grid([1.0], CobbDouglasParams(np.float64(2.0), 0.4)) is None
+    # every spec holds float parameters: one given as an int or a numpy scalar
+    # takes the grid pass and gives its float twin's report
+    grid = [0.5, 1.0, 2.0]
+    for spec, twin in ((CobbDouglasParams(2, 0.4), CobbDouglasParams(2.0, 0.4)),
+                       (CobbDouglasParams(np.float64(2.0), 0.4), CobbDouglasParams(2.0, 0.4)),
+                       (SatoHoffmanParams(1, np.float64(0.5), 1.5),
+                        SatoHoffmanParams(1.0, 0.5, 1.5)),
+                       (VESParams(0, 1, 2, 1), VESParams(0.0, 1.0, 2.0, 1.0))):
+        assert _as_grid([1.0], spec) is not None
+        assert repr(verify_family(spec, grid)) == repr(verify_family(twin, grid))
     # what is no family spec the scalar kernels reject with TypeError
     spec = LogLinearParams(1.0, 0.5, 0.2, -1.0)
     assert _as_grid([1.0], spec) is None

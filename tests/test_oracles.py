@@ -481,27 +481,47 @@ def test_ode_input_validation():
                          ids=["1/2", "1/3", "-7/5", "rounds-to-0"])
 def test_ode_takes_a_fraction_as_its_nearest_float(fraction):
     # as an end point, y_start or a parameter: the call with the float in its
-    # place (a DomainError where that float is 0.0)
+    # place (a ParamError from VESParams, or a DomainError, where that float is
+    # 0.0 or negative); a rejected end point's message quotes the Fraction
     x = float(fraction)
     calls = [((0.1, 1.0, 0.5, 1.0), fraction, 1.0, 2.0),
              ((0.1, 1.0, 0.5, 1.0), 2.0, 1.0, fraction),
-             ((0.1, 1.0, 0.5, 1.0), 0.5, fraction, 2.0)]
-    if x != 0.0:  # else VESParams rejects mu = 0.0 but admits its Fraction
-        calls += [((0.1, 1.0, fraction, 1.0), 0.5, 1.0, 2.0),
-                  ((0.1, fraction, 0.5, 1.0), 0.5, 1.0, 2.0),
-                  ((fraction, 1.0, 0.5, 1.0), 0.5, 1.0, 2.0)]
+             ((0.1, 1.0, 0.5, 1.0), 0.5, fraction, 2.0),
+             ((0.1, 1.0, fraction, 1.0), 0.5, 1.0, 2.0),
+             ((0.1, fraction, 0.5, 1.0), 0.5, 1.0, 2.0),
+             ((fraction, 1.0, 0.5, 1.0), 0.5, 1.0, 2.0)]
+
+    def outcome(params, *path):
+        try:
+            return _outcomes(ode_integrate_theorem, [(VESParams(*params), *path, 16)])
+        except ParamError as exc:
+            return [f"ParamError: {exc}"]
+
     for params, *path in calls:
         with_float = [x if value is fraction else value for value in (*params, *path)]
-        assert _outcomes(ode_integrate_theorem, [(VESParams(*params), *path, 16)]) == \
-            _outcomes(ode_integrate_theorem, [(VESParams(*with_float[:4]), *with_float[4:], 16)])
+        expected = outcome(with_float[:4], *with_float[4:])
+        if any(value is fraction for value in path):
+            expected = [e.replace(f"got {x!r}", f"got {fraction!r}") for e in expected]
+        assert outcome(params, *path) == expected
 
 
-@pytest.mark.parametrize("theta", [np.longdouble(0.5), np.float32(0.5), np.longdouble(1) / 3])
-def test_ode_with_a_numpy_theta_allocates_its_arrays(theta):
-    # typed as numpy types them: a workspace of float64 would round a longdouble
-    # chain otherwise
-    case = (VESParams(0.1, 1.0, theta, 1.0), 0.5, 1.0, 2.0, 100)
-    assert _outcomes(ode_integrate_theorem, [case]) == _outcomes(_allocating_ode, [case])
+@pytest.mark.parametrize("number", [np.longdouble(0.5), np.float32(0.5), np.longdouble(1) / 3,
+                                    np.longdouble(2) / 3],
+                         ids=["longdouble-1/2", "float32-1/2", "longdouble-1/3", "longdouble-2/3"])
+def test_ode_takes_a_numpy_number_as_its_float64_twin(number):
+    # the spec holds the float nearest a numpy theta, and the ODE admits an end
+    # point or y_start so: the float64 workspace computes either
+    x = float(number)
+    spec, twin = VESParams(0.1, 1.0, number, 1.0), VESParams(0.1, 1.0, x, 1.0)
+    assert type(spec.theta) is float and repr(spec) == repr(twin)
+    v = VESParams(0.1, 1.0, 0.5, 1.0)
+    pairs = [((spec, 0.5, 1.0, 2.0), (twin, 0.5, 1.0, 2.0)),
+             ((v, number, 1.0, 2.0), (v, x, 1.0, 2.0)),
+             ((v, 2.0, 1.0, number), (v, 2.0, 1.0, x)),
+             ((v, 0.5, number, 2.0), (v, 0.5, x, 2.0))]
+    for case, float_case in pairs:
+        assert _outcomes(ode_integrate_theorem, [(*case, 100)]) == \
+            _outcomes(ode_integrate_theorem, [(*float_case, 100)])
 
 
 class _ArrayBuilt(Exception):

@@ -701,7 +701,8 @@ def test_sigma_prime_does_not_round_to_zero():
     (LiuHildebrandParams(a=1.0, b=0.5, c=2e154, xi=0.0), 2.0, 0.0),
     # where the full formula is finite, the same bits as it
     (VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0), 2.0, -0.0),
-    (VESParams(lam=0, mu=1, theta=2, psi=1), 2.0, 0.0),
+    # an int parameter is held as its float: the same -0.0 as the row above
+    (VESParams(lam=0, mu=1, theta=2, psi=1), 2.0, -0.0),
     (VESParams(lam=0.0, mu=-1.0, theta=2.0, psi=1.0), 0.5, 0.0),
     (LiuHildebrandParams(a=1.0, b=2.0, c=0.2, xi=0.0), 2.0, -0.0),
 ])
