@@ -45,9 +45,11 @@ VesprodError.  Every number a caller gives is admitted, and from then on
 held, as the float nearest it (:func:`_nearest_float`): a spec stores each
 field so before any test or constant reads it.  :func:`_quote` quotes the
 caller's number.  :func:`_on_grid` runs a method unchanged over
-a whole grid of k for the oracles: the grid type (:func:`_grid_type`) holds a
-plain ndarray and applies each operator's ufunc to it, with libm's ``pow`` as
-the scalar formulas have it; it returns every point's value or raises.
+plain float64 arrays of k (:func:`_as_grid` gives one) for the oracles: it
+wraps them in one grid of k (:func:`_grid_type`), which holds a plain ndarray
+and applies each operator's ufunc to it, with libm's ``pow`` as the scalar
+formulas have it, and returns per array one row of its points' values, or
+raises.  No grid leaves this module.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -539,18 +541,20 @@ class _WageForm(_Family):
                 f"{type(self).__name__}: bracketed base is non-positive at K/L = {K / L:.12g}")
         return A * base ** self._ey
 
+    def _dS(self, k: float) -> float:
+        """S', the derivative of the bracket S = m k^((b-1)/b) + n k^(-c/b)."""
+        m, n, b, c = self._m, self._n, self.b, self.c
+        return m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
+
     def _dy(self, k: float) -> float:
         base = self._positive_bracket(k)
-        m, n, A = self._m, self._n, self._A
-        b, c = self.b, self.c
-        Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
+        A, b, Sp = self._A, self.b, self._dS(k)
         return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
 
     def _d2y(self, k: float) -> float:
         base = self._positive_bracket(k)
-        m, n, A = self._m, self._n, self._A
-        b, c = self.b, self.c
-        Sp = m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
+        A, b, Sp = self._A, self.b, self._dS(k)
+        m, n, c = self._m, self._n, self.c
         Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
                + n * c * (b + c) / b ** 2 * k ** (-(2.0 * b + c) / b))
         return A * b / (b - 1.0) * (base ** ((2.0 - b) / (b - 1.0)) * Sp ** 2 / (b - 1.0)
@@ -726,30 +730,29 @@ class SatoHoffmanParams(_Family):
         inner = L + (self.rho - 1.0) * K
         return self.gamma * K ** self._a1 * inner ** self._adr
 
-    def _dy(self, k: float) -> float:
-        y = self._y(k)
+    def _log_slope(self, k: float) -> tuple[float, float]:
+        """G = 1 + (rho-1) k and the log-slope g = y'/y."""
         dr = self._dr
         G = 1.0 + (self.rho - 1.0) * k
-        g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
-        return y * g
+        return G, self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
+
+    def _dy(self, k: float) -> float:
+        return self._y(k) * self._log_slope(k)[1]
 
     def _d2y(self, k: float) -> float:
         y = self._y(k)
         dr = self._dr
-        G = 1.0 + (self.rho - 1.0) * k
-        g = self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
+        G, g = self._log_slope(k)
         gp = self.alpha * (-(1.0 - dr) / k ** 2 - dr * (self.rho - 1.0) ** 2 / G ** 2)
         return y * (g * g + gp)
 
     def _R(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self._dr
-        return dr * k / ((1.0 - dr) + (self.rho - 1.0) * k)
+        return self._dr * k / self._bracket(k)
 
     def _dR(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self._dr
-        D = (1.0 - dr) + (self.rho - 1.0) * k
+        dr, D = self._dr, self._bracket(k)
         return dr * (1.0 - dr) / (D * D)
 
     def _sigma(self, k: float) -> float:
@@ -848,11 +851,6 @@ def _grid_type() -> type:
         def __init__(self, a) -> None:
             self.a = a
 
-        @staticmethod
-        def joined(arrays) -> "_Grid":
-            """One grid over the points of several arrays, in order."""
-            return _Grid(np.concatenate(arrays))
-
         def __neg__(self) -> "_Grid":
             return _Grid(np.negative(self.a))
 
@@ -893,20 +891,21 @@ def _grid_type() -> type:
 
 
 def _as_grid(points, *specs: FamilySpec):
-    """Positive finite float points as a grid of k for :func:`_on_grid`, or None
-    where the grid pass does not run: numpy is not loaded (a one-shot check
-    would pay its import for nothing), or a spec is no family spec (which the
-    kernels reject)."""
+    """Positive finite float points as the float64 array of k that
+    :func:`_on_grid` takes, or None where the grid pass does not run: numpy is
+    not loaded (a one-shot check would pay its import for nothing), or a spec
+    is no family spec (which the kernels reject)."""
     if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
         return None
     import numpy as np
-    return _grid_type()(np.array(points, dtype=float))
+    return np.array(points, dtype=float)
 
 
-def _on_grid(spec: FamilySpec, method: str, ks):
-    """``spec.<method>`` at every point of the grid of k ``ks`` (from
-    :func:`_as_grid`, or arithmetic on one) from one call of the unchanged
-    method, as an ndarray: the kernel's value at each point, bit for bit.
+def _on_grid(spec: FamilySpec, method: str, *arrays):
+    """``spec.<method>`` at every point of the float64 arrays of k ``arrays``
+    (from :func:`_as_grid`, or arithmetic on one; all of one length) from one
+    call of the unchanged method over one grid of them all: one row of values
+    per array, in order, each the kernel's value at each point, bit for bit.
     It runs under the ``np.errstate(over/divide/invalid="raise")`` that the
     oracles' grid pass (``oracles._grid_pass``) sets, and raises where the
     kernel could fail at a point: the method's ArithmeticError
@@ -915,13 +914,15 @@ def _on_grid(spec: FamilySpec, method: str, ks):
     points do not all take or a value that is not finite (for the bracket:
     NaN)."""
     import numpy as np
-    value = getattr(spec, method)(ks)
+    grid = _grid_type()
+    ks = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    value = getattr(spec, method)(grid(ks))
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
-    values = value.a if type(value) is type(ks) else np.full(ks.a.shape, value)
+    values = value.a if type(value) is grid else np.full(ks.shape, value)
     if (np.count_nonzero(np.isnan(values)) if method == "_bracket"
             else np.count_nonzero(np.isfinite(values)) != values.size):
         raise _GridFailed
-    return values
+    return (values,) if len(arrays) == 1 else values.reshape(len(arrays), -1)
 
 
 def bracket_base(spec: FamilySpec, k: float) -> float:

@@ -35,19 +35,19 @@ its (quantity, closed form, reference, scale floor) at k, where
 ``at(spec, method, *points)`` gives a closed-form method's values at the
 points.  Where numpy is already loaded, every verifier but the ODE check
 first takes a grid pass (:func:`_grid_pass`): the columns run once with k
-the whole grid, and each ``at`` is one ``families._on_grid`` call over all
-its points (the grid, and k +- h for the finite differences), as one grid of
-k: a plain array whose operators are numpy's ufuncs and whose powers are
-libm's ``pow``, so every value keeps the scalar kernel's bits.  The grid pass holds the only ``np.errstate`` and the only
-``except`` of that path: where a point is inadmissible or an operation
-fails it returns None, and otherwise it passes on only the comparisons
-that decide the report.  Then, or without numpy loaded (so that a one-shot
-check does not pay numpy's import), the scalar loop runs: it names the
-first inadmissible point (for :func:`verify_family`, as
-:func:`violated_constraints` finds it), and then runs the same columns
-point by point, with ``at`` the kernels' one error boundary
-(``families._evaluate``) at each point in turn, so it names the first
-failure.
+the plain float64 array of the grid's points (``families._as_grid``), and
+``at`` is ``families._on_grid`` itself, which runs the method once over one
+grid of k built from all its arrays (the grid, and k +- h for the finite
+differences) and keeps every value to the scalar kernel's bits.  The grid
+pass holds the only ``np.errstate`` and the only ``except`` of that path:
+where a point is inadmissible or an operation fails it returns None, and
+otherwise it passes on only the comparisons that decide the report.  Then,
+or without numpy loaded (so that a one-shot check does not pay numpy's
+import), the scalar loop runs: it names the first inadmissible point (for
+:func:`verify_family`, as :func:`violated_constraints` finds it), and then
+runs the same columns point by point, with ``at`` the kernels' one error
+boundary (``families._evaluate``) at each point in turn, so it names the
+first failure.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .families import (
     VESParams,
     _as_grid,
     _evaluate,
-    _grid_type,
     _GridFailed,
     _nearest_float,
     _on_grid,
@@ -216,19 +215,22 @@ def _positive(*values) -> bool:
 
 def _check_grid(k_grid: Sequence[float]) -> list[float]:
     """The grid as floats: non-empty, numbers, positive, finite and strictly
-    increasing.  Checked in one pass; only a grid that fails it is checked
-    again point by point, which names the first fault."""
+    increasing.  A number is what ``math.isfinite`` admits, as in
+    ``families._nearest_float``: not a str or bytes, which ``float`` would
+    parse.  Checked in one pass; only a grid that fails it is checked again
+    point by point, which names the first fault."""
     points = list(k_grid)  # a one-shot iterator, too, can then be checked again
     with contextlib.suppress(OverflowError, TypeError, ValueError):
-        grid = list(map(float, points))
-        if grid and all(map(math.isfinite, grid)) and min(grid) > 0.0 \
-                and all(map(operator.lt, grid, grid[1:])):
-            return grid
+        if points and all(map(math.isfinite, points)):
+            grid = list(map(float, points))
+            if min(grid) > 0.0 and all(map(operator.lt, grid, grid[1:])):
+                return grid
     grid = []
     for k in points:
         try:
+            math.isfinite(k)  # TypeError for a str or bytes, which float() parses
             grid.append(float(k))
-        except OverflowError:  # an int past the double range
+        except OverflowError:  # an int or a Fraction past the double range
             raise DomainError(f"grid point {_quote(k)} is not a positive finite number") from None
         except (TypeError, ValueError):
             raise ParamError(f"grid point {_quote(k)} is not a number") from None
@@ -262,31 +264,21 @@ def _at_point(spec: FamilySpec, method: str, *points: float) -> list[float]:
     return [_evaluate(spec, method, k) for k in points]
 
 
-def _at_grid(spec: FamilySpec, method: str, *points):
-    """``spec.<method>`` over the arrays of k ``points`` from one ``_on_grid``
-    call over them all: one row of values per array."""
-    grid = _grid_type()
-    if len(points) == 1:
-        return (_on_grid(spec, method, grid(points[0])),)
-    return _on_grid(spec, method, grid.joined(points)).reshape(len(points), -1)
-
-
 def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list[_Comparison] | None:
-    """Of the columns that ``columns(k, _at_grid)`` yields over the grid of k,
-    the comparisons that decide :func:`_report`'s result: one with the largest
-    absolute error, then the last with the largest relative error, each with
-    its scale as its scale floor.  None where the grid pass does not run
-    (``families._as_grid``), a float operation fails, or columns raises
-    ArithmeticError, VesprodError or ``_GridFailed``: then the scalar loop,
-    which names the failure, runs."""
-    points = _as_grid(grid, *specs)
-    if points is None:
+    """Of the columns that ``columns(k, families._on_grid)`` yields with k the
+    array of the grid's points, the comparisons that decide :func:`_report`'s
+    result: one with the largest absolute error, then the last with the largest
+    relative error, each with its scale as its scale floor.  None where the grid
+    pass does not run (``families._as_grid``), a float operation fails, or
+    columns raises ArithmeticError, VesprodError or ``_GridFailed``: then the
+    scalar loop, which names the failure, runs."""
+    k = _as_grid(grid, *specs)
+    if k is None:
         return None
     import numpy as np
-    k = points.a  # the columns' own arithmetic runs on the plain array
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            compared = list(columns(k, _at_grid))
+            compared = list(columns(k, _on_grid))
             # row j: column j over the grid; read point by point through .T
             closed = np.array([column[1] for column in compared])
             reference = np.array([column[2] for column in compared])

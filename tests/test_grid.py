@@ -117,15 +117,19 @@ _EXAMPLES = [
 ]
 
 
-def _values_or_none(spec, method, grid):
-    """_on_grid's values over the grid, under the np.errstate that the grid
-    pass sets, or None where it raises a failure on which the grid pass falls
-    back to the scalar loop."""
+def _values_or_none(spec, method, *grids):
+    """_on_grid's rows of values over the grids, one call over them all, under
+    the np.errstate that the grid pass sets, or None where it raises a failure
+    on which the grid pass falls back to the scalar loop."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _on_grid(spec, method, _as_grid(grid, spec))
+            return _on_grid(spec, method, *(_as_grid(grid, spec) for grid in grids))
     except (ArithmeticError, VesprodError, _GridFailed):
         return None
+
+
+def _hex(values):
+    return [v.hex() for v in values.tolist()]
 
 
 def _with_examples(**others):
@@ -141,11 +145,19 @@ def _with_examples(**others):
 @_with_examples()
 def test_on_grid_equals_the_kernels_bit_for_bit_or_returns_none(case):
     spec, grid = case
+    # one call over several arrays (the grid pass's k and k +- h) gives, row by
+    # row, the bits of one call per array, which are the scalar kernels'
+    grids = (grid, grid[::-1], grid)
     for method, kernel in _KERNELS.items():
-        values = _values_or_none(spec, method, grid)
-        if values is not None:
-            assert [v.hex() for v in values.tolist()] == [kernel(spec, k).hex() for k in grid], \
-                method
+        rows = _values_or_none(spec, method, *grids)
+        alone = [_values_or_none(spec, method, points) for points in grids]
+        # the arrays hold the same points, so they fail together or not at all
+        assert (rows is None) == (alone[0] is None) == (alone[1] is None), method
+        if rows is None:
+            continue
+        assert len(rows) == len(grids) and all(len(row) == 1 for row in alone), method
+        for points, row, (single,) in zip(grids, rows, alone):
+            assert _hex(row) == _hex(single) == [kernel(spec, k).hex() for k in points], method
 
 
 def _outcome(call, *args):
@@ -214,7 +226,8 @@ def test_the_other_verifiers_finish_in_the_grid_pass(monkeypatch, verify, args):
 
 
 def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
-    ks = _as_grid([1.0, 2.0, 3.0], _SH)
+    grid = _grid_type()
+    ks = grid(np.array([1.0, 2.0, 3.0]))
     assert bool(ks > 0.5) and not bool(ks > 5.0)
     with pytest.raises(_GridFailed):
         bool(ks > 1.5)
@@ -223,9 +236,9 @@ def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     plain = ks.a
     for compare in (lambda x, y: x == y, lambda x, y: x != y, lambda x, y: x < y,
                     lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
-        for other in (2.0, np.float64(2.0), _as_grid([3.0, 2.0, 1.0], _SH)):
+        for other in (2.0, np.float64(2.0), grid(np.array([3.0, 2.0, 1.0]))):
             truth = compare(ks, other)
-            assert type(truth) is _grid_type()
+            assert type(truth) is grid
             assert truth.a.tolist() == compare(plain, getattr(other, "a", other)).tolist()
             # with the grid on the right, Python asks it for the reflected comparison
             assert (compare(other, ks).a.tolist()
@@ -234,20 +247,19 @@ def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
         hash(ks)
     # unary - and abs, and every arithmetic operator both ways round, give the
     # grid type with the plain ndarray's bits
-    signed = _as_grid([-1.5, 0.0, 2.5], _SH)
+    signed = grid(np.array([-1.5, 0.0, 2.5]))
     for result, want in ((-signed, -signed.a), (abs(signed), abs(signed.a))):
-        assert type(result) is _grid_type()
-        assert [v.hex() for v in result.a.tolist()] == [v.hex() for v in want.tolist()]
+        assert type(result) is grid
+        assert _hex(result.a) == _hex(want)
     for other in (0.3, np.float64(0.3), 7):
         for apply in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
                       lambda x, y: x / y):
             for result, want in ((apply(ks, other), apply(plain, other)),
                                  (apply(other, ks), apply(other, plain))):
-                assert type(result) is _grid_type()
-                assert [v.hex() for v in result.a.tolist()] == [v.hex() for v in want.tolist()]
+                assert type(result) is grid
+                assert _hex(result.a) == _hex(want)
         # ** is libm's pow, as a float's ** is
-        assert [v.hex() for v in (ks ** other).a.tolist()] == [(k ** float(other)).hex()
-                                                             for k in plain.tolist()]
+        assert _hex((ks ** other).a) == [(k ** float(other)).hex() for k in plain.tolist()]
     # numpy defers to the grid's own operators: a ufunc of the grid itself raises
     for ufunc in (np.add, np.exp, np.float_power):
         with pytest.raises(TypeError):
@@ -264,7 +276,11 @@ def test_on_grid_lets_other_exceptions_through(monkeypatch):
 
 
 def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
-    assert _as_grid([1.0], CobbDouglasParams(2.0, 0.4)) is not None
+    # the grid pass's k is the plain float64 array of the points: no grid of k
+    # leaves families
+    points = _as_grid([1, 2.0], CobbDouglasParams(2.0, 0.4))
+    assert type(points) is np.ndarray and points.dtype == np.float64
+    assert points.tolist() == [1.0, 2.0]
     # every spec holds float parameters: one given as an int or a numpy scalar
     # takes the grid pass and gives its float twin's report
     grid = [0.5, 1.0, 2.0]

@@ -708,6 +708,7 @@ def _per_point_check(k_grid):
     grid = []
     for k in k_grid:
         try:
+            math.isfinite(k)  # a number as families._nearest_float admits it: no str or bytes
             grid.append(float(k))
         except OverflowError:
             raise DomainError(f"grid point {_quote(k)} is not a positive finite number") from None
@@ -732,7 +733,8 @@ def _checked(check, k_grid):
 
 
 _GRID_POINTS = st.one_of(st.floats(), st.floats(0.1, 10.0), st.integers(-10 ** 400, 10 ** 400),
-                         st.sampled_from(["a", None, Fraction(1, 3), np.float64(2.0), -0.0]))
+                         st.sampled_from(["a", "1.5", b"2.0", None, Fraction(1, 3),
+                                          np.float64(2.0), -0.0]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -749,6 +751,22 @@ def test_check_grid_names_the_first_fault_as_the_per_point_checks_do(points, ord
     want = _checked(_per_point_check, points)
     for form in (list, tuple, iter):
         assert _checked(oracles_module._check_grid, form(points)) == want
+
+
+@pytest.mark.parametrize("grid, first", [(["1.5", b"2.0"], "1.5"), ([1.0, b"2.0"], b"2.0"),
+                                         ([1.0, "inf"], "inf"), ([np.str_("0.5")], np.str_("0.5"))])
+@pytest.mark.parametrize("grid_pass", [True, False])
+def test_a_str_or_bytes_grid_point_is_not_a_number(monkeypatch, grid, first, grid_pass):
+    # float() would parse them, but no other numeric slot admits a str or bytes
+    if not grid_pass:
+        _without_grid_pass(monkeypatch)
+    sh, lh = SatoHoffmanParams(1.0, 0.5, 1.5), LogLinearParams(1.0, 0.5, 0.2, -1.0)
+    ves = VESParams(0.0, 1.0, 2.0, 1.0)
+    for call in (lambda: verify_family(ves, grid), lambda: verify_reduction(ves, ves, grid),
+                 lambda: verify_equivalence_lh_lf(lh, grid), lambda: verify_sato_hoffman(sh, grid)):
+        with pytest.raises(ParamError) as info:
+            call()
+        assert str(info.value) == f"grid point {first!r} is not a number"
 
 
 def test_verify_family_deterministic(reference_fit_ves):
