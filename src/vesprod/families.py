@@ -33,18 +33,26 @@ Each family type carries its closed forms as private methods (``_y``,
 bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
 the points where the validity conditions on them can change; Lu-Fletcher
 shares the Liu-Hildebrand method set.  Construction stores the factors of
-y, R, R', sigma and sigma' that depend only on the parameters.  A factor is
-stored only where it is a left prefix of the product it replaces, in Python's
-left-to-right evaluation, so that every result keeps its bits; one whose
-power overflows is left unset, and reading it raises OverflowError where the
-formula reads it.  The five kernels that a trajectory row calls (y, R, R',
-sigma, sigma') return a method's finite value at a positive finite float k in
-one call; anything else, and every other kernel, goes through the one entry
-point that checks the arguments and turns floating-point failure into
-VesprodError.  Every number a caller gives is admitted, and from then on
-held, as the float nearest it (:func:`_nearest_float`): a spec stores each
-field so before any test or constant reads it.  :func:`_quote` quotes the
-caller's number.  :func:`_on_grid` runs a method unchanged over
+y, R, R', sigma and sigma' that depend only on the parameters (VES 1+lam,
+1-theta, theta-2; CES 1-delta, (1-delta)/delta, 1/sigma, 1/sigma-1;
+Cobb-Douglas (1-beta)/beta; Sato-Hoffman rho-1, 1-delta*rho; the exponents
+and the products of the wage forms).  A factor is stored only where it is a
+left prefix of the product it replaces, in Python's left-to-right
+evaluation, so that every result keeps its bits; one whose power overflows
+is left unset, and reading it raises OverflowError where the formula reads
+it.  A factor whose computation can raise where the formula would raise
+differently stays in its formula: CES (1-delta)/(delta*sigma), where
+delta*sigma can round to 0, and Sato-Hoffman (rho-1)/(1-delta*rho), where
+delta*rho can be 1.  The forms that need a positive bracketed base test it
+inline and call :meth:`_Family._non_positive` to raise.  The five kernels
+that a trajectory row calls (y, R, R', sigma, sigma') return a method's
+finite value at a positive finite float k in one call; anything else, and
+every other kernel, goes through the one entry point that checks the
+arguments and turns floating-point failure into VesprodError.  Every number
+a caller gives is admitted, and from then on held, as the float nearest it
+(:func:`_nearest_float`): a spec stores each field so before any test or
+constant reads it, and a count is admitted as the int it stands for
+(:func:`_count`).  :func:`_quote` quotes the caller's number.  :func:`_on_grid` runs a method unchanged over
 plain float64 arrays of k (:func:`_as_grid` gives one) for the oracles: it
 wraps them in one grid of k (:func:`_grid_type`), which holds a plain ndarray
 and applies each operator's ufunc to it, with libm's ``pow`` as the scalar
@@ -63,9 +71,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
+from math import inf, isfinite
+from typing import NoReturn, Union
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
 
@@ -101,6 +111,16 @@ def _nearest_float(value: float) -> float:
         return float(value) if finite else math.nan
     except OverflowError:  # a Fraction past the double range
         return math.nan
+
+
+def _count(value: object) -> int | None:
+    """The int a count stands for (an int, or a numpy integer through
+    ``operator.index``), or None where the value is no count: a float, a
+    ``Fraction``, a str.  A bool is the int it is."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _quote(value: object) -> str:
@@ -176,7 +196,7 @@ class LogLinearParams:
 
     def with_xi(self, xi: float) -> "LogLinearParams":
         """Return a copy with the integration constant set to ``xi``."""
-        return replace(self, xi=xi)
+        return LogLinearParams(self.a, self.b, self.c, xi)
 
     def require_xi(self) -> float:
         if self.xi is None:
@@ -264,13 +284,13 @@ class _Family:
     by zero, which :func:`_evaluate` turns into SingularError.
     """
 
-    def _positive_bracket(self, k: float) -> float:
-        base = self._bracket(k)
-        if not base > 0.0:
-            raise DomainError(
-                f"{type(self).__name__}: bracketed base is non-positive at k = {k:.12g} "
-                f"(base = {base:.6g}); the closed form is not defined there")
-        return base
+    def _non_positive(self, k: float, base: float) -> NoReturn:
+        """Raise for a bracketed base that is not positive at k.  The forms
+        that need a positive base test it inline, ``if not (base :=
+        self._bracket(k)) > 0.0``, so that the test costs no Python frame."""
+        raise DomainError(
+            f"{type(self).__name__}: bracketed base is non-positive at k = {k:.12g} "
+            f"(base = {base:.6g}); the closed form is not defined there")
 
 
 @dataclass(frozen=True)
@@ -300,8 +320,12 @@ class VESParams(_Family):
         if self.theta == 1.0:
             raise ParamError("theta = 1 degenerates R(k) to a linear function; "
                              "use a Cobb-Douglas spec instead")
-        _setattr(self, "_expo", 1.0 / ((1.0 + self.lam) * (1.0 - self.theta)))
+        lam1, eb = 1.0 + self.lam, 1.0 - self.theta
+        _setattr(self, "_lam1", lam1)
+        _setattr(self, "_eb", eb)
+        _setattr(self, "_expo", 1.0 / (lam1 * eb))
         _setattr(self, "_e", self.theta - 1.0)
+        _setattr(self, "_eds", self.theta - 2.0)
         _setattr(self, "_tm", self.theta * self.mu)
         try:
             _setattr(self, "_dsnum", -self.lam * self.mu * (self.theta - 1.0) ** 2)
@@ -309,30 +333,31 @@ class VESParams(_Family):
             pass
 
     def _bracket(self, k: float) -> float:
-        return (1.0 + self.lam) * k ** (1.0 - self.theta) + self.mu
+        return self._lam1 * k ** self._eb + self.mu
 
     def _y(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         return self.psi * base ** self._expo
 
     def _F(self, K: float, L: float) -> float:
-        lam, th = self.lam, self.theta
-        base = (1.0 + lam) * K ** (1.0 - th) * L ** (lam * (1.0 - th)) \
-            + self.mu * L ** ((1.0 + lam) * (1.0 - th))
+        lam1, eb = self._lam1, self._eb
+        base = lam1 * K ** eb * L ** (self.lam * eb) + self.mu * L ** (lam1 * eb)
         if not base > 0.0:
             raise DomainError(
                 f"VESParams: bracketed base is non-positive at K/L = {K / L:.12g}")
-        return self.psi * base ** (1.0 / ((1.0 + lam) * (1.0 - th)))
+        return self.psi * base ** self._expo
 
     def _dy(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         return self.psi * k ** (-self.theta) * base ** (self._expo - 1.0)
 
     def _d2y(self, k: float) -> float:
-        base = self._positive_bracket(k)
-        lam, th = self.lam, self.theta
-        return (-self.psi * k ** (-th - 1.0) * base ** (self._expo - 2.0)
-                * (lam * k ** (1.0 - th) + th * self.mu))
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
+        return (-self.psi * k ** (-self.theta - 1.0) * base ** (self._expo - 2.0)
+                * (self.lam * k ** self._eb + self._tm))
 
     def _R(self, k: float) -> float:
         return self.lam * k + self.mu * k ** self.theta
@@ -350,16 +375,16 @@ class VESParams(_Family):
         if lam == 0.0 and th != 0.0:  # sigma = 1/theta: the formula's signed zero
             return -lam * self.mu
         den = lam + self._tm * k ** self._e
-        return self._dsnum * k ** (th - 2.0) / den / den
+        return self._dsnum * k ** self._eds / den / den
 
     def _sign_changes(self) -> list[float]:
         # with x = k^(theta-1): bracket k^(1-theta) ((1+lam) + mu x), R = k (lam + mu x),
         # R' = lam + theta mu x and sigma = (lam + mu x) / (lam + theta mu x)
-        lam, mu, th = self.lam, self.mu, self.theta
+        lam, mu, lam1 = self.lam, self.mu, self._lam1
         e, tm = self._e, self._tm
-        return [*_root(e, 1.0 + lam, mu), *_root(e, lam, mu), *_root(e, lam, tm),
-                *_magnitude(1.0 - th, 1.0 + lam), *_magnitude(1.0, lam),
-                *_magnitude(th, mu), *_magnitude(e, mu, tm)]
+        return [*_root(e, lam1, mu), *_root(e, lam, mu), *_root(e, lam, tm),
+                *_magnitude(self._eb, lam1), *_magnitude(1.0, lam),
+                *_magnitude(self.theta, mu), *_magnitude(e, mu, tm)]
 
 
 @dataclass(frozen=True)
@@ -374,6 +399,7 @@ class CobbDouglasParams(_Family):
         _require_finite(self, "beta")
         if not 0.0 < self.beta < 1.0:
             raise ParamError(f"beta must lie in (0, 1), got {_quote(self.beta)}")
+        _setattr(self, "_r", (1.0 - self.beta) / self.beta)
 
     def _bracket(self, k: float) -> float:
         return math.inf  # no bracketed base; never binds
@@ -391,10 +417,10 @@ class CobbDouglasParams(_Family):
         return self.A * self.beta * (self.beta - 1.0) * k ** (self.beta - 2.0)
 
     def _R(self, k: float) -> float:
-        return (1.0 - self.beta) / self.beta * k
+        return self._r * k
 
     def _dR(self, k: float) -> float:
-        return (1.0 - self.beta) / self.beta
+        return self._r
 
     def _sigma(self, k: float) -> float:
         return 1.0
@@ -403,7 +429,7 @@ class CobbDouglasParams(_Family):
         return 0.0
 
     def _sign_changes(self) -> list[float]:
-        return _magnitude(1.0, (1.0 - self.beta) / self.beta)
+        return _magnitude(1.0, self._r)
 
 
 @dataclass(frozen=True)
@@ -425,35 +451,43 @@ class CESParams(_Family):
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
         _setattr(self, "_e", (self.sigma - 1.0) / self.sigma)
         _setattr(self, "_ey", self.sigma / (self.sigma - 1.0))
+        _setattr(self, "_d1", 1.0 - self.delta)
+        _setattr(self, "_dd", (1.0 - self.delta) / self.delta)
+        _setattr(self, "_es", 1.0 / self.sigma)
+        # (1-delta)/(delta sigma) stays in R': delta sigma can round to 0
+        _setattr(self, "_edr", 1.0 / self.sigma - 1.0)
 
     def _bracket(self, k: float) -> float:
-        return self.delta * k ** self._e + (1.0 - self.delta)
+        return self.delta * k ** self._e + self._d1
 
     def _y(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         return self.gamma * base ** self._ey
 
     def _F(self, K: float, L: float) -> float:
         e = self._e
-        base = self.delta * K ** e + (1.0 - self.delta) * L ** e
+        base = self.delta * K ** e + self._d1 * L ** e
         return self.gamma * base ** self._ey
 
     def _dy(self, k: float) -> float:
         s = self.sigma
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         return self.gamma * self.delta * k ** (-1.0 / s) * base ** (1.0 / (s - 1.0))
 
     def _d2y(self, k: float) -> float:
         s = self.sigma
-        base = self._positive_bracket(k)
-        return (-self.gamma * self.delta * (1.0 - self.delta) / s
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
+        return (-self.gamma * self.delta * self._d1 / s
                 * k ** (-1.0 / s - 1.0) * base ** ((2.0 - s) / (s - 1.0)))
 
     def _R(self, k: float) -> float:
-        return (1.0 - self.delta) / self.delta * k ** (1.0 / self.sigma)
+        return self._dd * k ** self._es
 
     def _dR(self, k: float) -> float:
-        return (1.0 - self.delta) / (self.delta * self.sigma) * k ** (1.0 / self.sigma - 1.0)
+        return self._d1 / (self.delta * self.sigma) * k ** self._edr
 
     def _sigma(self, k: float) -> float:
         return self.sigma
@@ -463,9 +497,9 @@ class CESParams(_Family):
 
     def _sign_changes(self) -> list[float]:
         s, d = self.sigma, self.delta
-        cuts = [*_magnitude((s - 1.0) / s, d), *_magnitude(1.0 / s, (1.0 - d) / d)]
+        cuts = [*_magnitude(self._e, d), *_magnitude(self._es, self._dd)]
         if d * s != 0.0:  # else R' divides by zero at every k
-            cuts += _magnitude(1.0 / s - 1.0, (1.0 - d) / (d * s))
+            cuts += _magnitude(self._edr, self._d1 / (d * s))
         return cuts
 
 
@@ -530,7 +564,8 @@ class _WageForm(_Family):
         return self._m * k ** self._eb + self._n * k ** self._ec
 
     def _y(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         return self._A * base ** self._ey
 
     def _F(self, K: float, L: float) -> float:
@@ -547,12 +582,14 @@ class _WageForm(_Family):
         return m * (b - 1.0) / b * k ** (-1.0 / b) - n * c / b * k ** (-(b + c) / b)
 
     def _dy(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         A, b, Sp = self._A, self.b, self._dS(k)
         return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
 
     def _d2y(self, k: float) -> float:
-        base = self._positive_bracket(k)
+        if not (base := self._bracket(k)) > 0.0:
+            self._non_positive(k, base)
         A, b, Sp = self._A, self.b, self._dS(k)
         m, n, c = self._m, self._n, self.c
         Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
@@ -694,9 +731,13 @@ class SatoHoffmanParams(_Family):
         if not 0.0 <= dr <= 1.0:
             raise ParamError(f"delta*rho must lie in [0, 1], got {_quote(dr)}")
         _require_positive(self, "alpha")
+        r1, dr1 = self.rho - 1.0, 1.0 - dr
         _setattr(self, "_dr", dr)
-        _setattr(self, "_bound", math.inf if self.rho >= 1.0 else (1.0 - dr) / (1.0 - self.rho))
-        _setattr(self, "_a1", self.alpha * (1.0 - dr))
+        _setattr(self, "_r1", r1)
+        # (rho-1)/(1-delta rho) stays in sigma and sigma': delta rho can be 1
+        _setattr(self, "_dr1", dr1)
+        _setattr(self, "_bound", math.inf if self.rho >= 1.0 else dr1 / (1.0 - self.rho))
+        _setattr(self, "_a1", self.alpha * dr1)
         _setattr(self, "_adr", self.alpha * dr)
 
     def k_upper_bound(self) -> float:
@@ -718,23 +759,23 @@ class SatoHoffmanParams(_Family):
     def _bracket(self, k: float) -> float:
         # (1 - delta*rho) + (rho - 1) k: positive exactly on the admissible
         # k range for rho < 1, and everywhere for rho >= 1.
-        return (1.0 - self._dr) + (self.rho - 1.0) * k
+        return self._dr1 + self._r1 * k
 
     def _y(self, k: float) -> float:
         self._check_domain(k)
-        G = 1.0 + (self.rho - 1.0) * k
+        G = 1.0 + self._r1 * k
         return self.gamma * k ** self._a1 * G ** self._adr
 
     def _F(self, K: float, L: float) -> float:
         self._check_domain(K / L)
-        inner = L + (self.rho - 1.0) * K
+        inner = L + self._r1 * K
         return self.gamma * K ** self._a1 * inner ** self._adr
 
     def _log_slope(self, k: float) -> tuple[float, float]:
         """G = 1 + (rho-1) k and the log-slope g = y'/y."""
         dr = self._dr
-        G = 1.0 + (self.rho - 1.0) * k
-        return G, self.alpha * ((1.0 - dr) / k + dr * (self.rho - 1.0) / G)
+        G = 1.0 + self._r1 * k
+        return G, self.alpha * (self._dr1 / k + dr * self._r1 / G)
 
     def _dy(self, k: float) -> float:
         return self._y(k) * self._log_slope(k)[1]
@@ -743,7 +784,7 @@ class SatoHoffmanParams(_Family):
         y = self._y(k)
         dr = self._dr
         G, g = self._log_slope(k)
-        gp = self.alpha * (-(1.0 - dr) / k ** 2 - dr * (self.rho - 1.0) ** 2 / G ** 2)
+        gp = self.alpha * (-self._dr1 / k ** 2 - dr * self._r1 ** 2 / G ** 2)
         return y * (g * g + gp)
 
     def _R(self, k: float) -> float:
@@ -752,25 +793,24 @@ class SatoHoffmanParams(_Family):
 
     def _dR(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr, D = self._dr, self._bracket(k)
-        return dr * (1.0 - dr) / (D * D)
+        D = self._bracket(k)
+        return self._dr * self._dr1 / (D * D)
 
     def _sigma(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        dr = self._dr
-        return 1.0 + (self.rho - 1.0) / (1.0 - dr) * k
+        return 1.0 + self._r1 / self._dr1 * k
 
     def _dsigma(self, k: float) -> float:
         self._check_domain(k, degree_one=True)
-        return (self.rho - 1.0) / (1.0 - self._dr)
+        return self._r1 / self._dr1
 
     def _sign_changes(self) -> list[float]:
         # the domain bound (1 - delta rho)/(1 - rho), where the bracket and sigma
         # vanish; R = dr k / D and R' = dr (1 - dr) / D^2 with D the bracket
-        dr, r = self._dr, self.rho - 1.0
-        cuts = [*_root(1.0, 1.0 - dr, r), *_magnitude(1.0, dr)]
+        dr, r = self._dr, self._r1
+        cuts = [*_root(1.0, self._dr1, r), *_magnitude(1.0, dr)]
         if r * r != 0.0:  # else D^2 < (1.5e-162 k)^2 stays inside the double range
-            cuts += _magnitude(2.0, r * r, dr * (1.0 - dr) / (r * r))
+            cuts += _magnitude(2.0, r * r, dr * self._dr1 / (r * r))
         return cuts
 
 
@@ -934,9 +974,9 @@ def bracket_base(spec: FamilySpec, k: float) -> float:
 
 def eval_intensive(spec: FamilySpec, k: float) -> float:
     """Output per worker y(k) at capital-labor ratio k."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._y(k)):
+            if isfinite(value := spec._y(k)):
                 return value
         except ArithmeticError:
             pass

@@ -67,6 +67,7 @@ from .families import (
     SatoHoffmanParams,
     VESParams,
     _as_grid,
+    _count,
     _evaluate,
     _GridFailed,
     _nearest_float,
@@ -373,10 +374,12 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     """
     k_start, k_end, y_start = (_require_in_domain(name, value) for name, value in
                                (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)))
-    if not isinstance(steps, int) or steps < 2:
+    count = _count(steps)
+    if count is None or count < 2:
         raise DomainError(f"steps must be an integer >= 2, got {_quote(steps)}")
-    if steps > 10 ** 6:
+    if count > 10 ** 6:
         raise DomainError(f"steps must be at most 10**6, got {_quote(steps)}")
+    steps = count
     if k_end == k_start:
         return y_start
 
@@ -445,7 +448,7 @@ def verify_ode(v: VESParams, k_start: float, k_end: float, steps: int,
     if y_ref == 0.0:
         raise SingularError(f"the closed-form y underflows to 0 at k = {k_end:.12g}, "
                             "so the relative error is undefined")
-    return _report("ode", steps, tolerance, [("y", k_end, y_end, y_ref, 0.0)])
+    return _report("ode", _count(steps), tolerance, [("y", k_end, y_end, y_ref, 0.0)])
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,10 @@ R' > 0, sigma > 0 are intersected by :func:`validity_range`, which is
 what :func:`trajectory` builds on.  It checks them only next to the
 points where they can change, which each family states in closed form
 (``_sign_changes``: roots of the factors of its closed forms, and where
-their power terms overflow or round to 0).  Regime classification needs
+their power terms overflow or round to 0).  Its bisection asks only whether
+a point is valid (:func:`_valid`, which stops at the first condition that
+fails); the grid checks and the conditions reported at the interval's ends
+come from :func:`violated_constraints`.  Regime classification needs
 no scan: the sign of sigma' follows from the parameters (see
 :func:`classify_regime`).
 """
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import inf, isfinite
 
 from .errors import DomainError, ParamError, ShareError, SingularError
 from .families import (
@@ -52,6 +56,7 @@ from .families import (
     _WageForm,
     _check_ves_branch,
     _construct,
+    _count,
     _evaluate,
     _nearest_float,
     _parameter_space,
@@ -158,10 +163,13 @@ def _grid_point(lo: float, hi: float, n: int, i: int) -> float:
     return lo * ratio ** (i / (n - 1))
 
 
-def _require_points(points: int) -> None:
-    """ParamError unless `points`, a grid one call holds, is an int in [2, 10**6]."""
-    if not (isinstance(points, int) and 2 <= points <= 10 ** 6):
+def _require_points(points: int) -> int:
+    """The count `points`, a grid one call holds, as an int; ParamError unless
+    it is one in [2, 10**6]."""
+    count = _count(points)
+    if count is None or not 2 <= count <= 10 ** 6:
         raise ParamError(f"points must be an integer in [2, 10**6], got {_quote(points)}")
+    return count
 
 
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -176,9 +184,9 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 
 def mrs_closed(spec: FamilySpec, k: float) -> float:
     """R(k) = y/y' - k from the family's closed form."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._R(k)):
+            if isfinite(value := spec._R(k)):
                 return value
         except ArithmeticError:
             pass
@@ -187,9 +195,9 @@ def mrs_closed(spec: FamilySpec, k: float) -> float:
 
 def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
     """dR/dk from the family's closed form."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._dR(k)):
+            if isfinite(value := spec._dR(k)):
                 return value
         except ArithmeticError:
             pass
@@ -198,9 +206,9 @@ def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
 
 def sigma_closed(spec: FamilySpec, k: float) -> float:
     """sigma(k) from the family's closed form."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._sigma(k)):
+            if isfinite(value := spec._sigma(k)):
                 return value
         except ArithmeticError:
             pass
@@ -209,9 +217,9 @@ def sigma_closed(spec: FamilySpec, k: float) -> float:
 
 def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
     """d sigma / dk from the family's closed form."""
-    if type(k) is float and 0.0 < k < math.inf and isinstance(spec, _Family):
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
         try:
-            if math.isfinite(value := spec._dsigma(k)):
+            if isfinite(value := spec._dsigma(k)):
                 return value
         except ArithmeticError:
             pass
@@ -334,6 +342,18 @@ def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def _valid(spec: FamilySpec, k: float) -> bool:
+    """Whether every validity condition holds at k: ``not violated_constraints(spec, k)``,
+    stopping at the first condition that fails."""
+    for _, kernel in _CONSTRAINTS:
+        try:
+            if not kernel(spec, k) > 0.0:
+                return False
+        except (DomainError, SingularError):
+            return False
+    return True
+
+
 def _midpoint(lo: float, hi: float) -> float:
     """(lo + hi) / 2 of two positive doubles, halving each when their sum
     overflows (a boundary in the top grid bracket)."""
@@ -350,7 +370,7 @@ def _bisect_boundary(spec: FamilySpec, k_bad: float, k_good: float) -> tuple[flo
         mid = _midpoint(lo, hi)
         if abs(hi - lo) <= _BISECT_REL_TOL * abs(mid):
             break
-        if violated_constraints(spec, mid):
+        if not _valid(spec, mid):
             lo = mid
         else:
             hi = mid
@@ -380,8 +400,10 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     if not 0.0 < k_probe_low < k_probe_high:  # NaN where a bound is not finite
         raise ParamError("probe bounds must satisfy 0 < low < high, got "
                          f"({', '.join(map(_quote, given))})")
-    if not (isinstance(samples, int) and 2 <= _nearest_float(samples)):  # NaN past the double range
+    count = _count(samples)
+    if count is None or not 2 <= _nearest_float(count):  # NaN past the double range
         raise ParamError("samples must be an integer >= 2")
+    samples = count
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
 
@@ -441,7 +463,7 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
     across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
     an end the range binds, with the window's bounds taken as the floats nearest
     them.  Returns every row or raises, never part of them."""
-    _require_points(points)
+    points = _require_points(points)
     interval = validity_range(spec, k_from, k_to)
     k_from, k_to = float(k_from), float(k_to)  # finite: validity_range admitted them
     lo, hi = interval.clip(k_from, k_to)

@@ -51,7 +51,7 @@ from vesprod import (
     ves_from_loglinear,
     violated_constraints,
 )
-from vesprod.families import _evaluate
+from vesprod.families import _evaluate, _magnitude, _root
 from vesprod.substitution import (
     classify_regime,
     mrs_closed,
@@ -286,10 +286,21 @@ def test_family_types_render_their_help(family):
 
 
 # The closed forms as they were written before their parameter-only factors
-# were stored at construction (wage forms, Lu-Fletcher's sigma, Sato-Hoffman
-# and VES), with every per-spec constant computed where it is read.  The
-# stored factors are left prefixes of these products, so every value must
-# keep its bits, and every error its type and message.
+# were stored at construction, with every per-spec constant computed where it
+# is read (wage forms, Lu-Fletcher's sigma, Sato-Hoffman, VES' R' and sigma),
+# or as the methods read before the bracket was tested inline (CES,
+# Cobb-Douglas, the VES and wage y, y', y'').  The stored factors are left
+# prefixes of these products, so every value must keep its bits, and every
+# error its type and message.
+
+def _old_positive_bracket(s, k):
+    base = s._bracket(k)
+    if not base > 0.0:
+        raise DomainError(
+            f"{type(s).__name__}: bracketed base is non-positive at k = {k:.12g} "
+            f"(base = {base:.6g}); the closed form is not defined there")
+    return base
+
 
 def _old_m_xi(s):
     if isinstance(s, LiuHildebrandParams):
@@ -304,8 +315,24 @@ def _old_wage_bracket(s, k):
 
 
 def _old_wage_y(s, k):
-    base = s._positive_bracket(k)
+    base = _old_positive_bracket(s, k)
     return s.a ** (1.0 / (1.0 - s.b)) * base ** (s.b / (s.b - 1.0))
+
+
+def _old_wage_dy(s, k):
+    base = _old_positive_bracket(s, k)
+    A, b, Sp = s._A, s.b, s._dS(k)
+    return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
+
+
+def _old_wage_d2y(s, k):
+    base = _old_positive_bracket(s, k)
+    A, b, Sp = s._A, s.b, s._dS(k)
+    m, n, c = s._m, s._n, s.c
+    Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
+           + n * c * (b + c) / b ** 2 * k ** (-(2.0 * b + c) / b))
+    return A * b / (b - 1.0) * (base ** ((2.0 - b) / (b - 1.0)) * Sp ** 2 / (b - 1.0)
+                                + base ** (1.0 / (b - 1.0)) * Spp)
 
 
 def _old_wage_R(s, k):
@@ -366,6 +393,26 @@ def _old_sh_y(s, k):
     return s.gamma * k ** (s.alpha * (1.0 - dr)) * G ** (s.alpha * dr)
 
 
+def _old_sh_F(s, K, L):
+    s._check_domain(K / L)
+    dr = s.delta * s.rho
+    return s.gamma * K ** (s.alpha * (1.0 - dr)) * (L + (s.rho - 1.0) * K) ** (s.alpha * dr)
+
+
+def _old_sh_log_slope(s, k):
+    dr = s.delta * s.rho
+    G = 1.0 + (s.rho - 1.0) * k
+    return G, s.alpha * ((1.0 - dr) / k + dr * (s.rho - 1.0) / G)
+
+
+def _old_sh_d2y(s, k):
+    y = s._y(k)
+    dr = s.delta * s.rho
+    G, g = s._log_slope(k)
+    gp = s.alpha * (-(1.0 - dr) / k ** 2 - dr * (s.rho - 1.0) ** 2 / G ** 2)
+    return y * (g * g + gp)
+
+
 def _old_sh_R(s, k):
     s._check_domain(k, degree_one=True)
     dr = s.delta * s.rho
@@ -389,6 +436,44 @@ def _old_sh_dsigma(s, k):
     return (s.rho - 1.0) / (1.0 - s.delta * s.rho)
 
 
+def _old_ves_bracket(s, k):
+    return (1.0 + s.lam) * k ** (1.0 - s.theta) + s.mu
+
+
+def _old_ves_y(s, k):
+    base = _old_positive_bracket(s, k)
+    return s.psi * base ** (1.0 / ((1.0 + s.lam) * (1.0 - s.theta)))
+
+
+def _old_ves_F(s, K, L):
+    lam, th = s.lam, s.theta
+    base = (1.0 + lam) * K ** (1.0 - th) * L ** (lam * (1.0 - th)) \
+        + s.mu * L ** ((1.0 + lam) * (1.0 - th))
+    if not base > 0.0:
+        raise DomainError(f"VESParams: bracketed base is non-positive at K/L = {K / L:.12g}")
+    return s.psi * base ** (1.0 / ((1.0 + lam) * (1.0 - th)))
+
+
+def _old_ves_dy(s, k):
+    base = _old_positive_bracket(s, k)
+    return s.psi * k ** (-s.theta) * base ** (1.0 / ((1.0 + s.lam) * (1.0 - s.theta)) - 1.0)
+
+
+def _old_ves_d2y(s, k):
+    base = _old_positive_bracket(s, k)
+    lam, th = s.lam, s.theta
+    return (-s.psi * k ** (-th - 1.0) * base ** (1.0 / ((1.0 + lam) * (1.0 - th)) - 2.0)
+            * (lam * k ** (1.0 - th) + th * s.mu))
+
+
+def _old_ves_sign_changes(s):
+    lam, mu, th = s.lam, s.mu, s.theta
+    e, tm = th - 1.0, th * mu
+    return [*_root(e, 1.0 + lam, mu), *_root(e, lam, mu), *_root(e, lam, tm),
+            *_magnitude(1.0 - th, 1.0 + lam), *_magnitude(1.0, lam),
+            *_magnitude(th, mu), *_magnitude(e, mu, tm)]
+
+
 def _old_ves_dR(s, k):
     return s.lam + s.theta * s.mu * k ** (s.theta - 1.0)
 
@@ -407,17 +492,80 @@ def _old_ves_dsigma(s, k):
     return -lam * mu * (th - 1.0) ** 2 * k ** (th - 2.0) / den / den
 
 
-_OLD_WAGE = {"_bracket": _old_wage_bracket, "_y": _old_wage_y, "_R": _old_wage_R,
-             "_dR": _old_wage_dR, "_sigma": _old_wage_sigma, "_dsigma": _old_wage_dsigma}
+def _old_ces_bracket(s, k):
+    return s.delta * k ** ((s.sigma - 1.0) / s.sigma) + (1.0 - s.delta)
+
+
+def _old_ces_y(s, k):
+    base = _old_positive_bracket(s, k)
+    return s.gamma * base ** (s.sigma / (s.sigma - 1.0))
+
+
+def _old_ces_F(s, K, L):
+    e = (s.sigma - 1.0) / s.sigma
+    base = s.delta * K ** e + (1.0 - s.delta) * L ** e
+    return s.gamma * base ** (s.sigma / (s.sigma - 1.0))
+
+
+def _old_ces_dy(s, k):
+    sg = s.sigma
+    base = _old_positive_bracket(s, k)
+    return s.gamma * s.delta * k ** (-1.0 / sg) * base ** (1.0 / (sg - 1.0))
+
+
+def _old_ces_d2y(s, k):
+    sg = s.sigma
+    base = _old_positive_bracket(s, k)
+    return (-s.gamma * s.delta * (1.0 - s.delta) / sg
+            * k ** (-1.0 / sg - 1.0) * base ** ((2.0 - sg) / (sg - 1.0)))
+
+
+def _old_ces_sign_changes(s):
+    sg, d = s.sigma, s.delta
+    cuts = [*_magnitude((sg - 1.0) / sg, d), *_magnitude(1.0 / sg, (1.0 - d) / d)]
+    if d * sg != 0.0:
+        cuts += _magnitude(1.0 / sg - 1.0, (1.0 - d) / (d * sg))
+    return cuts
+
+
+def _old_sh_sign_changes(s):
+    dr, r = s.delta * s.rho, s.rho - 1.0
+    cuts = [*_root(1.0, 1.0 - dr, r), *_magnitude(1.0, dr)]
+    if r * r != 0.0:
+        cuts += _magnitude(2.0, r * r, dr * (1.0 - dr) / (r * r))
+    return cuts
+
+
+def _old_ces_R(s, k):
+    return (1.0 - s.delta) / s.delta * k ** (1.0 / s.sigma)
+
+
+def _old_ces_dR(s, k):
+    return (1.0 - s.delta) / (s.delta * s.sigma) * k ** (1.0 / s.sigma - 1.0)
+
+
+_OLD_WAGE = {"_bracket": _old_wage_bracket, "_y": _old_wage_y, "_dy": _old_wage_dy,
+             "_d2y": _old_wage_d2y, "_R": _old_wage_R, "_dR": _old_wage_dR,
+             "_sigma": _old_wage_sigma, "_dsigma": _old_wage_dsigma}
 # same-named subclasses, so that _evaluate's messages name the family as before
 _OLD_TYPES = {cls: type(cls.__name__, (cls,), methods) for cls, methods in [
     (LiuHildebrandParams, _OLD_WAGE),
     (LuFletcherParams, {**_OLD_WAGE, "_sigma": _old_lf_sigma}),
     (SatoHoffmanParams, {"_check_domain": _old_sh_check_domain, "_y": _old_sh_y,
+                         "_F": _old_sh_F, "_log_slope": _old_sh_log_slope, "_d2y": _old_sh_d2y,
                          "_R": _old_sh_R, "_dR": _old_sh_dR, "_sigma": _old_sh_sigma,
-                         "_dsigma": _old_sh_dsigma,
+                         "_dsigma": _old_sh_dsigma, "_sign_changes": _old_sh_sign_changes,
                          "_bracket": lambda s, k: (1.0 - s.delta * s.rho) + (s.rho - 1.0) * k}),
-    (VESParams, {"_dR": _old_ves_dR, "_sigma": _old_ves_sigma, "_dsigma": _old_ves_dsigma}),
+    (VESParams, {"_bracket": _old_ves_bracket, "_y": _old_ves_y, "_F": _old_ves_F,
+                 "_dy": _old_ves_dy, "_d2y": _old_ves_d2y, "_dR": _old_ves_dR,
+                 "_sigma": _old_ves_sigma, "_dsigma": _old_ves_dsigma,
+                 "_sign_changes": _old_ves_sign_changes}),
+    (CESParams, {"_bracket": _old_ces_bracket, "_y": _old_ces_y, "_F": _old_ces_F,
+                 "_dy": _old_ces_dy, "_d2y": _old_ces_d2y, "_R": _old_ces_R,
+                 "_dR": _old_ces_dR, "_sign_changes": _old_ces_sign_changes}),
+    (CobbDouglasParams, {"_R": lambda s, k: (1.0 - s.beta) / s.beta * k,
+                         "_dR": lambda s, k: (1.0 - s.beta) / s.beta,
+                         "_sign_changes": lambda s: _magnitude(1.0, (1.0 - s.beta) / s.beta)}),
 ]}
 
 _HUGE = st.sampled_from([1e300, -1e300, 1e200, -1e200, 2.0 ** 600])
@@ -425,13 +573,18 @@ _HUGE = st.sampled_from([1e300, -1e300, 1e200, -1e200, 2.0 ** 600])
 
 @st.composite
 def _formula_cases(draw):
-    """(spec, k) for the four families whose constants moved to construction,
-    with parameters and k anywhere in the double range: overflowing a, xi,
-    zeta and b + c - 1, xi = 0, and Lu-Fletcher b near 0, where a^(1/b) or
-    a^(-1/b) overflows."""
-    family = draw(st.sampled_from(["lh", "lf", "sh", "ves"]))
+    """(spec, k) for the six families, with parameters and k anywhere in the
+    double range: overflowing a, xi, zeta and b + c - 1, xi = 0, Lu-Fletcher b
+    near 0, where a^(1/b) or a^(-1/b) overflows, and a CES delta sigma or a
+    Cobb-Douglas beta that rounds a quotient to inf."""
+    family = draw(st.sampled_from(["lh", "lf", "sh", "ves", "ces", "cd"]))
     try:
-        if family == "ves":
+        if family == "ces":
+            spec = CESParams(draw(_POSITIVE), draw(st.one_of(_UNIT, st.just(5e-324))),
+                             draw(st.one_of(_POSITIVE, st.floats(0.05, 3.0), st.just(5e-324))))
+        elif family == "cd":
+            spec = CobbDouglasParams(draw(_POSITIVE), draw(st.one_of(_UNIT, st.just(5e-324))))
+        elif family == "ves":
             spec = VESParams(draw(_ANY), draw(st.one_of(_ANY, _HUGE)),
                              draw(st.one_of(_ANY, _HUGE, st.floats(-3.0, 3.0))), draw(_POSITIVE))
         elif family == "sh":
@@ -467,11 +620,15 @@ def _formula_cases(draw):
 @example(case=(SatoHoffmanParams(1.0, 0.5, 2.0), 1.0))                     # delta*rho = 1
 @example(case=(SatoHoffmanParams(1.0, 0.5, 0.5), 2.0))                     # outside the range
 @example(case=(SatoHoffmanParams(1.0, 0.5, 0.5, 2.0), 1.0))                # alpha != 1
+@example(case=(CESParams(1.0, 0.5, 5e-324), 2.0))                          # delta sigma is 0
+@example(case=(VESParams(-2.0, 1.0, 2.0, 1.0), 0.5))                       # bracket < 0
 def test_closed_forms_keep_the_bits_of_the_formulas_they_replace(case):
     spec, k = case
     old = _OLD_TYPES[type(spec)](*(getattr(spec, f.name) for f in dataclasses.fields(spec)))
-    for method in ("_bracket", "_y", "_R", "_dR", "_sigma", "_dsigma"):
+    for method in _METHODS:
         assert _outcome(_evaluate, spec, method, k) == _outcome(_evaluate, old, method, k), method
+    assert _outcome(_evaluate, spec, "_F", k, 1.5) == _outcome(_evaluate, old, "_F", k, 1.5)
+    assert repr(spec._sign_changes()) == repr(old._sign_changes())
 
 
 # ---------------------------------------------------------------------------
@@ -1110,6 +1267,25 @@ def test_validity_range_takes_fraction_and_int_bounds_as_the_nearest_floats():
         assert type(interval.k_low) is float and type(interval.k_high) is float
     with pytest.raises(ParamError, match="probe bounds must satisfy 0 < low < high"):
         validity_range(cd, Fraction(1, 10 ** 400), 1.0)  # rounds to 0
+
+
+@pytest.mark.parametrize("call, count, error, message", [
+    (lambda n: trajectory(CobbDouglasParams(2.0, 0.4), 0.5, 2.0, n), 3, ParamError,
+     "points must be an integer in [2, 10**6], got {!r}"),
+    (lambda n: validity_range(_V, 0.5, 2.0, samples=n), 64, ParamError,
+     "samples must be an integer >= 2"),
+    (lambda n: ode_integrate_theorem(_V, 1.0, 0.5, 2.0, n), 100, DomainError,
+     "steps must be an integer >= 2, got {!r}"),
+    (lambda n: verify_ode(_V, 1.0, 2.0, n), 100, DomainError,
+     "steps must be an integer >= 2, got {!r}"),
+], ids=["trajectory", "validity_range", "ode_integrate_theorem", "verify_ode"])
+def test_a_numpy_integer_count_gives_what_its_int_gives(call, count, error, message):
+    assert repr(call(np.int64(count))) == repr(call(count))
+    # no other type is a count, and a bool is the int it is (0 or 1)
+    for value in (float(count), Fraction(count), str(count), True):
+        with pytest.raises(error) as caught:
+            call(value)
+        assert type(caught.value) is error and str(caught.value) == message.format(value)
 
 
 _BITS = "an int of 16610 bits"  # 10**5000

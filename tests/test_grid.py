@@ -190,7 +190,7 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
 
 
 @pytest.mark.parametrize("spec, grid, method", [
-    (_VES, [0.2, 0.5], "_y"),          # _positive_bracket fails at every point
+    (_VES, [0.2, 0.5], "_y"),          # the bracket test fails at every point
     (_SH, [2.0, 3.0], "_y"),           # _check_domain fails at every point
     (_SH, [2.0, 3.0], "_sigma"),
     (_VES, [0.5, 2.0], "_y"),          # a branch that the points do not all take

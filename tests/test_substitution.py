@@ -28,6 +28,7 @@ from vesprod import (
     ShareError,
     SingularError,
     VESParams,
+    VesprodError,
     bracket_base,
     classify_regime,
     eval_intensive,
@@ -45,7 +46,14 @@ from vesprod import (
     ves_from_loglinear,
     violated_constraints,
 )
-from vesprod.substitution import _CONSTRAINTS, ValidityInterval, _bisect_boundary, _log_grid
+from vesprod.substitution import (
+    _CONSTRAINTS,
+    ValidityInterval,
+    _bisect_boundary,
+    _log_grid,
+    _valid,
+)
+from test_grid import _cases
 
 # displayed coefficients the closed forms must reproduce at the reference fit
 PRINTED = {
@@ -586,6 +594,24 @@ def test_validity_range_without_cuts_bisects_the_grid_index(monkeypatch, referen
     monkeypatch.setattr(VESParams, "_sign_changes", lambda self: [])
     assert validity_range(reference_fit_ves, 0.1, 10.0) == expected
     assert expected.k_low == 2.077600011084373
+
+
+def _truth_or_error(condition, spec, k):
+    try:
+        return condition(spec, k)
+    except VesprodError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_cases())
+def test_valid_is_the_truth_of_violated_constraints(case):
+    # the bisection's short-circuiting test against the full list of conditions,
+    # for all six families across the double range and around their cut points
+    spec, grid = case
+    for k in grid:
+        assert _truth_or_error(_valid, spec, k) == _truth_or_error(
+            lambda s, x: not violated_constraints(s, x), spec, k), k
 
 
 def test_clip_outside_the_validity_range_raises():
