@@ -36,7 +36,11 @@ from .families import (
     lf_from_lh,
     lh_from_loglinear,
     loglinear_from_ves,
+    mrs_closed,
+    mrs_derivative_closed,
     reduce_special_case,
+    sigma_closed,
+    sigma_derivative_closed,
     symmetric_form,
     ves_from_loglinear,
 )
@@ -47,11 +51,7 @@ from .substitution import (
     RegressionClosedForm,
     ValidityInterval,
     classify_regime,
-    mrs_closed,
-    mrs_derivative_closed,
     regression_closed_form,
-    sigma_closed,
-    sigma_derivative_closed,
     sigma_from_mrs,
     sigma_from_shares,
     trajectory,

@@ -43,21 +43,30 @@ is left unset, and reading it raises OverflowError where the formula reads
 it.  A factor whose computation can raise where the formula would raise
 differently stays in its formula: CES (1-delta)/(delta*sigma), where
 delta*sigma can round to 0, and Sato-Hoffman (rho-1)/(1-delta*rho), where
-delta*rho can be 1.  The forms that need a positive bracketed base test it
-inline and call :meth:`_Family._non_positive` to raise.  The five kernels
-that a trajectory row calls (y, R, R', sigma, sigma') return a method's
-finite value at a positive finite float k in one call; anything else, and
-every other kernel, goes through the one entry point that checks the
-arguments and turns floating-point failure into VesprodError.  Every number
-a caller gives is admitted, and from then on held, as the float nearest it
-(:func:`_nearest_float`): a spec stores each field so before any test or
+delta*rho can be 1.  The VES and wage forms test their bracketed base
+inline and call :meth:`_Family._non_positive` to raise; CES's base
+delta k^e + (1-delta) is at least 1-delta > 0.
+
+The public kernels of k are here: y, y', y'' (:func:`eval_intensive`,
+:func:`intensive_derivative`, :func:`intensive_second_derivative`), R, R',
+sigma, sigma' (:func:`mrs_closed`, :func:`mrs_derivative_closed`,
+:func:`sigma_closed`, :func:`sigma_derivative_closed`, which
+:mod:`vesprod.substitution` re-exports), the base (:func:`bracket_base`) and
+F (:func:`eval_extensive`).  The five that a trajectory row calls (y, R, R',
+sigma, sigma') return a method's finite value at a positive finite float k in
+one call; anything else, and every other kernel, goes through
+:func:`_evaluate`, which checks the arguments and turns floating-point failure
+into VesprodError (a pole of sigma divides by zero: SingularError).  Every
+number a caller gives is admitted, and from then on held, as the float nearest
+it (:func:`_nearest_float`): a spec stores each field so before any test or
 constant reads it, and a count is admitted as the int it stands for
-(:func:`_count`).  :func:`_quote` quotes the caller's number.  :func:`_on_grid` runs a method unchanged over
-plain float64 arrays of k (:func:`_as_grid` gives one) for the oracles: it
-wraps them in one grid of k (:func:`_grid_type`), which holds a plain ndarray
-and applies each operator's ufunc to it, with libm's ``pow`` as the scalar
-formulas have it, and returns per array one row of its points' values, or
-raises.  No grid leaves this module.
+(:func:`_count`).  :func:`_quote` quotes the caller's number.
+:func:`_on_grid` runs a method unchanged over plain float64 arrays of k
+(:func:`_as_grid` gives one) for the oracles: it wraps them in one grid of k
+(:func:`_grid_type`), which holds a plain ndarray and applies each operator's
+ufunc to it, with libm's ``pow`` as the scalar formulas have it, and returns
+per array one row of its points' values, or raises.  No grid leaves this
+module.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -92,6 +101,10 @@ __all__ = [
     "eval_extensive",
     "intensive_derivative",
     "intensive_second_derivative",
+    "mrs_closed",
+    "mrs_derivative_closed",
+    "sigma_closed",
+    "sigma_derivative_closed",
     "bracket_base",
     "ves_from_loglinear",
     "loglinear_from_ves",
@@ -461,9 +474,7 @@ class CESParams(_Family):
         return self.delta * k ** self._e + self._d1
 
     def _y(self, k: float) -> float:
-        if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
-        return self.gamma * base ** self._ey
+        return self.gamma * self._bracket(k) ** self._ey
 
     def _F(self, K: float, L: float) -> float:
         e = self._e
@@ -472,14 +483,12 @@ class CESParams(_Family):
 
     def _dy(self, k: float) -> float:
         s = self.sigma
-        if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+        base = self._bracket(k)
         return self.gamma * self.delta * k ** (-1.0 / s) * base ** (1.0 / (s - 1.0))
 
     def _d2y(self, k: float) -> float:
         s = self.sigma
-        if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+        base = self._bracket(k)
         return (-self.gamma * self.delta * self._d1 / s
                 * k ** (-1.0 / s - 1.0) * base ** ((2.0 - s) / (s - 1.0)))
 
@@ -981,6 +990,50 @@ def eval_intensive(spec: FamilySpec, k: float) -> float:
         except ArithmeticError:
             pass
     return _evaluate(spec, "_y", k)
+
+
+def mrs_closed(spec: FamilySpec, k: float) -> float:
+    """R(k) = y/y' - k from the family's closed form."""
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
+        try:
+            if isfinite(value := spec._R(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_R", k)
+
+
+def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
+    """dR/dk from the family's closed form."""
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
+        try:
+            if isfinite(value := spec._dR(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_dR", k)
+
+
+def sigma_closed(spec: FamilySpec, k: float) -> float:
+    """sigma(k) from the family's closed form."""
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
+        try:
+            if isfinite(value := spec._sigma(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_sigma", k)
+
+
+def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
+    """d sigma / dk from the family's closed form."""
+    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
+        try:
+            if isfinite(value := spec._dsigma(k)):
+                return value
+        except ArithmeticError:
+            pass
+    return _evaluate(spec, "_dsigma", k)
 
 
 def eval_extensive(spec: FamilySpec, K: float, L: float) -> float:

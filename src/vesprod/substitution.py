@@ -1,40 +1,28 @@
-"""Marginal rate of substitution, elasticity of factor substitution, their
-derivatives, asymptotic regimes, and validity ranges for every family.
+"""Substitution analysis on top of the closed forms: the regression-space
+forms of the elasticity, validity ranges, trajectories and asymptotic regimes.
 
 For a degree-one production function with intensive form y(k),
 
     R(k)     = y/y' - k                      (marginal rate of substitution)
     sigma(k) = y'(k y' - y) / (k y y'')      (elasticity of substitution)
 
-Everything in this module evaluates closed forms; the finite-difference
-cross-checks of those same definitions live in :mod:`vesprod.oracles`.
+The closed-form kernels of R, R', sigma and sigma' (:func:`mrs_closed`,
+:func:`mrs_derivative_closed`, :func:`sigma_closed`,
+:func:`sigma_derivative_closed`) live in :mod:`vesprod.families` and are
+re-exported here.  :func:`sigma_from_shares`, :func:`sigma_from_mrs` and
+:func:`regression_closed_form` state sigma in the rental-rate relation's
+regression space.
 
-The closed forms are methods of the family types in
-:mod:`vesprod.families` (``_R``, ``_dR``, ``_sigma``, ``_dsigma``); the
-public functions here delegate to them.  They are power-law forms for
-Cobb-Douglas and CES, rational forms in k^((b+c-1)/b) for the
-wage-relation family, affine sigma for Sato-Hoffman, and for the
-variable-elasticity family with R = lam*k + mu*k^theta the exact
-identities
-
-    sigma  = R / (k R')
-    sigma' = -lam*mu*(theta-1)^2 * k^(theta-2) / (lam + theta*mu*k^(theta-1))^2.
-
-A pole of sigma (R' = 0, or a vanishing rational denominator) raises
-SingularError in ``families._evaluate``, as does any non-finite result.
-
-Pointwise operations enforce evaluability (positive bracketed base,
-family domain restrictions); the economic validity conditions R > 0,
-R' > 0, sigma > 0 are intersected by :func:`validity_range`, which is
-what :func:`trajectory` builds on.  It checks them only next to the
-points where they can change, which each family states in closed form
-(``_sign_changes``: roots of the factors of its closed forms, and where
-their power terms overflow or round to 0).  Its bisection asks only whether
-a point is valid (:func:`_valid`, which stops at the first condition that
-fails); the grid checks and the conditions reported at the interval's ends
-come from :func:`violated_constraints`.  Regime classification needs
-no scan: the sign of sigma' follows from the parameters (see
-:func:`classify_regime`).
+The economic validity conditions R > 0, R' > 0, sigma > 0 (and a positive
+bracketed base) are intersected by :func:`validity_range`, which is what
+:func:`trajectory` builds on.  It checks them only next to the points where
+they can change, which each family states in closed form (``_sign_changes``:
+roots of the factors of its closed forms, and where their power terms
+overflow or round to 0).  Its bisection asks only whether a point is valid
+(:func:`_valid`, which stops at the first condition that fails); the grid
+checks and the conditions reported at the interval's ends come from
+:func:`violated_constraints`.  Regime classification needs no scan: the sign
+of sigma' follows from the parameters (see :func:`classify_regime`).
 """
 
 from __future__ import annotations
@@ -42,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite
 
 from .errors import DomainError, ParamError, ShareError, SingularError
 from .families import (
@@ -57,7 +44,6 @@ from .families import (
     _check_ves_branch,
     _construct,
     _count,
-    _evaluate,
     _nearest_float,
     _parameter_space,
     _quote,
@@ -65,6 +51,10 @@ from .families import (
     bracket_base,
     eval_intensive,
     loglinear_from_ves,
+    mrs_closed,
+    mrs_derivative_closed,
+    sigma_closed,
+    sigma_derivative_closed,
     ves_from_loglinear,
 )
 
@@ -175,55 +165,6 @@ def _require_points(points: int) -> int:
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:
     """The n points of :func:`_grid_point` from lo to hi."""
     return [_grid_point(lo, hi, n, i) for i in range(n)]
-
-
-# --------------------------------------------------------------------------
-# Marginal rate of substitution R(k), elasticity of substitution sigma(k),
-# and their derivatives; the closed forms are methods of the family types.
-# --------------------------------------------------------------------------
-
-def mrs_closed(spec: FamilySpec, k: float) -> float:
-    """R(k) = y/y' - k from the family's closed form."""
-    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
-        try:
-            if isfinite(value := spec._R(k)):
-                return value
-        except ArithmeticError:
-            pass
-    return _evaluate(spec, "_R", k)
-
-
-def mrs_derivative_closed(spec: FamilySpec, k: float) -> float:
-    """dR/dk from the family's closed form."""
-    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
-        try:
-            if isfinite(value := spec._dR(k)):
-                return value
-        except ArithmeticError:
-            pass
-    return _evaluate(spec, "_dR", k)
-
-
-def sigma_closed(spec: FamilySpec, k: float) -> float:
-    """sigma(k) from the family's closed form."""
-    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
-        try:
-            if isfinite(value := spec._sigma(k)):
-                return value
-        except ArithmeticError:
-            pass
-    return _evaluate(spec, "_sigma", k)
-
-
-def sigma_derivative_closed(spec: FamilySpec, k: float) -> float:
-    """d sigma / dk from the family's closed form."""
-    if type(k) is float and 0.0 < k < inf and isinstance(spec, _Family):
-        try:
-            if isfinite(value := spec._dsigma(k)):
-                return value
-        except ArithmeticError:
-            pass
-    return _evaluate(spec, "_dsigma", k)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +403,8 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
     """Rows (k, y, R, R', sigma, sigma') at `points` (2 to 10**6) log-spaced k
     across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
     an end the range binds, with the window's bounds taken as the floats nearest
-    them.  Returns every row or raises, never part of them."""
+    them; DomainError where the window meets the range over less than those
+    steps.  Returns every row or raises, never part of them."""
     points = _require_points(points)
     interval = validity_range(spec, k_from, k_to)
     k_from, k_to = float(k_from), float(k_to)  # finite: validity_range admitted them
@@ -471,6 +413,10 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
         lo *= 1.0 + 1e-9
     if hi < k_to:
         hi *= 1.0 - 1e-9
+    if not lo < hi:
+        raise DomainError(f"[{k_from:.6g}, {k_to:.6g}] meets the validity range "
+                          f"[{interval.k_low:.12g}, {interval.k_high:.12g}] over less "
+                          "than the 1e-9 step inside its ends")
     return [(k, eval_intensive(spec, k), mrs_closed(spec, k), mrs_derivative_closed(spec, k),
              sigma_closed(spec, k), sigma_derivative_closed(spec, k))
             for k in _log_grid(lo, hi, points)]

@@ -300,6 +300,15 @@ def test_trajectory_constant_sigma_for_ces(capsys):
     assert all(row[5] == 0.0 for row in rows)
 
 
+def test_trajectory_window_narrower_than_the_inward_step_exits_2(capsys):
+    # the range [1.49999999925, 1.50000000004] meets the window over less than
+    # the 1e-9 step inside its binding high end
+    code, out, err = run(capsys, *"trajectory --family sh --gamma 1 --delta 0.5 --rho 0.5 "
+                                   "--k-from 1.49999999925 --k-to 3 --points 3".split())
+    assert (code, out) == (2, "")
+    assert "over less than the 1e-9 step" in err
+
+
 def test_trajectory_bad_points_exits_2(capsys):
     code, _, _ = run(capsys, "trajectory", "--family", "ces", "--gamma", "1",
                      "--delta", "0.4", "--sigma", "0.7", "--k-from", "0.5",
@@ -333,6 +342,12 @@ def test_regime_boundary_exits_2(capsys):
                        "--b", "0.6", "--c", "1", "--xi", "-1")
     assert code == 2
     assert "reduce" in err and "sigma = b" in err
+
+
+def test_regime_of_b_above_1_exits_2(capsys):
+    code, out, err = run(capsys, *"regime --family ves --a 1 --b 1.5 --c 0.5 --xi -1".split())
+    assert (code, out) == (2, "")
+    assert "the regime taxonomy assumes b < 1" in err
 
 
 def test_regime_ces(capsys):

@@ -232,6 +232,18 @@ def test_kernels_equal_their_error_boundary(case, kind):
         assert _outcome(kernel, spec, k) == _outcome(_evaluate, spec, method, k), kernel.__name__
 
 
+def test_the_kernels_of_r_and_sigma_are_defined_in_families_and_re_exported():
+    # imported here from substitution: the same function object under every public path
+    import vesprod
+    import vesprod.families
+    import vesprod.substitution
+    for kernel in (mrs_closed, mrs_derivative_closed, sigma_closed, sigma_derivative_closed):
+        name = kernel.__name__
+        assert kernel.__module__ == "vesprod.families", name
+        assert name in vesprod.families.__all__ and name in vesprod.substitution.__all__
+        assert getattr(vesprod, name) is getattr(vesprod.families, name) is kernel
+
+
 def test_cobb_douglas_bracket_is_inf():
     # it has no bracket: inf is the value, not a failure to evaluate
     spec = CobbDouglasParams(1.0, 0.3)

@@ -341,6 +341,8 @@ def test_regime_boundary_and_sign_errors():
         classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.6, c=1.3, xi=2.0)))
     with pytest.raises(ParamError):
         classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=0.3, xi=1.0))
+    with pytest.raises(ParamError, match="assumes b < 1, got b = 1.4999999999999998"):
+        classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=1.5, c=0.5, xi=-1.0)))
     with pytest.raises(ParamError, match="b = c is a case boundary"):
         classify_regime(ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0)))
     with pytest.raises(ParamError, match=r"stated for b in \(0, 1\), got 1.5"):
@@ -655,6 +657,9 @@ _CD_HUGE_A = CobbDouglasParams(A=1e300, beta=0.5)
     # R = k^2 - 2k is positive only from k = 2
     ((VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0), 0.1, 1.0, 8), DomainError,
      "validity interval is empty"),
+    # the range ends at 1.50000000004, closer to k_from than the 1e-9 inward step
+    ((SatoHoffmanParams(1.0, 0.5, 0.5), 1.49999999925, 3.0, 3), DomainError,
+     r"\[1.49999999925, 1.50000000004\] over less than the 1e-9 step"),
 ])
 def test_trajectory_raises_rather_than_return_part_of_the_rows(args, error, match):
     with pytest.raises(error, match=match):
