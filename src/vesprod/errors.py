@@ -7,6 +7,18 @@ to exit code 2).
 
 from __future__ import annotations
 
+__all__ = [
+    "VesprodError",
+    "ParamError",
+    "DomainError",
+    "SingularError",
+    "ShareError",
+    "ParseError",
+    "ValidationError",
+    "MissingColumnError",
+    "RankError",
+]
+
 
 class VesprodError(Exception):
     """Base class for all vesprod errors."""

@@ -206,14 +206,10 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     import numpy as np  # imported here so that `import vesprod` does not load it
 
     rel = Relation(relation)
-    if rel is Relation.RENTAL:
-        if not d.has_r:
-            raise MissingColumnError("the rental relation needs column 'r'")
-        price = np.array([row.r for row in d.rows], dtype=float)
-    else:
-        if not d.has_w:
-            raise MissingColumnError("the wage relation needs column 'w'")
-        price = np.array([row.w for row in d.rows], dtype=float)
+    column = "r" if rel is Relation.RENTAL else "w"
+    if not getattr(d, f"has_{column}"):
+        raise MissingColumnError(f"the {rel.value} relation needs column '{column}'")
+    price = np.array([getattr(row, column) for row in d.rows], dtype=float)
 
     n = len(d.rows)
     if n < 4:

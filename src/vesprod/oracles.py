@@ -463,6 +463,11 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     All grid points must satisfy the validity constraints
     (:func:`violated_constraints`: positive bracket, R > 0, R' > 0,
     sigma > 0); the first offending point raises DomainError naming it.
+    The grid pass tests R, R' and sigma and not the bracket, whose sign
+    the columns have settled: VES's and the wage forms' y raise where it
+    is not positive, Sato-Hoffman's R = delta rho k / bracket is then not
+    positive or divides by zero, CES's is at least 1 - delta (or its power
+    overflows), and Cobb-Douglas's is inf.
 
     The finite-difference y'' loses accuracy where y is nearly linear: for
     the reference VES fit at k = 1e8, where k^2 |y''| / y = 0.0129, it is
@@ -481,7 +486,8 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
         yield "sigma", sig, sig_ref, 0.0
         (dsig,) = at(spec, "_dsigma", k)
         yield "sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig) / k
-        if not _positive(at(spec, "_bracket", k)[0], R, dR, sig):
+        # no bracket test: a bracket <= 0 has failed y or R above (see the docstring)
+        if not _positive(R, dR, sig):
             raise _GridFailed  # on the grid only: the scalar loop has checked every point
 
     def outside(k: float) -> str | None:

@@ -244,6 +244,23 @@ def test_the_kernels_of_r_and_sigma_are_defined_in_families_and_re_exported():
         assert getattr(vesprod, name) is getattr(vesprod.families, name) is kernel
 
 
+def test_the_package_republishes_each_modules_all_and_nothing_else():
+    # each module's __all__ is the one list of its public names: a module
+    # without one would leak its imports (annotations, say) into vesprod
+    import vesprod
+    submodules = ("errors", "families", "substitution", "estimation", "oracles")
+    exported = set()
+    for name in submodules:
+        module = getattr(vesprod, name)
+        for public in module.__all__:
+            assert getattr(vesprod, public) is getattr(module, public), public
+        exported.update(module.__all__)
+    # vesprod.cli is bound on the package once something imports it
+    names = {name for name in dir(vesprod) if not name.startswith("__")} - {"cli"}
+    assert names == exported | set(submodules)
+    assert vesprod.__version__ == "0.1.0"
+
+
 def test_cobb_douglas_bracket_is_inf():
     # it has no bracket: inf is the value, not a failure to evaluate
     spec = CobbDouglasParams(1.0, 0.3)

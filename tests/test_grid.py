@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from vesprod import (
     CESParams,
     CobbDouglasParams,
+    DomainError,
     LiuHildebrandParams,
     LogLinearParams,
     LuFletcherParams,
@@ -101,6 +102,9 @@ def _cases(draw):
 _VES = VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0)  # bracket 1 - 1/k: root at k = 1
 _VES_POLE = VESParams(lam=-0.5, mu=1.0, theta=2.0, psi=1.0)  # R' = 2k - 0.5: sigma's pole at 0.25
 _SH = SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5)  # bound 1.5
+# bound 3.2500000000000004, but the bracket 0.325 - 0.1 k rounds to 0 at k = 3.25
+_SH_ROUNDED = SatoHoffmanParams(gamma=1.0, delta=0.75, rho=0.9)
+_LH = LiuHildebrandParams(1.0, 0.5, 0.2, 1.0)  # bracket root between 0.3 and 1
 _REFERENCE = VESParams(lam=0.1538, mu=-3.8236, theta=1.2757, psi=1.0815)
 _EXAMPLES = [
     (_VES, [0.5, 2.0]),                            # straddles the bracket root
@@ -195,10 +199,32 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
     (_SH, [2.0, 3.0], "_sigma"),
     (_VES, [0.5, 2.0], "_y"),          # a branch that the points do not all take
     (_SH, [1.0, 2.0], "_R"),
+    (_LH, [0.3, 10.0], "_y"),
+    (_SH_ROUNDED, [1.0, 3.25], "_R"),  # y is finite there; R divides by zero
 ])
 def test_a_grid_that_fails_returns_none(spec, grid, method):
     # the failures' messages format k with :.12g, which a grid of k does as its points do
     assert _values_or_none(spec, method, grid) is None
+
+
+@pytest.mark.parametrize("spec, grid, first", [
+    (_VES, [0.5, 3.0], 0.5),
+    (_LH, [0.3, 10.0], 0.3),
+    (_SH, [1.0, 1.5], 1.5),          # reaches the bound
+    (_SH_ROUNDED, [1.0, 3.25], 3.25),  # below the bound
+])
+def test_a_grid_across_a_bracket_root_takes_the_scalar_loop(monkeypatch, spec, grid, first):
+    # verify_family's grid pass tests no bracket: y or R has failed where one is not positive
+    passes = []
+
+    def recorded(*args, body=oracles_module._grid_pass):
+        passes.append(body(*args))
+        return passes[-1]
+    monkeypatch.setattr(oracles_module, "_grid_pass", recorded)
+    with pytest.raises(DomainError) as info:
+        verify_family(spec, grid)
+    assert passes == [None]
+    assert str(info.value) == f"k = {first:.12g} is outside the validity range (violated: bracket>0)"
 
 
 _CES_LIMIT = LogLinearParams(1.0, 0.6, 1.0, -1.0)  # c = 1: VES reduces to CES

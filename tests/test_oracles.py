@@ -39,7 +39,7 @@ from vesprod import (
     verify_sato_hoffman,
     ves_from_loglinear,
 )
-from vesprod.families import _grid_type, _quote
+from vesprod.families import _grid_type, _on_grid, _quote
 import vesprod.oracles as oracles_module
 
 
@@ -624,16 +624,22 @@ def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
 
 def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_ves, monkeypatch):
     # the grid pass calls each method once per point, with every point in one
-    # array; the scalar loop evaluates R, R' and sigma in violated_constraints
-    # and again in the comparisons
+    # array, and tests no bracket; the scalar loop evaluates R, R' and sigma in
+    # violated_constraints and again in the comparisons
     grid = list(np.geomspace(2.4, 20.0, 16))
-    calls = []
+    calls, on_grid = [], []
     for method in ("_R", "_dR", "_sigma"):
         def counted(spec, k, method=method, body=getattr(VESParams, method)):
             calls.append((method, k))
             return body(spec, k)
         monkeypatch.setattr(VESParams, method, counted)
+
+    def on_grid_counted(spec, method, *arrays):
+        on_grid.append(method)
+        return _on_grid(spec, method, *arrays)
+    monkeypatch.setattr(oracles_module, "_on_grid", on_grid_counted)
     verify_family(reference_fit_ves, grid)
+    assert on_grid == ["_y", "_R", "_dR", "_sigma", "_dsigma"]
     assert all(isinstance(k, _grid_type()) for _, k in calls)
     points = [(method, t) for method, k in calls for t in k.a.tolist()]
     for method in ("_R", "_dR", "_sigma"):
