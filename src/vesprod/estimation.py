@@ -35,6 +35,7 @@ from enum import Enum
 from .errors import (
     DomainError,
     MissingColumnError,
+    ParamError,
     ParseError,
     RankError,
     SingularError,
@@ -199,13 +200,17 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     """Ordinary least squares fit of ln y on [1, ln price, ln k].
 
     ``relation`` selects the price column: rental uses r, wage uses w.
-    Raises :class:`MissingColumnError` when the price column is absent,
+    Raises :class:`ParamError` for any other relation,
+    :class:`MissingColumnError` when the price column is absent,
     :class:`ValidationError` for fewer than 4 observations, and
     :class:`RankError` when the regressors are collinear.
     """
     import numpy as np  # imported here so that `import vesprod` does not load it
 
-    rel = Relation(relation)
+    try:
+        rel = Relation(relation)
+    except ValueError:
+        raise ParamError(f"relation must be 'rental' or 'wage', got {_quote(relation)}") from None
     column = "r" if rel is Relation.RENTAL else "w"
     if not getattr(d, f"has_{column}"):
         raise MissingColumnError(f"the {rel.value} relation needs column '{column}'")

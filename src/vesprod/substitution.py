@@ -18,11 +18,10 @@ bracketed base) are intersected by :func:`validity_range`, which is what
 :func:`trajectory` builds on.  It checks them only next to the points where
 they can change, which each family states in closed form (``_sign_changes``:
 roots of the factors of its closed forms, and where their power terms
-overflow or round to 0).  Its bisection asks only whether a point is valid
-(:func:`_valid`, which stops at the first condition that fails); the grid
-checks and the conditions reported at the interval's ends come from
-:func:`violated_constraints`.  Regime classification needs no scan: the sign
-of sigma' follows from the parameters (see :func:`classify_regime`).
+overflow or round to 0).  Each check, on the grid, in bisection and at the
+interval's ends, is :func:`violated_constraints`, which calls the closed-form
+methods directly.  Regime classification needs no scan: the sign of sigma'
+follows from the parameters (see :func:`classify_regime`).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .families import (
     _parameter_space,
     _quote,
     _require_in_domain,
-    bracket_base,
     eval_intensive,
     loglinear_from_ves,
     mrs_closed,
@@ -259,40 +257,40 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
 # Validity range
 # --------------------------------------------------------------------------
 
-#: The validity conditions as (label, public kernel) in report order.
+#: The validity conditions as (label, closed-form method) in report order.
 #: Where the bracket fails the other forms are not evaluable: it is reported alone.
-_CONSTRAINTS = (("bracket>0", bracket_base), ("R>0", mrs_closed),
-                ("R_prime>0", mrs_derivative_closed), ("sigma>0", sigma_closed))
+_CONSTRAINTS = (("bracket>0", "_bracket"), ("R>0", "_R"), ("R_prime>0", "_dR"),
+                ("sigma>0", "_sigma"))
 
 #: Relative width to which validity_range bisects an endpoint.
 _BISECT_REL_TOL = 1e-10
 
 
 def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
-    """Which of the four validity conditions fail at k (empty when valid)."""
-    bad = []
-    for label, kernel in _CONSTRAINTS:
+    """Which of the four validity conditions fail at k (empty when valid).  k is
+    admitted as the float nearest it; where that is not positive, the bracket
+    fails.  A condition holds where its method raises neither ArithmeticError
+    nor DomainError and gives a positive finite value (the bracket may be +inf).
+    ParamError propagates (Sato-Hoffman with alpha != 1)."""
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    if not (type(k) is float and 0.0 < k < math.inf):
         try:
-            holds = kernel(spec, k) > 0.0
-        except (DomainError, SingularError):
+            k = _require_in_domain("capital-labor ratio", k)
+        except DomainError:
+            return ("bracket>0",)
+    bad = []
+    for label, method in _CONSTRAINTS:
+        try:
+            value = getattr(spec, method)(k)
+            holds = 0.0 < value < math.inf or value == math.inf and method == "_bracket"
+        except (ArithmeticError, DomainError):
             holds = False
         if not holds:
             bad.append(label)
-            if kernel is bracket_base:
+            if method == "_bracket":
                 break
     return tuple(bad)
-
-
-def _valid(spec: FamilySpec, k: float) -> bool:
-    """Whether every validity condition holds at k: ``not violated_constraints(spec, k)``,
-    stopping at the first condition that fails."""
-    for _, kernel in _CONSTRAINTS:
-        try:
-            if not kernel(spec, k) > 0.0:
-                return False
-        except (DomainError, SingularError):
-            return False
-    return True
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -311,7 +309,7 @@ def _bisect_boundary(spec: FamilySpec, k_bad: float, k_good: float) -> tuple[flo
         mid = _midpoint(lo, hi)
         if abs(hi - lo) <= _BISECT_REL_TOL * abs(mid):
             break
-        if not _valid(spec, mid):
+        if violated_constraints(spec, mid):
             lo = mid
         else:
             hi = mid

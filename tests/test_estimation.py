@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -207,6 +208,15 @@ def test_fit_missing_price_column():
         fit_loglinear(d, "rental")
     with pytest.raises(MissingColumnError):
         fit_loglinear(d, "wage")
+
+
+@pytest.mark.parametrize("relation", ["bogus", "RENTAL", None, 3])
+def test_fit_unknown_relation_raises_param_error(relation):
+    d = load_dataset(_csv(["p1,1.0,2.0,0.3", "p2,1.1,2.1,0.31", "p3,1.2,2.2,0.32",
+                           "p4,1.3,2.3,0.33"]))
+    message = rf"^relation must be 'rental' or 'wage', got {re.escape(repr(relation))}$"
+    with pytest.raises(ParamError, match=message):
+        fit_loglinear(d, relation)
 
 
 def test_fit_insufficient_observations():

@@ -51,9 +51,9 @@ from vesprod.substitution import (
     ValidityInterval,
     _bisect_boundary,
     _log_grid,
-    _valid,
 )
-from test_grid import _cases
+from test_families import _NEAR_FLOATS, _OUT_OF_RANGE
+from test_grid import _EXAMPLES, _cases
 
 # displayed coefficients the closed forms must reproduce at the reference fit
 PRINTED = {
@@ -598,22 +598,57 @@ def test_validity_range_without_cuts_bisects_the_grid_index(monkeypatch, referen
     assert expected.k_low == 2.077600011084373
 
 
-def _truth_or_error(condition, spec, k):
+#: the validity conditions as the public kernels state them
+_KERNEL_CONSTRAINTS = (("bracket>0", bracket_base), ("R>0", mrs_closed),
+                       ("R_prime>0", mrs_derivative_closed), ("sigma>0", sigma_closed))
+
+
+def _violated_through_kernels(spec, k):
+    """violated_constraints written over the public kernels, whose error boundary
+    turns a floating-point failure into DomainError or SingularError."""
+    bad = []
+    for label, kernel in _KERNEL_CONSTRAINTS:
+        try:
+            holds = kernel(spec, k) > 0.0
+        except (DomainError, SingularError):
+            holds = False
+        if not holds:
+            bad.append(label)
+            if kernel is bracket_base:
+                break
+    return tuple(bad)
+
+
+def _repr_or_exception(function, spec, k):
     try:
-        return condition(spec, k)
-    except VesprodError as exc:
+        return repr(function(spec, k))
+    except Exception as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_cases())
-def test_valid_is_the_truth_of_violated_constraints(case):
-    # the bisection's short-circuiting test against the full list of conditions,
+def test_violated_constraints_is_what_the_public_kernels_say(case):
     # for all six families across the double range and around their cut points
     spec, grid = case
     for k in grid:
-        assert _truth_or_error(_valid, spec, k) == _truth_or_error(
-            lambda s, x: not violated_constraints(s, x), spec, k), k
+        assert _repr_or_exception(violated_constraints, spec, k) == _repr_or_exception(
+            _violated_through_kernels, spec, k), k
+
+
+@pytest.mark.parametrize("spec", [
+    *dict.fromkeys(spec for spec, _ in _EXAMPLES),
+    SatoHoffmanParams(1.0, 0.5, 0.5, alpha=2.0),  # R raises ParamError where the bracket holds
+    LogLinearParams(a=1.0, b=0.5, c=0.3, xi=-1.0),  # no family spec
+    None,
+], ids=repr)
+def test_violated_constraints_admits_k_as_the_public_kernels_do(spec):
+    # every kind of number, out of range or next to a float, and what is no number
+    ks = (*_OUT_OF_RANGE, *_NEAR_FLOATS, 0.5, 1.5, 3.0, -1.5, 0.0, -0.0, 5e-324, 1e308,
+          np.float64(1.5), np.float32(0.5), np.int64(2), True, False, "1.5", b"1.5", None)
+    for k in ks:
+        assert _repr_or_exception(violated_constraints, spec, k) == _repr_or_exception(
+            _violated_through_kernels, spec, k), k
 
 
 def test_clip_outside_the_validity_range_raises():
