@@ -61,16 +61,19 @@ number a caller gives is admitted, and from then on held, as the float nearest
 it (:func:`_nearest_float`): a spec stores each field so before any test or
 constant reads it, and a count is admitted as the int it stands for
 (:func:`_count`).  :func:`_quote` quotes the caller's number.
-:func:`_on_grid` runs a method unchanged over plain float64 arrays of k
-(:func:`_as_grid` gives one) for the oracles: it wraps them in one grid of k
-(:func:`_grid_type`), which holds a plain ndarray and applies each operator's
-ufunc to it, with libm's ``pow`` as the scalar formulas have it, and returns
-per array one row of its points' values, or raises.  No grid leaves this
-module.
+:func:`_grid_pass` is the oracles' grid pass, with its numpy gate, its one
+``np.errstate`` and its one catch.  It gives a caller a float64 array of k and
+:func:`_on_grid`, which runs a method unchanged over such arrays: it wraps
+them in one grid of k (:func:`_grid_type`), which holds a plain ndarray and
+applies each operator's ufunc to it, with libm's ``pow`` as the scalar
+formulas have it, and returns per array one row of its points' values, or
+raises.  No grid leaves this module.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
 SingularError.  :func:`reduce_special_case` is total: it raises none of them.
+A spec of the wrong type raises TypeError (:func:`_require_type`), which the
+boundary lets through.
 
 All types are frozen dataclasses and all operations are pure functions;
 they are safe to share across threads.
@@ -84,7 +87,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import NoReturn, Union
+from typing import Callable, NoReturn, Union
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
 
@@ -176,6 +179,11 @@ def _require_in_domain(name: str, value: float) -> float:
     return number
 
 
+def _require_type(spec: object, kind: type) -> None:
+    if not isinstance(spec, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(spec).__name__}")
+
+
 @dataclass(frozen=True)
 class LogLinearParams:
     """Regression-space parameters of a log-linear factor-price relation.
@@ -220,6 +228,7 @@ class LogLinearParams:
 
 def _check_ves_branch(p: LogLinearParams) -> None:
     """Branch restrictions of the rental-rate closed form: b not in {0, 1}, b != c."""
+    _require_type(p, LogLinearParams)
     if p.b == 0.0:
         raise ParamError("b = 0 is the Cobb-Douglas branch; use reduce_special_case")
     if p.b == 1.0:
@@ -230,6 +239,7 @@ def _check_ves_branch(p: LogLinearParams) -> None:
 
 def _check_lh_branch(p: LogLinearParams) -> None:
     """Branch restrictions of the wage closed form: b not in {0, 1}, b + c != 1."""
+    _require_type(p, LogLinearParams)
     if p.b == 0.0 or p.b == 1.0:
         raise ParamError("the wage-relation closed form needs b outside {0, 1}, "
                          f"got b = {_quote(p.b)}")
@@ -939,29 +949,16 @@ def _grid_type() -> type:
     return _Grid
 
 
-def _as_grid(points, *specs: FamilySpec):
-    """Positive finite float points as the float64 array of k that
-    :func:`_on_grid` takes, or None where the grid pass does not run: numpy is
-    not loaded (a one-shot check would pay its import for nothing), or a spec
-    is no family spec (which the kernels reject)."""
-    if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
-        return None
-    import numpy as np
-    return np.array(points, dtype=float)
-
-
 def _on_grid(spec: FamilySpec, method: str, *arrays):
     """``spec.<method>`` at every point of the float64 arrays of k ``arrays``
-    (from :func:`_as_grid`, or arithmetic on one; all of one length) from one
-    call of the unchanged method over one grid of them all: one row of values
-    per array, in order, each the kernel's value at each point, bit for bit.
-    It runs under the ``np.errstate(over/divide/invalid="raise")`` that the
-    oracles' grid pass (``oracles._grid_pass``) sets, and raises where the
-    kernel could fail at a point: the method's ArithmeticError
-    (FloatingPointError where an operation overflowed, divided by zero or was
-    invalid) or VesprodError, and :class:`_GridFailed` for a branch that the
-    points do not all take or a value that is not finite (for the bracket:
-    NaN)."""
+    (the grid pass's k, or arithmetic on it; all of one length) from one call
+    of the unchanged method over one grid of them all: one row of values per
+    array, in order, each the kernel's value at each point, bit for bit.  It
+    raises where the kernel could fail at a point: under :func:`_grid_pass`'s
+    errstate, the method's ArithmeticError (FloatingPointError where an
+    operation overflowed, divided by zero or was invalid) or VesprodError, and
+    :class:`_GridFailed` for a branch that the points do not all take or a
+    value that is not finite (for the bracket: NaN)."""
     import numpy as np
     grid = _grid_type()
     ks = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -972,6 +969,23 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
             else np.count_nonzero(np.isfinite(values)) != values.size):
         raise _GridFailed
     return (values,) if len(arrays) == 1 else values.reshape(len(arrays), -1)
+
+
+def _grid_pass(run: Callable, points: list[float], *specs: FamilySpec):
+    """The grid pass: ``run(k, _on_grid)``, k the float64 array of the points,
+    under ``np.errstate(over/divide/invalid="raise")``.  None where numpy is
+    not loaded (a one-shot check would pay its import for nothing), a spec is
+    no family spec (which the kernels reject), or ``run`` raises ArithmeticError,
+    VesprodError or :class:`_GridFailed`: then the caller's scalar loop, which
+    names the failure, runs.  Any other exception goes through."""
+    if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
+        return None
+    import numpy as np
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return run(np.array(points, dtype=float), _on_grid)
+    except (ArithmeticError, VesprodError, _GridFailed):
+        return None
 
 
 def bracket_base(spec: FamilySpec, k: float) -> float:
@@ -1136,6 +1150,7 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     :class:`ParamError`.  A power of psi or a past the double range (or
     psi^(1-b) rounding to 0), and b rounding to 1, raise
     :class:`SingularError`."""
+    _require_type(v, VESParams)
     den = v.lam * (v.theta - 1.0) + v.theta
     if den == 0.0:
         raise SingularError("lam*(theta-1) + theta = 0: no log-linear representation")
@@ -1214,6 +1229,7 @@ def reduce_special_case(p: LogLinearParams, tol: float = 1e-9
     met but the target cannot be built (b ~ 0 with c >= 1; for CES, xi unset,
     b = 1, or no finite gamma and delta that CESParams admits), p is returned.
     """
+    _require_type(p, LogLinearParams)
     tolerance = _nearest_float(tol)
     if not tolerance >= 0.0:
         raise ParamError(f"tol must be a non-negative float, got {_quote(tol)}")

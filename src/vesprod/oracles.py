@@ -1,6 +1,6 @@
 """Independent numerical verifiers.
 
-The closed forms in :mod:`vesprod.substitution` are checked here against
+The closed forms in :mod:`vesprod.families` are checked here against
 the defining identities evaluated with finite differences,
 
     R(k)     = y/y' - k,
@@ -33,21 +33,20 @@ finite number.
 Each verifier is stated once, as a generator ``columns(k, at)`` that yields
 its (quantity, closed form, reference, scale floor) at k, where
 ``at(spec, method, *points)`` gives a closed-form method's values at the
-points.  Where numpy is already loaded, every verifier but the ODE check
-first takes a grid pass (:func:`_grid_pass`): the columns run once with k
-the plain float64 array of the grid's points (``families._as_grid``), and
-``at`` is ``families._on_grid`` itself, which runs the method once over one
-grid of k built from all its arrays (the grid, and k +- h for the finite
-differences) and keeps every value to the scalar kernel's bits.  The grid
-pass holds the only ``np.errstate`` and the only ``except`` of that path:
-where a point is inadmissible or an operation fails it returns None, and
-otherwise it passes on only the comparisons that decide the report.  Then,
-or without numpy loaded (so that a one-shot check does not pay numpy's
-import), the scalar loop runs: it names the first inadmissible point (for
-:func:`verify_family`, as :func:`violated_constraints` finds it), and then
-runs the same columns point by point, with ``at`` the kernels' one error
-boundary (``families._evaluate``) at each point in turn, so it names the
-first failure.
+points; this module only states the columns and scores them.  Once
+:func:`_check_grid` admits the grid, every verifier but the ODE check first
+takes the grid pass (``families._grid_pass``, which holds its numpy gate,
+errstate and one catch): the columns run once with k the float64 array of the
+grid's points and ``at`` ``families._on_grid``, which runs the method once over
+one grid of k built from all its arrays (the grid, and k +- h for the finite
+differences) and keeps every value to the scalar kernel's bits, and only the
+comparisons that decide the report are scored (:func:`_decisive`).  Where the
+grid pass gives None (numpy not loaded, so that a one-shot check does not pay
+its import, or a point inadmissible, or an operation failed), the scalar loop
+runs: it names the first inadmissible point (for :func:`verify_family`, as
+:func:`violated_constraints` finds it), and then runs the same columns point
+by point, with ``at`` the kernels' one error boundary (``families._evaluate``)
+at each point in turn, so it names the first failure.
 """
 
 from __future__ import annotations
@@ -66,14 +65,14 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
-    _as_grid,
     _count,
     _evaluate,
     _GridFailed,
+    _grid_pass,
     _nearest_float,
-    _on_grid,
     _quote,
     _require_in_domain,
+    _require_type,
     eval_intensive,
     lf_from_lh,
     lh_from_loglinear,
@@ -160,32 +159,23 @@ def _report(name: str, points: int, tolerance: float,
         worst_k=worst_k, worst_quantity=worst_quantity)
 
 
-def _step(k: float, relative: float) -> float:
-    """The finite-difference step k * relative, rounded so that k + h is exact."""
-    return (k + k * relative) - k
-
-
 def _difference(plus: float, minus: float, h: float) -> float:
     """The central difference of the values at k + h and k - h."""
     return (plus - minus) / (2.0 * h)
 
 
-def _second_difference(plus: float, at: float, minus: float, h: float) -> float:
-    """The second difference of the values at k + h, k and k - h."""
-    return (plus - 2.0 * at + minus) / (h * h)
-
-
 def _fd_derivatives(spec: FamilySpec, k, at: _At) -> tuple:
     """The step h1, the points (k, k + h1, k - h1), and y, y' and y'' at k, the
     derivatives by central differences of y with the steps h1 and h2, from one
-    ``at`` call at k, k +- h1 and k +- h2.  A step that underflows (h2's
-    square does below k ~ 1e-158) divides by zero: SingularError."""
-    h1, h2 = _step(k, _H1), _step(k, _H2)
+    ``at`` call at k, k +- h1 and k +- h2, each step rounded so that k + h is
+    exact.  A step that underflows (h2's square does below k ~ 1e-158)
+    divides by zero: SingularError."""
+    h1, h2 = (k + k * _H1) - k, (k + k * _H2) - k
     points = (k, k + h1, k - h1, k + h2, k - h2)
     yv, y1p, y1m, y2p, y2m = at(spec, "_y", *points)
     try:
         return (h1, points[:3], yv, _difference(y1p, y1m, h1),
-                _second_difference(y2p, yv, y2m, h2))
+                (y2p - 2.0 * yv + y2m) / (h2 * h2))
     except ZeroDivisionError as exc:
         raise SingularError(f"the finite-difference step underflows at k = {k:.12g}") from exc
 
@@ -246,15 +236,6 @@ def _check_grid(k_grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def _require_admissible(grid: list[float], outside: Callable[[float], str | None]) -> None:
-    """The first point for which ``outside`` names a range raises DomainError
-    naming the point."""
-    for k in grid:
-        where = outside(k)
-        if where:
-            raise DomainError(f"k = {k:.12g} is outside the {where}")
-
-
 # --------------------------------------------------------------------------
 # One statement per verifier: its columns over the grid, or point by point
 # --------------------------------------------------------------------------
@@ -265,33 +246,24 @@ def _at_point(spec: FamilySpec, method: str, *points: float) -> list[float]:
     return [_evaluate(spec, method, k) for k in points]
 
 
-def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list[_Comparison] | None:
-    """Of the columns that ``columns(k, families._on_grid)`` yields with k the
-    array of the grid's points, the comparisons that decide :func:`_report`'s
-    result: one with the largest absolute error, then the last with the largest
-    relative error, each with its scale as its scale floor.  None where the grid
-    pass does not run (``families._as_grid``), a float operation fails, or
-    columns raises ArithmeticError, VesprodError or ``_GridFailed``: then the
-    scalar loop, which names the failure, runs."""
-    k = _as_grid(grid, *specs)
-    if k is None:
-        return None
+def _decisive(columns: _Columns, k, at: _At) -> list[_Comparison]:
+    """Of the columns that ``columns(k, at)`` yields over the grid pass's k
+    (``families._grid_pass``, in which this runs), the comparisons that decide
+    :func:`_report`'s result: one with the largest absolute error, then the
+    last with the largest relative error, each with its scale as its scale
+    floor.  A scoring operation that fails, too, gives the scalar loop."""
     import numpy as np
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            compared = list(columns(k, _on_grid))
-            # row j: column j over the grid; read point by point through .T
-            closed = np.array([column[1] for column in compared])
-            reference = np.array([column[2] for column in compared])
-            abs_err = abs(closed - reference)
-            scale = np.maximum(abs(closed), abs(reference))
-            for row, (*_, floor) in zip(scale, compared):
-                if not isinstance(floor, float) or floor:  # a floor of 0 changes no scale
-                    np.maximum(row, floor, out=row)
-            # 0 where abs_err is, as the scale is positive wherever abs_err is not
-            rel = abs_err / np.maximum(scale, 5e-324)
-    except (ArithmeticError, VesprodError, _GridFailed):  # FloatingPointError included
-        return None
+    compared = list(columns(k, at))
+    # row j: column j over the grid; read point by point through .T
+    closed = np.array([column[1] for column in compared])
+    reference = np.array([column[2] for column in compared])
+    abs_err = abs(closed - reference)
+    scale = np.maximum(abs(closed), abs(reference))
+    for row, (*_, floor) in zip(scale, compared):
+        if not isinstance(floor, float) or floor:  # a floor of 0 changes no scale
+            np.maximum(row, floor, out=row)
+    # 0 where abs_err is, as the scale is positive wherever abs_err is not
+    rel = abs_err / np.maximum(scale, 5e-324)
     worst = rel.size - 1 - int(rel.T.ravel()[::-1].argmax())  # the last of equal maxima
     largest = int(abs_err.T.argmax())
     q = len(compared)
@@ -300,17 +272,20 @@ def _grid_pass(columns: _Columns, grid: list[float], *specs: FamilySpec) -> list
             for i in ([worst] if largest == worst else [largest, worst])]
 
 
-def _verify(name: str, columns: _Columns, grid: list[float], tolerance: float,
+def _verify(name: str, columns: _Columns, k_grid: Sequence[float], tolerance: float,
             specs: Sequence[FamilySpec],
-            outside: Callable[[float], str | None] | None = None) -> VerificationReport:
+            outside: Callable[[float], str | None] = lambda k: None) -> VerificationReport:
     """The report on the columns (quantity, closed form, reference, scale
-    floor) that ``columns(k, at)`` yields at each point k of the grid: from
-    the grid pass, or else from the scalar loop, which first requires every
-    point admissible (``outside``) and then runs the columns point by point."""
-    comparisons = _grid_pass(columns, grid, *specs)
+    floor) that ``columns(k, at)`` yields at each point k of the grid, once
+    :func:`_check_grid` admits it: from the grid pass, or else from the scalar
+    loop, which first raises DomainError at the first point for which
+    ``outside`` names a range, and then runs the columns point by point."""
+    grid = _check_grid(k_grid)
+    comparisons = _grid_pass(lambda k, at: _decisive(columns, k, at), grid, *specs)
     if comparisons is None:
-        if outside is not None:
-            _require_admissible(grid, outside)
+        for k in grid:
+            if where := outside(k):
+                raise DomainError(f"k = {k:.12g} is outside the {where}")
         comparisons = ((quantity, k, *column) for k in grid
                        for quantity, *column in columns(k, _at_point))
     return _report(name, len(grid), tolerance, comparisons)
@@ -372,6 +347,7 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     value there.  Where several nodes fail, the first in step order is
     reported.
     """
+    _require_type(v, VESParams)
     k_start, k_end, y_start = (_require_in_domain(name, value) for name, value in
                                (("k_start", k_start), ("k_end", k_end), ("y_start", y_start)))
     count = _count(steps)
@@ -494,7 +470,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
         violated = violated_constraints(spec, k)
         return f"validity range (violated: {', '.join(violated)})" if violated else None
 
-    return _verify("family", columns, _check_grid(k_grid), tolerance, [spec], outside)
+    return _verify("family", columns, k_grid, tolerance, [spec], outside)
 
 
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
@@ -508,7 +484,7 @@ def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
             (closed,), (reference,) = at(spec, method, k), at(target, method, k)
             yield quantity, closed, reference, 0.0
 
-    return _verify(name, columns, _check_grid(k_grid), tolerance, [spec, target])
+    return _verify(name, columns, k_grid, tolerance, [spec, target])
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -534,6 +510,7 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
     by finite differences of the defining identity, is the affine function
     1 + (rho-1)/(1 - delta*rho) * k (``sigma_closed``) inside the
     admissible range."""
+    _require_type(s, SatoHoffmanParams)
     if s.alpha != 1.0:
         raise ParamError("the affine-elasticity identity assumes degree one "
                          f"(alpha = 1), got alpha = {_quote(s.alpha)}")
@@ -543,5 +520,5 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         (sig,) = at(s, "_sigma", k)
         yield "sigma", sig, _sigma_identity(k, *_fd_derivatives(s, k, at)[2:]), 0.0
 
-    return _verify("sato-hoffman", columns, _check_grid(k_grid), tolerance, [s],
+    return _verify("sato-hoffman", columns, k_grid, tolerance, [s],
                    lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)

@@ -47,6 +47,7 @@ from .families import (
     _parameter_space,
     _quote,
     _require_in_domain,
+    _require_type,
     eval_intensive,
     loglinear_from_ves,
     mrs_closed,
@@ -179,6 +180,7 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     positive; the latter failing means the implied capital share
     beta = k y' / y is at least c, which the relation rules out.
     """
+    _require_type(p, LogLinearParams)
     k = _require_in_domain("capital-labor ratio", k)
     wage = y - k * y_prime
     if wage <= 0.0:

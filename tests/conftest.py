@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import vesprod.oracles
 from vesprod import (
     CESParams,
     CobbDouglasParams,
@@ -244,6 +245,11 @@ def grid_inside_validity(spec, probe_lo: float, probe_hi: float, n: int = 16,
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
+
+def without_grid_pass(patch: pytest.MonkeyPatch) -> None:
+    """Make the verifiers run their scalar loop, as they do where numpy is not loaded."""
+    patch.setattr(vesprod.oracles, "_grid_pass", lambda run, points, *specs: None)
+
 
 @pytest.fixture
 def reference_fit() -> LogLinearParams:

@@ -146,6 +146,37 @@ def test_kernels_reject_non_family_spec(call):
             call(spec)
 
 
+_VES = VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0)
+_CD = CobbDouglasParams(A=1.0, beta=0.5)
+_LH = LiuHildebrandParams(a=1.0, b=0.5, c=0.2, xi=-1.0)  # the fields of a LogLinearParams
+
+
+@pytest.mark.parametrize("call, others", [
+    (ves_from_loglinear, [_VES, _LH]),
+    (loglinear_from_ves, [REFERENCE, _CD]),
+    (lh_from_loglinear, [_VES, _LH]),
+    (lf_from_lh, [_VES, _LH]),
+    (symmetric_form, [_VES, _LH]),
+    (reduce_special_case, [_VES, _LH]),
+    (lambda s: calibrate_xi(s, 1.0), [_VES, _LH]),
+    (lambda s: sigma_from_shares(s, 1.0, 1.0, 0.5), [_VES, _LH]),
+    (lambda s: sigma_from_mrs(s, 1.0), [_VES, _LH]),
+    (regression_closed_form, [_VES, _LH]),
+    (lambda s: verify_equivalence_lh_lf(s, [1.0]), [_VES, _LH]),
+    (lambda s: verify_sato_hoffman(s, [1.0]), [_VES, _CD]),
+    (lambda s: ode_integrate_theorem(s, 1.0, 1.0, 2.0, 10), [_CD, REFERENCE]),
+    (lambda s: verify_ode(s, 1.0, 2.0, 10), [_CD]),
+], ids=["ves_from_loglinear", "loglinear_from_ves", "lh_from_loglinear", "lf_from_lh",
+        "symmetric_form", "reduce_special_case", "calibrate_xi", "sigma_from_shares",
+        "sigma_from_mrs", "regression_closed_form", "verify_equivalence_lh_lf",
+        "verify_sato_hoffman", "ode_integrate_theorem", "verify_ode"])
+def test_a_spec_of_the_wrong_type_is_a_type_error(call, others):
+    # also through the parameter-space error boundary, which lets TypeError through
+    for spec in (None, "ves", *others):
+        with pytest.raises(TypeError, match=f"{type(spec).__name__}$"):
+            call(spec)
+
+
 _ANY = st.floats(-1e300, 1e300)
 _POSITIVE = st.floats(1e-300, 1e300)
 _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)

@@ -1,11 +1,13 @@
 """The grid pass of the verifiers against their scalar loop.
 
-``families._on_grid`` evaluates one closed-form method over a whole grid of k
-in one call; the grid's ``**`` is ``np.float_power``, which calls libm's
-``pow`` as Python's float ``**`` does.  Its values must equal the public
-kernels' bit for bit, or it must raise a failure on which the grid pass
-falls back to the scalar loop.  Every verifier must give the same report,
-or raise the same exception, with the grid pass and without it.
+``families._grid_pass`` runs a caller's ``run(k, _on_grid)`` over the float64
+array of a grid's points, and ``families._on_grid`` evaluates one closed-form
+method over a whole grid of k in one call; the grid's ``**`` is
+``np.float_power``, which calls libm's ``pow`` as Python's float ``**`` does.
+Its values must equal the public kernels' bit for bit, or it must raise a
+failure on which the grid pass falls back to the scalar loop.  Every
+verifier must give the same report, or raise the same exception, with the
+grid pass and without it.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import without_grid_pass
 from vesprod import (
     CESParams,
     CobbDouglasParams,
@@ -26,7 +29,6 @@ from vesprod import (
     ParamError,
     SatoHoffmanParams,
     VESParams,
-    VesprodError,
     bracket_base,
     eval_intensive,
     intensive_derivative,
@@ -42,7 +44,7 @@ from vesprod import (
     verify_sato_hoffman,
     ves_from_loglinear,
 )
-from vesprod.families import _GridFailed, _as_grid, _grid_type, _on_grid
+from vesprod.families import _GridFailed, _grid_pass, _grid_type, _on_grid
 import vesprod.oracles as oracles_module
 
 _KERNELS = {"_bracket": bracket_base, "_y": eval_intensive, "_dy": intensive_derivative,
@@ -122,14 +124,11 @@ _EXAMPLES = [
 
 
 def _values_or_none(spec, method, *grids):
-    """_on_grid's rows of values over the grids, one call over them all, under
-    the np.errstate that the grid pass sets, or None where it raises a failure
-    on which the grid pass falls back to the scalar loop."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _on_grid(spec, method, *(_as_grid(grid, spec) for grid in grids))
-    except (ArithmeticError, VesprodError, _GridFailed):
-        return None
+    """_on_grid's rows of values over the grids (all of one length), one call
+    over them all in the grid pass, or None where the grid pass falls back to
+    the scalar loop."""
+    points = [k for grid in grids for k in grid]
+    return _grid_pass(lambda k, at: at(spec, method, *k.reshape(len(grids), -1)), points, spec)
 
 
 def _hex(values):
@@ -189,7 +188,7 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
         calls.append((verify_sato_hoffman, spec, grid, tolerance))
     with_grid = [_outcome(*call) for call in calls]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracles_module, "_as_grid", lambda points, *specs: None)
+        without_grid_pass(patch)
         assert [_outcome(*call) for call in calls] == with_grid
 
 
@@ -205,6 +204,16 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
 def test_a_grid_that_fails_returns_none(spec, grid, method):
     # the failures' messages format k with :.12g, which a grid of k does as its points do
     assert _values_or_none(spec, method, grid) is None
+    # and so is the grid pass of a run that raises any of the three kinds it catches
+    for failure in (ZeroDivisionError, DomainError("outside"), _GridFailed):
+        def run(k, at, failure=failure):
+            raise failure
+        assert _grid_pass(run, grid, spec) is None
+    # or whose float64 operations overflow, divide by zero or are invalid:
+    # the errstate holds inside the grid pass
+    for operation in (lambda k: k * 1e308 * 1e308, lambda k: k / (k - k),
+                      lambda k: (k - k) / (k - k)):
+        assert _grid_pass(lambda k, at: operation(k), grid, spec) is None
 
 
 @pytest.mark.parametrize("spec, grid, first", [
@@ -298,15 +307,17 @@ def test_on_grid_lets_other_exceptions_through(monkeypatch):
     monkeypatch.setattr(CobbDouglasParams, "_y", broken)
     spec = CobbDouglasParams(2.0, 0.4)
     with pytest.raises(TypeError, match="not a floating-point failure"):
-        _on_grid(spec, "_y", _as_grid([1.0, 2.0], spec))
+        _on_grid(spec, "_y", np.array([1.0, 2.0]))
 
 
 def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
-    # the grid pass's k is the plain float64 array of the points: no grid of k
-    # leaves families
-    points = _as_grid([1, 2.0], CobbDouglasParams(2.0, 0.4))
+    # the grid pass's k is the plain float64 array of the points, and its at
+    # _on_grid: no grid of k leaves families
+    def run(k, at):
+        return k, at
+    points, at = _grid_pass(run, [1, 2.0], CobbDouglasParams(2.0, 0.4))
     assert type(points) is np.ndarray and points.dtype == np.float64
-    assert points.tolist() == [1.0, 2.0]
+    assert points.tolist() == [1.0, 2.0] and at is _on_grid
     # every spec holds float parameters: one given as an int or a numpy scalar
     # takes the grid pass and gives its float twin's report
     grid = [0.5, 1.0, 2.0]
@@ -315,14 +326,20 @@ def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
                        (SatoHoffmanParams(1, np.float64(0.5), 1.5),
                         SatoHoffmanParams(1.0, 0.5, 1.5)),
                        (VESParams(0, 1, 2, 1), VESParams(0.0, 1.0, 2.0, 1.0))):
-        assert _as_grid([1.0], spec) is not None
+        assert _grid_pass(run, [1.0], spec) is not None
         assert repr(verify_family(spec, grid)) == repr(verify_family(twin, grid))
     # what is no family spec the scalar kernels reject with TypeError
     spec = LogLinearParams(1.0, 0.5, 0.2, -1.0)
-    assert _as_grid([1.0], spec) is None
+    assert _grid_pass(run, [1.0], spec) is None
+    assert _grid_pass(run, [1.0], CobbDouglasParams(2.0, 0.4), spec) is None
     for call in (lambda: verify_family(spec, [1.0]), lambda: verify_family("cd", [1.0]),
                  lambda: verify_reduction(_SH, spec, [1.0])):
         with pytest.raises(TypeError, match="unsupported family spec"):
             call()
+    # the grid pass catches no TypeError
+    def broken(k, at):
+        raise TypeError("not a floating-point failure")
+    with pytest.raises(TypeError, match="not a floating-point failure"):
+        _grid_pass(broken, [1.0], CobbDouglasParams(2.0, 0.4))
     monkeypatch.delitem(sys.modules, "numpy")
-    assert _as_grid([1.0], CobbDouglasParams(2.0, 0.4)) is None
+    assert _grid_pass(run, [1.0], CobbDouglasParams(2.0, 0.4)) is None

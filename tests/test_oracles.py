@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_ves_structural, relerr
+from conftest import draw_ves_structural, relerr, without_grid_pass
 from vesprod import (
     CESParams,
     CobbDouglasParams,
@@ -40,6 +40,7 @@ from vesprod import (
     ves_from_loglinear,
 )
 from vesprod.families import _grid_type, _on_grid, _quote
+import vesprod.families as families_module
 import vesprod.oracles as oracles_module
 
 
@@ -601,11 +602,6 @@ def test_verify_sato_hoffman_at_unit_delta_rho_is_singular():
         verify_sato_hoffman(SatoHoffmanParams(gamma=1.0, delta=0.5, rho=2.0), [1.0])
 
 
-def _without_grid_pass(patch):
-    """Make the verifiers run their scalar loop, as they do where numpy is not loaded."""
-    patch.setattr(oracles_module, "_as_grid", lambda points, *specs: None)
-
-
 def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
     # the closed forms compared are the family's methods, which the grid pass
     # and the scalar loop both read, also where the admissibility check
@@ -614,7 +610,7 @@ def test_verify_family_detects_corruption(reference_fit_ves, monkeypatch):
         for method, quantity in (("_sigma", "sigma"), ("_R", "R"), ("_dR", "R_prime")):
             with monkeypatch.context() as patch:
                 if not grid_pass:
-                    _without_grid_pass(patch)
+                    without_grid_pass(patch)
                 patch.setattr(VESParams, method,
                               lambda spec, k, body=getattr(VESParams, method): 1.01 * body(spec, k))
                 report = verify_family(reference_fit_ves, list(np.geomspace(2.4, 20.0, 16)))
@@ -637,7 +633,7 @@ def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_v
     def on_grid_counted(spec, method, *arrays):
         on_grid.append(method)
         return _on_grid(spec, method, *arrays)
-    monkeypatch.setattr(oracles_module, "_on_grid", on_grid_counted)
+    monkeypatch.setattr(families_module, "_on_grid", on_grid_counted)  # what the grid pass passes
     verify_family(reference_fit_ves, grid)
     assert on_grid == ["_y", "_R", "_dR", "_sigma", "_dsigma"]
     assert all(isinstance(k, _grid_type()) for _, k in calls)
@@ -649,7 +645,7 @@ def test_verify_family_evaluates_each_closed_form_once_per_point(reference_fit_v
 def test_the_scalar_loop_evaluates_a_point_in_order(reference_fit_ves, monkeypatch):
     # the order in which one point evaluates and scores, which decides the
     # type and message of the first exception where several could be raised
-    _without_grid_pass(monkeypatch)
+    without_grid_pass(monkeypatch)
     events = []
     for method in ("_y", "_R", "_dR", "_sigma", "_dsigma"):  # not _bracket, which y calls
         def recorded(spec, t, method=method, body=getattr(VESParams, method)):
@@ -765,7 +761,7 @@ def test_check_grid_names_the_first_fault_as_the_per_point_checks_do(points, ord
 def test_a_str_or_bytes_grid_point_is_not_a_number(monkeypatch, grid, first, grid_pass):
     # float() would parse them, but no other numeric slot admits a str or bytes
     if not grid_pass:
-        _without_grid_pass(monkeypatch)
+        without_grid_pass(monkeypatch)
     sh, lh = SatoHoffmanParams(1.0, 0.5, 1.5), LogLinearParams(1.0, 0.5, 0.2, -1.0)
     ves = VESParams(0.0, 1.0, 2.0, 1.0)
     for call in (lambda: verify_family(ves, grid), lambda: verify_reduction(ves, ves, grid),
@@ -825,7 +821,7 @@ def test_finite_differences_equal_those_through_a_lambda(reference_fit_ves, monk
     # public kernels called through one lambda per evaluation
     spec = reference_fit_ves if spec == "reference" else spec
     verifiers = [verify_family] + [verify_sato_hoffman] * isinstance(spec, SatoHoffmanParams)
-    _without_grid_pass(monkeypatch)  # whose comparisons are the decisive ones alone
+    without_grid_pass(monkeypatch)  # whose comparisons are the decisive ones alone
     report = oracles_module._report
     compared = []
 
