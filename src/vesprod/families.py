@@ -56,7 +56,11 @@ F (:func:`eval_extensive`).  The five that a trajectory row calls (y, R, R',
 sigma, sigma') return a method's finite value at a positive finite float k in
 one call; anything else, and every other kernel, goes through
 :func:`_evaluate`, which checks the arguments and turns floating-point failure
-into VesprodError (a pole of sigma divides by zero: SingularError).  Every
+into VesprodError (a pole of sigma divides by zero: SingularError).
+:func:`violated_constraints`, the test of the validity conditions at one k
+that :mod:`vesprod.substitution` re-exports, stands beside :func:`_evaluate`,
+whose failure policy it mirrors, and counts a failure as a violated condition;
+the ``_sign_changes`` methods state where its answer can change.  Every
 number a caller gives is admitted, and from then on held, as the float nearest
 it (:func:`_nearest_float`): a spec stores each field so before any test or
 constant reads it, and a count is admitted as the int it stands for
@@ -109,6 +113,7 @@ __all__ = [
     "sigma_closed",
     "sigma_derivative_closed",
     "bracket_base",
+    "violated_constraints",
     "ves_from_loglinear",
     "loglinear_from_ves",
     "lf_from_lh",
@@ -847,6 +852,11 @@ FamilySpec = Union[
 _QUANTITY = {"_bracket": "bracketed base", "_y": "y", "_F": "F", "_dy": "y'", "_d2y": "y''",
              "_R": "R", "_dR": "R'", "_sigma": "sigma", "_dsigma": "sigma'"}
 
+#: The validity conditions as (label, closed-form method) in report order.
+#: Where the bracket fails the other forms are not evaluable: it is reported alone.
+_CONSTRAINTS = (("bracket>0", "_bracket"), ("R>0", "_R"), ("R_prime>0", "_dR"),
+                ("sigma>0", "_sigma"))
+
 
 def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -> float:
     """``spec.<method>(k)``, or ``spec.<method>(K, L)`` with K = k when L
@@ -882,6 +892,33 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
         error, what = SingularError, f"{_QUANTITY[method]} divides by zero"
     where = f"k = {k:.12g}" if L is None else f"K = {k:.12g}, L = {L:.12g}"
     raise error(f"{type(spec).__name__}: {what} at {where}")
+
+
+def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
+    """Which of the four validity conditions fail at k (empty when valid).  k is
+    admitted as the float nearest it; where that is not positive, the bracket
+    fails.  A condition holds where its method raises neither ArithmeticError
+    nor DomainError and gives a positive finite value (the bracket may be +inf).
+    ParamError propagates (Sato-Hoffman with alpha != 1)."""
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    if not (type(k) is float and 0.0 < k < math.inf):
+        try:
+            k = _require_in_domain("capital-labor ratio", k)
+        except DomainError:
+            return ("bracket>0",)
+    bad = []
+    for label, method in _CONSTRAINTS:
+        try:
+            value = getattr(spec, method)(k)
+            holds = 0.0 < value < math.inf or value == math.inf and method == "_bracket"
+        except (ArithmeticError, DomainError):
+            holds = False
+        if not holds:
+            bad.append(label)
+            if method == "_bracket":
+                break
+    return tuple(bad)
 
 
 class _GridFailed(Exception):

@@ -44,9 +44,11 @@ comparisons that decide the report are scored (:func:`_decisive`).  Where the
 grid pass gives None (numpy not loaded, so that a one-shot check does not pay
 its import, or a point inadmissible, or an operation failed), the scalar loop
 runs: it names the first inadmissible point (for :func:`verify_family`, as
-:func:`violated_constraints` finds it), and then runs the same columns point
-by point, with ``at`` the kernels' one error boundary (``families._evaluate``)
-at each point in turn, so it names the first failure.
+``families.violated_constraints`` finds it), and then runs the same columns
+point by point, with ``at`` the kernels' one error boundary
+(``families._evaluate``) at each point in turn, so it names the first failure.
+Besides :mod:`vesprod.errors`, this module builds on :mod:`vesprod.families`
+alone: it imports nothing from :mod:`vesprod.substitution`.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ from .families import (
     eval_intensive,
     lf_from_lh,
     lh_from_loglinear,
+    violated_constraints,
 )
-from .substitution import violated_constraints
 
 __all__ = [
     "VerificationReport",

@@ -20,8 +20,9 @@ they can change, which each family states in closed form (``_sign_changes``:
 roots of the factors of its closed forms, and where their power terms
 overflow or round to 0).  Each check, on the grid, in bisection and at the
 interval's ends, is :func:`violated_constraints`, which calls the closed-form
-methods directly.  Regime classification needs no scan: the sign of sigma'
-follows from the parameters (see :func:`classify_regime`).
+methods directly; it is stated in :mod:`vesprod.families`, beside those cut
+points, and re-exported here.  Regime classification needs no scan: the sign
+of sigma' follows from the parameters (see :func:`classify_regime`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
-    _Family,
+    _CONSTRAINTS,
     _WageForm,
     _check_ves_branch,
     _construct,
@@ -55,6 +56,7 @@ from .families import (
     sigma_closed,
     sigma_derivative_closed,
     ves_from_loglinear,
+    violated_constraints,
 )
 
 __all__ = [
@@ -143,13 +145,21 @@ class ValidityInterval:
 
 
 def _grid_point(lo: float, hi: float, n: int, i: int) -> float:
-    """Point i of n log-spaced points from lo to hi (0 < lo < hi, n >= 2).  A
-    window wider than a double's range (hi/lo = inf) is spaced in log space."""
+    """Point i of n log-spaced points from lo to hi (0 < lo < hi, n >= 2), never
+    outside [lo, hi]: lo * (hi/lo)**t, or hi where that rounds past hi.  A window
+    wider than a double's range (hi/lo = inf) is spaced in log space, where exp
+    would round an end off the window and overflow at the top of the double
+    range: there points 0 and n - 1 are lo and hi themselves."""
     ratio = hi / lo
-    if math.isinf(ratio):
-        ln_lo = math.log(lo)
-        return math.exp(ln_lo + i * ((math.log(hi) - ln_lo) / (n - 1)))
-    return lo * ratio ** (i / (n - 1))
+    if not math.isinf(ratio):
+        return min(lo * ratio ** (i / (n - 1)), hi)
+    if i == 0 or i == n - 1:
+        return lo if i == 0 else hi
+    ln_lo = math.log(lo)
+    try:
+        return min(max(math.exp(ln_lo + i * ((math.log(hi) - ln_lo) / (n - 1))), lo), hi)
+    except OverflowError:  # in more than 10**15 points an inner one can round past ln hi
+        return hi
 
 
 def _require_points(points: int) -> int:
@@ -259,40 +269,8 @@ def regression_closed_form(p: LogLinearParams) -> RegressionClosedForm:
 # Validity range
 # --------------------------------------------------------------------------
 
-#: The validity conditions as (label, closed-form method) in report order.
-#: Where the bracket fails the other forms are not evaluable: it is reported alone.
-_CONSTRAINTS = (("bracket>0", "_bracket"), ("R>0", "_R"), ("R_prime>0", "_dR"),
-                ("sigma>0", "_sigma"))
-
 #: Relative width to which validity_range bisects an endpoint.
 _BISECT_REL_TOL = 1e-10
-
-
-def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
-    """Which of the four validity conditions fail at k (empty when valid).  k is
-    admitted as the float nearest it; where that is not positive, the bracket
-    fails.  A condition holds where its method raises neither ArithmeticError
-    nor DomainError and gives a positive finite value (the bracket may be +inf).
-    ParamError propagates (Sato-Hoffman with alpha != 1)."""
-    if not isinstance(spec, _Family):
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-    if not (type(k) is float and 0.0 < k < math.inf):
-        try:
-            k = _require_in_domain("capital-labor ratio", k)
-        except DomainError:
-            return ("bracket>0",)
-    bad = []
-    for label, method in _CONSTRAINTS:
-        try:
-            value = getattr(spec, method)(k)
-            holds = 0.0 < value < math.inf or value == math.inf and method == "_bracket"
-        except (ArithmeticError, DomainError):
-            holds = False
-        if not holds:
-            bad.append(label)
-            if method == "_bracket":
-                break
-    return tuple(bad)
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -334,7 +312,12 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     window is refined by bisection, between its grid point and the invalid
     one next to it, to relative 1e-10.  An empty interval is returned
     (never an exception) when no grid point is valid.  The probe bounds are
-    taken as the floats nearest them, and the interval's ends are floats.
+    taken as the floats nearest them, and the interval's ends are floats
+    with probe_low <= k_low < k_high <= probe_high: no grid point leaves the
+    window (see :func:`_grid_point`), up to the largest double.  Each point
+    is checked with :func:`violated_constraints`, so a spec that is no
+    family spec raises its TypeError at grid point 0, after the ParamErrors
+    of the bounds and of ``samples``.
     """
     given = k_probe_low, k_probe_high
     k_probe_low, k_probe_high = map(_nearest_float, given)
@@ -345,13 +328,11 @@ def validity_range(spec: FamilySpec, k_probe_low: float, k_probe_high: float,
     if count is None or not 2 <= _nearest_float(count):  # NaN past the double range
         raise ParamError("samples must be an integer >= 2")
     samples = count
-    if not isinstance(spec, _Family):
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
 
     def point(i: int) -> float:
         return _grid_point(k_probe_low, k_probe_high, samples, i)
 
-    valid: dict[int, bool] = {}
+    valid = {0: not violated_constraints(spec, point(0))}  # TypeError for no family spec
 
     def check(i: int) -> bool:
         if i not in valid:
@@ -404,7 +385,8 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
     across the validity range clipped to [k_from, k_to], 1e-9 (relative) inside
     an end the range binds, with the window's bounds taken as the floats nearest
     them; DomainError where the window meets the range over less than those
-    steps.  Returns every row or raises, never part of them."""
+    steps.  Every row's k lies in [k_from, k_to], also where k_to is the
+    largest double.  Returns every row or raises, never part of them."""
     points = _require_points(points)
     interval = validity_range(spec, k_from, k_to)
     k_from, k_to = float(k_from), float(k_to)  # finite: validity_range admitted them

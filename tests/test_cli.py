@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -307,6 +308,23 @@ def test_trajectory_window_narrower_than_the_inward_step_exits_2(capsys):
                                    "--k-from 1.49999999925 --k-to 3 --points 3".split())
     assert (code, out) == (2, "")
     assert "over less than the 1e-9 step" in err
+
+
+def test_trajectory_up_to_the_largest_double(capsys):
+    # the validity scan's last grid point was exp(ln hi), which overflowed at this hi
+    code, out, _ = run(capsys, *"trajectory --family cd --A 2 --beta 0.4 --k-from 1e-76 "
+                                 "--k-to 1.7976931348623157e308 --points 3".split())
+    assert code == 0
+    ks = [row[0] for row in _parse_rows(out)]
+    assert len(ks) == 3 and ks[0] == 1e-76 and ks[2] < 1.7976931348623157e308
+
+
+def test_verify_up_to_the_largest_double_exits_2(capsys):
+    # R = 1.5 k overflows at the grid's last point, hi itself: outside the validity range
+    code, out, err = run(capsys, *"verify --suite family --k-from 1e-100 "
+                                   "--k-to 1.7976931348623157e308 --points 3".split())
+    assert (code, out) == (2, "")
+    assert "k = 1.79769313486e+308 is outside the validity range (violated: R>0" in err
 
 
 def test_trajectory_bad_points_exits_2(capsys):
@@ -950,8 +968,10 @@ _EXTREME = st.one_of(
     st.floats(),  # any double, infinities and NaN included
     st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e-300, 1e300, 1.79e308, -1e300]),
 )
+_MAX = sys.float_info.max
 _RATIO = st.one_of(st.floats(1e-3, 1e3), st.floats(),
-                   st.sampled_from([5e-324, 1e-300, 1e300, 1.79e308, math.inf, math.nan]))
+                   st.sampled_from([5e-324, 1e-300, 1e300, 1.79e308, math.nextafter(_MAX, 0.0),
+                                    _MAX, math.inf, math.nan]))
 
 
 @st.composite
@@ -1026,6 +1046,9 @@ def _argv(draw):
               "--k-to 1.79e308 --points 20".split())
 @example(argv="trajectory --family cd --A 1e300 --beta 0.5 --k-from 1e10 --k-to 1e30 "
               "--points 5".split())  # y is not finite at the third row
+@example(argv=f"trajectory --family cd --A 2 --beta 0.4 --k-from 1e-76 --k-to {_MAX!r} "
+              "--points 3".split())  # exp(ln hi) overflowed
+@example(argv=f"verify --suite family --k-from 1e-100 --k-to {_MAX!r} --points 3".split())
 @example(argv="verify --suite sato-hoffman --delta 0.5 --rho 2".split())
 @example(argv="regime --family lf --a 2.387225697911483 --b 8.314849275752976e-207 "
               "--c 1.0858932576444476 --zeta 9.668955631133263e-235".split())

@@ -275,6 +275,18 @@ def test_the_kernels_of_r_and_sigma_are_defined_in_families_and_re_exported():
         assert getattr(vesprod, name) is getattr(vesprod.families, name) is kernel
 
 
+def test_the_validity_test_is_defined_in_families_and_re_exported():
+    # beside the cut points it must agree with; substitution re-exports it
+    import vesprod
+    import vesprod.families
+    import vesprod.substitution
+    assert violated_constraints.__module__ == "vesprod.families"
+    assert "violated_constraints" in vesprod.families.__all__
+    assert "violated_constraints" in vesprod.substitution.__all__
+    assert vesprod.substitution.violated_constraints is vesprod.families.violated_constraints \
+        is violated_constraints
+
+
 def test_the_package_republishes_each_modules_all_and_nothing_else():
     # each module's __all__ is the one list of its public names: a module
     # without one would leak its imports (annotations, say) into vesprod

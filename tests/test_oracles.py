@@ -1000,3 +1000,11 @@ def test_verifiers_reject_a_bad_tolerance(reference_fit_ves, tolerance):
     for call in calls:
         with pytest.raises(ParamError, match="tolerance must be a non-negative finite number"):
             call()
+
+
+def test_oracles_takes_nothing_from_substitution():
+    # the verifiers sit on the closed forms alone: the validity test included
+    import vesprod.substitution
+    for name, value in vars(oracles_module).items():
+        assert value is not vesprod.substitution, name
+        assert getattr(value, "__module__", None) != "vesprod.substitution", name

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from vesprod.substitution import (
     _CONSTRAINTS,
     ValidityInterval,
     _bisect_boundary,
+    _grid_point,
     _log_grid,
 )
 from test_families import _NEAR_FLOATS, _OUT_OF_RANGE
@@ -429,14 +431,18 @@ def test_validity_range_window_wider_than_double_range(reference_fit_ves):
 def _scan_validity_range(spec, k_probe_low, k_probe_high, samples=512):
     """The validity scan as it was before the cut points: every condition at
     every point of the log grid, the longest valid run (the first of equal
-    ones), and its ends bisected."""
+    ones), and its ends bisected.  The grid stays inside the window: spaced in
+    log space, its ends are the window's own, and a point of the ratio's power
+    that rounds past the top end is that end."""
     ratio = k_probe_high / k_probe_low
     if math.isinf(ratio):
         ln_lo = math.log(k_probe_low)
         step = (math.log(k_probe_high) - ln_lo) / (samples - 1)
-        grid = [math.exp(ln_lo + i * step) for i in range(samples)]
+        grid = [k_probe_low, *(math.exp(ln_lo + i * step) for i in range(1, samples - 1)),
+                k_probe_high]
     else:
-        grid = [k_probe_low * ratio ** (i / (samples - 1)) for i in range(samples)]
+        grid = [min(k_probe_low * ratio ** (i / (samples - 1)), k_probe_high)
+                for i in range(samples)]
     runs = []
     for i, k in enumerate(grid):
         if violated_constraints(spec, k):
@@ -484,11 +490,16 @@ def _pole(coef_x, const, e):
     return math.exp(ln_k) if abs(ln_k) < 690.0 else 1.0
 
 
+#: the largest double and the one below it
+_TOP = st.sampled_from([sys.float_info.max, math.nextafter(sys.float_info.max, 0.0)])
+
+
 @st.composite
 def _validity_cases(draw):
     """(spec, k_probe_low, k_probe_high, samples) over all six families:
-    windows anywhere in 1e-300..1e300 (also wider than a double's ratio) or
-    around a pole of the wage form or the Sato-Hoffman domain bound."""
+    windows anywhere in 1e-300..1e300 (also wider than a double's ratio), up to
+    the largest double or the one below it, or around a pole of the wage form or
+    the Sato-Hoffman domain bound."""
     family = draw(st.sampled_from(["ves", "lh", "lf", "cd", "ces", "sh"]))
     window = None
     if family == "ves":
@@ -528,11 +539,13 @@ def _validity_cases(draw):
     if window is None:
         lo_exp = draw(st.floats(-300.0, 299.0))
         hi_exp = draw(st.floats(lo_exp, 300.0).filter(lambda x: x > lo_exp + 1e-6))
-        window = (10.0 ** lo_exp, 10.0 ** hi_exp)
+        window = (10.0 ** lo_exp, draw(st.one_of(st.just(10.0 ** hi_exp), _TOP)))
     samples = draw(st.one_of(st.sampled_from([2, 3, 192, 512]), st.integers(2, 600)))
     return spec, *window, samples
 
 
+_CD = CobbDouglasParams(2.0, 0.4)
+_MAX = sys.float_info.max
 _REFERENCE_VES = ves_from_loglinear(
     LogLinearParams(a=math.exp(0.773454), b=0.934369, c=1.191951, xi=-3.79))
 
@@ -547,10 +560,58 @@ _REFERENCE_VES = ves_from_loglinear(
 @example(case=(CobbDouglasParams(1.0, 0.5), 1e10, math.nextafter(1e10, math.inf), 512))
 @example(case=(VESParams(0.0, 1.0, 1.0001, 1.0), 1e306, 1.79e308, 512))  # top grid bracket
 @example(case=(CESParams(1.0, 0.5, 0.999), 1e300, 1.79e308, 512))
+@example(case=(_CD, 1e-100, _MAX, 512))  # the log-space grid's last point overflowed
+@example(case=(_CD, 7.626391809615954e-161, 5.738776463775494e+269, 3))  # its first fell below lo
+@example(case=(_CD, 2.837032942773598, _MAX, 512))  # lo * (hi/lo) rounded to inf
 def test_validity_range_equals_the_full_scan(case):
     spec, lo, hi, samples = case
-    assert _outcome(validity_range, spec, lo, hi, samples) \
-        == _outcome(_scan_validity_range, spec, lo, hi, samples)
+    outcome = _outcome(validity_range, spec, lo, hi, samples)
+    assert outcome == _outcome(_scan_validity_range, spec, lo, hi, samples)
+    if isinstance(outcome[0], float):
+        assert lo <= outcome[0] < outcome[1] <= hi, outcome
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_validity_cases())
+@example(case=(_CD, 1e-76, _MAX, 3))
+@example(case=(_CD, 7.626391809615954e-161, 5.738776463775494e+269, 3))
+@example(case=(_CD, 2.837032942773598, _MAX, 3))
+def test_trajectory_rows_lie_inside_the_window(case):
+    spec, lo, hi, points = case
+    try:
+        rows = trajectory(spec, lo, hi, points)
+    except VesprodError:
+        return
+    assert len(rows) == points
+    assert all(lo <= row[0] <= hi for row in rows), [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("lo, hi, k_high", [
+    # the last point of the log-space grid, exp(ln hi), overflowed
+    (1e-100, _MAX, 1.1984620898837755e+308),
+    # lo * (hi/lo) rounded to inf, so the window's top end read as invalid in the bracket
+    (2.837032942773598, _MAX, 1.1984620899169617e+308),
+])
+def test_validity_range_reaches_the_largest_double(lo, hi, k_high):
+    # R = 1.5 k overflows from k = _MAX / 1.5 on
+    assert validity_range(_CD, lo, hi) == ValidityInterval(lo, k_high, ("R>0",))
+
+
+def test_an_inner_grid_point_that_leaves_the_window_is_its_end():
+    # in 10**300 points from 1e-100 up, exp rounds point 1 below lo and overflows at n - 2
+    n = 10 ** 300
+    assert [_grid_point(1e-100, _MAX, n, i) for i in (0, 1, n - 2, n - 1)] == [
+        1e-100, 1e-100, _MAX, _MAX]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (7.626391809615954e-161, 5.738776463775494e+269),  # exp(ln lo) rounded below lo
+    (1e-76, _MAX),  # exp(ln hi) overflowed
+    (2.837032942773598, _MAX),  # k = inf was a DomainError
+])
+def test_trajectory_ends_are_the_window_or_inside_it(lo, hi):
+    ks = [row[0] for row in trajectory(_CD, lo, hi, 3)]
+    assert lo == ks[0] < ks[1] < ks[2] <= hi
 
 
 @pytest.mark.parametrize("spec, lo, hi", [
