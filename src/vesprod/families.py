@@ -31,8 +31,10 @@ Liu-Hildebrand / Lu-Fletcher function.
 Each family type carries its closed forms as private methods (``_y``,
 ``_F``, ``_dy``, ``_d2y``, ``_R``, ``_dR``, ``_sigma``, ``_dsigma`` and the
 bracketed base ``_bracket``), each stated once, next to ``_sign_changes``,
-the points where the validity conditions on them can change; Lu-Fletcher
-shares the Liu-Hildebrand method set.  Construction stores the factors of
+the points where the validity conditions on them can change, and
+``_regime``, sigma's regime from the parameters alone (the one dispatch
+of ``substitution.classify_regime``); Lu-Fletcher shares the
+Liu-Hildebrand method set.  Construction stores the factors of
 y, R, R', sigma and sigma' that depend only on the parameters (VES 1+lam,
 1-theta, theta-2; CES 1-delta, (1-delta)/delta, 1/sigma, 1/sigma-1;
 Cobb-Douglas (1-beta)/beta; Sato-Hoffman rho-1, 1-delta*rho; the exponents
@@ -90,6 +92,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from math import inf, isfinite
 from typing import Callable, NoReturn, Union
 
@@ -104,6 +107,9 @@ __all__ = [
     "LuFletcherParams",
     "SatoHoffmanParams",
     "FamilySpec",
+    "RegimeCase",
+    "Monotonicity",
+    "RegimeReport",
     "eval_intensive",
     "eval_extensive",
     "intensive_derivative",
@@ -278,6 +284,38 @@ def _magnitude(e: float, *coefs: float) -> list[float]:
     return [level / e for level in levels]
 
 
+#: Parameters closer than this to a structural boundary (b = c, c = 1,
+#: b + c = 1) are rejected by classify_regime; collapse them first with
+#: families.reduce_special_case.
+BOUNDARY_TOL = 1e-9
+
+
+class RegimeCase(str, Enum):
+    LH_CES_LIMIT = "LH_CES_limit"
+    LH_CD_LIMIT = "LH_CD_limit"
+    VES_CASE_I = "VES_case_i"
+    VES_CASE_II = "VES_case_ii"
+    VES_CASE_III = "VES_case_iii"
+    CONSTANT_SIGMA = "constant_sigma"
+    UNIT_SIGMA = "unit_sigma"
+
+
+class Monotonicity(str, Enum):
+    INCREASING = "increasing"
+    DECREASING = "decreasing"
+    CONSTANT = "constant"
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Asymptotic behaviour of sigma(k): case label, finite limit as
+    k -> inf, and monotonicity on the validity range."""
+
+    case_label: RegimeCase
+    sigma_limit: float
+    monotonicity: Monotonicity
+
+
 class _Overflowed:
     """Stands in for a per-spec constant whose power overflowed, so that
     construction could not set it on the spec: reading it raises
@@ -307,6 +345,8 @@ class _Family:
                   _sigma can change or they stop being evaluable: the roots
                   of their factors, and where their power terms overflow or
                   round to 0
+        _regime   the RegimeReport of sigma's large-k limit and monotonicity,
+                  from the parameters alone (see substitution.classify_regime)
 
     A pole of sigma (R' = 0, or a vanishing rational denominator) divides
     by zero, which :func:`_evaluate` turns into SingularError.
@@ -414,6 +454,25 @@ class VESParams(_Family):
                 *_magnitude(self._eb, lam1), *_magnitude(1.0, lam),
                 *_magnitude(self.theta, mu), *_magnitude(e, mu, tm)]
 
+    def _regime(self) -> RegimeReport:
+        p = loglinear_from_ves(self)
+        b, c, xi = p.b, p.c, p.xi
+        if xi >= 0.0:
+            raise ParamError("regime analysis assumes xi < 0 (required for R to be "
+                             f"positive and increasing on some range); got xi = {_quote(xi)}")
+        if b >= 1.0:
+            raise ParamError(f"the regime taxonomy assumes b < 1, got b = {_quote(b)}")
+        if abs(c - 1.0) <= BOUNDARY_TOL:
+            raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
+                             "use reduce_special_case first")
+        if abs(b - c) <= BOUNDARY_TOL:
+            raise ParamError("b = c is a case boundary; use reduce_special_case first")
+        if b < c < 1.0:
+            return RegimeReport(RegimeCase.VES_CASE_I, b / c, Monotonicity.DECREASING)
+        if c < b:
+            return RegimeReport(RegimeCase.VES_CASE_II, 1.0, Monotonicity.INCREASING)
+        return RegimeReport(RegimeCase.VES_CASE_III, b / c, Monotonicity.INCREASING)
+
 
 @dataclass(frozen=True)
 class CobbDouglasParams(_Family):
@@ -458,6 +517,9 @@ class CobbDouglasParams(_Family):
 
     def _sign_changes(self) -> list[float]:
         return _magnitude(1.0, self._r)
+
+    def _regime(self) -> RegimeReport:
+        return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
 
 
 @dataclass(frozen=True)
@@ -526,6 +588,9 @@ class CESParams(_Family):
             cuts += _magnitude(self._edr, self._d1 / (d * s))
         return cuts
 
+    def _regime(self) -> RegimeReport:
+        return RegimeReport(RegimeCase.CONSTANT_SIGMA, self.sigma, Monotonicity.CONSTANT)
+
 
 class _WageForm(_Family):
     """Closed forms of the wage-relation function,
@@ -567,15 +632,17 @@ class _WageForm(_Family):
         except OverflowError:
             pass
 
-    def _set_xi(self, m: float, xi: float) -> None:
-        """Store m, xi and the products of xi that R, R', sigma and sigma' read,
-        each in the order its formula multiplies: with s = b+c-1, c1 = xi(1-b)s,
-        c2 = xi(1-b)(1-c)s for R', c1 (1-c) for sigma and c1 b c s^2 for sigma'."""
+    def _set_xi(self, m: float, xi: float, constant: float) -> None:
+        """Store m, xi, the integration constant it came from (xi or zeta) and the
+        products of xi that R, R', sigma and sigma' read, each in the order its
+        formula multiplies: with s = b+c-1, c1 = xi(1-b)s, c2 = xi(1-b)(1-c)s for
+        R', c1 (1-c) for sigma and c1 b c s^2 for sigma'."""
         b, c = self.b, self.c
         s = b + c - 1.0
         c1 = xi * (1.0 - b) * s
         _setattr(self, "_m", m)
         _setattr(self, "_xi", xi)
+        _setattr(self, "_constant", constant)
         _setattr(self, "_c1", c1)
         _setattr(self, "_c2", xi * (1.0 - b) * (1.0 - c) * s)
         _setattr(self, "_c2_sigma", c1 * (1.0 - c))
@@ -668,6 +735,32 @@ class _WageForm(_Family):
                     cuts += _magnitude(e_num - e_den, num / den)
         return cuts
 
+    def _regime(self) -> RegimeReport:
+        try:
+            xi = self._xi
+        except OverflowError as exc:  # Lu-Fletcher's a^(1/b)
+            raise SingularError(f"{type(self).__name__}: the constant xi overflows, so it "
+                                "has no sign to classify by") from exc
+        if xi == 0.0 != self._constant:  # Lu-Fletcher's zeta b a^(1/b) / (b-1)
+            raise SingularError(f"{type(self).__name__}: the constant xi underflows to 0, so "
+                                "it has no sign to classify by")
+        b, c = self.b, self.c
+        if xi >= 0.0:
+            raise ParamError(f"regime analysis assumes xi < 0; got xi = {_quote(xi)}")
+        if not 0.0 < b < 1.0:
+            raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {_quote(b)}")
+        if c == 0.0:
+            # CES boundary: sigma identically equal to b
+            return RegimeReport(RegimeCase.CONSTANT_SIGMA, b, Monotonicity.CONSTANT)
+        if c >= 1.0:
+            raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {_quote(c)}")
+        if abs(b + c - 1.0) <= BOUNDARY_TOL:
+            raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
+                             "substitution degenerates); use reduce_special_case first")
+        if b + c > 1.0:
+            return RegimeReport(RegimeCase.LH_CES_LIMIT, b / (1.0 - c), Monotonicity.DECREASING)
+        return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
+
 
 @dataclass(frozen=True)
 class LiuHildebrandParams(_WageForm):
@@ -686,7 +779,7 @@ class LiuHildebrandParams(_WageForm):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_finite(self, "xi")
-        self._set_xi(self.xi * (self.b - 1.0) / self.b, self.xi)
+        self._set_xi(self.xi * (self.b - 1.0) / self.b, self.xi, self.xi)
 
 
 @dataclass(frozen=True)
@@ -720,7 +813,7 @@ class LuFletcherParams(_WageForm):
             a_1b = a ** (1.0 / b)
         except OverflowError:
             return
-        self._set_xi(zeta * a_1b, zeta * b * a_1b / (b - 1.0))
+        self._set_xi(zeta * a_1b, zeta * b * a_1b / (b - 1.0), zeta)
 
     def _sigma(self, k: float) -> float:
         u = k ** self._eb
@@ -836,6 +929,13 @@ class SatoHoffmanParams(_Family):
         if r * r != 0.0:  # else D^2 < (1.5e-162 k)^2 stays inside the double range
             cuts += _magnitude(2.0, r * r, dr * self._dr1 / (r * r))
         return cuts
+
+    def _regime(self) -> RegimeReport:
+        if self.rho == 1.0:
+            return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
+        raise ParamError(
+            "an affine elasticity has no finite large-k limit: the domain is bounded "
+            "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
 
 
 FamilySpec = Union[
@@ -1185,7 +1285,7 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
     and the image must satisfy the regression-space sign restrictions
     (a > 0, b > 0, c > 0); structural parameters outside that image raise
     :class:`ParamError`.  A power of psi or a past the double range (or
-    psi^(1-b) rounding to 0), and b rounding to 1, raise
+    psi^(1-b) or xi rounding to 0), and b rounding to 1, raise
     :class:`SingularError`."""
     _require_type(v, VESParams)
     den = v.lam * (v.theta - 1.0) + v.theta
@@ -1204,7 +1304,12 @@ def loglinear_from_ves(v: VESParams) -> LogLinearParams:
         raise SingularError(f"psi = {_quote(v.psi)}, b = {_quote(b)}: psi^(1-b) underflows "
                             "to 0, so it has no positive value")
     p = _construct(LogLinearParams, a=a, b=b, c=c)
-    return _construct(p.with_xi, xi=v.mu * b * a ** (-1.0 / b) / (b - 1.0))
+    xi = v.mu * b * a ** (-1.0 / b) / (b - 1.0)
+    if xi == 0.0:  # mu != 0, so a zero is an underflow
+        raise SingularError(f"mu = {_quote(v.mu)}, psi = {_quote(v.psi)}, b = {_quote(b)}: mu b "
+                            "a^(-1/b) / (b-1) with a = psi^(1-b) underflows to 0, so xi has no "
+                            "nonzero value")
+    return _construct(p.with_xi, xi=xi)
 
 
 def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:
@@ -1216,10 +1321,14 @@ def lh_from_loglinear(p: LogLinearParams) -> LiuHildebrandParams:
 @_parameter_space
 def lf_from_lh(p: LogLinearParams) -> LuFletcherParams:
     """Convert wage-relation parameters to the Lu-Fletcher parameterization,
-    zeta = xi (b-1) a^(-1/b) / b, under which the two closed forms coincide."""
+    zeta = xi (b-1) a^(-1/b) / b, under which the two closed forms coincide; a
+    nonzero xi whose zeta rounds to 0 raises SingularError."""
     _check_lh_branch(p)
     xi = p.require_xi()
     zeta = xi * (p.b - 1.0) * p.a ** (-1.0 / p.b) / p.b
+    if zeta == 0.0 != xi:
+        raise SingularError(f"a = {_quote(p.a)}, b = {_quote(p.b)}, xi = {_quote(xi)}: "
+                            "xi (b-1) a^(-1/b) / b underflows to 0, so zeta has no nonzero value")
     return _construct(LuFletcherParams, a=p.a, b=p.b, c=p.c, zeta=zeta)
 
 

@@ -21,26 +21,25 @@ roots of the factors of its closed forms, and where their power terms
 overflow or round to 0).  Each check, on the grid, in bisection and at the
 interval's ends, is :func:`violated_constraints`, which calls the closed-form
 methods directly; it is stated in :mod:`vesprod.families`, beside those cut
-points, and re-exported here.  Regime classification needs no scan: the sign
-of sigma' follows from the parameters (see :func:`classify_regime`).
+points, and re-exported here.  Regime classification needs no scan: each
+family states its regime from its parameters (``_regime``, beside its cut
+points), and :func:`classify_regime` asks the spec for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import DomainError, ParamError, ShareError, SingularError
+from .errors import DomainError, ParamError, ShareError
 from .families import (
-    CESParams,
-    CobbDouglasParams,
+    BOUNDARY_TOL,
     FamilySpec,
     LogLinearParams,
-    SatoHoffmanParams,
-    VESParams,
+    Monotonicity,
+    RegimeCase,
+    RegimeReport,
     _CONSTRAINTS,
-    _WageForm,
     _check_ves_branch,
     _construct,
     _count,
@@ -50,7 +49,6 @@ from .families import (
     _require_in_domain,
     _require_type,
     eval_intensive,
-    loglinear_from_ves,
     mrs_closed,
     mrs_derivative_closed,
     sigma_closed,
@@ -77,38 +75,6 @@ __all__ = [
     "violated_constraints",
     "trajectory",
 ]
-
-#: Parameters closer than this to a structural boundary (b = c, c = 1,
-#: b + c = 1) are rejected by classify_regime; collapse them first with
-#: families.reduce_special_case.
-BOUNDARY_TOL = 1e-9
-
-
-class RegimeCase(str, Enum):
-    LH_CES_LIMIT = "LH_CES_limit"
-    LH_CD_LIMIT = "LH_CD_limit"
-    VES_CASE_I = "VES_case_i"
-    VES_CASE_II = "VES_case_ii"
-    VES_CASE_III = "VES_case_iii"
-    CONSTANT_SIGMA = "constant_sigma"
-    UNIT_SIGMA = "unit_sigma"
-
-
-class Monotonicity(str, Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    CONSTANT = "constant"
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Asymptotic behaviour of sigma(k): case label, finite limit as
-    k -> inf, and monotonicity on the validity range."""
-
-    case_label: RegimeCase
-    sigma_limit: float
-    monotonicity: Monotonicity
-
 
 @dataclass(frozen=True)
 class ValidityInterval:
@@ -408,43 +374,6 @@ def trajectory(spec: FamilySpec, k_from: float, k_to: float,
 # Regime classification
 # --------------------------------------------------------------------------
 
-def _regime_of_rental_regression(b: float, c: float, xi: float) -> RegimeReport:
-    if xi >= 0.0:
-        raise ParamError("regime analysis assumes xi < 0 (required for R to be "
-                         f"positive and increasing on some range); got xi = {_quote(xi)}")
-    if b >= 1.0:
-        raise ParamError(f"the regime taxonomy assumes b < 1, got b = {_quote(b)}")
-    if abs(c - 1.0) <= BOUNDARY_TOL:
-        raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
-                         "use reduce_special_case first")
-    if abs(b - c) <= BOUNDARY_TOL:
-        raise ParamError("b = c is a case boundary; use reduce_special_case first")
-    if b < c < 1.0:
-        return RegimeReport(RegimeCase.VES_CASE_I, b / c, Monotonicity.DECREASING)
-    if c < b:
-        return RegimeReport(RegimeCase.VES_CASE_II, 1.0, Monotonicity.INCREASING)
-    return RegimeReport(RegimeCase.VES_CASE_III, b / c, Monotonicity.INCREASING)
-
-
-def _regime_of_wage_regression(b: float, c: float, xi: float) -> RegimeReport:
-    if xi >= 0.0:
-        raise ParamError("regime analysis assumes xi < 0; got "
-                         f"xi = {_quote(xi)}")
-    if not 0.0 < b < 1.0:
-        raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {_quote(b)}")
-    if c == 0.0:
-        # CES boundary: sigma identically equal to b
-        return RegimeReport(RegimeCase.CONSTANT_SIGMA, b, Monotonicity.CONSTANT)
-    if c >= 1.0:
-        raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {_quote(c)}")
-    if abs(b + c - 1.0) <= BOUNDARY_TOL:
-        raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
-                         "substitution degenerates); use reduce_special_case first")
-    if b + c > 1.0:
-        return RegimeReport(RegimeCase.LH_CES_LIMIT, b / (1.0 - c), Monotonicity.DECREASING)
-    return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
-
-
 def classify_regime(spec: FamilySpec) -> RegimeReport:
     """Classify sigma(k)'s monotonicity and its finite limit as k -> inf
     from the parameters alone.
@@ -456,24 +385,6 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
     lam = (c-1)/(b-c) is positive in case i only.  For the wage form,
     sigma' has the sign of xi (1-b)(b+c-1), and is 0 at c = 0.
     """
-    if isinstance(spec, CobbDouglasParams):
-        return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
-    if isinstance(spec, CESParams):
-        return RegimeReport(RegimeCase.CONSTANT_SIGMA, spec.sigma, Monotonicity.CONSTANT)
-    if isinstance(spec, SatoHoffmanParams):
-        if spec.rho == 1.0:
-            return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
-        raise ParamError(
-            "an affine elasticity has no finite large-k limit: the domain is bounded "
-            "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
-    if isinstance(spec, VESParams):
-        p = loglinear_from_ves(spec)
-        return _regime_of_rental_regression(p.b, p.c, p.xi)
-    if isinstance(spec, _WageForm):
-        try:
-            xi = spec._xi
-        except OverflowError as exc:  # Lu-Fletcher's a^(1/b)
-            raise SingularError(f"{type(spec).__name__}: the constant xi overflows, so it "
-                                "has no sign to classify by") from exc
-        return _regime_of_wage_regression(spec.b, spec.c, xi)
-    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    if (regime := getattr(type(spec), "_regime", None)) is None:  # each family states its own
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    return regime(spec)

@@ -287,6 +287,30 @@ def test_the_validity_test_is_defined_in_families_and_re_exported():
         is violated_constraints
 
 
+def test_the_regime_types_are_defined_in_families_and_re_exported():
+    # each family states its regime beside its cut points; substitution only asks for it
+    import vesprod
+    import vesprod.families
+    import vesprod.substitution
+    for name in ("RegimeCase", "Monotonicity", "RegimeReport"):
+        assert getattr(vesprod.families, name).__module__ == "vesprod.families", name
+        assert name in vesprod.families.__all__ and name in vesprod.substitution.__all__
+        assert getattr(vesprod, name) is getattr(vesprod.substitution, name) \
+            is getattr(vesprod.families, name)
+    assert vesprod.substitution.BOUNDARY_TOL is vesprod.families.BOUNDARY_TOL == 1e-9
+
+
+def test_substitution_knows_no_family_type():
+    # classify_regime dispatches to the spec's _regime: substitution names no
+    # family class and not the map the VES regime reads
+    import vesprod.families
+    import vesprod.substitution
+    for name, value in vars(vesprod.substitution).items():
+        if isinstance(value, type):
+            assert not issubclass(value, vesprod.families._Family), name
+        assert value is not vesprod.families.loglinear_from_ves, name
+
+
 def test_the_package_republishes_each_modules_all_and_nothing_else():
     # each module's __all__ is the one list of its public names: a module
     # without one would leak its imports (annotations, say) into vesprod

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 import sys
@@ -25,6 +26,7 @@ from vesprod import (
     Monotonicity,
     ParamError,
     RegimeCase,
+    RegimeReport,
     SatoHoffmanParams,
     ShareError,
     SingularError,
@@ -35,6 +37,7 @@ from vesprod import (
     eval_intensive,
     intensive_derivative,
     lf_from_lh,
+    loglinear_from_ves,
     mrs_closed,
     mrs_derivative_closed,
     regression_closed_form,
@@ -48,6 +51,7 @@ from vesprod import (
     violated_constraints,
 )
 from vesprod.substitution import (
+    BOUNDARY_TOL,
     _CONSTRAINTS,
     ValidityInterval,
     _bisect_boundary,
@@ -55,7 +59,8 @@ from vesprod.substitution import (
     _log_grid,
 )
 from test_families import _NEAR_FLOATS, _OUT_OF_RANGE
-from test_grid import _EXAMPLES, _cases
+from test_families import _outcome as _call_outcome
+from test_grid import _ANY, _EXAMPLES, _POSITIVE, _UNIT, _cases
 
 # displayed coefficients the closed forms must reproduce at the reference fit
 PRINTED = {
@@ -334,6 +339,183 @@ def test_regime_of_overflowing_lu_fletcher_constant_is_singular():
                             c=1.0858932576444476, zeta=9.668955631133263e-235)
     with pytest.raises(SingularError, match="xi overflows"):
         classify_regime(spec)
+
+
+def test_regime_of_underflowing_lu_fletcher_constant_is_singular():
+    # xi = zeta b a^(1/b) / (b-1) needs (1e-300)^100, which rounds to 0; a zeta of 0
+    # is the caller's xi of 0
+    with pytest.raises(SingularError, match="LuFletcherParams: the constant xi underflows to 0"):
+        classify_regime(LuFletcherParams(a=1e-300, b=0.01, c=0.2, zeta=1.0))
+    with pytest.raises(ParamError, match="assumes xi < 0"):
+        classify_regime(LuFletcherParams(a=1e-300, b=0.01, c=0.2, zeta=0.0))
+
+
+def test_loglinear_from_ves_of_an_underflowing_xi_is_singular():
+    # xi = mu b a^(-1/b) / (b-1) with a = psi^(1/3) is about -1e-450
+    v = VESParams(-0.5, 1e-300, 2.0, 1e300)
+    for call in (loglinear_from_ves, classify_regime):
+        with pytest.raises(SingularError, match="underflows to 0, so xi has no nonzero value"):
+            call(v)
+
+
+def test_lf_from_lh_of_an_underflowing_zeta_is_singular():
+    # zeta = xi (b-1) a^(-1/b) / b is about 1e-330; xi = 0 still gives zeta = 0
+    p = LogLinearParams(a=1e150, b=0.5, c=0.2, xi=-1e-30)
+    with pytest.raises(SingularError, match="underflows to 0, so zeta has no nonzero value"):
+        lf_from_lh(p)
+    assert lf_from_lh(p.with_xi(0.0)).zeta == 0.0
+
+
+#: log-uniform across the positive doubles, subnormals included
+_LOG_UNIFORM = st.floats(-745.0, 709.78).map(math.exp).filter(lambda x: x > 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_LOG_UNIFORM, b=st.one_of(st.floats(0.01, 3.0), _LOG_UNIFORM), c=st.floats(0.01, 3.0),
+       xi=_LOG_UNIFORM, lam=st.floats(-3.0, 3.0), mu=_LOG_UNIFORM, theta=st.floats(-3.0, 3.0),
+       psi=_LOG_UNIFORM, sign=st.sampled_from([-1.0, 1.0]))
+@example(a=1e150, b=0.5, c=0.2, xi=1e-30, lam=-0.5, mu=1e-300, theta=2.0, psi=1e300, sign=-1.0)
+def test_the_parameter_maps_keep_a_nonzero_constant_nonzero(a, b, c, xi, lam, mu, theta, psi,
+                                                            sign):
+    # mu, xi and zeta are never 0 in truth: a map gives them a nonzero value or raises
+    with contextlib.suppress(VesprodError):
+        assert lf_from_lh(LogLinearParams(a, b, c, sign * xi)).zeta != 0.0
+    with contextlib.suppress(VesprodError):
+        p = loglinear_from_ves(VESParams(lam, sign * mu, theta, psi))
+        assert p.xi != 0.0
+        try:
+            ves_from_loglinear(p)
+        except SingularError as exc:
+            assert "xi = 0 gives mu = 0" not in str(exc)
+
+
+def _dispatched_by_type(spec):
+    """classify_regime as the type dispatch stated it before each family stated
+    its own regime: an isinstance chain over the six families and two
+    regression-space helpers, the VES one reading the library's loglinear_from_ves."""
+
+    def rental(b, c, xi):
+        if xi >= 0.0:
+            raise ParamError("regime analysis assumes xi < 0 (required for R to be "
+                             f"positive and increasing on some range); got xi = {xi!r}")
+        if b >= 1.0:
+            raise ParamError(f"the regime taxonomy assumes b < 1, got b = {b!r}")
+        if abs(c - 1.0) <= BOUNDARY_TOL:
+            raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
+                             "use reduce_special_case first")
+        if abs(b - c) <= BOUNDARY_TOL:
+            raise ParamError("b = c is a case boundary; use reduce_special_case first")
+        if b < c < 1.0:
+            return RegimeReport(RegimeCase.VES_CASE_I, b / c, Monotonicity.DECREASING)
+        if c < b:
+            return RegimeReport(RegimeCase.VES_CASE_II, 1.0, Monotonicity.INCREASING)
+        return RegimeReport(RegimeCase.VES_CASE_III, b / c, Monotonicity.INCREASING)
+
+    def wage(b, c, xi):
+        if xi >= 0.0:
+            raise ParamError(f"regime analysis assumes xi < 0; got xi = {xi!r}")
+        if not 0.0 < b < 1.0:
+            raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {b!r}")
+        if c == 0.0:
+            return RegimeReport(RegimeCase.CONSTANT_SIGMA, b, Monotonicity.CONSTANT)
+        if c >= 1.0:
+            raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {c!r}")
+        if abs(b + c - 1.0) <= BOUNDARY_TOL:
+            raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
+                             "substitution degenerates); use reduce_special_case first")
+        if b + c > 1.0:
+            return RegimeReport(RegimeCase.LH_CES_LIMIT, b / (1.0 - c), Monotonicity.DECREASING)
+        return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
+
+    if isinstance(spec, CobbDouglasParams):
+        return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
+    if isinstance(spec, CESParams):
+        return RegimeReport(RegimeCase.CONSTANT_SIGMA, spec.sigma, Monotonicity.CONSTANT)
+    if isinstance(spec, SatoHoffmanParams):
+        if spec.rho == 1.0:
+            return RegimeReport(RegimeCase.UNIT_SIGMA, 1.0, Monotonicity.CONSTANT)
+        raise ParamError(
+            "an affine elasticity has no finite large-k limit: the domain is bounded "
+            "for rho < 1 and sigma is unbounded for rho > 1; only rho = 1 has a regime")
+    if isinstance(spec, VESParams):
+        p = loglinear_from_ves(spec)
+        return rental(p.b, p.c, p.xi)
+    if isinstance(spec, (LiuHildebrandParams, LuFletcherParams)):
+        try:
+            xi = spec._xi
+        except OverflowError as exc:
+            raise SingularError(f"{type(spec).__name__}: the constant xi overflows, so it "
+                                "has no sign to classify by") from exc
+        return wage(spec.b, spec.c, xi)
+    raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+
+
+_ACROSS_TOL = st.floats(-2.0 * BOUNDARY_TOL, 2.0 * BOUNDARY_TOL)
+
+
+@st.composite
+def _regime_inputs(draw):
+    """A spec of one of the six families, near the case boundaries b = c, c = 1
+    and b + c = 1, with b >= 1, c = 0 or xi >= 0, a Sato-Hoffman rho off 1, a
+    Lu-Fletcher constant whose power overflows or rounds to 0; or no spec."""
+    kind = draw(st.sampled_from(["ves", "rental", "wage", "cd", "ces", "sh", "none"]))
+    try:
+        if kind == "ves":
+            return VESParams(draw(_ANY), draw(_ANY), draw(_ANY), draw(_POSITIVE))
+        if kind == "cd":
+            return CobbDouglasParams(draw(_POSITIVE), draw(_UNIT))
+        if kind == "ces":
+            return CESParams(draw(_POSITIVE), draw(_UNIT), draw(_POSITIVE))
+        if kind == "sh":
+            delta = draw(st.sampled_from([0.5, 0.25]))
+            return SatoHoffmanParams(draw(_POSITIVE), delta,
+                                     draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0 / delta))))
+        if kind == "none":
+            return draw(st.sampled_from([None, 1.0, "ves", LogLinearParams(1.0, 0.5, 0.3, -1.0),
+                                         VESParams, object()]))
+        a = draw(st.one_of(st.floats(0.05, 3.0), _LOG_UNIFORM))
+        b = draw(st.one_of(st.floats(0.01, 0.99), st.floats(1.0, 3.0), st.floats(1e-3, 0.05)))
+        c = draw(st.sampled_from([b, 1.0, 1.0 - b, 0.0, None]))
+        c = draw(st.floats(0.0, 3.0)) if c is None else c + (c != 0.0) * draw(_ACROSS_TOL)
+        xi = draw(st.one_of(st.floats(-5.0, -0.01), st.floats(-5.0, 5.0), _ANY))
+        if kind == "rental":
+            return ves_from_loglinear(LogLinearParams(a, b, c, xi))
+        return draw(st.sampled_from([LiuHildebrandParams, LuFletcherParams]))(a, b, c, xi)
+    except VesprodError:
+        return CobbDouglasParams(1.0, 0.5)
+
+
+def _xi_underflowed(spec):
+    """Whether a Lu-Fletcher spec's xi rounded to 0 from a nonzero zeta."""
+    try:
+        return isinstance(spec, LuFletcherParams) and spec._xi == 0.0 != spec.zeta
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec=_regime_inputs())
+@example(spec=LuFletcherParams(a=2.387225697911483, b=8.314849275752976e-207,
+                               c=1.0858932576444476, zeta=9.668955631133263e-235))
+@example(spec=LuFletcherParams(a=1e-300, b=0.01, c=0.2, zeta=1.0))
+@example(spec=LuFletcherParams(a=1e-300, b=0.01, c=0.2, zeta=0.0))
+@example(spec=VESParams(-0.5, 1e-300, 2.0, 1e300))
+@example(spec=ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0)))
+@example(spec=ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=1.3, xi=-1.0)))
+@example(spec=SatoHoffmanParams(1.0, 0.5, 0.5))
+@example(spec=LiuHildebrandParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0))
+@example(spec=LiuHildebrandParams(a=1.3, b=0.7, c=0.0, xi=-1.0))
+@example(spec=VESParams)
+def test_classify_regime_equals_the_type_dispatch(spec):
+    # each family's _regime says what the isinstance chain said, report for report
+    # and error for error, except where a Lu-Fletcher xi rounded to 0
+    got = _call_outcome(classify_regime, spec)
+    want = _call_outcome(_dispatched_by_type, spec)
+    if _xi_underflowed(spec):
+        assert got[0] is SingularError and "xi underflows to 0" in got[1], got
+        assert want[0] is ParamError, want
+    else:
+        assert got == want
 
 
 def test_regime_boundary_and_sign_errors():
