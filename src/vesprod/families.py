@@ -45,9 +45,9 @@ is left unset, and reading it raises OverflowError where the formula reads
 it.  A factor whose computation can raise where the formula would raise
 differently stays in its formula: CES (1-delta)/(delta*sigma), where
 delta*sigma can round to 0, and Sato-Hoffman (rho-1)/(1-delta*rho), where
-delta*rho can be 1.  The VES and wage forms test their bracketed base
-inline and call :meth:`_Family._non_positive` to raise; CES's base
-delta k^e + (1-delta) is at least 1-delta > 0.
+delta*rho can be 1.  The methods only compute: where one has no value (a
+VES or wage bracketed base <= 0, or k past Sato-Hoffman's bound) it raises
+the bare :class:`_NoValue`; CES's base is at least 1-delta > 0.
 
 The public kernels of k are here: y, y', y'' (:func:`eval_intensive`,
 :func:`intensive_derivative`, :func:`intensive_second_derivative`), R, R',
@@ -94,7 +94,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, isfinite
-from typing import Callable, NoReturn, Union
+from typing import Callable, Union
 
 from .errors import DomainError, ParamError, SingularError, VesprodError
 
@@ -327,6 +327,11 @@ class _Overflowed:
         raise OverflowError("the per-spec constant overflows")
 
 
+class _NoValue(ArithmeticError):
+    """A closed form has no value at this k.  Raised bare: :func:`_evaluate`
+    words it by the family's ``_undefined``, and the grid pass falls back."""
+
+
 class _Family:
     """Base of the six family specs.
 
@@ -349,16 +354,16 @@ class _Family:
                   from the parameters alone (see substitution.classify_regime)
 
     A pole of sigma (R' = 0, or a vanishing rational denominator) divides
-    by zero, which :func:`_evaluate` turns into SingularError.
+    by zero, which :func:`_evaluate` turns into SingularError.  The forms that
+    need a positive base test it inline and raise :class:`_NoValue`.
     """
 
-    def _non_positive(self, k: float, base: float) -> NoReturn:
-        """Raise for a bracketed base that is not positive at k.  The forms
-        that need a positive base test it inline, ``if not (base :=
-        self._bracket(k)) > 0.0``, so that the test costs no Python frame."""
-        raise DomainError(
-            f"{type(self).__name__}: bracketed base is non-positive at k = {k:.12g} "
-            f"(base = {base:.6g}); the closed form is not defined there")
+    def _undefined(self, k: float, L: float | None) -> str:
+        """Why a method has no value at k, or at K/L with K = k where L is given."""
+        if L is not None:
+            return f"{type(self).__name__}: bracketed base is non-positive at K/L = {k / L:.12g}"
+        return (f"{type(self).__name__}: bracketed base is non-positive at k = {k:.12g} "
+                f"(base = {self._bracket(k):.6g}); the closed form is not defined there")
 
 
 @dataclass(frozen=True)
@@ -405,25 +410,24 @@ class VESParams(_Family):
 
     def _y(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         return self.psi * base ** self._expo
 
     def _F(self, K: float, L: float) -> float:
         lam1, eb = self._lam1, self._eb
         base = lam1 * K ** eb * L ** (self.lam * eb) + self.mu * L ** (lam1 * eb)
         if not base > 0.0:
-            raise DomainError(
-                f"VESParams: bracketed base is non-positive at K/L = {K / L:.12g}")
+            raise _NoValue
         return self.psi * base ** self._expo
 
     def _dy(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         return self.psi * k ** (-self.theta) * base ** (self._expo - 1.0)
 
     def _d2y(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         return (-self.psi * k ** (-self.theta - 1.0) * base ** (self._expo - 2.0)
                 * (self.lam * k ** self._eb + self._tm))
 
@@ -656,15 +660,14 @@ class _WageForm(_Family):
 
     def _y(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         return self._A * base ** self._ey
 
     def _F(self, K: float, L: float) -> float:
         m, n, A = self._m, self._n, self._A
         base = m * K ** self._eb + n * K ** self._ec * L ** self._e
         if not base > 0.0:
-            raise DomainError(
-                f"{type(self).__name__}: bracketed base is non-positive at K/L = {K / L:.12g}")
+            raise _NoValue
         return A * base ** self._ey
 
     def _dS(self, k: float) -> float:
@@ -674,13 +677,13 @@ class _WageForm(_Family):
 
     def _dy(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         A, b, Sp = self._A, self.b, self._dS(k)
         return A * b / (b - 1.0) * base ** (1.0 / (b - 1.0)) * Sp
 
     def _d2y(self, k: float) -> float:
         if not (base := self._bracket(k)) > 0.0:
-            self._non_positive(k, base)
+            raise _NoValue
         A, b, Sp = self._A, self.b, self._dS(k)
         m, n, c = self._m, self._n, self.c
         Spp = (-m * (b - 1.0) / b ** 2 * k ** (-(1.0 + b) / b)
@@ -862,16 +865,17 @@ class SatoHoffmanParams(_Family):
         return self._bound
 
     def _check_domain(self, k: float, degree_one: bool = False) -> None:
-        """Reject k outside the admissible range; with ``degree_one`` (the
-        substitution formulas R, R', sigma, sigma') first require alpha = 1."""
+        """Raise :class:`_NoValue` for k outside the admissible range; with
+        ``degree_one`` (R, R', sigma, sigma') first require alpha = 1."""
         if degree_one and self.alpha != 1.0:
             raise ParamError("substitution formulas assume degree one; "
                              f"alpha = {_quote(self.alpha)} is not supported here")
-        bound = self._bound
-        if k >= bound:
-            raise DomainError(
-                f"SatoHoffmanParams: k = {k:.12g} is outside the admissible range "
-                f"k < {bound:.12g} for rho = {self.rho:.12g}")
+        if k >= self._bound:
+            raise _NoValue
+
+    def _undefined(self, k: float, L: float | None) -> str:
+        return (f"SatoHoffmanParams: k = {k if L is None else k / L:.12g} is outside the "
+                f"admissible range k < {self._bound:.12g} for rho = {self.rho:.12g}")
 
     def _bracket(self, k: float) -> float:
         # (1 - delta*rho) + (rho - 1) k: positive exactly on the admissible
@@ -966,8 +970,9 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     recompute; the others call it directly.
 
     Rejects a non-family spec with TypeError and admits k (or K and L)
-    once, as the float nearest it.  It is the one place that says what a
-    floating-point failure in a closed form means: an overflowing power
+    once, as the float nearest it.  It is the one place that words a closed
+    form's failure: a point with no value (:class:`_NoValue`) raises
+    DomainError saying why (the family's ``_undefined``); an overflowing power
     raises DomainError; a division by zero (a pole, or a term that rounded
     to 0) and a result that is not finite raise SingularError.  Only
     ``_bracket``, of which just the sign matters, may return +-inf
@@ -986,6 +991,8 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
         if math.isfinite(value) or (method == "_bracket" and not math.isnan(value)):
             return value
         error, what = SingularError, f"{_QUANTITY[method]} is not finite"
+    except _NoValue:
+        raise DomainError(spec._undefined(k, L)) from None
     except OverflowError:
         error, what = DomainError, "the closed form overflows"
     except ZeroDivisionError:
@@ -997,9 +1004,10 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
 def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     """Which of the four validity conditions fail at k (empty when valid).  k is
     admitted as the float nearest it; where that is not positive, the bracket
-    fails.  A condition holds where its method raises neither ArithmeticError
-    nor DomainError and gives a positive finite value (the bracket may be +inf).
-    ParamError propagates (Sato-Hoffman with alpha != 1)."""
+    fails.  A condition holds where its method raises no ArithmeticError (a point
+    with no value raises :class:`_NoValue`, one) and gives a positive finite
+    value (the bracket may be +inf).  ParamError propagates (Sato-Hoffman with
+    alpha != 1)."""
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     if not (type(k) is float and 0.0 < k < math.inf):
@@ -1012,17 +1020,13 @@ def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
         try:
             value = getattr(spec, method)(k)
             holds = 0.0 < value < math.inf or value == math.inf and method == "_bracket"
-        except (ArithmeticError, DomainError):
+        except ArithmeticError:
             holds = False
         if not holds:
             bad.append(label)
             if method == "_bracket":
                 break
     return tuple(bad)
-
-
-class _GridFailed(Exception):
-    """A grid of k whose points take both sides of a branch, or give a value that is not finite."""
 
 
 @functools.cache
@@ -1032,37 +1036,27 @@ def _grid_type() -> type:
     closed form uses applies its ufunc to plain arrays and wraps the result,
     so that no ufunc pays for an ndarray subclass.  Its ``**`` is
     ``np.float_power`` (libm's ``pow``, as Python's float ``**`` is;
-    ``np.power`` is not) and its six comparisons are pointwise; numpy defers
+    ``np.power`` is not) and its ``>`` and ``>=`` are pointwise; numpy defers
     every operator to it (``__array_ufunc__ = None``), so a ufunc applied to
     the grid itself raises TypeError.  Its truth value is the common truth of
-    its points (mixed truth raises :class:`_GridFailed`), and it formats as
-    its points do, so that an error message about it builds."""
+    its points: mixed truth, a branch that the points do not all take, raises
+    :class:`_NoValue`."""
     import numpy as np
 
     class _Grid:
         __slots__ = ("a",)
         __array_ufunc__ = None
-        __hash__ = None  # its == is pointwise
 
         def __init__(self, a) -> None:
             self.a = a
-
-        def __neg__(self) -> "_Grid":
-            return _Grid(np.negative(self.a))
-
-        def __abs__(self) -> "_Grid":
-            return _Grid(np.absolute(self.a))
 
         def __bool__(self) -> bool:
             true_points = np.count_nonzero(self.a)
             if true_points == self.a.size:
                 return True
             if true_points:
-                raise _GridFailed
+                raise _NoValue
             return False
-
-        def __format__(self, spec: str) -> str:
-            return ", ".join(format(k, spec) for k in self.a.tolist())
 
     def forward(ufunc):
         def apply(grid, other):
@@ -1079,9 +1073,7 @@ def _grid_type() -> type:
         setattr(_Grid, f"__{name}__", forward(ufunc))
         setattr(_Grid, f"__r{name}__", reflected(ufunc))
     # no __rpow__: no closed form raises a number to a power of k
-    for name, ufunc in (("pow", np.float_power), ("lt", np.less), ("le", np.less_equal),
-                        ("eq", np.equal), ("ne", np.not_equal), ("gt", np.greater),
-                        ("ge", np.greater_equal)):
+    for name, ufunc in (("pow", np.float_power), ("gt", np.greater), ("ge", np.greater_equal)):
         setattr(_Grid, f"__{name}__", forward(ufunc))
     return _Grid
 
@@ -1094,7 +1086,7 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
     raises where the kernel could fail at a point: under :func:`_grid_pass`'s
     errstate, the method's ArithmeticError (FloatingPointError where an
     operation overflowed, divided by zero or was invalid) or VesprodError, and
-    :class:`_GridFailed` for a branch that the points do not all take or a
+    :class:`_NoValue` for a branch that the points do not all take or a
     value that is not finite (for the bracket: NaN)."""
     import numpy as np
     grid = _grid_type()
@@ -1104,7 +1096,7 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
     values = value.a if type(value) is grid else np.full(ks.shape, value)
     if (np.count_nonzero(np.isnan(values)) if method == "_bracket"
             else np.count_nonzero(np.isfinite(values)) != values.size):
-        raise _GridFailed
+        raise _NoValue
     return (values,) if len(arrays) == 1 else values.reshape(len(arrays), -1)
 
 
@@ -1112,16 +1104,16 @@ def _grid_pass(run: Callable, points: list[float], *specs: FamilySpec):
     """The grid pass: ``run(k, _on_grid)``, k the float64 array of the points,
     under ``np.errstate(over/divide/invalid="raise")``.  None where numpy is
     not loaded (a one-shot check would pay its import for nothing), a spec is
-    no family spec (which the kernels reject), or ``run`` raises ArithmeticError,
-    VesprodError or :class:`_GridFailed`: then the caller's scalar loop, which
-    names the failure, runs.  Any other exception goes through."""
+    no family spec (which the kernels reject), or ``run`` raises ArithmeticError
+    (:class:`_NoValue` among them) or VesprodError: then the caller's scalar
+    loop, which names the failure, runs.  Any other exception goes through."""
     if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
         return None
     import numpy as np
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return run(np.array(points, dtype=float), _on_grid)
-    except (ArithmeticError, VesprodError, _GridFailed):
+    except (ArithmeticError, VesprodError):
         return None
 
 

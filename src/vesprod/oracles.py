@@ -69,9 +69,9 @@ from .families import (
     VESParams,
     _count,
     _evaluate,
-    _GridFailed,
     _grid_pass,
     _nearest_float,
+    _NoValue,
     _quote,
     _require_in_domain,
     _require_type,
@@ -466,7 +466,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
         yield "sigma_prime", dsig, _difference(sig_plus, sig_minus, h1), abs(sig) / k
         # no bracket test: a bracket <= 0 has failed y or R above (see the docstring)
         if not _positive(R, dR, sig):
-            raise _GridFailed  # on the grid only: the scalar loop has checked every point
+            raise _NoValue  # on the grid only: the scalar loop has checked every point
 
     def outside(k: float) -> str | None:
         violated = violated_constraints(spec, k)

@@ -158,6 +158,8 @@ def sigma_from_shares(p: LogLinearParams, k: float, y: float, y_prime: float) ->
     """
     _require_type(p, LogLinearParams)
     k = _require_in_domain("capital-labor ratio", k)
+    # each number as the float nearest it; a float, infinite or not, as itself
+    y, y_prime = (float(v) if isinstance(v, float) else _nearest_float(v) for v in (y, y_prime))
     wage = y - k * y_prime
     if wage <= 0.0:
         raise ShareError(f"wage share y - k*y' = {wage:.6g} <= 0: inputs are not "

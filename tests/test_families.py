@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pydoc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,7 @@ from vesprod import (
     ves_from_loglinear,
     violated_constraints,
 )
-from vesprod.families import _evaluate, _magnitude, _root
+from vesprod.families import _evaluate, _magnitude, _NoValue, _root
 from vesprod.substitution import (
     classify_regime,
     mrs_closed,
@@ -371,6 +372,54 @@ def test_wage_specs_with_extreme_constants(spec, expected):
     for (kernel, args), want in zip(calls, expected, strict=True):
         got = kernel(*args) if isinstance(want, float) else _outcome(kernel, *args)
         assert got == want, kernel.__name__
+
+
+class _Unformattable(float):
+    """A float that cannot be formatted: a method that words its own failure fails on it."""
+
+    def __format__(self, spec):
+        raise AssertionError("a closed-form method formatted its argument")
+
+
+def _no_base(family, where, base):
+    return (f"{family}: bracketed base is non-positive at {where} (base = {base}); "
+            "the closed form is not defined there")
+
+
+def _past_bound(k):
+    return f"SatoHoffmanParams: k = {k} is outside the admissible range k < 1.5 for rho = 0.5"
+
+
+_KERNEL_OF = dict(zip(_METHODS, _KERNELS)) | {"_F": eval_extensive}
+
+
+_NO_VALUE_CASES = [
+    *((VESParams(-2.0, 1.0, 2.0, 1.0), method, (0.5,), _no_base("VESParams", "k = 0.5", "-1"))
+      for method in ("_y", "_dy", "_d2y")),
+    (VESParams(-2.0, 1.0, 2.0, 1.0), "_F", (1.0, 2.0),
+     "VESParams: bracketed base is non-positive at K/L = 0.5"),
+    *((family(1.0, 0.5, 0.2, xi), method, (0.3,), _no_base(family.__name__, "k = 0.3", "-0.635592"))
+      for family, xi in ((LiuHildebrandParams, 1.0), (LuFletcherParams, -1.0))
+      for method in ("_y", "_dy", "_d2y")),
+    *((family(1.0, 0.5, 0.2, xi), "_F", (0.3, 1.0),
+       f"{family.__name__}: bracketed base is non-positive at K/L = 0.3")
+      for family, xi in ((LiuHildebrandParams, 1.0), (LuFletcherParams, -1.0))),
+    *((SatoHoffmanParams(1.0, 0.5, 0.5), method, (2.0,), _past_bound(2))
+      for method in ("_y", "_dy", "_d2y", "_R", "_dR", "_sigma", "_dsigma")),
+    (SatoHoffmanParams(1.0, 0.5, 0.5), "_F", (3.0, 2.0), _past_bound(1.5)),
+]
+
+
+@pytest.mark.parametrize("spec, method, args, message", _NO_VALUE_CASES,
+                         ids=[f"{type(case[0]).__name__}.{case[1]}" for case in _NO_VALUE_CASES])
+def test_a_closed_form_with_no_value_raises_it_bare(spec, method, args, message):
+    # the method only computes: it raises _NoValue and formats nothing, and
+    # _evaluate alone words the failure
+    with pytest.raises(_NoValue):
+        getattr(spec, method)(*map(_Unformattable, args))
+    with pytest.raises(DomainError) as info:
+        _KERNEL_OF[method](spec, *map(_Unformattable, args))
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 @pytest.mark.parametrize("family", [VESParams, CobbDouglasParams, CESParams, LiuHildebrandParams,
@@ -1327,7 +1376,8 @@ def test_a_number_out_of_range_returns_or_raises_a_vesprod_error(function, args,
 #: numbers that are not floats, next to one: each is admitted as the float nearest it
 _NEAR_FLOATS = (Fraction(1, 3), Fraction(10), Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400),
                 1 + Fraction(1, 10 ** 400), -1 + Fraction(1, 10 ** 400),
-                Fraction(1, 2) + Fraction(1, 10 ** 400), 2, 0, -1)
+                Fraction(1, 2) + Fraction(1, 10 ** 400), 2, 0, -1,
+                Decimal("0.1"), np.float32(0.1), np.float64(0.1), np.int64(2))
 
 
 def _repr_or_error(function, args, kwargs):

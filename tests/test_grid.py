@@ -44,7 +44,7 @@ from vesprod import (
     verify_sato_hoffman,
     ves_from_loglinear,
 )
-from vesprod.families import _GridFailed, _grid_pass, _grid_type, _on_grid
+from vesprod.families import _grid_pass, _grid_type, _NoValue, _on_grid
 import vesprod.oracles as oracles_module
 
 _KERNELS = {"_bracket": bracket_base, "_y": eval_intensive, "_dy": intensive_derivative,
@@ -202,10 +202,11 @@ def test_verifiers_report_the_same_with_and_without_the_grid_pass(case, target, 
     (_SH_ROUNDED, [1.0, 3.25], "_R"),  # y is finite there; R divides by zero
 ])
 def test_a_grid_that_fails_returns_none(spec, grid, method):
-    # the failures' messages format k with :.12g, which a grid of k does as its points do
+    # a method with no value at the points raises the bare _NoValue, which formats no k
     assert _values_or_none(spec, method, grid) is None
-    # and so is the grid pass of a run that raises any of the three kinds it catches
-    for failure in (ZeroDivisionError, DomainError("outside"), _GridFailed):
+    # and so is the grid pass of a run that raises what it catches: an
+    # ArithmeticError (_NoValue among them) or a VesprodError
+    for failure in (ZeroDivisionError, _NoValue, DomainError("outside")):
         def run(k, at, failure=failure):
             raise failure
         assert _grid_pass(run, grid, spec) is None
@@ -264,28 +265,17 @@ def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     grid = _grid_type()
     ks = grid(np.array([1.0, 2.0, 3.0]))
     assert bool(ks > 0.5) and not bool(ks > 5.0)
-    with pytest.raises(_GridFailed):
+    with pytest.raises(_NoValue):
         bool(ks > 1.5)
-    assert f"{ks:.3g}" == "1, 2, 3"
-    # every comparison is pointwise, == and != included
+    # > and >= are pointwise
     plain = ks.a
-    for compare in (lambda x, y: x == y, lambda x, y: x != y, lambda x, y: x < y,
-                    lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+    for compare in (lambda x, y: x > y, lambda x, y: x >= y):
         for other in (2.0, np.float64(2.0), grid(np.array([3.0, 2.0, 1.0]))):
             truth = compare(ks, other)
             assert type(truth) is grid
             assert truth.a.tolist() == compare(plain, getattr(other, "a", other)).tolist()
-            # with the grid on the right, Python asks it for the reflected comparison
-            assert (compare(other, ks).a.tolist()
-                    == compare(getattr(other, "a", other), plain).tolist())
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(ks)
-    # unary - and abs, and every arithmetic operator both ways round, give the
-    # grid type with the plain ndarray's bits
-    signed = grid(np.array([-1.5, 0.0, 2.5]))
-    for result, want in ((-signed, -signed.a), (abs(signed), abs(signed.a))):
-        assert type(result) is grid
-        assert _hex(result.a) == _hex(want)
+    # every arithmetic operator both ways round gives the grid type with the
+    # plain ndarray's bits
     for other in (0.3, np.float64(0.3), 7):
         for apply in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
                       lambda x, y: x / y):
