@@ -3,7 +3,8 @@
 Subcommands: eval, fit, trajectory, regime, calibrate-xi, reduce, verify.
 
 Exit codes are a stable contract: 0 on success (or a passing
-verification), 1 on a failed verification, 2 on usage or input errors.
+verification), 1 on a failed verification, 2 on usage or input errors
+and where a command needs numpy that is not installed.
 Numeric output prints with 12 significant digits; all commands are
 deterministic for identical flags and input bytes.  Each command returns
 its exit code and lines; only `main` writes them to stdout, once the
@@ -488,7 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (VesprodError, OSError) as exc:
+    except (VesprodError, OSError, ModuleNotFoundError) as exc:  # numpy, for fit and the ODE
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,7 +73,7 @@ constant reads it, and a count is admitted as the int it stands for
 them in one grid of k (:func:`_grid_type`), which holds a plain ndarray and
 applies each operator's ufunc to it, with libm's ``pow`` as the scalar
 formulas have it, and returns per array one row of its points' values, or
-raises.  No grid leaves this module.
+raises as the kernels do.  No grid leaves this module.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -1083,31 +1083,32 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
     (the grid pass's k, or arithmetic on it; all of one length) from one call
     of the unchanged method over one grid of them all: one row of values per
     array, in order, each the kernel's value at each point, bit for bit.  It
-    raises where the kernel could fail at a point: under :func:`_grid_pass`'s
-    errstate, the method's ArithmeticError (FloatingPointError where an
-    operation overflowed, divided by zero or was invalid) or VesprodError, and
-    :class:`_NoValue` for a branch that the points do not all take or a
-    value that is not finite (for the bracket: NaN)."""
+    raises where the kernel would: TypeError for a non-family spec and, under
+    :func:`_grid_pass`'s errstate, the method's ArithmeticError
+    (FloatingPointError where an operation overflowed, divided by zero or was
+    invalid) or VesprodError, and :class:`_NoValue` for a branch that the
+    points do not all take or a value that is not finite."""
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     import numpy as np
     grid = _grid_type()
     ks = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     value = getattr(spec, method)(grid(ks))
     # a constant method (Cobb-Douglas sigma, say) returns one float for all points
     values = value.a if type(value) is grid else np.full(ks.shape, value)
-    if (np.count_nonzero(np.isnan(values)) if method == "_bracket"
-            else np.count_nonzero(np.isfinite(values)) != values.size):
+    if np.count_nonzero(np.isfinite(values)) != values.size:
         raise _NoValue
     return (values,) if len(arrays) == 1 else values.reshape(len(arrays), -1)
 
 
-def _grid_pass(run: Callable, points: list[float], *specs: FamilySpec):
+def _grid_pass(run: Callable, points: list[float]):
     """The grid pass: ``run(k, _on_grid)``, k the float64 array of the points,
     under ``np.errstate(over/divide/invalid="raise")``.  None where numpy is
-    not loaded (a one-shot check would pay its import for nothing), a spec is
-    no family spec (which the kernels reject), or ``run`` raises ArithmeticError
-    (:class:`_NoValue` among them) or VesprodError: then the caller's scalar
-    loop, which names the failure, runs.  Any other exception goes through."""
-    if "numpy" not in sys.modules or not all(isinstance(spec, _Family) for spec in specs):
+    not loaded (a one-shot check would pay its import for nothing) or ``run``
+    raises ArithmeticError (:class:`_NoValue` among them) or VesprodError:
+    then the caller's scalar loop, which names the failure, runs.  Any other
+    exception (:func:`_on_grid`'s TypeError for a non-family spec) goes through."""
+    if "numpy" not in sys.modules:
         return None
     import numpy as np
     try:

@@ -47,6 +47,7 @@ runs: it names the first inadmissible point (for :func:`verify_family`, as
 ``families.violated_constraints`` finds it), and then runs the same columns
 point by point, with ``at`` the kernels' one error boundary
 (``families._evaluate``) at each point in turn, so it names the first failure.
+A non-family spec raises the kernels' TypeError on either path.
 Besides :mod:`vesprod.errors`, this module builds on :mod:`vesprod.families`
 alone: it imports nothing from :mod:`vesprod.substitution`.
 """
@@ -275,7 +276,6 @@ def _decisive(columns: _Columns, k, at: _At) -> list[_Comparison]:
 
 
 def _verify(name: str, columns: _Columns, k_grid: Sequence[float], tolerance: float,
-            specs: Sequence[FamilySpec],
             outside: Callable[[float], str | None] = lambda k: None) -> VerificationReport:
     """The report on the columns (quantity, closed form, reference, scale
     floor) that ``columns(k, at)`` yields at each point k of the grid, once
@@ -283,7 +283,7 @@ def _verify(name: str, columns: _Columns, k_grid: Sequence[float], tolerance: fl
     loop, which first raises DomainError at the first point for which
     ``outside`` names a range, and then runs the columns point by point."""
     grid = _check_grid(k_grid)
-    comparisons = _grid_pass(lambda k, at: _decisive(columns, k, at), grid, *specs)
+    comparisons = _grid_pass(lambda k, at: _decisive(columns, k, at), grid)
     if comparisons is None:
         for k in grid:
             if where := outside(k):
@@ -472,7 +472,7 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
         violated = violated_constraints(spec, k)
         return f"validity range (violated: {', '.join(violated)})" if violated else None
 
-    return _verify("family", columns, k_grid, tolerance, [spec], outside)
+    return _verify("family", columns, k_grid, tolerance, outside)
 
 
 def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
@@ -486,7 +486,7 @@ def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
             (closed,), (reference,) = at(spec, method, k), at(target, method, k)
             yield quantity, closed, reference, 0.0
 
-    return _verify(name, columns, k_grid, tolerance, [spec, target])
+    return _verify(name, columns, k_grid, tolerance)
 
 
 def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
@@ -522,5 +522,5 @@ def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],
         (sig,) = at(s, "_sigma", k)
         yield "sigma", sig, _sigma_identity(k, *_fd_derivatives(s, k, at)[2:]), 0.0
 
-    return _verify("sato-hoffman", columns, k_grid, tolerance, [s],
+    return _verify("sato-hoffman", columns, k_grid, tolerance,
                    lambda k: f"admissible range k < {bound:.12g}" if k >= bound else None)

@@ -20,6 +20,7 @@ from vesprod import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    lf_from_lh,
     validity_range,
     ves_from_loglinear,
 )
@@ -148,6 +149,33 @@ def draw_ves_structural(rng: np.random.Generator) -> VESParams:
     return VESParams(lam=lam, mu=mu, theta=theta, psi=psi)
 
 
+#: the families of the randomized oracle suite (criterion 5), in draw order
+FAMILIES = ("cd", "ces", "ves", "lh", "lf", "sh")
+
+
+def draw_trusted_case(rng: np.random.Generator, family: str) -> tuple:
+    """One draw of the randomized oracle suite: a spec of the family and a
+    16-point grid inside its validity range on which the finite-difference
+    oracles are trustworthy (:func:`grid_inside_validity`), or None for the
+    grid where the draw has none."""
+    if family == "cd":
+        spec, probe = draw_cd(rng), (0.05, 50.0)
+    elif family == "ces":
+        spec, probe = draw_ces(rng), (0.05, 50.0)
+    elif family == "ves":
+        spec, probe = ves_from_loglinear(draw_ves_regression(rng)), (1e-3, 1e3)
+    elif family in ("lh", "lf"):
+        lh = draw_lh(rng)
+        spec = lh if family == "lh" else lf_from_lh(
+            LogLinearParams(a=lh.a, b=lh.b, c=lh.c, xi=lh.xi))
+        probe = (1e-3, 1e3)
+    else:
+        spec = draw_sh(rng)
+        bound = spec.k_upper_bound()
+        probe = (0.01, 50.0) if math.isinf(bound) else (bound / 500.0, bound * 0.999)
+    return spec, grid_inside_validity(spec, probe[0], probe[1], n=16)
+
+
 def _fd_sigma_at_scale(spec, k: float, scale: float) -> float:
     """Eq-8 sigma via finite differences with step sizes scaled by `scale`."""
     from vesprod import eval_intensive
@@ -248,7 +276,7 @@ def grid_inside_validity(spec, probe_lo: float, probe_hi: float, n: int = 16,
 
 def without_grid_pass(patch: pytest.MonkeyPatch) -> None:
     """Make the verifiers run their scalar loop, as they do where numpy is not loaded."""
-    patch.setattr(vesprod.oracles, "_grid_pass", lambda run, points, *specs: None)
+    patch.setattr(vesprod.oracles, "_grid_pass", lambda run, points: None)
 
 
 @pytest.fixture

@@ -25,11 +25,10 @@ import numpy as np
 import pytest
 
 from conftest import (
-    draw_cd,
-    draw_ces,
+    FAMILIES,
     draw_lh,
     draw_sh,
-    draw_ves_regression,
+    draw_trusted_case,
     draw_ves_structural,
     grid_inside_validity,
     relerr,
@@ -48,7 +47,6 @@ from vesprod import (
     diagnose_fit,
     eval_intensive,
     fit_loglinear,
-    lf_from_lh,
     load_dataset,
     mrs_closed,
     mrs_derivative_closed,
@@ -207,28 +205,12 @@ def test_criterion_05_oracle_suite_randomized():
     t0 = time.perf_counter()
     worst = 0.0
     counts = {}
-    for family in ("cd", "ces", "ves", "lh", "lf", "sh"):
+    for family in FAMILIES:
         done = attempts = 0
         while done < 100:
             attempts += 1
             assert attempts < 2000, f"draw starvation for {family}"
-            if family == "cd":
-                spec, probe = draw_cd(rng), (0.05, 50.0)
-            elif family == "ces":
-                spec, probe = draw_ces(rng), (0.05, 50.0)
-            elif family == "ves":
-                spec, probe = ves_from_loglinear(draw_ves_regression(rng)), (1e-3, 1e3)
-            elif family in ("lh", "lf"):
-                lh = draw_lh(rng)
-                spec = lh if family == "lh" else lf_from_lh(
-                    LogLinearParams(a=lh.a, b=lh.b, c=lh.c, xi=lh.xi))
-                probe = (1e-3, 1e3)
-            else:
-                spec = draw_sh(rng)
-                bound = spec.k_upper_bound()
-                probe = (0.01, 50.0) if math.isinf(bound) \
-                    else (bound / 500.0, bound * 0.999)
-            grid = grid_inside_validity(spec, probe[0], probe[1], n=16)
+            spec, grid = draw_trusted_case(rng, family)
             if grid is None:
                 continue
             report = verify_family(spec, grid)

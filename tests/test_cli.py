@@ -1115,6 +1115,18 @@ def test_bounded_steps_and_rounded_lam_exit_2(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "ode"],
+                                  ["fit", "{csv}", "--relation", "rental"]], ids=lambda argv: argv[0])
+def test_a_missing_numpy_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # the two commands that need numpy word its absence: exit 1 is a failed verification
+    csv = _write(tmp_path, "d.csv", "period,y,k,r\nt0,1,1,1\nt1,1,2,1\nt2,1,1,2\nt3,1,2,2\n")
+    argv = [csv if token == "{csv}" else token for token in argv]
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises ModuleNotFoundError
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "numpy" in err
+
+
 def test_a_and_ln_a_together_is_a_usage_error(capsys):
     argv = "eval --family ves --a 1 --ln-a 0 --b 0.5 --c 0.3 --xi -1 --k 1"
     assert run(capsys, *argv.split()) == (2, "", "usage error: give either --a or --ln-a, not both\n")

@@ -10,6 +10,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FAMILIES,
+    draw_trusted_case,
     fd_derivative,
     fd_second,
     relerr,
@@ -864,6 +866,28 @@ def test_intensive_derivatives_match_finite_differences():
         for k in grid:
             assert relerr(intensive_derivative(spec, k), fd_derivative(y, k)) < 1e-8
             assert relerr(intensive_second_derivative(spec, k), fd_second(y, k)) < 1e-5
+
+
+def test_derivatives_satisfy_the_identities_of_r_and_sigma_to_rounding():
+    # y' = y / (R + k) and y'' = y' (k y' - y) / (k y sigma) hold exactly, and
+    # each side is a closed form of its own: to rounding they agree, where
+    # finite differences at DERIVATIVE_TOL cannot see an error of 1e-9 in y'
+    # or y''.  Computing k y' - y cancels by c = y / (y - k y') = (R + k) / R.
+    rng = np.random.default_rng(515151)
+    for family in FAMILIES:
+        done = 0
+        while done < 10:
+            spec, grid = draw_trusted_case(rng, family)
+            if grid is None:
+                continue
+            done += 1
+            for k in grid:
+                y, dy = eval_intensive(spec, k), intensive_derivative(spec, k)
+                assert relerr(dy, y / (mrs_closed(spec, k) + k)) < 1e-12, (spec, k)
+                c = y / (y - k * dy)
+                d2y = dy * (k * dy - y) / (k * y * sigma_closed(spec, k))
+                assert relerr(intensive_second_derivative(spec, k), d2y) < 1e-12 * max(1.0, c), \
+                    (spec, k)
 
 
 # ---------------------------------------------------------------------------

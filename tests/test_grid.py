@@ -128,7 +128,7 @@ def _values_or_none(spec, method, *grids):
     over them all in the grid pass, or None where the grid pass falls back to
     the scalar loop."""
     points = [k for grid in grids for k in grid]
-    return _grid_pass(lambda k, at: at(spec, method, *k.reshape(len(grids), -1)), points, spec)
+    return _grid_pass(lambda k, at: at(spec, method, *k.reshape(len(grids), -1)), points)
 
 
 def _hex(values):
@@ -209,12 +209,12 @@ def test_a_grid_that_fails_returns_none(spec, grid, method):
     for failure in (ZeroDivisionError, _NoValue, DomainError("outside")):
         def run(k, at, failure=failure):
             raise failure
-        assert _grid_pass(run, grid, spec) is None
+        assert _grid_pass(run, grid) is None
     # or whose float64 operations overflow, divide by zero or are invalid:
     # the errstate holds inside the grid pass
     for operation in (lambda k: k * 1e308 * 1e308, lambda k: k / (k - k),
                       lambda k: (k - k) / (k - k)):
-        assert _grid_pass(lambda k, at: operation(k), grid, spec) is None
+        assert _grid_pass(lambda k, at: operation(k), grid) is None
 
 
 @pytest.mark.parametrize("spec, grid, first", [
@@ -305,7 +305,7 @@ def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
     # _on_grid: no grid of k leaves families
     def run(k, at):
         return k, at
-    points, at = _grid_pass(run, [1, 2.0], CobbDouglasParams(2.0, 0.4))
+    points, at = _grid_pass(run, [1, 2.0])
     assert type(points) is np.ndarray and points.dtype == np.float64
     assert points.tolist() == [1.0, 2.0] and at is _on_grid
     # every spec holds float parameters: one given as an int or a numpy scalar
@@ -316,20 +316,26 @@ def test_the_grid_pass_needs_numpy_loaded_and_float_parameters(monkeypatch):
                        (SatoHoffmanParams(1, np.float64(0.5), 1.5),
                         SatoHoffmanParams(1.0, 0.5, 1.5)),
                        (VESParams(0, 1, 2, 1), VESParams(0.0, 1.0, 2.0, 1.0))):
-        assert _grid_pass(run, [1.0], spec) is not None
+        assert _grid_pass(lambda k, at: at(spec, "_y", k), [1.0]) is not None
         assert repr(verify_family(spec, grid)) == repr(verify_family(twin, grid))
-    # what is no family spec the scalar kernels reject with TypeError
+    # what is no family spec _on_grid rejects with the scalar kernels' TypeError
     spec = LogLinearParams(1.0, 0.5, 0.2, -1.0)
-    assert _grid_pass(run, [1.0], spec) is None
-    assert _grid_pass(run, [1.0], CobbDouglasParams(2.0, 0.4), spec) is None
-    for call in (lambda: verify_family(spec, [1.0]), lambda: verify_family("cd", [1.0]),
-                 lambda: verify_reduction(_SH, spec, [1.0])):
+    with pytest.raises(TypeError, match="unsupported family spec: LogLinearParams"):
+        _grid_pass(lambda k, at: at(spec, "_y", k), [1.0])
+    calls = (lambda: verify_family(spec, [1.0]), lambda: verify_family("cd", [1.0]),
+             lambda: verify_reduction(_SH, spec, [1.0]))
+    for call in calls:
         with pytest.raises(TypeError, match="unsupported family spec"):
             call()
+    # with the scalar loop's message
+    with_grid = [_outcome(call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        without_grid_pass(patch)
+        assert [_outcome(call) for call in calls] == with_grid
     # the grid pass catches no TypeError
     def broken(k, at):
         raise TypeError("not a floating-point failure")
     with pytest.raises(TypeError, match="not a floating-point failure"):
-        _grid_pass(broken, [1.0], CobbDouglasParams(2.0, 0.4))
+        _grid_pass(broken, [1.0])
     monkeypatch.delitem(sys.modules, "numpy")
-    assert _grid_pass(run, [1.0], CobbDouglasParams(2.0, 0.4)) is None
+    assert _grid_pass(run, [1.0]) is None
