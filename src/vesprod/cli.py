@@ -229,8 +229,7 @@ def _cmd_fit(args: argparse.Namespace) -> _Output:
         except UnicodeDecodeError as exc:  # read() decodes the whole file: start is its offset
             raise ParseError(f"input is not UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x} "
                              f"at byte offset {exc.start}") from None
-    # as the utf-8-sig codec reads it: a leading byte-order mark is no part of the text
-    dataset = load_dataset(source.removeprefix("\ufeff"))
+    dataset = load_dataset(source)
     report = fit_loglinear(dataset, args.relation)
     lines = _fit_lines(report)
     if args.diagnose:

@@ -142,11 +142,13 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
 def load_dataset(source: str) -> Dataset:
     """Parse delimited-text content into a :class:`Dataset`.
 
-    Raises :class:`ParseError` with row/column location for structural
-    problems and :class:`ValidationError` for non-positive or non-finite
-    values or duplicate period labels.  Row numbers count data rows from 1.
+    A leading byte-order mark is no part of the text, as the ``utf-8-sig``
+    codec reads it.  Raises :class:`ParseError` with row/column location for
+    structural problems and :class:`ValidationError` for non-positive or
+    non-finite values or duplicate period labels.  Row numbers count data
+    rows from 1.
     """
-    reader = csv.reader(io.StringIO(source))
+    reader = csv.reader(io.StringIO(source.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

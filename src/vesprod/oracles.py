@@ -15,7 +15,8 @@ Finite-difference steps follow the standard truncation/rounding balance:
 h = k * eps^(1/3) for first derivatives and h = k * eps^(1/4) for second
 derivatives.  The integrator works in ln y, where the equation is exact
 quadrature; this removes positivity drift.  Its slope does not depend on
-y, so the Runge-Kutta scheme is composite Simpson's rule; each of its
+y, so the Runge-Kutta scheme is composite Simpson's rule, with its mesh
+graded toward a root of the denominator next to the path; each of its
 three stages is evaluated at every step as one numpy array, and numpy is
 imported on the first ODE call, not with the module.  Paths of up to 2**14
 steps compute in one workspace per thread, kept between calls and grown to
@@ -323,6 +324,22 @@ def _ode_workspace(steps: int) -> tuple:
             scaled[:3 * steps].reshape(3, steps), sums[:steps + 1])
 
 
+def _root_beside(v: VESParams, k_start: float, k_end: float) -> float | None:
+    """The positive root r = (-(1+lam)/mu)^(1/(theta-1)) of (1+lam) k +
+    mu k^theta where it lies outside the path from ``k_start`` to ``k_end``
+    and nearer to the path than the path is long; None otherwise."""
+    ratio = -(1.0 + v.lam) / v.mu
+    if not ratio > 0.0:
+        return None
+    try:
+        root = ratio ** (1.0 / (v.theta - 1.0))
+    except OverflowError:
+        return None
+    lo, hi = sorted((k_start, k_end))
+    length = hi - lo
+    return root if 0.0 < root and (lo - length < root < lo or hi < root < hi + length) else None
+
+
 def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                           k_end: float, steps: int) -> float:
     """Propagate y from ``k_start`` to ``k_end`` in ``steps`` (2 to 10**6)
@@ -332,7 +349,12 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     The slope does not depend on y, so the scheme is composite Simpson's
     rule: the left ends k_start + i h, the midpoints and the right ends of
     the steps are evaluated as one numpy array each (numpy is imported on
-    the first call), and the step increments are added in step order.  A
+    the first call), and the step increments are added in step order.
+    Where the denominator has a positive root r = (-(1+lam)/mu)^(1/(theta-1))
+    outside the path and nearer to it than the path is long, the steps are
+    uniform in t = ln|k - r| instead, on d(ln y)/dt = (k - r) / ((1+lam) k +
+    mu k^theta), which stays smooth as k nears r; the mesh in k is graded
+    toward the root, where a uniform one misses its tolerance.  A
     path of up to 2**14 steps runs in its thread's workspace, which is kept
     between calls and grown to the longest such path; a longer path
     allocates its arrays for the call.
@@ -366,13 +388,29 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
     lam, mu, th = v.lam, v.mu, v.theta
     overflow = SingularError(f"k^theta or the integrated y overflows between "
                              f"k = {k_start:.12g} and k = {k_end:.12g}")
-    h = (k_end - k_start) / steps
+    root = _root_beside(v, k_start, k_end)
+    if root is None:
+        x_start, x_end = k_start, k_end
+    else:  # the steps are uniform in t = ln|k - root|
+        side = math.copysign(1.0, k_start - root)
+        x_start, x_end = math.log(abs(k_start - root)), math.log(abs(k_end - root))
+    h = (x_end - x_start) / steps
     stages = (0.0, 0.5 * h, h)
-    ramp, k, nodes, scaled, sums = _ode_workspace(steps)
-    np.multiply(ramp, h, out=k)
-    k += k_start
-    for j, stage in enumerate(stages):  # row j: stage j of every step, each row one contiguous pass
-        np.add(k, stage, out=nodes[j])
+    ramp, x, nodes, scaled, sums = _ode_workspace(steps)
+    np.multiply(ramp, h, out=x)
+    x += x_start
+
+    def at_nodes(out):
+        """The k of every node, into ``out``."""
+        for j, stage in enumerate(stages):  # row j: stage j of every step, each row one contiguous pass
+            np.add(x, stage, out=out[j])
+        if root is not None:  # k = root + side e^t
+            np.exp(out, out=out)
+            out *= side
+            out += root
+        return out
+
+    at_nodes(nodes)
     with np.errstate(all="ignore"):
         np.multiply(nodes, 1.0 + lam, out=scaled)
         nodes **= th  # numpy dispatches it as nodes ** th
@@ -384,13 +422,13 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
         lo, hi = den.min(), den.max()
         if not (0.0 < lo and hi < math.inf or -math.inf < lo and hi < 0.0):
             # k^theta again, from the nodes built into the (1+lam) multiples no longer read
-            finite = np.isfinite(np.add(k, np.reshape(stages, (3, 1)), out=scaled) ** th)
+            finite = np.isfinite(at_nodes(scaled) ** th)
             bad = ~finite | (den == 0.0) | (np.signbit(den) != np.signbit(den[0, 0]))  # node 0: k_start
             by_step = bad.any(axis=0)
             i = int(np.argmax(by_step))
             if by_step[i]:  # the first failing node in step order: step i, then its first stage
                 j = int(np.argmax(bad[:, i]))
-                node = k[i] + stages[j]
+                node = scaled[j, i]
                 if node != 0.0 and np.isinf(abs(node) ** th):  # also where (-k)^theta is complex
                     raise overflow
                 if not finite[j, i]:  # 0^theta < 0, or a complex (-k)^theta
@@ -399,6 +437,8 @@ def ode_integrate_theorem(v: VESParams, k_start: float, y_start: float,
                 what = "vanishes" if den[j, i] == 0.0 else "changes sign"
                 raise SingularError(f"(1+lam) k + mu k^theta {what} at k = {node:.12g}")
         slope = np.divide(1.0, den, out=den)
+        if root is not None:  # d(ln y)/dt = (k - root) / den
+            slope *= np.subtract(at_nodes(scaled), root, out=scaled)
         # ln y_start, then h/6 (s0 + 4 s1 + s2) of each step, built in place in
         # the order a loop computes it
         sums[0] = math.log(y_start)

@@ -380,7 +380,10 @@ def test_regime_ces(capsys):
      "LH CD limit, limit 1.00000000000, increasing\n"),
     ("regime --family ves --lambda=-0.5 --mu 1 --theta 200 --psi 1",
      "case iii, limit 0.00500000000000, increasing\n"),
-], ids=["lh", "ves"])
+    # delta*sigma rounds to 0: no factor stored at construction may divide by it
+    ("regime --family ces --gamma 1 --delta 0.5 --sigma 5e-324",
+     "constant sigma, limit 4.94065645841e-324, constant\n"),
+], ids=["lh", "ves", "ces"])
 def test_regime_needs_no_closed_form_evaluation(capsys, argv, out):
     # sigma' of these specs nears the ends of the double range in [1e-3, 1e3]
     assert run(capsys, *argv.split()) == (0, out, "")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import relerr
+import vesprod
 from vesprod import (
     DomainError,
     Estimate,
@@ -39,7 +40,7 @@ def test_import_does_not_load_numpy():
     # commands skip its start-up; the verifiers then run their scalar loop,
     # whose output is the golden table's
     from test_cli import GOLDEN_VERIFY
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(Path(vesprod.__file__).parents[1])  # the children import the tree this process tests
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = "import sys, vesprod, vesprod.cli; print('numpy' in sys.modules)"
@@ -102,6 +103,12 @@ def test_load_column_order_and_case_insensitive():
     assert d.has_w and not d.has_r
     assert d.rows[1].k == pytest.approx(2.1)
     assert d.rows[1].w == pytest.approx(0.6)
+
+
+def test_load_drops_a_leading_byte_order_mark():
+    # as the utf-8-sig codec reads it; spreadsheet programs write one in "CSV UTF-8"
+    text = "period,y,k,r\nt0,1,1,1\nt1,1,2,1\n"
+    assert load_dataset("\ufeff" + text) == load_dataset(text)
 
 
 def test_load_zero_value_names_row():
