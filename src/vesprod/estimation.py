@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .families import (LogLinearParams, _check_ves_branch, _parameter_space, _quote,
-                       _require_in_domain)
+                       _require_in_domain, _require_type)
 
 __all__ = [
     "Relation",
@@ -144,15 +144,19 @@ def load_dataset(source: str) -> Dataset:
 
     A leading byte-order mark is no part of the text, as the ``utf-8-sig``
     codec reads it.  Raises :class:`ParseError` with row/column location for
-    structural problems and :class:`ValidationError` for non-positive or
-    non-finite values or duplicate period labels.  Row numbers count data
-    rows from 1.
+    structural problems (the ``csv`` reader's own errors, such as a field past
+    its size limit, among them) and :class:`ValidationError` for non-positive
+    or non-finite values or duplicate period labels.  Row numbers count data
+    rows from 1.  A ``source`` that is not a str raises TypeError.
     """
+    _require_type(source, str)
     reader = csv.reader(io.StringIO(source.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"header row: {exc}") from None
     names = [h.strip().lower() for h in header]
     for name in names:
         if name not in _COLUMNS:
@@ -169,30 +173,34 @@ def load_dataset(source: str) -> Dataset:
 
     rows: list[Observation] = []
     seen_periods: set[str] = set()
-    for row_no, cells in enumerate(reader, start=1):
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue  # ignore blank lines
-        if len(cells) != len(names):
-            raise ParseError(
-                f"row {row_no}: expected {len(names)} fields, got {len(cells)}")
-        period = cells[index["period"]].strip()
-        if not period:
-            raise ParseError(f"row {row_no}, column 'period': empty label")
-        if period in seen_periods:
-            raise ValidationError(f"row {row_no}: duplicate period {period!r}")
-        seen_periods.add(period)
-        values: dict[str, float] = {}
-        for column in ("y", "k", "r", "w"):
-            if column not in index:
-                continue
-            value = _parse_number(cells[index[column]], row_no, column)
-            if not value > 0.0:
-                raise ValidationError(
-                    f"row {row_no}, column '{column}': value {value:g} must be "
-                    "strictly positive (its logarithm enters the regression)")
-            values[column] = value
-        rows.append(Observation(period=period, y=values["y"], k=values["k"],
-                                r=values.get("r"), w=values.get("w")))
+    row_no = 0
+    try:
+        for row_no, cells in enumerate(reader, start=1):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue  # ignore blank lines
+            if len(cells) != len(names):
+                raise ParseError(
+                    f"row {row_no}: expected {len(names)} fields, got {len(cells)}")
+            period = cells[index["period"]].strip()
+            if not period:
+                raise ParseError(f"row {row_no}, column 'period': empty label")
+            if period in seen_periods:
+                raise ValidationError(f"row {row_no}: duplicate period {period!r}")
+            seen_periods.add(period)
+            values: dict[str, float] = {}
+            for column in ("y", "k", "r", "w"):
+                if column not in index:
+                    continue
+                value = _parse_number(cells[index[column]], row_no, column)
+                if not value > 0.0:
+                    raise ValidationError(
+                        f"row {row_no}, column '{column}': value {value:g} must be "
+                        "strictly positive (its logarithm enters the regression)")
+                values[column] = value
+            rows.append(Observation(period=period, y=values["y"], k=values["k"],
+                                    r=values.get("r"), w=values.get("w")))
+    except csv.Error as exc:  # raised reading the row after row_no
+        raise ParseError(f"row {row_no + 1}: {exc}") from None
     if not rows:
         raise ValidationError("no data rows")
     return Dataset(rows=tuple(rows), has_r=has_r, has_w=has_w)
@@ -209,6 +217,7 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     """
     import numpy as np  # imported here so that `import vesprod` does not load it
 
+    _require_type(d, Dataset)
     try:
         rel = Relation(relation)
     except ValueError:
@@ -274,6 +283,8 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     distance to unity, the significance ratio of c, and (when the rental
     column is present) the observed capital-share range k*r/y with a flag
     when it reaches c.  A share that overflows raises :class:`DomainError`."""
+    _require_type(d, Dataset)
+    _require_type(f, FitReport)
     b = f.b_hat.value
     c = f.c_hat.value
     se_c = f.c_hat.stderr

@@ -68,12 +68,14 @@ it (:func:`_nearest_float`): a spec stores each field so before any test or
 constant reads it, and a count is admitted as the int it stands for
 (:func:`_count`).  :func:`_quote` quotes the caller's number.
 :func:`_grid_pass` is the oracles' grid pass, with its numpy gate, its one
-``np.errstate`` and its one catch.  It gives a caller a float64 array of k and
+``np.errstate`` and its one catch, of ArithmeticError alone, as at every
+closed-form boundary.  It gives a caller a float64 array of k and
 :func:`_on_grid`, which runs a method unchanged over such arrays: it wraps
 them in one grid of k (:func:`_grid_type`), which holds a plain ndarray and
 applies each operator's ufunc to it, with libm's ``pow`` as the scalar
-formulas have it, and returns per array one row of its points' values, or
-raises as the kernels do.  No grid leaves this module.
+formulas have it, and on which a branch holds at every point or has no value;
+it returns per array one row of its points' values, or raises as the kernels
+do.  No grid leaves this module.
 
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
@@ -285,8 +287,8 @@ def _magnitude(e: float, *coefs: float) -> list[float]:
 
 
 #: Parameters closer than this to a structural boundary (b = c, c = 1,
-#: b + c = 1) are rejected by classify_regime; collapse them first with
-#: families.reduce_special_case.
+#: b + c = 1) are rejected by classify_regime.  families.reduce_special_case
+#: collapses c = 1 onto CES; no family stands at b = c or b + c = 1.
 BOUNDARY_TOL = 1e-9
 
 
@@ -470,7 +472,7 @@ class VESParams(_Family):
             raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
                              "use reduce_special_case first")
         if abs(b - c) <= BOUNDARY_TOL:
-            raise ParamError("b = c is a case boundary; use reduce_special_case first")
+            raise ParamError("b = c is a case boundary")
         if b < c < 1.0:
             return RegimeReport(RegimeCase.VES_CASE_I, b / c, Monotonicity.DECREASING)
         if c < b:
@@ -759,7 +761,7 @@ class _WageForm(_Family):
             raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {_quote(c)}")
         if abs(b + c - 1.0) <= BOUNDARY_TOL:
             raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
-                             "substitution degenerates); use reduce_special_case first")
+                             "substitution degenerates)")
         if b + c > 1.0:
             return RegimeReport(RegimeCase.LH_CES_LIMIT, b / (1.0 - c), Monotonicity.DECREASING)
         return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
@@ -870,7 +872,7 @@ class SatoHoffmanParams(_Family):
         if degree_one and self.alpha != 1.0:
             raise ParamError("substitution formulas assume degree one; "
                              f"alpha = {_quote(self.alpha)} is not supported here")
-        if k >= self._bound:
+        if not k < self._bound:
             raise _NoValue
 
     def _undefined(self, k: float, L: float | None) -> str:
@@ -1036,11 +1038,12 @@ def _grid_type() -> type:
     closed form uses applies its ufunc to plain arrays and wraps the result,
     so that no ufunc pays for an ndarray subclass.  Its ``**`` is
     ``np.float_power`` (libm's ``pow``, as Python's float ``**`` is;
-    ``np.power`` is not) and its ``>`` and ``>=`` are pointwise; numpy defers
+    ``np.power`` is not) and its ``>`` and ``<`` are pointwise; numpy defers
     every operator to it (``__array_ufunc__ = None``), so a ufunc applied to
-    the grid itself raises TypeError.  Its truth value is the common truth of
-    its points: mixed truth, a branch that the points do not all take, raises
-    :class:`_NoValue`."""
+    the grid itself raises TypeError.  Its truth value is True where every
+    point is true; anywhere else it raises :class:`_NoValue`, so a branch holds
+    at every point or has no value, as every test of a closed form is stated
+    (``if not base > 0.0: raise _NoValue``)."""
     import numpy as np
 
     class _Grid:
@@ -1051,12 +1054,9 @@ def _grid_type() -> type:
             self.a = a
 
         def __bool__(self) -> bool:
-            true_points = np.count_nonzero(self.a)
-            if true_points == self.a.size:
+            if np.count_nonzero(self.a) == self.a.size:
                 return True
-            if true_points:
-                raise _NoValue
-            return False
+            raise _NoValue
 
     def forward(ufunc):
         def apply(grid, other):
@@ -1073,7 +1073,7 @@ def _grid_type() -> type:
         setattr(_Grid, f"__{name}__", forward(ufunc))
         setattr(_Grid, f"__r{name}__", reflected(ufunc))
     # no __rpow__: no closed form raises a number to a power of k
-    for name, ufunc in (("pow", np.float_power), ("gt", np.greater), ("ge", np.greater_equal)):
+    for name, ufunc in (("pow", np.float_power), ("gt", np.greater), ("lt", np.less)):
         setattr(_Grid, f"__{name}__", forward(ufunc))
     return _Grid
 
@@ -1083,11 +1083,12 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
     (the grid pass's k, or arithmetic on it; all of one length) from one call
     of the unchanged method over one grid of them all: one row of values per
     array, in order, each the kernel's value at each point, bit for bit.  It
-    raises where the kernel would: TypeError for a non-family spec and, under
-    :func:`_grid_pass`'s errstate, the method's ArithmeticError
-    (FloatingPointError where an operation overflowed, divided by zero or was
-    invalid) or VesprodError, and :class:`_NoValue` for a branch that the
-    points do not all take or a value that is not finite."""
+    raises where the kernel would: TypeError for a non-family spec, the
+    method's VesprodError (Sato-Hoffman's degree-one ParamError) and, under
+    :func:`_grid_pass`'s errstate, its ArithmeticError (FloatingPointError
+    where an operation overflowed, divided by zero or was invalid), and
+    :class:`_NoValue` for a branch that does not hold at every point or a value
+    that is not finite."""
     if not isinstance(spec, _Family):
         raise TypeError(f"unsupported family spec: {type(spec).__name__}")
     import numpy as np
@@ -1105,16 +1106,18 @@ def _grid_pass(run: Callable, points: list[float]):
     """The grid pass: ``run(k, _on_grid)``, k the float64 array of the points,
     under ``np.errstate(over/divide/invalid="raise")``.  None where numpy is
     not loaded (a one-shot check would pay its import for nothing) or ``run``
-    raises ArithmeticError (:class:`_NoValue` among them) or VesprodError:
-    then the caller's scalar loop, which names the failure, runs.  Any other
-    exception (:func:`_on_grid`'s TypeError for a non-family spec) goes through."""
+    raises ArithmeticError (:class:`_NoValue` among them): then the caller's
+    scalar loop, which names the failure, runs.  Any other exception goes
+    through: :func:`_on_grid`'s TypeError for a non-family spec, and a
+    VesprodError (Sato-Hoffman's degree-one ParamError, with the message that
+    the scalar loop raises)."""
     if "numpy" not in sys.modules:
         return None
     import numpy as np
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return run(np.array(points, dtype=float), _on_grid)
-    except (ArithmeticError, VesprodError):
+    except ArithmeticError:
         return None
 
 

@@ -37,18 +37,20 @@ its (quantity, closed form, reference, scale floor) at k, where
 points; this module only states the columns and scores them.  Once
 :func:`_check_grid` admits the grid, every verifier but the ODE check first
 takes the grid pass (``families._grid_pass``, which holds its numpy gate,
-errstate and one catch): the columns run once with k the float64 array of the
-grid's points and ``at`` ``families._on_grid``, which runs the method once over
-one grid of k built from all its arrays (the grid, and k +- h for the finite
-differences) and keeps every value to the scalar kernel's bits, and only the
-comparisons that decide the report are scored (:func:`_decisive`).  Where the
+errstate and one catch, of ArithmeticError alone): the columns run once with k
+the float64 array of the grid's points and ``at`` ``families._on_grid``, which
+runs the method once over one grid of k built from all its arrays (the grid,
+and k +- h for the finite differences) and keeps every value to the scalar
+kernel's bits, and only the comparisons that decide the report are scored
+(:func:`_decisive`).  Where the
 grid pass gives None (numpy not loaded, so that a one-shot check does not pay
 its import, or a point inadmissible, or an operation failed), the scalar loop
 runs: it names the first inadmissible point (for :func:`verify_family`, as
 ``families.violated_constraints`` finds it), and then runs the same columns
 point by point, with ``at`` the kernels' one error boundary
 (``families._evaluate``) at each point in turn, so it names the first failure.
-A non-family spec raises the kernels' TypeError on either path.
+A non-family spec raises the kernels' TypeError, and Sato-Hoffman with alpha
+!= 1 the ParamError of its degree-one formulas, on either path.
 Besides :mod:`vesprod.errors`, this module builds on :mod:`vesprod.families`
 alone: it imports nothing from :mod:`vesprod.substitution`.
 """

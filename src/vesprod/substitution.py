@@ -381,7 +381,8 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
     from the parameters alone.
 
     Case boundaries (b = c, c = 1, b + c = 1 within BOUNDARY_TOL) raise
-    ParamError with a pointer to ``reduce_special_case``.  The monotonicity
+    ParamError; the one at c = 1 points to ``reduce_special_case``, which
+    collapses it onto CES.  The monotonicity
     is the sign law of the closed-form sigma'.  For VES, sigma' has the sign
     of -lam*mu at every k: xi < 0 and 0 < b < 1 make mu > 0, and
     lam = (c-1)/(b-c) is positive in case i only.  For the wage form,

@@ -197,6 +197,13 @@ def test_fit_non_finite_cell_exits_2(tmp_path, capsys):
     assert "row 2, column 'y'" in err
 
 
+def test_fit_field_past_the_csv_size_limit_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "long.csv", "period,y,k\na,1," + "2" * 131_073 + "\n")
+    code, out, err = run(capsys, "fit", path, "--relation", "rental")
+    assert (code, out) == (2, "")
+    assert err == "error: row 1: field larger than field limit (131072)\n"
+
+
 def test_fit_non_utf8_file_exits_2_naming_the_byte(tmp_path, capsys):
     # past the first 8 KiB, so that the offset counts the file's bytes, not a buffer's
     head = "period,y,k,r\n" + "".join(f"t{i},1,2,3\n" for i in range(1000))

@@ -31,12 +31,15 @@ from vesprod import (
     VesprodError,
     bracket_base,
     calibrate_xi,
+    diagnose_fit,
     eval_extensive,
     eval_intensive,
+    fit_loglinear,
     intensive_derivative,
     intensive_second_derivative,
     lf_from_lh,
     lh_from_loglinear,
+    load_dataset,
     loglinear_from_ves,
     ode_integrate_theorem,
     reduce_special_case,
@@ -152,6 +155,8 @@ def test_kernels_reject_non_family_spec(call):
 _VES = VESParams(lam=-2.0, mu=1.0, theta=2.0, psi=1.0)
 _CD = CobbDouglasParams(A=1.0, beta=0.5)
 _LH = LiuHildebrandParams(a=1.0, b=0.5, c=0.2, xi=-1.0)  # the fields of a LogLinearParams
+_DATA = load_dataset("period,y,k,r\na,1,1,1\nb,1,2,1\nc,1,1,2\nd,1,2,2\n")
+_FIT = fit_loglinear(_DATA, "rental")
 
 
 @pytest.mark.parametrize("call, others", [
@@ -169,15 +174,26 @@ _LH = LiuHildebrandParams(a=1.0, b=0.5, c=0.2, xi=-1.0)  # the fields of a LogLi
     (lambda s: verify_sato_hoffman(s, [1.0]), [_VES, _CD]),
     (lambda s: ode_integrate_theorem(s, 1.0, 1.0, 2.0, 10), [_CD, REFERENCE]),
     (lambda s: verify_ode(s, 1.0, 2.0, 10), [_CD]),
+    (lambda s: fit_loglinear(s, "rental"), [_FIT, REFERENCE]),
+    (lambda s: diagnose_fit(s, _FIT), [_FIT, REFERENCE]),
+    (lambda s: diagnose_fit(_DATA, s), [_DATA, REFERENCE]),
 ], ids=["ves_from_loglinear", "loglinear_from_ves", "lh_from_loglinear", "lf_from_lh",
         "symmetric_form", "reduce_special_case", "calibrate_xi", "sigma_from_shares",
         "sigma_from_mrs", "regression_closed_form", "verify_equivalence_lh_lf",
-        "verify_sato_hoffman", "ode_integrate_theorem", "verify_ode"])
+        "verify_sato_hoffman", "ode_integrate_theorem", "verify_ode", "fit_loglinear",
+        "diagnose_fit-dataset", "diagnose_fit-fit"])
 def test_a_spec_of_the_wrong_type_is_a_type_error(call, others):
     # also through the parameter-space error boundary, which lets TypeError through
     for spec in (None, "ves", *others):
         with pytest.raises(TypeError, match=f"{type(spec).__name__}$"):
             call(spec)
+
+
+def test_load_dataset_takes_only_text():
+    # beside the test above, whose "ves" is a str, which load_dataset admits
+    for source in (None, b"period,y,k\na,1,2\n"):
+        with pytest.raises(TypeError, match=f"^expected str, got {type(source).__name__}$"):
+            load_dataset(source)
 
 
 _ANY = st.floats(-1e300, 1e300)

@@ -205,11 +205,16 @@ def test_a_grid_that_fails_returns_none(spec, grid, method):
     # a method with no value at the points raises the bare _NoValue, which formats no k
     assert _values_or_none(spec, method, grid) is None
     # and so is the grid pass of a run that raises what it catches: an
-    # ArithmeticError (_NoValue among them) or a VesprodError
-    for failure in (ZeroDivisionError, _NoValue, DomainError("outside")):
+    # ArithmeticError (_NoValue among them)
+    for failure in (ZeroDivisionError, _NoValue):
         def run(k, at, failure=failure):
             raise failure
         assert _grid_pass(run, grid) is None
+
+    def outside(k, at):
+        raise DomainError("outside")
+    with pytest.raises(DomainError, match="^outside$"):  # a VesprodError goes through
+        _grid_pass(outside, grid)
     # or whose float64 operations overflow, divide by zero or are invalid:
     # the errstate holds inside the grid pass
     for operation in (lambda k: k * 1e308 * 1e308, lambda k: k / (k - k),
@@ -264,12 +269,14 @@ def test_the_other_verifiers_finish_in_the_grid_pass(monkeypatch, verify, args):
 def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     grid = _grid_type()
     ks = grid(np.array([1.0, 2.0, 3.0]))
-    assert bool(ks > 0.5) and not bool(ks > 5.0)
-    with pytest.raises(_NoValue):
-        bool(ks > 1.5)
-    # > and >= are pointwise
+    assert bool(ks > 0.5) and bool(ks < 5.0)
+    # a branch holds at every point or has no value
+    for no_value in (ks > 1.5, ks > 5.0):
+        with pytest.raises(_NoValue):
+            bool(no_value)
+    # > and < are pointwise
     plain = ks.a
-    for compare in (lambda x, y: x > y, lambda x, y: x >= y):
+    for compare in (lambda x, y: x > y, lambda x, y: x < y):
         for other in (2.0, np.float64(2.0), grid(np.array([3.0, 2.0, 1.0]))):
             truth = compare(ks, other)
             assert type(truth) is grid
@@ -289,6 +296,17 @@ def test_the_truth_of_a_grid_is_the_common_truth_of_its_points():
     for ufunc in (np.add, np.exp, np.float_power):
         with pytest.raises(TypeError):
             ufunc(ks, 1.0) if ufunc.nin == 2 else ufunc(ks)
+
+
+def test_the_degree_one_param_error_goes_through_the_grid_pass():
+    # the one VesprodError a closed-form method raises: the grid pass raises it
+    # with the message the scalar loop gives
+    spec = SatoHoffmanParams(gamma=1.0, delta=0.5, rho=0.5, alpha=2.0)
+    message = "^substitution formulas assume degree one; alpha = 2.0 is not supported here$"
+    with pytest.raises(ParamError, match=message):
+        _grid_pass(lambda k, at: at(spec, "_R", k), [0.5, 1.0])
+    with pytest.raises(ParamError, match=message):
+        mrs_closed(spec, 0.5)
 
 
 def test_on_grid_lets_other_exceptions_through(monkeypatch):

@@ -37,9 +37,11 @@ from vesprod import (
     eval_intensive,
     intensive_derivative,
     lf_from_lh,
+    lh_from_loglinear,
     loglinear_from_ves,
     mrs_closed,
     mrs_derivative_closed,
+    reduce_special_case,
     regression_closed_form,
     sigma_closed,
     sigma_derivative_closed,
@@ -404,7 +406,7 @@ def _dispatched_by_type(spec):
             raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
                              "use reduce_special_case first")
         if abs(b - c) <= BOUNDARY_TOL:
-            raise ParamError("b = c is a case boundary; use reduce_special_case first")
+            raise ParamError("b = c is a case boundary")
         if b < c < 1.0:
             return RegimeReport(RegimeCase.VES_CASE_I, b / c, Monotonicity.DECREASING)
         if c < b:
@@ -422,7 +424,7 @@ def _dispatched_by_type(spec):
             raise ParamError(f"wage-relation regimes are stated for c in (0, 1), got {c!r}")
         if abs(b + c - 1.0) <= BOUNDARY_TOL:
             raise ParamError("b + c = 1 is a case boundary (the marginal rate of "
-                             "substitution degenerates); use reduce_special_case first")
+                             "substitution degenerates)")
         if b + c > 1.0:
             return RegimeReport(RegimeCase.LH_CES_LIMIT, b / (1.0 - c), Monotonicity.DECREASING)
         return RegimeReport(RegimeCase.LH_CD_LIMIT, 1.0, Monotonicity.INCREASING)
@@ -535,6 +537,17 @@ def test_regime_boundary_and_sign_errors():
         classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=1.2, xi=-1.0))
     with pytest.raises(ParamError, match=r"b \+ c = 1 is a case boundary"):
         classify_regime(LiuHildebrandParams(a=1.0, b=0.5, c=0.5 + 1e-10, xi=-1.0))
+
+
+@pytest.mark.parametrize("p, family", [
+    (LogLinearParams(a=1.0, b=0.6, c=1.0 + 1e-10, xi=-1.0), ves_from_loglinear),  # c = 1
+    (LogLinearParams(a=1.0, b=0.5, c=0.5000000004, xi=-1.0), ves_from_loglinear),  # b = c
+    (LogLinearParams(a=1.0, b=0.6, c=0.40000000030000005, xi=-1.0), lh_from_loglinear),
+], ids=["c=1", "b=c", "b+c=1"])
+def test_a_boundary_error_names_reduce_special_case_only_where_it_collapses(p, family):
+    with pytest.raises(ParamError, match="case boundary") as info:
+        classify_regime(family(p))
+    assert ("reduce_special_case" in str(info.value)) == (reduce_special_case(p) != p)
 
 
 # ---------------------------------------------------------------------------
