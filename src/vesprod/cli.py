@@ -19,7 +19,7 @@ import itertools
 import math
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParamError, ParseError, VesprodError
 from .families import (
@@ -391,47 +391,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     "variable elasticity of factor substitution.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate y(k) or F(K, L)")
-    _add_param_flags(p_eval)
+    def command(name: str, func: Callable, summary: str, params: bool = True):
+        """A subcommand that runs ``func``, with the family parameter flags first."""
+        p = sub.add_parser(name, help=summary)
+        if params:
+            _add_param_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    p_eval = command("eval", _cmd_eval, "evaluate y(k) or F(K, L)")
     p_eval.add_argument("--k", type=float, help="capital-labor ratio")
     p_eval.add_argument("--K", type=float, help="capital input")
     p_eval.add_argument("--L", type=float, help="labor input")
-    p_eval.set_defaults(func=_cmd_eval)
 
-    p_fit = sub.add_parser("fit", help="ordinary least squares fit of a "
-                                       "log-linear relation")
+    p_fit = command("fit", _cmd_fit, "ordinary least squares fit of a log-linear relation",
+                    params=False)
     p_fit.add_argument("input", help="delimited-text file (period,y,k[,r][,w])")
     p_fit.add_argument("--relation", choices=["rental", "wage"], required=True)
     p_fit.add_argument("--diagnose", action="store_true",
                        help="print degeneracy diagnostics")
-    p_fit.set_defaults(func=_cmd_fit)
 
-    p_traj = sub.add_parser("trajectory",
-                            help="emit k,y,R,R_prime,sigma,sigma_prime rows")
-    _add_param_flags(p_traj)
+    p_traj = command("trajectory", _cmd_trajectory, "emit k,y,R,R_prime,sigma,sigma_prime rows")
     p_traj.add_argument("--k-from", dest="k_from", type=float, required=True)
     p_traj.add_argument("--k-to", dest="k_to", type=float, required=True)
     p_traj.add_argument("--points", type=int, default=200)
-    p_traj.set_defaults(func=_cmd_trajectory)
 
-    p_regime = sub.add_parser("regime", help="classify the elasticity regime")
-    _add_param_flags(p_regime)
-    p_regime.set_defaults(func=_cmd_regime)
+    command("regime", _cmd_regime, "classify the elasticity regime")
 
-    p_cal = sub.add_parser("calibrate-xi",
-                           help="solve R(k0) = 0 for the integration constant")
-    _add_param_flags(p_cal)
+    p_cal = command("calibrate-xi", _cmd_calibrate_xi,
+                    "solve R(k0) = 0 for the integration constant")
     p_cal.add_argument("--k0", type=float, required=True,
                        help="starting capital-labor ratio")
-    p_cal.set_defaults(func=_cmd_calibrate_xi)
 
-    p_red = sub.add_parser("reduce", help="collapse parameters onto a special case")
-    _add_param_flags(p_red)
+    p_red = command("reduce", _cmd_reduce, "collapse parameters onto a special case")
     p_red.add_argument("--tol", type=float, default=1e-9)
-    p_red.set_defaults(func=_cmd_reduce)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_param_flags(p_verify)
+    p_verify = command("verify", _cmd_verify, "run a verification suite")
     p_verify.add_argument("--suite", required=True,
                           choices=["family", "equivalence", "ode",
                                    "sato-hoffman", "reduction"])
@@ -441,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--steps", type=int, help="integration steps (ode suite)")
     p_verify.add_argument("--tolerance", type=float,
                           help="override the suite's default tolerance")
-    p_verify.set_defaults(func=_cmd_verify)
 
     return parser
 

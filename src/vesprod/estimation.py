@@ -127,6 +127,8 @@ _NORMAL = 2.0 ** -1022  # the smallest normal double: a product below it has los
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:
+    """The number in a data cell: ParseError where it is no decimal-point number,
+    ValidationError where it is not finite or not positive (its log is a regressor)."""
     text = cell.strip()
     if not _NUMBER_RE.match(text):
         raise ParseError(
@@ -136,7 +138,17 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
         raise ValidationError(
             f"row {row_no}, column '{column}': {cell!r} is out of the finite "
             "floating-point range")
+    if not value > 0.0:
+        raise ValidationError(
+            f"row {row_no}, column '{column}': value {value:g} must be "
+            "strictly positive (its logarithm enters the regression)")
     return value
+
+
+def _csv_fault(exc: csv.Error) -> str:
+    """The csv reader's fault without its advice on opening the file, which each Python
+    version words differently and which a caller who passed text cannot follow."""
+    return str(exc).partition(" - ")[0]
 
 
 def load_dataset(source: str) -> Dataset:
@@ -144,9 +156,9 @@ def load_dataset(source: str) -> Dataset:
 
     A leading byte-order mark is no part of the text, as the ``utf-8-sig``
     codec reads it.  Raises :class:`ParseError` with row/column location for
-    structural problems (the ``csv`` reader's own errors, such as a field past
-    its size limit, among them) and :class:`ValidationError` for non-positive
-    or non-finite values or duplicate period labels.  Row numbers count data
+    structural problems (the ``csv`` reader's own faults, such as a field past
+    its size limit, among them) and :class:`ValidationError` for duplicate period
+    labels and the values :func:`_parse_number` rejects.  Row numbers count data
     rows from 1.  A ``source`` that is not a str raises TypeError.
     """
     _require_type(source, str)
@@ -156,7 +168,7 @@ def load_dataset(source: str) -> Dataset:
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
     except csv.Error as exc:
-        raise ParseError(f"header row: {exc}") from None
+        raise ParseError(f"header row: {_csv_fault(exc)}") from None
     names = [h.strip().lower() for h in header]
     for name in names:
         if name not in _COLUMNS:
@@ -168,8 +180,7 @@ def load_dataset(source: str) -> Dataset:
         if required not in names:
             raise ParseError(f"missing required column {required!r}")
     index = {name: i for i, name in enumerate(names)}
-    has_r = "r" in index
-    has_w = "w" in index
+    numeric = [(column, index[column]) for column in _COLUMNS[1:] if column in index]
 
     rows: list[Observation] = []
     seen_periods: set[str] = set()
@@ -187,23 +198,13 @@ def load_dataset(source: str) -> Dataset:
             if period in seen_periods:
                 raise ValidationError(f"row {row_no}: duplicate period {period!r}")
             seen_periods.add(period)
-            values: dict[str, float] = {}
-            for column in ("y", "k", "r", "w"):
-                if column not in index:
-                    continue
-                value = _parse_number(cells[index[column]], row_no, column)
-                if not value > 0.0:
-                    raise ValidationError(
-                        f"row {row_no}, column '{column}': value {value:g} must be "
-                        "strictly positive (its logarithm enters the regression)")
-                values[column] = value
-            rows.append(Observation(period=period, y=values["y"], k=values["k"],
-                                    r=values.get("r"), w=values.get("w")))
+            rows.append(Observation(period, **{column: _parse_number(cells[i], row_no, column)
+                                               for column, i in numeric}))
     except csv.Error as exc:  # raised reading the row after row_no
-        raise ParseError(f"row {row_no + 1}: {exc}") from None
+        raise ParseError(f"row {row_no + 1}: {_csv_fault(exc)}") from None
     if not rows:
         raise ValidationError("no data rows")
-    return Dataset(rows=tuple(rows), has_r=has_r, has_w=has_w)
+    return Dataset(rows=tuple(rows), has_r="r" in index, has_w="w" in index)
 
 
 def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:

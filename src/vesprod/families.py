@@ -41,7 +41,7 @@ Cobb-Douglas (1-beta)/beta; Sato-Hoffman rho-1, 1-delta*rho; the exponents
 and the products of the wage forms).  A factor is stored only where it is a
 left prefix of the product it replaces, in Python's left-to-right
 evaluation, so that every result keeps its bits; one whose power overflows
-is left unset, and reading it raises OverflowError where the formula reads
+is left unset (:func:`_store`) and raises OverflowError where a formula reads
 it.  A factor whose computation can raise where the formula would raise
 differently stays in its formula: CES (1-delta)/(delta*sigma), where
 delta*sigma can round to 0, and Sato-Hoffman (rho-1)/(1-delta*rho), where
@@ -65,7 +65,8 @@ whose failure policy it mirrors, and counts a failure as a violated condition;
 the ``_sign_changes`` methods state where its answer can change.  Every
 number a caller gives is admitted, and from then on held, as the float nearest
 it (:func:`_nearest_float`): a spec stores each field so before any test or
-constant reads it, and a count is admitted as the int it stands for
+constant reads it (:func:`_require_finite`, which ``_require_positive`` and
+``_require_unit`` call), and a count is admitted as the int it stands for
 (:func:`_count`).  :func:`_quote` quotes the caller's number.
 :func:`_grid_pass` is the oracles' grid pass, with its numpy gate, its one
 ``np.errstate`` and its one catch, of ArithmeticError alone, as at every
@@ -80,8 +81,8 @@ do.  No grid leaves this module.
 The parameter-space functions have one error boundary, :func:`_parameter_space`:
 an overflowing power, a division by zero and a non-finite result raise
 SingularError.  :func:`reduce_special_case` is total: it raises none of them.
-A spec of the wrong type raises TypeError (:func:`_require_type`), which the
-boundary lets through.
+A spec of the wrong type raises TypeError (:func:`_require_type`,
+:func:`_require_family`), which the boundary lets through.
 
 All types are frozen dataclasses and all operations are pure functions;
 they are safe to share across threads.
@@ -192,9 +193,29 @@ def _require_in_domain(name: str, value: float) -> float:
     return number
 
 
+def _require_unit(spec: object, name: str) -> None:
+    """Store a finite field of a spec under construction, inside the open unit interval."""
+    if not 0.0 < (number := _require_finite(spec, name)) < 1.0:
+        raise ParamError(f"{name} must lie in (0, 1), got {_quote(number)}")
+
+
+def _store(spec: object, name: str, constant: Callable[[], float]) -> None:
+    """Set a per-spec constant, or leave it unset (:class:`_Overflowed`) where it overflows."""
+    try:
+        _setattr(spec, name, constant())
+    except OverflowError:
+        pass
+
+
 def _require_type(spec: object, kind: type) -> None:
     if not isinstance(spec, kind):
         raise TypeError(f"expected {kind.__name__}, got {type(spec).__name__}")
+
+
+def _require_family(spec: object) -> None:
+    """Reject with TypeError a spec of no family, where any family would do."""
+    if not isinstance(spec, _Family):
+        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
 
 
 @dataclass(frozen=True)
@@ -402,10 +423,7 @@ class VESParams(_Family):
         _setattr(self, "_e", self.theta - 1.0)
         _setattr(self, "_eds", self.theta - 2.0)
         _setattr(self, "_tm", self.theta * self.mu)
-        try:
-            _setattr(self, "_dsnum", -self.lam * self.mu * (self.theta - 1.0) ** 2)
-        except OverflowError:
-            pass
+        _store(self, "_dsnum", lambda: -self.lam * self.mu * (self.theta - 1.0) ** 2)
 
     def _bracket(self, k: float) -> float:
         return self._lam1 * k ** self._eb + self.mu
@@ -470,7 +488,7 @@ class VESParams(_Family):
             raise ParamError(f"the regime taxonomy assumes b < 1, got b = {_quote(b)}")
         if abs(c - 1.0) <= BOUNDARY_TOL:
             raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
-                             "use reduce_special_case first")
+                             "use reduce_special_case(loglinear_from_ves(spec)) first")
         if abs(b - c) <= BOUNDARY_TOL:
             raise ParamError("b = c is a case boundary")
         if b < c < 1.0:
@@ -489,9 +507,7 @@ class CobbDouglasParams(_Family):
 
     def __post_init__(self) -> None:
         _require_positive(self, "A")
-        _require_finite(self, "beta")
-        if not 0.0 < self.beta < 1.0:
-            raise ParamError(f"beta must lie in (0, 1), got {_quote(self.beta)}")
+        _require_unit(self, "beta")
         _setattr(self, "_r", (1.0 - self.beta) / self.beta)
 
     def _bracket(self, k: float) -> float:
@@ -539,9 +555,7 @@ class CESParams(_Family):
 
     def __post_init__(self) -> None:
         _require_positive(self, "gamma")
-        _require_finite(self, "delta")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
+        _require_unit(self, "delta")
         _require_positive(self, "sigma")
         if self.sigma == 1.0:
             raise ParamError("sigma = 1 is the Cobb-Douglas limit; use CobbDouglasParams")
@@ -633,10 +647,7 @@ class _WageForm(_Family):
         _setattr(self, "_bbc", b * b * c)
         _setattr(self, "_nbs", -b * (b + c - 1.0))
         _setattr(self, "_ns", -(b + c - 1.0))
-        try:
-            _setattr(self, "_A", self.a ** (1.0 / (1.0 - b)))
-        except OverflowError:
-            pass
+        _store(self, "_A", lambda: self.a ** (1.0 / (1.0 - b)))
 
     def _set_xi(self, m: float, xi: float, constant: float) -> None:
         """Store m, xi, the integration constant it came from (xi or zeta) and the
@@ -652,10 +663,7 @@ class _WageForm(_Family):
         _setattr(self, "_c1", c1)
         _setattr(self, "_c2", xi * (1.0 - b) * (1.0 - c) * s)
         _setattr(self, "_c2_sigma", c1 * (1.0 - c))
-        try:
-            _setattr(self, "_dsnum", c1 * b * c * s ** 2)
-        except OverflowError:
-            pass
+        _store(self, "_dsnum", lambda: c1 * b * c * s ** 2)
 
     def _bracket(self, k: float) -> float:
         return self._m * k ** self._eb + self._n * k ** self._ec
@@ -810,10 +818,8 @@ class LuFletcherParams(_WageForm):
         a, b, c, zeta = self.a, self.b, self.c, self.zeta
         _setattr(self, "_zc", zeta * (1.0 - c) * (1.0 - b - c))
         _setattr(self, "_zb", zeta * b * (1.0 - b - c))
-        try:  # sigma reads no xi: it stays finite where a^(1/b) overflows
-            _setattr(self, "_bca", b * c * a ** (-1.0 / b))
-        except OverflowError:
-            pass
+        # sigma reads no xi: it stays finite where a^(1/b) overflows
+        _store(self, "_bca", lambda: b * c * a ** (-1.0 / b))
         try:
             a_1b = a ** (1.0 / b)
         except OverflowError:
@@ -845,9 +851,7 @@ class SatoHoffmanParams(_Family):
 
     def __post_init__(self) -> None:
         _require_positive(self, "gamma")
-        _require_finite(self, "delta")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamError(f"delta must lie in (0, 1), got {_quote(self.delta)}")
+        _require_unit(self, "delta")
         _require_finite(self, "rho")
         dr = self.delta * self.rho
         if not 0.0 <= dr <= 1.0:
@@ -980,8 +984,7 @@ def _evaluate(spec: FamilySpec, method: str, k: float, L: float | None = None) -
     ``_bracket``, of which just the sign matters, may return +-inf
     (Cobb-Douglas has none: inf).
     """
-    if not isinstance(spec, _Family):
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    _require_family(spec)
     try:
         if L is None:
             k = _require_in_domain("capital-labor ratio", k)
@@ -1010,8 +1013,7 @@ def violated_constraints(spec: FamilySpec, k: float) -> tuple[str, ...]:
     with no value raises :class:`_NoValue`, one) and gives a positive finite
     value (the bracket may be +inf).  ParamError propagates (Sato-Hoffman with
     alpha != 1)."""
-    if not isinstance(spec, _Family):
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    _require_family(spec)
     if not (type(k) is float and 0.0 < k < math.inf):
         try:
             k = _require_in_domain("capital-labor ratio", k)
@@ -1089,8 +1091,7 @@ def _on_grid(spec: FamilySpec, method: str, *arrays):
     where an operation overflowed, divided by zero or was invalid), and
     :class:`_NoValue` for a branch that does not hold at every point or a value
     that is not finite."""
-    if not isinstance(spec, _Family):
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
+    _require_family(spec)
     import numpy as np
     grid = _grid_type()
     ks = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

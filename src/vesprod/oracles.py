@@ -71,6 +71,7 @@ from .families import (
     LogLinearParams,
     SatoHoffmanParams,
     VESParams,
+    _QUANTITY,
     _count,
     _evaluate,
     _grid_pass,
@@ -517,16 +518,14 @@ def verify_family(spec: FamilySpec, k_grid: Sequence[float],
     return _verify("family", columns, k_grid, tolerance, outside)
 
 
-def _pointwise(name: str, spec: FamilySpec, target: FamilySpec,
-               quantities: Sequence[tuple[str, str]], k_grid: Sequence[float],
-               tolerance: float) -> VerificationReport:
-    """Worst relative difference between each closed form (a quantity and
-    its method) evaluated on ``spec`` and on ``target``, over every grid
-    point."""
+def _pointwise(name: str, spec: FamilySpec, target: FamilySpec, methods: Sequence[str],
+               k_grid: Sequence[float], tolerance: float) -> VerificationReport:
+    """Worst relative difference between each closed-form method on ``spec`` and on
+    ``target`` over every grid point, named by the quantity it computes (``_QUANTITY``)."""
     def columns(k, at: _At) -> Iterator[tuple]:
-        for quantity, method in quantities:
+        for method in methods:
             (closed,), (reference,) = at(spec, method, k), at(target, method, k)
-            yield quantity, closed, reference, 0.0
+            yield _QUANTITY[method], closed, reference, 0.0
 
     return _verify(name, columns, k_grid, tolerance)
 
@@ -536,16 +535,15 @@ def verify_equivalence_lh_lf(p: LogLinearParams, k_grid: Sequence[float],
     """Evaluate the wage-relation closed form in both parameterizations
     (xi and zeta = xi (b-1) a^(-1/b) / b) and report the worst relative
     difference; the two are algebraically identical."""
-    return _pointwise("lh-lf-equivalence", lh_from_loglinear(p), lf_from_lh(p),
-                      (("y", "_y"),), k_grid, tolerance)
+    return _pointwise("lh-lf-equivalence", lh_from_loglinear(p), lf_from_lh(p), ("_y",),
+                      k_grid, tolerance)
 
 
 def verify_reduction(spec: FamilySpec, target: FamilySpec, k_grid: Sequence[float],
                      tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Pointwise comparison of y, R, and sigma between a spec and the
     special case it is claimed to reduce to."""
-    return _pointwise("reduction", spec, target, (("y", "_y"), ("R", "_R"), ("sigma", "_sigma")),
-                      k_grid, tolerance)
+    return _pointwise("reduction", spec, target, ("_y", "_R", "_sigma"), k_grid, tolerance)
 
 
 def verify_sato_hoffman(s: SatoHoffmanParams, k_grid: Sequence[float],

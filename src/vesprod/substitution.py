@@ -46,6 +46,7 @@ from .families import (
     _nearest_float,
     _parameter_space,
     _quote,
+    _require_family,
     _require_in_domain,
     _require_type,
     eval_intensive,
@@ -381,13 +382,12 @@ def classify_regime(spec: FamilySpec) -> RegimeReport:
     from the parameters alone.
 
     Case boundaries (b = c, c = 1, b + c = 1 within BOUNDARY_TOL) raise
-    ParamError; the one at c = 1 points to ``reduce_special_case``, which
-    collapses it onto CES.  The monotonicity
+    ParamError; the one at c = 1 names its collapse onto CES,
+    ``reduce_special_case(loglinear_from_ves(spec))``.  The monotonicity
     is the sign law of the closed-form sigma'.  For VES, sigma' has the sign
     of -lam*mu at every k: xi < 0 and 0 < b < 1 make mu > 0, and
     lam = (c-1)/(b-c) is positive in case i only.  For the wage form,
     sigma' has the sign of xi (1-b)(b+c-1), and is 0 at c = 0.
     """
-    if (regime := getattr(type(spec), "_regime", None)) is None:  # each family states its own
-        raise TypeError(f"unsupported family spec: {type(spec).__name__}")
-    return regime(spec)
+    _require_family(spec)
+    return spec._regime()  # each family states its own

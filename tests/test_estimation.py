@@ -188,6 +188,18 @@ def test_load_turns_a_csv_error_into_a_parse_error_naming_its_row(text, where):
         load_dataset(text)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("period,y\rx,k\np1,1,2\n", "header row"),
+    ("period,y,k\np1,1,2\np2,1\r5,2\n", "row 2"),
+], ids=["header", "data-row"])
+def test_a_lone_cr_is_one_parse_error_on_every_python(text, where):
+    # the csv module appends advice on opening a file, worded by each Python version;
+    # a caller who passed text has no file to open
+    with pytest.raises(ParseError) as info:
+        load_dataset(text)
+    assert str(info.value) == f"{where}: new-line character seen in unquoted field"
+
+
 def test_load_scientific_notation_accepted():
     d = load_dataset("period,y,k\np1,1e0,2.5e-1\np2,1.5,0.3\n")
     assert d.rows[0].k == pytest.approx(0.25)

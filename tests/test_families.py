@@ -906,6 +906,31 @@ def test_derivatives_satisfy_the_identities_of_r_and_sigma_to_rounding():
                     (spec, k)
 
 
+def test_r_prime_and_sigma_prime_match_complex_step_derivatives_to_rounding():
+    # Im f(k + ih) / h with h = 1e-30 k is f'(k) to rounding, as no difference
+    # cancels, where finite differences at DERIVATIVE_TOL cannot see an error of
+    # 1e-9 in R' or sigma'.  The closed forms of R and sigma run unchanged on a
+    # complex k, except Sato-Hoffman's, whose domain test compares k with its
+    # bound: a complex number has no order.  The errors are scaled as
+    # verify_family scales them, with the floors |R| / k and |sigma| / k.
+    rng = np.random.default_rng(616161)
+    for family in [family for family in FAMILIES if family != "sh"]:
+        done = 0
+        while done < 20:
+            spec, grid = draw_trusted_case(rng, family)
+            if grid is None:
+                continue
+            done += 1
+            for k in grid:
+                h = k * 1e-30
+                for f, derivative in ((spec._R, mrs_derivative_closed),
+                                      (spec._sigma, sigma_derivative_closed)):
+                    closed, stepped = derivative(spec, k), f(complex(k, h)).imag / h
+                    floor = abs(f(k)) / k
+                    assert abs(closed - stepped) <= 1e-12 * max(abs(closed), abs(stepped), floor), \
+                        (spec, k, f.__name__)
+
+
 # ---------------------------------------------------------------------------
 # Defining-relation residuals: the closed forms satisfy the log-linear
 # relations they were integrated from

@@ -404,7 +404,7 @@ def _dispatched_by_type(spec):
             raise ParamError(f"the regime taxonomy assumes b < 1, got b = {b!r}")
         if abs(c - 1.0) <= BOUNDARY_TOL:
             raise ParamError("c = 1 is a case boundary (constant elasticity sigma = b); "
-                             "use reduce_special_case first")
+                             "use reduce_special_case(loglinear_from_ves(spec)) first")
         if abs(b - c) <= BOUNDARY_TOL:
             raise ParamError("b = c is a case boundary")
         if b < c < 1.0:
@@ -548,6 +548,18 @@ def test_a_boundary_error_names_reduce_special_case_only_where_it_collapses(p, f
     with pytest.raises(ParamError, match="case boundary") as info:
         classify_regime(family(p))
     assert ("reduce_special_case" in str(info.value)) == (reduce_special_case(p) != p)
+
+
+def test_the_c_equal_1_boundary_names_a_route_a_ves_spec_can_follow():
+    # reduce_special_case takes a LogLinearParams, so a VES spec goes there through
+    # loglinear_from_ves, and the message says so
+    spec = ves_from_loglinear(LogLinearParams(a=1.0, b=0.6, c=1.0, xi=-1.0))
+    with pytest.raises(ParamError, match=r"^c = 1 is a case boundary") as info:
+        classify_regime(spec)
+    assert "reduce_special_case(loglinear_from_ves(spec))" in str(info.value)
+    with pytest.raises(TypeError, match="expected LogLinearParams, got VESParams"):
+        reduce_special_case(spec)
+    assert isinstance(reduce_special_case(loglinear_from_ves(spec)), CESParams)
 
 
 # ---------------------------------------------------------------------------
