@@ -223,7 +223,7 @@ def _fit_lines(report) -> list[str]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> _Output:
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8", newline="") as fh:  # load_dataset splits lines
         try:
             source = fh.read()
         except UnicodeDecodeError as exc:  # read() decodes the whole file: start is its offset

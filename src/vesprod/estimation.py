@@ -4,12 +4,13 @@ integration constant.
 
 Input format
 ------------
-Delimited text (comma separator, UTF-8), header on the first line.
-Required columns ``period``, ``y``, ``k``; optional ``r`` (rental rate,
-the marginal product of capital) and ``w`` (wage rate).  Column order is
-free and names are case-insensitive.  Numbers use decimal-point notation
-without thousands separators; all numeric values must be strictly
-positive (their logarithms enter the regressions).
+Delimited text (comma separator, UTF-8), header on the first line.  A line
+ends in LF, CRLF or a lone CR; a line break inside a quoted field reads as
+LF.  Required columns ``period``, ``y``, ``k``; optional ``r`` (rental
+rate, the marginal product of capital) and ``w`` (wage rate).  Column order
+is free and names are case-insensitive.  Numbers use decimal-point notation
+without thousands separators; all numeric values must be strictly positive
+(their logarithms enter the regressions).
 
 The two relations
 -----------------
@@ -145,30 +146,29 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
     return value
 
 
-def _csv_fault(exc: csv.Error) -> str:
-    """The csv reader's fault without its advice on opening the file, which each Python
-    version words differently and which a caller who passed text cannot follow."""
-    return str(exc).partition(" - ")[0]
-
-
 def load_dataset(source: str) -> Dataset:
     """Parse delimited-text content into a :class:`Dataset`.
 
     A leading byte-order mark is no part of the text, as the ``utf-8-sig``
-    codec reads it.  Raises :class:`ParseError` with row/column location for
-    structural problems (the ``csv`` reader's own faults, such as a field past
-    its size limit, among them) and :class:`ValidationError` for duplicate period
-    labels and the values :func:`_parse_number` rejects.  Row numbers count data
-    rows from 1.  A ``source`` that is not a str raises TypeError.
+    codec reads it.  LF, CRLF and a lone CR each end a line, and a line break
+    inside a quoted field reads as LF, as in a file opened in text mode.
+    Raises :class:`ParseError` with row/column location for structural
+    problems (a NUL, and the ``csv`` reader's own faults such as a field past
+    its size limit) and :class:`ValidationError` for duplicate period labels
+    and the values :func:`_parse_number` rejects.  Row numbers count data rows
+    from 1.  A ``source`` that is not a str raises TypeError.
     """
     _require_type(source, str)
-    reader = csv.reader(io.StringIO(source.removeprefix("\ufeff")))
+    nul = "\0" in source  # Python 3.10's reader rejects a NUL, later ones keep it: reject it here
+    reader = csv.reader(io.StringIO(source.removeprefix("\ufeff"), newline=None))
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
     except csv.Error as exc:
-        raise ParseError(f"header row: {_csv_fault(exc)}") from None
+        raise ParseError(f"header row: {exc}") from None
+    if nul and "\0" in "".join(header):
+        raise ParseError("header row: line contains NUL")
     names = [h.strip().lower() for h in header]
     for name in names:
         if name not in _COLUMNS:
@@ -187,6 +187,8 @@ def load_dataset(source: str) -> Dataset:
     row_no = 0
     try:
         for row_no, cells in enumerate(reader, start=1):
+            if nul and "\0" in "".join(cells):
+                raise ParseError(f"row {row_no}: line contains NUL")
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue  # ignore blank lines
             if len(cells) != len(names):
@@ -201,7 +203,7 @@ def load_dataset(source: str) -> Dataset:
             rows.append(Observation(period, **{column: _parse_number(cells[i], row_no, column)
                                                for column, i in numeric}))
     except csv.Error as exc:  # raised reading the row after row_no
-        raise ParseError(f"row {row_no + 1}: {_csv_fault(exc)}") from None
+        raise ParseError(f"row {row_no + 1}: {exc}") from None
     if not rows:
         raise ValidationError("no data rows")
     return Dataset(rows=tuple(rows), has_r="r" in index, has_w="w" in index)

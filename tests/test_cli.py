@@ -18,12 +18,15 @@ from vesprod import (
     calibrate_xi,
     classify_regime,
     eval_intensive,
+    fit_loglinear,
+    load_dataset,
     loglinear_from_ves,
     ode_integrate_theorem,
     verify_family,
     ves_from_loglinear,
 )
-from vesprod.cli import _FAMILIES, _FLAGS, TRAJECTORY_HEADER, _build_parser, _fmt, main
+from vesprod.cli import (_FAMILIES, _FLAGS, TRAJECTORY_HEADER, _build_parser, _fit_lines, _fmt,
+                         main)
 
 REFERENCE_FLAGS = ["--ln-a", "0.773454", "--b", "0.934369", "--c", "1.191951"]
 
@@ -226,6 +229,25 @@ def test_fit_reads_a_file_with_a_byte_order_mark_as_without_it(tmp_path, capsys)
     marked.write_bytes(b"\xef\xbb\xbfperiod,y,k,r\n1,\xff\xfe,2,3\n")
     assert run(capsys, "fit", str(marked), "--relation", "rental") == (
         2, "", "error: input is not UTF-8: invalid start byte 0xff at byte offset 18\n")
+
+
+_FIT_ROWS = ["period,y,k,r", "t0,1,1,1", "t1,1,2,1", "t2,1.5,1,2", "t3,1,2,2.5"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-break"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_fit_and_load_dataset_read_every_line_ending_alike(tmp_path, capsys, ending, quoted):
+    rows = _FIT_ROWS + ([f'"t4{ending}b",2,3,1.5'] if quoted else [])
+    lf, path = tmp_path / "lf.csv", tmp_path / "d.csv"
+    lf.write_bytes(("\n".join(rows) + "\n").encode())
+    path.write_bytes((ending.join(rows) + ending).encode())
+    expected = run(capsys, "fit", str(lf), "--relation", "rental", "--diagnose")
+    assert expected[0] == 0
+    assert run(capsys, "fit", str(path), "--relation", "rental", "--diagnose") == expected
+    # load_dataset reads the file's text into the rows that fit fitted
+    dataset = load_dataset(path.read_bytes().decode("utf-8"))
+    assert [row.period for row in dataset.rows] == ["t0", "t1", "t2", "t3"] + ["t4\nb"] * quoted
+    assert expected[1].startswith("\n".join(_fit_lines(fit_loglinear(dataset, "rental"))) + "\n")
 
 
 def test_fit_bad_relation_exits_2(tmp_path, capsys):

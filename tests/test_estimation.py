@@ -181,23 +181,32 @@ _LONG_FIELD = "x" * 131_073  # one past the csv module's default field size limi
 @pytest.mark.parametrize("text, where", [
     (f"period,y,k,{_LONG_FIELD}\np1,1,2,3\n", "header row"),
     (f"period,y,k\np1,1,2\n\np3,1,{_LONG_FIELD}\n", "row 3"),  # a blank line counts
-    ("period,y,k\np1,1,2\np2,1\r5,2\n", "row 2"),  # a lone CR in unquoted text
-], ids=["long-header-field", "long-row-field", "lone-cr"])
+    ("period,y,k\np1,1,2\np2,1\x005,2\n", "row 2"),  # the csv reader's own fault on 3.10
+], ids=["long-header-field", "long-row-field", "nul"])
 def test_load_turns_a_csv_error_into_a_parse_error_naming_its_row(text, where):
     with pytest.raises(ParseError, match=f"^{where}: "):
         load_dataset(text)
 
 
-@pytest.mark.parametrize("text, where", [
-    ("period,y\rx,k\np1,1,2\n", "header row"),
-    ("period,y,k\np1,1,2\np2,1\r5,2\n", "row 2"),
+@pytest.mark.parametrize("text", [
+    "period,y,k\rp1,1,2\np2,1,5\n",
+    "period,y,k\np1,1,2\rp2,1,5\n",
 ], ids=["header", "data-row"])
-def test_a_lone_cr_is_one_parse_error_on_every_python(text, where):
-    # the csv module appends advice on opening a file, worded by each Python version;
-    # a caller who passed text has no file to open
+def test_a_lone_cr_ends_a_line_on_every_python(text):
+    # as a file opened in text mode reads it, so that vesprod fit and load_dataset agree
+    assert load_dataset(text) == load_dataset(text.replace("\r", "\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("pe\x00riod,y,k\np1,1,2\n", "header row: line contains NUL"),
+    ("period,y,k\np1,1,2\n\np3,1\x00,2\n", "row 3: line contains NUL"),  # a blank line counts
+    ("period,y,k\nt\x001,1,1\n", "row 1: line contains NUL"),
+], ids=["header", "number-cell", "period-label"])
+def test_a_nul_is_one_parse_error_on_every_python(text, message):
+    # Python 3.10's csv reader rejects a NUL itself; 3.11 and later keep it in the cell
     with pytest.raises(ParseError) as info:
         load_dataset(text)
-    assert str(info.value) == f"{where}: new-line character seen in unquoted field"
+    assert str(info.value) == message
 
 
 def test_load_scientific_notation_accepted():
