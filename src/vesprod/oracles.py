@@ -59,13 +59,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParamError, SingularError, VesprodError
+from .errors import DomainError, ParamError, SingularError
 from .families import (
     FamilySpec,
     LogLinearParams,
@@ -215,16 +214,9 @@ def _check_grid(k_grid: Sequence[float]) -> list[float]:
     """The grid as floats: non-empty, numbers, positive, finite and strictly
     increasing.  A number is what ``math.isfinite`` admits, as in
     ``families._nearest_float``: not a str or bytes, which ``float`` would
-    parse.  Checked in one pass; only a grid that fails it is checked again
-    point by point, which names the first fault."""
-    points = list(k_grid)  # a one-shot iterator, too, can then be checked again
-    with contextlib.suppress(OverflowError, TypeError, ValueError):
-        if points and all(map(math.isfinite, points)):
-            grid = list(map(float, points))
-            if min(grid) > 0.0 and all(map(operator.lt, grid, grid[1:])):
-                return grid
+    parse.  Checked point by point, so that the first fault is named."""
     grid = []
-    for k in points:
+    for k in k_grid:
         try:
             math.isfinite(k)  # TypeError for a str or bytes, which float() parses
             grid.append(float(k))
@@ -232,7 +224,7 @@ def _check_grid(k_grid: Sequence[float]) -> list[float]:
             raise DomainError(f"grid point {_quote(k)} is not a positive finite number") from None
         except (TypeError, ValueError):
             raise ParamError(f"grid point {_quote(k)} is not a number") from None
-    if len(grid) < 1:
+    if not grid:
         raise ParamError("k_grid must contain at least one point")
     for k in grid:
         if not (math.isfinite(k) and k > 0.0):

@@ -1,8 +1,9 @@
 """Shared fixtures and test-local numerical oracles.
 
-The oracles here (finite differences, direct closed-form evaluation in
-regression space) are deliberately independent re-implementations: tests
-compare library output against these, never against the library itself.
+The oracles here (finite differences, Taylor jets, direct closed-form
+evaluation in regression space) are deliberately independent
+re-implementations: tests compare library output against these, never
+against the library itself.
 """
 
 from __future__ import annotations
@@ -63,6 +64,78 @@ def relerr(u: float, v: float) -> float:
     if u == v:
         return 0.0
     return abs(u - v) / max(abs(u), abs(v))
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets: every derivative of a closed form from its y alone
+# ---------------------------------------------------------------------------
+
+class Jet:
+    """A number that carries its Taylor coefficients at a point, (f, f',
+    f''/2, f'''/6) at order 3, through + - * /, ** float, and < and > by
+    value (f).  Each family's ``_y`` is only that arithmetic and a test of its
+    bracket or bound, so it runs on a jet unchanged, and the jet it returns
+    holds y's derivatives independently of the hand-written ones.  Jets of
+    different orders combine to the lower one."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, *c: float) -> None:
+        self.c = c
+
+    def _other(self, other) -> tuple:
+        return other.c if type(other) is Jet else (other,) + (0.0,) * (len(self.c) - 1)
+
+    def __add__(self, other) -> Jet:
+        return Jet(*(a + b for a, b in zip(self.c, self._other(other))))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Jet:
+        return Jet(*(a - b for a, b in zip(self.c, self._other(other))))
+
+    def __mul__(self, other) -> Jet:
+        if type(other) is not Jet:
+            return Jet(*(a * other for a in self.c))
+        a, b = self.c, other.c
+        return Jet(*(sum(a[j] * b[n - j] for j in range(n + 1))
+                     for n in range(min(len(a), len(b)))))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> Jet:
+        a, b = self.c, self._other(other)
+        q = []
+        for n in range(min(len(a), len(b))):
+            q.append((a[n] - sum(b[j] * q[n - j] for j in range(1, n + 1))) / b[0])
+        return Jet(*q)
+
+    def __pow__(self, p: float) -> Jet:
+        # f = g^p solves g f' = p g' f: n g0 f_n = sum_j (p j - (n - j)) g_j f_(n-j)
+        g = self.c
+        f = [g[0] ** p]
+        for n in range(1, len(g)):
+            f.append(sum((p * j - (n - j)) * g[j] * f[n - j] for j in range(1, n + 1))
+                     / (n * g[0]))
+        return Jet(*f)
+
+    def __lt__(self, other) -> bool:
+        return self.c[0] < other
+
+    def __gt__(self, other) -> bool:
+        return self.c[0] > other
+
+
+def jet_derivatives(spec, k: float) -> dict[str, float]:
+    """y', y'', R, R', sigma and sigma' at k from the order-3 jet of
+    ``spec._y`` alone: R = y/y' - k and sigma = y'(k y' - y) / (k y y'') on
+    order-1 jets of k, y, y' and y''."""
+    y, dy, d2y, d3y = (n * c for n, c in zip((1.0, 1.0, 2.0, 6.0),
+                                             spec._y(Jet(k, 1.0, 0.0, 0.0)).c))
+    K, Y, Y1, Y2 = Jet(k, 1.0), Jet(y, dy), Jet(dy, d2y), Jet(d2y, d3y)
+    R, sigma = Y / Y1 - K, Y1 * (K * Y1 - Y) / (K * Y * Y2)
+    return {"y'": dy, "y''": d2y, "R": R.c[0], "R'": R.c[1],
+            "sigma": sigma.c[0], "sigma'": sigma.c[1]}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     draw_trusted_case,
     fd_derivative,
     fd_second,
+    jet_derivatives,
     relerr,
     rental_closed_form,
 )
@@ -929,6 +930,40 @@ def test_r_prime_and_sigma_prime_match_complex_step_derivatives_to_rounding():
                     floor = abs(f(k)) / k
                     assert abs(closed - stepped) <= 1e-12 * max(abs(closed), abs(stepped), floor), \
                         (spec, k, f.__name__)
+
+
+def test_every_derivative_matches_the_taylor_jet_of_y_to_rounding():
+    # A Taylor jet of y (conftest.Jet) runs through each family's unchanged _y,
+    # Sato-Hoffman's bound test included, and gives y', y'' and y''' with no
+    # step and no hand-written derivative; R, R', sigma and sigma' follow from
+    # their defining identities.  Finite differences at DERIVATIVE_TOL cannot
+    # see an error of 1e-9; the jet can.  The errors are scaled as verify_family
+    # scales them, with the floors |R| / k and |sigma| / k on R' and sigma'.
+    # The reference VES fit at k = 1e7 to 1e9 is where verify_family's finite
+    # differences read up to 3.46e-5.
+    rng = np.random.default_rng(717171)
+    cases = [(ves_from_loglinear(REFERENCE), [1e7, 1e8, 1e9])]
+    for family in FAMILIES:
+        done = 0
+        while done < 20:
+            spec, grid = draw_trusted_case(rng, family)
+            if grid is None:
+                continue
+            done += 1
+            cases.append((spec, grid))
+    for spec, grid in cases:
+        for k in grid:
+            jet = jet_derivatives(spec, k)
+            R, sigma = mrs_closed(spec, k), sigma_closed(spec, k)
+            for quantity, closed, floor in (
+                    ("y'", intensive_derivative(spec, k), 0.0),
+                    ("y''", intensive_second_derivative(spec, k), 0.0),
+                    ("R", R, 0.0), ("R'", mrs_derivative_closed(spec, k), abs(R) / k),
+                    ("sigma", sigma, 0.0),
+                    ("sigma'", sigma_derivative_closed(spec, k), abs(sigma) / k)):
+                reference = jet[quantity]
+                assert abs(closed - reference) <= \
+                    1e-12 * max(abs(closed), abs(reference), floor), (spec, k, quantity)
 
 
 # ---------------------------------------------------------------------------

@@ -780,8 +780,8 @@ _GRID_POINTS = st.one_of(st.floats(), st.floats(0.1, 10.0), st.integers(-10 ** 4
 @example(points=[2.0, 1.0, -1.0], ordered=False)
 @example(points=[1.0, math.nan, 0.5], ordered=False)
 def test_check_grid_names_the_first_fault_as_the_per_point_checks_do(points, ordered):
-    # the one-pass check and, where it fails, the same grid point by point;
-    # a one-shot iterator is checked as its list is
+    # _check_grid's one path against the reference copy of its per-point
+    # checks; a one-shot iterator is checked as its list is
     if ordered:
         with contextlib.suppress(TypeError, OverflowError):  # None, "a", an int past floats
             points = sorted(points)
