@@ -61,6 +61,7 @@ from .oracles import (
 )
 
 TRAJECTORY_HEADER = "k,y,R,R_prime,sigma,sigma_prime"
+_ROW = "%#.12g,%#.12g,%#.12g,%#.12g,%#.12g,%#.12g"  # a trajectory row, each number as _fmt
 
 _REGIME_TEXT = {
     RegimeCase.VES_CASE_I: "case i",
@@ -78,7 +79,7 @@ class _UsageError(Exception):
 
 
 def _fmt(value: float) -> str:
-    return format(value, "#.12g")
+    return "%#.12g" % value
 
 
 # --------------------------------------------------------------------------
@@ -148,16 +149,12 @@ def _value(args: argparse.Namespace, name: str) -> float | None:
         raise ParamError(f"a = e^ln_a overflows for ln_a = {_quote(args.ln_a)}") from None
 
 
-def _read(args: argparse.Namespace, cls, need: str, names: Sequence[str] | None = None,
-          base=None):
-    """The `cls` that the flags of its fields give.  Each field in `names`
-    must be given; with `names` left out, every field is read and one with a
-    default (its value in `base`, else in `cls`) may be omitted.  `need`
-    opens the usage error that lists the missing flags."""
+def _read(args: argparse.Namespace, cls, need: str, names: Sequence[str] | None = None):
+    """The `cls` that the flags of its fields give.  Each field in `names` must be
+    given; with `names` left out, every field is read and one with a default may
+    be omitted.  `need` opens the usage error that lists the missing flags."""
     fields = [f for f in dataclasses.fields(cls) if names is None or f.name in names]
     given = {f.name: v for f in fields if (v := _value(args, f.name)) is not None}
-    if base is not None:
-        return dataclasses.replace(base, **given)
     missing = [_FLAGS[f.name][0] for f in fields if f.name not in given
                and (names is not None or f.default is dataclasses.MISSING)]
     if missing:
@@ -256,8 +253,8 @@ def _cmd_trajectory(args: argparse.Namespace) -> _Output:
     spec = _spec_from_args(args)
     _check_window(args.k_from, args.k_to, args.points)
     rows = trajectory(spec, args.k_from, args.k_to, args.points)
-    # formatted as written: a million rows need not be held twice
-    return 0, itertools.chain([TRAJECTORY_HEADER], (",".join(map(_fmt, row)) for row in rows))
+    # formatted as written, a row in one step: a million rows need not be held twice
+    return 0, itertools.chain([TRAJECTORY_HEADER], (_ROW % row for row in rows))
 
 
 def _cmd_regime(args: argparse.Namespace) -> _Output:
@@ -301,8 +298,7 @@ def _report_lines(report: VerificationReport) -> _Output:
     lines = [f"{report.check_name}: {report.points_checked} points, "
              f"max_rel_error = {report.max_rel_error:.6e}, "
              f"tolerance = {report.tolerance:g}: {status}"]
-    if report.worst_k is not None:
-        lines.append(f"worst: k = {_fmt(report.worst_k)}, quantity = {report.worst_quantity}")
+    lines.append(f"worst: k = {_fmt(report.worst_k)}, quantity = {report.worst_quantity}")
     return 0 if report.passed else 1, lines
 
 
@@ -361,7 +357,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
                             _or(args.steps, 10000), **tol)
     elif suite == "sato-hoffman":
         _check_read(args, reader, ("family", *_fields(SatoHoffmanParams)))
-        s = _read(args, SatoHoffmanParams, "", base=_DEFAULT_SH)
+        given = {n: v for n in _fields(SatoHoffmanParams) if (v := getattr(args, n)) is not None}
+        s = dataclasses.replace(_DEFAULT_SH, **given)
         bound = s.k_upper_bound()
         hi = 10.0 if math.isinf(bound) else 0.93 * bound
         report = verify_sato_hoffman(s, _k_grid(args, hi / 30.0, hi, 32), **tol)

@@ -29,6 +29,7 @@ import contextlib
 import csv
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -42,8 +43,8 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .families import (LogLinearParams, _check_ves_branch, _parameter_space, _quote,
-                       _require_in_domain, _require_type)
+from .families import (LogLinearParams, _check_ves_branch, _nearest_float, _parameter_space,
+                       _quote, _require_in_domain, _require_type)
 
 __all__ = [
     "Relation",
@@ -209,6 +210,48 @@ def load_dataset(source: str) -> Dataset:
     return Dataset(rows=tuple(rows), has_r="r" in index, has_w="w" in index)
 
 
+def _admit(row: Observation, column: str) -> float:
+    """The float nearest a record's value in `column`: TypeError where it is
+    not a number, ValidationError where it is not positive and finite."""
+    value = getattr(row, column)
+    try:
+        number = _nearest_float(value)
+    except TypeError:
+        raise TypeError(f"period {row.period!r}, column '{column}': {_quote(value)} "
+                        "is not a number") from None
+    if not number > 0.0:
+        raise ValidationError(f"period {row.period!r}, column '{column}': value must be "
+                              f"positive and finite, got {_quote(value)}")
+    return number
+
+
+def _admitted(d: Dataset, columns: tuple[str, ...]) -> list:
+    """The float arrays of `columns` over the rows of `d`.  A row that is not
+    an :class:`Observation` raises TypeError, and so does a value that is not
+    a number; one that is not positive and finite as a double (its logarithm
+    is a regressor) raises ValidationError.  The first fault is named, row by
+    row and in column order."""
+    import numpy as np
+
+    rows = d.rows
+    if set(map(type, rows)) == {Observation}:
+        # built without a dtype, a column holding a str, None, an int past int64, a
+        # Fraction or sequences is no 1-d float array: only then must the rows be scanned
+        try:
+            arrays = [np.array(list(map(operator.attrgetter(c), rows))) for c in columns]
+        except (ValueError, Warning):  # ragged: numpy >= 1.24 raises, an older one warns
+            arrays = []
+        if arrays and all(a.dtype == float and a.ndim == 1 and ((a > 0.0) & (a < np.inf)).all()
+                          for a in arrays):
+            return arrays
+    table = np.empty((len(rows), len(columns)))
+    for i, row in enumerate(rows):
+        if not isinstance(row, Observation):
+            raise TypeError(f"row {i + 1}: expected Observation, got {type(row).__name__}")
+        table[i] = [_admit(row, column) for column in columns]
+    return list(table.T)
+
+
 def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     """Ordinary least squares fit of ln y on [1, ln price, ln k].
 
@@ -216,7 +259,8 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     Raises :class:`ParamError` for any other relation,
     :class:`MissingColumnError` when the price column is absent,
     :class:`ValidationError` for fewer than 4 observations, and
-    :class:`RankError` when the regressors are collinear.
+    :class:`RankError` when the regressors are collinear.  The rows and their
+    y, k and price values are admitted as :func:`_admitted` says.
     """
     import numpy as np  # imported here so that `import vesprod` does not load it
 
@@ -228,15 +272,15 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     column = "r" if rel is Relation.RENTAL else "w"
     if not getattr(d, f"has_{column}"):
         raise MissingColumnError(f"the {rel.value} relation needs column '{column}'")
-    price = np.array([getattr(row, column) for row in d.rows], dtype=float)
+    y, k, price = _admitted(d, ("y", "k", column))
 
     n = len(d.rows)
     if n < 4:
         raise ValidationError(
             f"need at least 4 observations for a 3-coefficient fit, got {n}")
 
-    ln_y = np.log(np.array([row.y for row in d.rows], dtype=float))
-    ln_k = np.log(np.array([row.k for row in d.rows], dtype=float))
+    ln_y = np.log(y)
+    ln_k = np.log(k)
     X = np.column_stack([np.ones(n), np.log(price), ln_k])
 
     # SVD solve: orthogonalization-based, no explicit normal-matrix inverse
@@ -285,7 +329,9 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     """Degeneracy indicators for a fit produced from ``d``: b + c and its
     distance to unity, the significance ratio of c, and (when the rental
     column is present) the observed capital-share range k*r/y with a flag
-    when it reaches c.  A share that overflows raises :class:`DomainError`."""
+    when it reaches c.  With that column, the rows and their y, k and r values
+    are admitted as :func:`_admitted` says, and a share that overflows raises
+    :class:`DomainError`."""
     _require_type(d, Dataset)
     _require_type(f, FitReport)
     b = f.b_hat.value
@@ -293,8 +339,9 @@ def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     se_c = f.c_hat.stderr
     c_significance = math.inf if se_c == 0.0 else c / se_c
     if d.has_r:
-        shares = [kr / row.y if _NORMAL <= (kr := row.k * row.r) < math.inf
-                  else _scaled_share(row.k, row.r, row.y) for row in d.rows]
+        y, k, r = (a.tolist() for a in _admitted(d, ("y", "k", "r")))
+        shares = [kr / yi if _NORMAL <= (kr := ki * ri) < math.inf
+                  else _scaled_share(ki, ri, yi) for yi, ki, ri in zip(y, k, r)]
         top = max(shares)
         if math.isinf(top):
             period = d.rows[shares.index(top)].period

@@ -760,7 +760,7 @@ class _WageForm(_Family):
         b, c = self.b, self.c
         if xi >= 0.0:
             raise ParamError(f"regime analysis assumes xi < 0; got xi = {_quote(xi)}")
-        if not 0.0 < b < 1.0:
+        if b >= 1.0:  # a wage spec's b is positive
             raise ParamError(f"wage-relation regimes are stated for b in (0, 1), got {_quote(b)}")
         if c == 0.0:
             # CES boundary: sigma identically equal to b
@@ -1268,9 +1268,8 @@ def ves_from_loglinear(p: LogLinearParams) -> VESParams:
     lam = (c - 1.0) / (b - c)
     try:
         return _construct(VESParams, lam=lam, mu=mu, theta=c / b, psi=psi)
-    except ParamError:
-        if lam != -1.0:
-            raise
+    except ParamError:  # with lam, mu, theta and psi finite, only lam = -1 is rejected
+        pass
     # b != 1, so lam = -1 only by rounding, which a c far above b does
     raise SingularError(f"b = {_quote(b)}, c = {_quote(c)}: (c-1)/(b-c) rounds to -1, "
                         "so lam has no admissible value")

@@ -186,6 +186,19 @@ def test_fit_diagnose_exact_fit_prints_no_inf(tmp_path, capsys):
     assert "  c_significance = (unbounded)\n" in out
 
 
+def test_fit_diagnose_prints_a_share_restriction_that_holds(tmp_path, capsys):
+    # y = r^0.5 k^0.8: every share k*r/y = k^0.2 r^0.5 is below c = 0.8
+    rows = [(k, r, r ** 0.5 * k ** 0.8) for k, r in [(1.0, 0.01), (2.0, 0.01), (1.0, 0.02),
+                                                     (2.0, 0.02), (1.5, 0.015)]]
+    text = "period,y,k,r\n" + "".join(f"t{i},{y!r},{k!r},{r!r}\n" for i, (k, r, y) in enumerate(rows))
+    path = _write(tmp_path, "held.csv", text)
+    code, out, err = run(capsys, "fit", path, "--relation", "rental", "--diagnose")
+    assert (code, err) == (0, "")
+    top = max(k * r / y for k, r, y in rows)
+    assert f"  capital_share_range = [0.100000000000, {_fmt(top)}]\n" in out
+    assert out.endswith("  share_restriction_violated = false\n")
+
+
 def test_fit_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "fit", "/nonexistent/file.csv", "--relation", "rental")
     assert code == 2
@@ -354,6 +367,14 @@ def test_verify_up_to_the_largest_double_exits_2(capsys):
                                    "--k-to 1.7976931348623157e308 --points 3".split())
     assert (code, out) == (2, "")
     assert "k = 1.79769313486e+308 is outside the validity range (violated: R>0" in err
+
+
+@pytest.mark.parametrize("command", ["trajectory --family cd --A 2 --beta 0.4 --k-to 2",
+                                     "verify --suite family"], ids=["trajectory", "verify"])
+@pytest.mark.parametrize("k_from", ["0", "-1", "nan"])
+def test_a_window_that_starts_at_no_positive_k_is_a_usage_error(capsys, command, k_from):
+    argv = [*command.split(), "--k-from", k_from]
+    assert run(capsys, *argv) == (2, "", "usage error: need 0 < --k-from < --k-to\n")
 
 
 def test_trajectory_bad_points_exits_2(capsys):
@@ -959,6 +980,21 @@ def test_golden_verify(capsys, flags, code, out, err):
 # ---------------------------------------------------------------------------
 # Determinism and exit-code contract
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+def test_fmt_formats_every_float_as_format_does(value):
+    # _fmt and the trajectory rows use the % operator, which is faster than format()
+    assert _fmt(value) == format(value, "#.12g")
+
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,11 +14,13 @@ import pytest
 from conftest import relerr
 import vesprod
 from vesprod import (
+    Dataset,
     DomainError,
     Estimate,
     FitReport,
     LogLinearParams,
     MissingColumnError,
+    Observation,
     ParamError,
     ParseError,
     RankError,
@@ -457,6 +460,86 @@ def test_scaled_share_is_the_rounded_true_share():
             assert share == math.inf
         else:
             assert abs(share - float(true)) <= 2.0 * math.ulp(float(true))
+
+
+# ---------------------------------------------------------------------------
+# Records built in code: what fit_loglinear and diagnose_fit admit
+# ---------------------------------------------------------------------------
+
+_ROWS = (Observation("t0", 1.0, 1.0, 1.0, 1.0), Observation("t1", 2.0, 2.0, 1.5, 3.0),
+         Observation("t2", 1.5, 1.0, 2.0, 2.0), Observation("t3", 3.0, 2.5, 1.2, 1.1))
+_ROWS_FIT = fit_loglinear(Dataset(_ROWS, True, True), "rental")
+_NOT_POSITIVE_AND_FINITE = [math.nan, math.inf, -math.inf, 0.0, -1.0, 10 ** 400,
+                            Fraction(10 ** 400)]
+
+
+@pytest.mark.parametrize("field", ["y", "k", "r", "w"])
+@pytest.mark.parametrize("value", [*_NOT_POSITIVE_AND_FINITE, "1.0", None],
+                         ids=["nan", "inf", "-inf", "0", "-1", "int-1e400", "fraction-1e400",
+                              "str", "none"])
+def test_a_record_value_is_admitted_as_load_dataset_admits_a_cell(field, value):
+    # a NaN once fitted to NaNs, 10**400 raised a bare OverflowError, 0 warned
+    # in numpy's log, and "1.0" was parsed as a number
+    bad = dataclasses.replace(Observation("t4", 1.2, 1.3, 1.4, 1.5), **{field: value})
+    d = Dataset(_ROWS + (bad,), has_r=True, has_w=True)
+    if isinstance(value, str) or value is None:
+        error, message = TypeError, f"period 't4', column '{field}': {value!r} is not a number"
+    else:
+        error, message = ValidationError, (f"period 't4', column '{field}': value must be "
+                                           f"positive and finite, got {value!r}")
+    calls = {"r": ["rental"], "w": ["wage"]}.get(field, ["rental", "wage"])
+    checks = [lambda relation=relation: fit_loglinear(d, relation) for relation in calls]
+    if field != "w":  # diagnose_fit reads y, k and r
+        checks.append(lambda: diagnose_fit(d, _ROWS_FIT))
+    for check in checks:
+        with pytest.raises(error) as caught:
+            check()
+        assert str(caught.value) == message
+
+
+def test_the_first_bad_record_value_is_named_row_by_row_in_column_order():
+    rows = (*_ROWS[:2], Observation("t8", 1.0, 1.0, -1.0), Observation("t9", math.nan, None, 1.0))
+    d = Dataset(rows, has_r=True, has_w=False)
+    message = "period 't8', column 'r': value must be positive and finite, got -1.0"
+    for check in (lambda: fit_loglinear(d, "rental"), lambda: diagnose_fit(d, _ROWS_FIT)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check()
+
+
+@pytest.mark.parametrize("row, kind", [((1.0, 1.0, 1.0), "tuple"), ({"y": 1.0}, "dict"),
+                                       (None, "NoneType")])
+def test_a_row_that_is_no_observation_is_a_type_error(row, kind):
+    d = Dataset((*_ROWS[:2], row, *_ROWS[2:]), has_r=True, has_w=True)
+    for check in (lambda: fit_loglinear(d, "wage"), lambda: diagnose_fit(d, _ROWS_FIT)):
+        with pytest.raises(TypeError, match=f"^row 3: expected Observation, got {kind}$"):
+            check()
+
+
+@pytest.mark.parametrize("listed, period", [((2,), "t2"), ((0, 1, 2, 3), "t0")],
+                         ids=["one-row", "every-row"])
+def test_a_sequence_in_a_record_is_not_a_number(listed, period):
+    # one list among floats is ragged, which numpy rejects; a list in every row
+    # makes a 2-d array
+    rows = tuple(dataclasses.replace(row, k=[row.k]) if i in listed else row
+                 for i, row in enumerate(_ROWS))
+    d = Dataset(rows, has_r=True, has_w=True)
+    message = f"period '{period}', column 'k': {rows[int(period[1])].k} is not a number"
+    for check in (lambda: fit_loglinear(d, "rental"), lambda: diagnose_fit(d, _ROWS_FIT)):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            check()
+
+
+def test_numbers_of_any_type_fit_as_the_floats_they_round_to():
+    # a column that is no float array is admitted row by row, to the same floats
+    for convert in (round, Fraction, np.float64, np.float32, lambda x: x >= 1.0):
+        def rows(number):
+            return tuple(dataclasses.replace(row, y=number(convert(row.y)), r=number(row.r))
+                         for row in _ROWS)
+        given = Dataset(rows(lambda x: x), has_r=True, has_w=True)
+        floats = Dataset(rows(float), has_r=True, has_w=True)
+        for relation in ("rental", "wage"):
+            assert fit_loglinear(given, relation) == fit_loglinear(floats, relation), convert
+        assert diagnose_fit(given, _ROWS_FIT) == diagnose_fit(floats, _ROWS_FIT), convert
 
 
 # ---------------------------------------------------------------------------

@@ -1062,13 +1062,15 @@ def test_ves_from_loglinear_underflow_is_singular(p, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("c", [1e20, 1e16])
+@pytest.mark.parametrize("c", [1e20, 1e16, 1e17])
 def test_ves_from_loglinear_lam_rounding_to_minus_one_is_singular(c):
-    # (c-1)/(b-c) rounds to -1 for a c far above b: not a ParamError about lam
+    # (c-1)/(b-c) rounds to -1 for a c far above b: not a ParamError about lam,
+    # which, once lam, mu, theta and psi are finite, VESParams raises for lam = -1 alone
     with pytest.raises(SingularError) as caught:
         ves_from_loglinear(LogLinearParams(a=1.0, b=0.5, c=c, xi=-1.0))
     assert str(caught.value) == (f"b = 0.5, c = {c!r}: (c-1)/(b-c) rounds to -1, "
                                  "so lam has no admissible value")
+    assert caught.value.__context__ is None
 
 
 def test_loglinear_from_ves_b_rounding_to_one_is_singular():
@@ -1566,10 +1568,13 @@ _BITS = "an int of 16610 bits"  # 10**5000
     (lambda: validity_range(CobbDouglasParams(2.0, 0.5), Fraction(-1, 10 ** 5000), 1.0),
      ParamError, "probe bounds must satisfy 0 < low < high, got (a negative Fraction of 1 bits "
      "over 16610 bits, 1.0)"),
+    (lambda: eval_intensive(CobbDouglasParams(2.0, 0.5), Fraction(-10 ** 5000, 3)), DomainError,
+     "capital-labor ratio must be positive and finite, got a negative Fraction of 16610 bits "
+     "over 2 bits"),
 ], ids=["VESParams", "LogLinearParams", "verify_ode", "reduce_special_case", "calibrate_xi",
         "eval_intensive", "eval_intensive-negative", "verify_family", "validity_range",
         "ode_integrate_theorem", "calibrate_xi-long", "eval_intensive-fraction",
-        "validity_range-fraction"])
+        "validity_range-fraction", "eval_intensive-fraction-numerator"])
 def test_a_large_int_is_rejected_and_quoted_by_its_size(call, error, message):
     with pytest.raises(error) as caught:
         call()
@@ -1619,9 +1624,15 @@ def test_rejected_numbers_keep_their_messages(value, text):
      "loglinear_from_ves(VESParams(lam=0.5, mu=1e+308, theta=0.5, psi=1.0))"),
     (lambda: lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e308)),  # zeta = inf
      "lf_from_lh(LogLinearParams(a=0.5, b=0.5, c=0.3, xi=-1e+308))"),
-], ids=["ves_from_loglinear", "ves_from_loglinear-lam", "loglinear_from_ves", "lf_from_lh"])
+    # lam rounds to -1 too, but theta = c/b is inf, which is reported first; a
+    # spec given by keyword is quoted by keyword
+    (lambda: ves_from_loglinear(p=LogLinearParams(a=1.0, b=1e-10, c=1e300, xi=-1.0)),
+     "ves_from_loglinear(p=LogLinearParams(a=1.0, b=1e-10, c=1e+300, xi=-1.0))"),
+], ids=["ves_from_loglinear", "ves_from_loglinear-lam", "loglinear_from_ves", "lf_from_lh",
+        "ves_from_loglinear-keyword"])
 def test_a_parameter_map_without_a_finite_result_is_singular(call, given):
     # not a ParamError about mu, xi or zeta, which the caller never gave
     with pytest.raises(SingularError) as caught:
         call()
     assert str(caught.value) == f"{given}: the result is not finite"
+    assert caught.value.__context__ is None
