@@ -25,7 +25,6 @@ normal matrix is never inverted directly.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -315,39 +314,59 @@ def fit_loglinear(d: Dataset, relation: Relation | str) -> FitReport:
     )
 
 
-def _scaled_share(k: float, r: float, y: float) -> float:
-    """k*r/y on the mantissas and exponents of k, r and y, so that it is inf
-    only where the share overflows; where k*r and k*r/y are normal doubles it
-    is k*r/y bit for bit."""
-    (mk, ek), (mr, er), (my, ey) = map(math.frexp, (k, r, y))
-    with contextlib.suppress(OverflowError):
-        return math.ldexp(mk * mr / my, ek + er - ey)
-    return math.inf
+def _shares(y, k, r):
+    """k*r/y over float arrays, taken on the mantissas and exponents of k, r and y
+    where k*r is no normal double, so that a share is inf only where it overflows."""
+    import numpy as np
+    with np.errstate(over="ignore"):
+        kr = k * r
+        (mk, ek), (mr, er), (my, ey) = map(np.frexp, (k, r, y))
+        return np.where((_NORMAL <= kr) & (kr < np.inf), kr / y,
+                        np.ldexp(mk * mr / my, ek + er - ey))
+
+
+def _reported(f: FitReport, name: str) -> float:
+    """The float nearest the number `name` ("c_hat.stderr") of a fit report:
+    TypeError where its estimate is no :class:`Estimate` or it is no number,
+    ValidationError where it is not finite, or is a negative standard error."""
+    field, part = name.split(".")
+    estimate = getattr(f, field)
+    if not isinstance(estimate, Estimate):
+        raise TypeError(f"{field}: expected Estimate, got {type(estimate).__name__}")
+    value = getattr(estimate, part)
+    try:
+        number = _nearest_float(value)
+    except TypeError:
+        raise TypeError(f"{name}: {_quote(value)} is not a number") from None
+    if math.isnan(number):
+        raise ValidationError(f"{name} must be finite, got {_quote(value)}")
+    if part == "stderr" and number < 0.0:
+        raise ValidationError(f"{name} must not be negative, got {_quote(value)}")
+    return number
 
 
 def diagnose_fit(d: Dataset, f: FitReport) -> DegeneracyDiagnostics:
     """Degeneracy indicators for a fit produced from ``d``: b + c and its
     distance to unity, the significance ratio of c, and (when the rental
     column is present) the observed capital-share range k*r/y with a flag
-    when it reaches c.  With that column, the rows and their y, k and r values
-    are admitted as :func:`_admitted` says, and a share that overflows raises
+    when it reaches c.  The report's b, c and standard error of c are admitted
+    as :func:`_reported` says.  With that column, the rows and their y, k and r
+    values are admitted as :func:`_admitted` says, a dataset with no rows raises
+    :class:`ValidationError`, and a share that overflows raises
     :class:`DomainError`."""
     _require_type(d, Dataset)
     _require_type(f, FitReport)
-    b = f.b_hat.value
-    c = f.c_hat.value
-    se_c = f.c_hat.stderr
+    b, c, se_c = (_reported(f, name) for name in ("b_hat.value", "c_hat.value", "c_hat.stderr"))
     c_significance = math.inf if se_c == 0.0 else c / se_c
     if d.has_r:
-        y, k, r = (a.tolist() for a in _admitted(d, ("y", "k", "r")))
-        shares = [kr / yi if _NORMAL <= (kr := ki * ri) < math.inf
-                  else _scaled_share(ki, ri, yi) for yi, ki, ri in zip(y, k, r)]
-        top = max(shares)
-        if math.isinf(top):
-            period = d.rows[shares.index(top)].period
-            raise DomainError(f"period {period!r}: the capital share k*r/y overflows")
-        share_range: tuple[float, float] | None = (min(shares), top)
-        violated: bool | None = top >= c
+        shares = _shares(*_admitted(d, ("y", "k", "r")))
+        if not shares.size:
+            raise ValidationError("no data rows")
+        top = shares.argmax()  # the first of the largest shares
+        if math.isinf(shares[top]):
+            raise DomainError(f"period {d.rows[top].period!r}: the capital share k*r/y overflows")
+        share_range: tuple[float, float] | None = (float(shares.min()), float(shares[top]))
+        violated: bool | None = bool(shares[top] >= c)
     else:
         share_range = None
         violated = None

@@ -35,7 +35,7 @@ from vesprod import (
     validity_range,
     ves_from_loglinear,
 )
-from vesprod.estimation import _scaled_share
+from vesprod.estimation import _shares
 
 
 def test_import_does_not_load_numpy():
@@ -446,12 +446,24 @@ def test_diagnose_share_whose_product_leaves_the_range(value, share_range):
                         pytest.approx(share_range[1], rel=1e-15))
 
 
+def test_diagnose_shares_whose_products_are_normal_overflow_and_underflow_in_one_call():
+    # both sides of the share rule over one array: k*r of 1e400, of 1e-400 and normal
+    d = load_dataset("period,y,k,r\nt0,2,2,1\nt1,1e200,1e200,1e200\nt2,1,1,2\n"
+                     "t3,1e-200,1e-200,1e-200\nt4,1.5,2,3\n")
+    diag = diagnose_fit(d, fit_loglinear(d, "rental"))
+    lo, hi = diag.capital_share_range
+    assert (lo, hi) == (pytest.approx(1e-200, rel=1e-15), pytest.approx(1e200, rel=1e-15))
+    assert type(lo) is float and type(hi) is float
+    assert diag.share_restriction_violated is True
+
+
 def test_scaled_share_is_the_rounded_true_share():
     # k*r/y's own bits where k*r and k*r/y are normal; elsewhere within 2 ulp
     # of the correctly rounded share, and inf exactly where the share overflows
     rng = np.random.default_rng(3)
-    for k, r, y in (10.0 ** rng.uniform(-320.0, 308.0, size=(3000, 3))).tolist():
-        share = _scaled_share(k, r, y)
+    draws = 10.0 ** rng.uniform(-320.0, 308.0, size=(3000, 3))
+    shares = _shares(draws[:, 2], draws[:, 0], draws[:, 1])  # y, k, r
+    for (k, r, y), share in zip(draws.tolist(), shares.tolist()):
         if all(sys.float_info.min <= x < math.inf for x in (k * r, k * r / y)):
             assert share == k * r / y
             continue
@@ -540,6 +552,38 @@ def test_numbers_of_any_type_fit_as_the_floats_they_round_to():
         for relation in ("rental", "wage"):
             assert fit_loglinear(given, relation) == fit_loglinear(floats, relation), convert
         assert diagnose_fit(given, _ROWS_FIT) == diagnose_fit(floats, _ROWS_FIT), convert
+
+
+def test_diagnose_without_rows_is_a_validation_error():
+    # once a bare ValueError from max() of no shares; without the rental
+    # column no row is read
+    with pytest.raises(ValidationError, match="^no data rows$"):
+        diagnose_fit(Dataset((), has_r=True, has_w=False), _ROWS_FIT)
+    no_rental = Dataset((), has_r=False, has_w=True)
+    assert diagnose_fit(no_rental, _ROWS_FIT).capital_share_range is None
+
+
+@pytest.mark.parametrize("field, estimate, error, message", [
+    ("c_hat", None, TypeError, "c_hat: expected Estimate, got NoneType"),
+    ("b_hat", (0.5, 0.1), TypeError, "b_hat: expected Estimate, got tuple"),
+    ("b_hat", Estimate("0.5", 0.1), TypeError, "b_hat.value: '0.5' is not a number"),
+    ("c_hat", Estimate(0.3, None), TypeError, "c_hat.stderr: None is not a number"),
+    ("c_hat", Estimate(math.nan, 0.1), ValidationError, "c_hat.value must be finite, got nan"),
+    ("c_hat", Estimate(-math.inf, 0.1), ValidationError, "c_hat.value must be finite, got -inf"),
+    ("b_hat", Estimate(10 ** 400, 0.1), ValidationError,
+     f"b_hat.value must be finite, got {10 ** 400}"),
+    ("c_hat", Estimate(0.3, math.inf), ValidationError, "c_hat.stderr must be finite, got inf"),
+    ("c_hat", Estimate(0.3, -0.1), ValidationError, "c_hat.stderr must not be negative, got -0.1"),
+], ids=["c_hat-none", "b_hat-tuple", "value-str", "stderr-none", "value-nan", "value-minus-inf",
+        "value-int-1e400", "stderr-inf", "stderr-negative"])
+def test_diagnose_checks_the_report_numbers_it_reads(field, estimate, error, message):
+    # a NaN c once gave share_restriction_violated=False, an inf c inf
+    # diagnostics, and c_hat=None an AttributeError
+    f = dataclasses.replace(_ROWS_FIT, **{field: estimate})
+    for d in (Dataset(_ROWS, True, True), Dataset(_ROWS, False, True)):
+        with pytest.raises(error) as caught:
+            diagnose_fit(d, f)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

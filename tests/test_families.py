@@ -22,10 +22,13 @@ from vesprod import (
     CESParams,
     CobbDouglasParams,
     DomainError,
+    Estimate,
+    FitReport,
     LiuHildebrandParams,
     LogLinearParams,
     LuFletcherParams,
     ParamError,
+    Relation,
     SatoHoffmanParams,
     SingularError,
     VESParams,
@@ -1415,6 +1418,15 @@ def test_with_xi_returns_new_value():
 _V = VESParams(lam=0.0, mu=1.0, theta=2.0, psi=1.0)
 _RENTAL = LogLinearParams(a=1.0, b=0.5, c=1.2, xi=-1.0)
 
+
+def diagnose_fit_of(b, c, stderr_c):
+    """diagnose_fit on a rental dataset, of a fit whose b, c and standard
+    error of c are given: the three numbers of a report that it reads."""
+    f = FitReport(Estimate(0.0, 0.1), Estimate(b, 0.1), Estimate(c, stderr_c), 1e-3, 0.9, 4,
+                  Relation.RENTAL)
+    return diagnose_fit(_DATA, f)
+
+
 #: every public function that takes a number, with arguments it accepts; each
 #: int or float among them (positional or keyword), and the point of each
 #: one-point grid, is a numeric slot
@@ -1442,6 +1454,7 @@ _NUMERIC_CALLS = [
     (verify_ode, (_V, 1.0, 2.0, 100), {"tolerance": 1e-9}),
     (verify_reduction, (_V, _V, [1.5]), {"tolerance": 1e-10}),
     (verify_sato_hoffman, (SatoHoffmanParams(1.0, 0.5, 1.5), [1.5]), {"tolerance": 1e-6}),
+    (diagnose_fit_of, (0.5, 0.3, 0.1), {}),
 ]
 
 _OUT_OF_RANGE = (10 ** 400, -10 ** 400, 10 ** 5000, -10 ** 5000, math.nan, math.inf, -math.inf,
